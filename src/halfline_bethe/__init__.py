@@ -11,11 +11,11 @@ from .asep_exact import (AsepEvalReport, LatticeConfig, default_radii,
                          total_mass, tuned_radii)
 from .bose_exact import (BoseEvalReport, DampedTime, bc1_residual,
                          fermion_limit_cinf, free_limit_c0, images_kernel,
-                         pde_residual, propagator_fullline,
-                         propagator_halfline, wall_residual)
+                         propagator_fullline, propagator_halfline,
+                         wall_residual)
 from .contour_quad import (CircleContour, LineGrid, QuadOptions, RadiiScheme,
-                           TensorGrid, adaptive_eval, adaptive_trace,
-                           circle_nodes, line_nodes, pointwise_integrand)
+                           adaptive_eval, adaptive_trace, circle_nodes,
+                           line_nodes)
 from .errors import ConvergenceError, SingularityError, SizeLimitError
 from .oracles import (GeneratorMatrix, LatticeWindow, McConfig,
                       build_generator, ctmc_distribution, ctmc_prob,

@@ -4,7 +4,8 @@ Two kernel families live here:
 
 * ``contract``: sum over a full tensor grid of a factorized integrand
   prod_d v_d[m_d] * prod_{d1<d2} M_{d1 d2}[m_{d1}, m_{d2}].  Every exact
-  evaluator reduces its per-term quadrature to this shape.
+  evaluator reduces its per-term quadrature to this shape, and ``term_sum``
+  sums it over the signed-permutation terms of both models.
 * the jump-chain simulator behind the Monte Carlo oracle, with a SplitMix64
   substream per trial so runs are reproducible and trial-order independent.
 
@@ -173,6 +174,46 @@ def contract(vectors, mats) -> complex:
     if USING_NUMBA:
         return contract_numba(vectors, mats)
     return contract_numpy(vectors, mats)
+
+
+def term_sum(tables, terms, insert=None) -> complex:
+    """Sum of the contracted integrands of compiled signed-permutation terms
+    (`signed_perm.term_structure`) at one quadrature level.
+
+    `tables` is a model's factor table: `tables.vectors[d, sign, pos]` is the
+    per-dimension factor of variable d placed at position pos with that sign,
+    `tables.smat(a, b)` the scattering matrix between the signed variables a
+    and b (None where it is identically 1), and `tables.signed` whether a
+    term carries its parity.  `insert(tables, term)`, if given, lists
+    (d, factor, scale): the term is then contracted once per entry, with
+    dimension d's vector multiplied by factor (d None: no factor), and added
+    with weight scale.
+    """
+    n = len(terms[0].dims)
+    size = tables.vectors[0, 1, 0].size
+    ones = np.ones((size, size), dtype=complex) if n > 1 else None
+    total = 0.0 + 0.0j
+    for term in terms:
+        vectors = [tables.vectors[d, s, pos] for d, (s, pos) in enumerate(term.dims)]
+        mats = [None] * len(PAIR_ORDER[n])
+        for k, a, b, transpose in term.invs:
+            m = tables.smat(a, b)
+            if m is None:
+                continue
+            if transpose:
+                m = m.T
+            mats[k] = m if mats[k] is None else mats[k] * m
+        mats = [ones if m is None else np.ascontiguousarray(m) for m in mats]
+        sign = term.parity if tables.signed else 1.0
+        if insert is None:
+            total += sign * contract(vectors, mats)
+            continue
+        for d, factor, scale in insert(tables, term):
+            inserted = list(vectors)
+            if d is not None:
+                inserted[d] = inserted[d] * factor
+            total += sign * scale * contract(inserted, mats)
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,13 @@
 """Exact transition probabilities of the asymmetric exclusion process.
 
-The half-line probability is a 1/N!-weighted sum over signed permutations of
-tensor contour integrals, taken over a union of product contours whose circles
-share the center 1/(2q) but carry pairwise distinct radii (one product contour
-per assignment of radii to variables).  The full-line probability is the
-ordinary permutation sum over a single large circle about zero.  Negative
-coordinates and unordered tuples are supported by `evaluate_extended`, which
-is what the boundary-condition and master-equation residual checks evaluate.
+The half-line probability is a sum over signed permutations of tensor contour
+integrals over one product contour: xi_d runs on the circle of radius R_d
+about the center 1/(2q), with R_1 < ... < R_N.  Nested distinct radii enclose
+the same poles, so every assignment of radii to variables gives the same
+value.  The full-line probability is the ordinary permutation sum over a
+single large circle about zero.  Negative coordinates and unordered tuples
+are supported by `evaluate_extended`, which is what the boundary-condition
+and master-equation residual checks evaluate.
 
 Every per-term integrand factorizes into per-dimension vectors coupled by
 two-variable scattering matrices, so each term reduces to the tensor
@@ -15,19 +16,20 @@ contraction in `_kernels`.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from ._kernels import PAIR_ORDER, contract
+# contract is bound here as well because perfbench/tracing.py patches it here
+from ._kernels import contract, term_sum  # noqa: F401
 from .contour_quad import (CircleContour, QuadOptions, RadiiScheme,
-                           adaptive_trace, circle_nodes)
+                           adaptive_eval, circle_nodes)
 from .errors import ConvergenceError
 from .scattering import AsepParams, eps_asep, r_factor, s_asep
-from .signed_perm import SignedPermutation, enumerate_bn, enumerate_sn, inversions
+from .signed_perm import term_structure
 
 MAX_N = 4
 
@@ -128,61 +130,26 @@ def tuned_radii(params: AsepParams, n: int, *, ratio: float = 1.3,
     raise RuntimeError(f"could not tune contour radii for {params}")
 
 
-# ---------------------------------------------------------------------------
-# signed-permutation metadata (cached per N)
-# ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=32)
-def _term_meta(n: int, halfline: bool):
-    """Per-sigma data: dimension -> (position, sign), negative dims, and
-    inversions grouped by dimension pair with orientation flags."""
-    sigmas = enumerate_bn(n) if halfline else enumerate_sn(n)
-    pair_index = {pair: k for k, pair in enumerate(PAIR_ORDER[n])}
-    meta = []
-    for sigma in sigmas:
-        dim_pos = [0] * n   # dimension d (0-based) -> position index
-        dim_sign = [1] * n  # dimension d -> sign of the entry with magnitude d+1
-        for pos, v in enumerate(sigma.values):
-            dim_pos[abs(v) - 1] = pos
-            dim_sign[abs(v) - 1] = 1 if v > 0 else -1
-        invs = []
-        for inv in inversions(sigma):
-            da, db = abs(inv.first) - 1, abs(inv.second) - 1
-            if da < db:
-                invs.append((pair_index[(da, db)], inv.first, inv.second, False))
-            else:
-                invs.append((pair_index[(db, da)], inv.first, inv.second, True))
-        meta.append((sigma, tuple(dim_pos), tuple(dim_sign), tuple(invs)))
-    return meta
-
-
 class _LevelTables:
-    """Per-quadrature-level factor tables for one product contour."""
+    """Per-quadrature-level factor tables for one product contour; one
+    (nodes, weights) grid per dimension."""
 
-    def __init__(self, params, nodes, weights, y, t, z_exponents):
+    signed = False
+
+    def __init__(self, params, grids, y, t, z_exponents):
         self.params = params
-        self.n = len(nodes)
-        self.pos_vals = [np.ascontiguousarray(nd) for nd in nodes]
+        self.pos_vals = [np.ascontiguousarray(nd) for nd, _ in grids]
         self.neg_vals = [params.tau / nd for nd in self.pos_vals]
-        self.base = [
-            w * nd ** (-int(yi) - 1) * np.exp(eps_asep(nd, params) * t)
-            for w, nd, yi in zip(weights, self.pos_vals, y)
-        ]
-        # power tables: (sign, dimension, position) -> node_value ** z[position]
-        self.powers = {}
-        for d in range(self.n):
-            for s, vals in ((1, self.pos_vals[d]), (-1, self.neg_vals[d])):
+        self.energies = [eps_asep(nd, params) for nd in self.pos_vals]
+        self.vectors = {}
+        for d, ((_, w), nd, yi) in enumerate(zip(grids, self.pos_vals, y)):
+            base = w * nd ** (-int(yi) - 1) * np.exp(self.energies[d] * t)
+            r_neg = r_factor(self.neg_vals[d], params)
+            for s, vals in ((1, nd), (-1, self.neg_vals[d])):
                 for i, zi in enumerate(z_exponents):
-                    self.powers[(s, d, i)] = vals ** int(zi)
-        self.r_neg = [r_factor(v, params) for v in self.neg_vals]
+                    v = base * vals ** int(zi)
+                    self.vectors[d, s, i] = v * r_neg if s < 0 else v
         self._smats = {}
-        self._ones = None
-
-    @property
-    def ones(self) -> np.ndarray:
-        if self._ones is None:
-            self._ones = np.ones((self.pos_vals[0].size,) * 2, dtype=complex)
-        return self._ones
 
     def _signed(self, a):
         vals = self.pos_vals if a > 0 else self.neg_vals
@@ -197,65 +164,24 @@ class _LevelTables:
             self._smats[key] = s_asep(va, vb, self.params)
         return self._smats[key]
 
-    def term(self, dim_pos, dim_sign, invs, extra=None) -> complex:
-        vectors = []
-        for d in range(self.n):
-            s = dim_sign[d]
-            v = self.base[d] * self.powers[(s, d, dim_pos[d])]
-            if s < 0:
-                v = v * self.r_neg[d]
-            if extra is not None and extra[d] is not None:
-                v = v * extra[d]
-            vectors.append(v)
-        n_pairs = len(PAIR_ORDER[self.n])
-        mats = [None] * n_pairs
-        for k, a, b, transpose in invs:
-            m = self.smat(a, b)
-            if transpose:
-                m = m.T
-            mats[k] = m if mats[k] is None else mats[k] * m
-        mats = [self.ones if m is None else np.ascontiguousarray(m) for m in mats]
-        return contract(vectors, mats)
+
+def _energy_insertion(tables: _LevelTables, term):
+    """d/dt of the integrand: each dimension's energy factor in turn."""
+    return [(d, e, 1.0) for d, e in enumerate(tables.energies)]
 
 
-def _halfline_sum(y, z, t, params, radii, m, insert_energy=False) -> complex:
-    """One quadrature level of the half-line sum at per-dimension resolution m."""
-    n = len(y)
-    meta = _term_meta(n, True)
-    contours = radii.contours()
-    total = 0.0 + 0.0j
-    for mu in itertools.permutations(range(n)):
-        pairs = [circle_nodes(contours[mu[d]], m) for d in range(n)]
-        tables = _LevelTables(params, [p[0] for p in pairs],
-                              [p[1] for p in pairs], y, t, z)
-        energies = [eps_asep(v, params) for v in tables.pos_vals] if insert_energy else None
-        for sigma, dim_pos, dim_sign, invs in meta:
-            if insert_energy:
-                for d in range(n):
-                    extra = [None] * n
-                    extra[d] = energies[d]
-                    total += tables.term(dim_pos, dim_sign, invs, extra)
-            else:
-                total += tables.term(dim_pos, dim_sign, invs)
-    return total / math.factorial(n)
+def _halfline_sum(y, z, t, params, contours, m, insert_energy=False) -> complex:
+    """One quadrature level of the half-line sum at per-dimension resolution m,
+    with variable d on contours[d]."""
+    tables = _LevelTables(params, [circle_nodes(c, m) for c in contours], y, t, z)
+    return term_sum(tables, term_structure(len(y), True),
+                    _energy_insertion if insert_energy else None)
 
 
-def _fullline_sum(y, z, t, params, radius, m, insert_energy=False) -> complex:
-    n = len(y)
-    meta = _term_meta(n, False)
-    nodes, weights = circle_nodes(CircleContour(0.0, radius), m)
-    tables = _LevelTables(params, [nodes] * n, [weights] * n, y, t, z)
-    energies = [eps_asep(v, params) for v in tables.pos_vals] if insert_energy else None
-    total = 0.0 + 0.0j
-    for sigma, dim_pos, dim_sign, invs in meta:
-        if insert_energy:
-            for d in range(n):
-                extra = [None] * n
-                extra[d] = energies[d]
-                total += tables.term(dim_pos, dim_sign, invs, extra)
-        else:
-            total += tables.term(dim_pos, dim_sign, invs)
-    return total
+def _fullline_sum(y, z, t, params, radius, m) -> complex:
+    grid = circle_nodes(CircleContour(0.0, radius), m)
+    tables = _LevelTables(params, [grid] * len(y), y, t, z)
+    return term_sum(tables, term_structure(len(y), False))
 
 
 def _default_opts(n: int, opts: QuadOptions | None) -> QuadOptions:
@@ -275,12 +201,6 @@ def _check_common(y_cfg: LatticeConfig, n_other: int, t: float, params: AsepPara
         raise ValueError(f"evaluators support N <= {MAX_N}")
     if t < 0:
         raise ValueError("t must be nonnegative")
-
-
-def _adaptive(level_eval, opts: QuadOptions):
-    trace = adaptive_trace(level_eval, opts)
-    (m, value), (_, prev) = trace[-1], trace[-2]
-    return value, abs(value - prev), m
 
 
 def _report(raw: complex, err: float, m: int, terms: int, opts: QuadOptions) -> AsepEvalReport:
@@ -336,9 +256,13 @@ def prob_halfline(Y, X, t: float, params: AsepParams,
     else:
         src, dst, prefactor = ycfg, xcfg, 1.0
 
-    value, err, m = _adaptive(
-        lambda mm: _halfline_sum(src.sites, dst.sites, t, params, radii, mm), opts)
-    terms = math.factorial(ycfg.n) * len(_term_meta(ycfg.n, True))
+    # the reversed sum is scaled by the prefactor, so its own tolerance is
+    # tightened for `tol` to bound the returned value
+    contours = radii.contours()
+    value, err, m = adaptive_eval(
+        lambda mm: _halfline_sum(src.sites, dst.sites, t, params, contours, mm),
+        dataclasses.replace(opts, tol=opts.tol / max(prefactor, 1.0)))
+    terms = len(term_structure(ycfg.n, True))
     return _report(prefactor * value, prefactor * err, m, terms, opts)
 
 
@@ -352,9 +276,9 @@ def prob_fullline(Y, X, t: float, params: AsepParams,
     _check_common(ycfg, xcfg.n, t, params)
     opts = _default_opts(ycfg.n, opts)
     radius = radius if radius is not None else max(2.0, 2.0 / abs(params.q))
-    value, err, m = _adaptive(
+    value, err, m = adaptive_eval(
         lambda mm: _fullline_sum(ycfg.sites, xcfg.sites, t, params, radius, mm), opts)
-    terms = len(_term_meta(ycfg.n, False))
+    terms = len(term_structure(ycfg.n, False))
     return _report(value, err, m, terms, opts)
 
 
@@ -383,7 +307,7 @@ def prob_n1_closed(y: int, x: int, t: float, params: AsepParams,
                                           ) * tau ** x * nodes ** (-x - y - 1)
         return np.sum(weights * bracket * np.exp(eps_asep(nodes, params) * t))
 
-    value, err, m = _adaptive(level, opts)
+    value, err, m = adaptive_eval(level, opts)
     return _report(value, err, m, 2, opts)
 
 
@@ -402,8 +326,9 @@ def evaluate_extended(Y, Z, t: float, params: AsepParams,
     _check_common(ycfg, len(z), t, params)
     opts = _default_opts(ycfg.n, opts)
     radii = radii if radii is not None else tuned_radii(params, ycfg.n)
-    value, _, _ = _adaptive(
-        lambda mm: _halfline_sum(ycfg.sites, z, t, params, radii, mm), opts)
+    contours = radii.contours()
+    value, _, _ = adaptive_eval(
+        lambda mm: _halfline_sum(ycfg.sites, z, t, params, contours, mm), opts)
     return complex(value)
 
 
@@ -425,8 +350,9 @@ def master_equation_residual(Y, X, t: float, params: AsepParams,
         raise ValueError("residual check needs t > 0")
     opts = _default_opts(ycfg.n, opts)
     radii = tuned_radii(params, ycfg.n)
-    lhs, _, _ = _adaptive(
-        lambda mm: _halfline_sum(ycfg.sites, xcfg.sites, t, params, radii, mm,
+    contours = radii.contours()
+    lhs, _, _ = adaptive_eval(
+        lambda mm: _halfline_sum(ycfg.sites, xcfg.sites, t, params, contours, mm,
                                  insert_energy=True), opts)
 
     def u(zt):

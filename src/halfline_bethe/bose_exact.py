@@ -16,15 +16,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from ._kernels import PAIR_ORDER, contract
-from .contour_quad import QuadOptions, line_nodes, LineGrid
-from .errors import ConvergenceError
+from ._kernels import term_sum
+from .contour_quad import LineGrid, QuadOptions, adaptive_eval, line_nodes
 from .scattering import BoseParams, s_bose
-from .signed_perm import enumerate_bn, enumerate_sn, inversions, neg_count
+from .signed_perm import term_structure
 
 MAX_N = 4
 
@@ -106,83 +104,35 @@ def _grid_parameters(y, x, time: DampedTime, c: float, tol: float):
     return cutoff, spacing
 
 
-@lru_cache(maxsize=32)
-def _term_meta(n: int, halfline: bool):
-    """Per-sigma data for the line-grid contraction: overall sign, position
-    and sign per dimension, and inversions as (pair index, sign_a, sign_b,
-    transpose) with dimensions ordered."""
-    sigmas = enumerate_bn(n) if halfline else enumerate_sn(n)
-    pair_index = {pair: k for k, pair in enumerate(PAIR_ORDER[n])}
-    meta = []
-    for sigma in sigmas:
-        sgn = (-1.0) ** neg_count(sigma)
-        dim_pos = [0] * n
-        dim_sign = [1] * n
-        for pos, v in enumerate(sigma.values):
-            dim_pos[abs(v) - 1] = pos
-            dim_sign[abs(v) - 1] = 1 if v > 0 else -1
-        invs = []
-        for inv in inversions(sigma):
-            a, b = inv.first, inv.second
-            da, db = abs(a) - 1, abs(b) - 1
-            sa, sb = (1 if a > 0 else -1), (1 if b > 0 else -1)
-            if da < db:
-                invs.append((pair_index[(da, db)], sa, sb, False))
-            else:
-                invs.append((pair_index[(db, da)], sa, sb, True))
-        meta.append((sgn, tuple(dim_pos), tuple(dim_sign), tuple(invs)))
-    return meta
-
-
 class _LineTables:
     """Factor tables on one line grid (shared by every dimension)."""
 
+    signed = True
+
     def __init__(self, k, w, y, x, t: complex, c: float):
         self.k = k
-        n = len(y)
         damp = np.exp(-1j * t * k * k)
-        self.base = [w * np.exp(-1j * k * yj) * damp for yj in y]
-        self.expx = {
-            (s, j): np.exp(1j * s * k * xj)
-            for j, xj in enumerate(x) for s in (1, -1)
-        }
+        expx = {(s, j): np.exp(1j * s * k * xj)
+                for j, xj in enumerate(x) for s in (1, -1)}
+        self.vectors = {}
+        for d, yd in enumerate(y):
+            base = w * np.exp(-1j * k * yd) * damp
+            for (s, j), e in expx.items():
+                self.vectors[d, s, j] = base * e
         self.c = c
         self._smats = {}
-        self._ones = None
 
-    @property
-    def ones(self) -> np.ndarray:
-        if self._ones is None:
-            self._ones = np.ones((self.k.size, self.k.size), dtype=complex)
-        return self._ones
-
-    def smat(self, sa: int, sb: int) -> np.ndarray:
-        """S(sa*k[m1] - sb*k[m2]) over the shared grid; identically 1 at c=0."""
-        key = (sa, sb)
+    def smat(self, a: int, b: int) -> np.ndarray | None:
+        """S(sa*k[m1] - sb*k[m2]) over the shared grid for the signs sa, sb
+        of a, b; None (identically 1) at c = 0."""
+        if self.c == 0.0:
+            return None
+        key = (1 if a > 0 else -1, 1 if b > 0 else -1)
         if key not in self._smats:
-            if self.c == 0.0:
-                self._smats[key] = self.ones
-            else:
-                arg = sa * self.k[:, None] - sb * self.k[None, :]
-                self._smats[key] = s_bose(arg, BoseParams(self.c))
+            sa, sb = key
+            arg = sa * self.k[:, None] - sb * self.k[None, :]
+            self._smats[key] = s_bose(arg, BoseParams(self.c))
         return self._smats[key]
-
-    def term(self, dim_pos, dim_sign, invs, extra=None) -> complex:
-        n = len(dim_pos)
-        vectors = []
-        for d in range(n):
-            v = self.base[d] * self.expx[(dim_sign[d], dim_pos[d])]
-            if extra is not None and extra[d] is not None:
-                v = v * extra[d]
-            vectors.append(v)
-        mats = [None] * len(PAIR_ORDER[n])
-        for kk, sa, sb, transpose in invs:
-            m = self.smat(sa, sb)
-            if transpose:
-                m = m.T
-            mats[kk] = m if mats[kk] is None else mats[kk] * m
-        mats = [self.ones if m is None else np.ascontiguousarray(m) for m in mats]
-        return contract(vectors, mats)
 
 
 def _line_opts(y, x, time, c, opts: QuadOptions | None):
@@ -201,32 +151,21 @@ def _grid(cutoff: float, m: int):
 
 def _propagator(y, x, time: DampedTime, params: BoseParams,
                 opts: QuadOptions | None, halfline: bool,
-                extra_builder=None) -> BoseEvalReport:
+                insert=None) -> BoseEvalReport:
     n = len(y)
     if n > MAX_N:
         raise ValueError(f"evaluators support N <= {MAX_N}")
     if len(x) != n:
         raise ValueError("x and y must hold the same number of particles")
-    meta = _term_meta(n, halfline)
+    terms = term_structure(n, halfline)
     cutoff, opts = _line_opts(y, x, time, params.c, opts)
 
     def level(m):
         k, w = _grid(cutoff, m)
-        tables = _LineTables(k, w, y, x, time.t, params.c)
-        total = 0.0 + 0.0j
-        for sgn, dim_pos, dim_sign, invs in meta:
-            if extra_builder is None:
-                total += sgn * tables.term(dim_pos, dim_sign, invs)
-            else:
-                for extra, scale in extra_builder(tables, dim_pos, dim_sign):
-                    total += sgn * scale * tables.term(dim_pos, dim_sign, invs, extra)
-        return total
+        return term_sum(_LineTables(k, w, y, x, time.t, params.c), terms, insert)
 
-    from .contour_quad import adaptive_trace
-
-    trace = adaptive_trace(level, opts)
-    (m, value), (_, prev) = trace[-1], trace[-2]
-    return BoseEvalReport(value, abs(value - prev), m, len(meta))
+    value, err, m = adaptive_eval(level, opts)
+    return BoseEvalReport(value, err, m, len(terms))
 
 
 def propagator_halfline(y, x, t, params: BoseParams,
@@ -279,48 +218,16 @@ def bc1_residual(y, x, j: int, t, params: BoseParams,
     c = params.c
     dpos = j - 1  # positions j-1 and j (0-based) straddle the diagonal
 
-    def builder(tables: _LineTables, dim_pos, dim_sign):
-        pos_to_dim = {pos: d for d, pos in enumerate(dim_pos)}
+    def insert(tables: _LineTables, term):
+        pos_to_dim = {pos: d for d, (_, pos) in enumerate(term.dims)}
         out = []
         for pos, scale in ((dpos + 1, 1.0), (dpos, -1.0)):
             d = pos_to_dim[pos]
-            extra = [None] * len(dim_pos)
-            extra[d] = 1j * dim_sign[d] * tables.k
-            out.append((extra, scale))
-        out.append(([None] * len(dim_pos), -c))
+            out.append((d, 1j * term.dims[d][0] * tables.k, scale))
+        out.append((None, None, -c))
         return out
 
-    rep = _propagator(yv, xv, time, params, opts, halfline=True,
-                      extra_builder=builder)
-    return complex(rep.value)
-
-
-def pde_residual(y, x, t, params: BoseParams,
-                 opts: QuadOptions | None = None) -> complex:
-    """Residual of the interior evolution equation via exact factor insertion.
-
-    Inserting (sum_d k_d^2 - sum_j k_{sigma(j)}^2) makes every integrand
-    vanish identically, so this measures only the internal consistency of
-    the assembled quadrature (it is zero to rounding by construction); the
-    finite-difference cross-checks live in the tests.
-    """
-    time = _as_time(t)
-    yv = _check_positions(y, positive=True)
-    xv = _check_positions(x, positive=True)
-
-    def builder(tables: _LineTables, dim_pos, dim_sign):
-        n = len(dim_pos)
-        ksq = tables.k * tables.k
-        out = []
-        for d in range(n):
-            extra = [None] * n
-            # i d/dt contributes +k^2; d^2/dx^2 contributes (i s k)^2 = -k^2
-            extra[d] = ksq + (1j * dim_sign[d] * tables.k) ** 2
-            out.append((extra, 1.0))
-        return out
-
-    rep = _propagator(yv, xv, time, params, opts, halfline=True,
-                      extra_builder=builder)
+    rep = _propagator(yv, xv, time, params, opts, halfline=True, insert=insert)
     return complex(rep.value)
 
 

@@ -43,7 +43,7 @@ VALIDATE_COMMANDS = {
 #: flat CSV column order (list-valued fields are ';'-joined)
 CSV_COLUMNS = [
     "command", "p", "c", "Y", "X", "t", "tau", "tol", "max_points", "radii",
-    "seed", "trials", "window", "N", "draws", "deterministic", "value",
+    "seed", "trials", "window", "N", "draws", "value",
     "value_imag", "imag_residual", "error_estimate", "points_used",
     "term_count", "oracle_value", "oracle_delta", "mc_estimate", "mc_std_error",
     "mc_delta", "checks", "all_passed", "cached", "wall_clock_s", "version",
@@ -100,9 +100,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--tol", type=float, default=1e-10)
         sp.add_argument("--max-points", type=int, default=4096)
         sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        sp.add_argument("--deterministic", action="store_true",
-                        help="echoed in the report; evaluation is always "
-                             "single-threaded with fixed reduction order")
         sp.add_argument("--out", type=str, default=None)
         sp.add_argument("--format", choices=("json", "csv"), default="json")
         sp.add_argument("--config", type=str, default=None,
@@ -273,8 +270,7 @@ def _run_command(args: argparse.Namespace) -> dict:
             print(line)
     else:  # pragma: no cover
         raise ValueError(f"unknown command {args.command}")
-    rec.update(deterministic=bool(getattr(args, "deterministic", False)),
-               tol=getattr(args, "tol", None),
+    rec.update(tol=getattr(args, "tol", None),
                max_points=getattr(args, "max_points", None))
     return rec
 

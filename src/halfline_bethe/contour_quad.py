@@ -3,14 +3,14 @@
 Trapezoid rules on circles carry the 1/(2*pi*i) contour normalization and are
 spectrally accurate for integrands analytic in an annulus around the contour;
 truncated trapezoid rules on lines carry the 1/(2*pi) normalization and are
-spectrally accurate for Gaussian-damped analytic integrands.  Tensor grids
-refine all dimensions together, and every reduction runs in a fixed order, so
-repeated runs are bit-for-bit reproducible.
+spectrally accurate for Gaussian-damped analytic integrands.  Adaptive
+refinement doubles the per-dimension resolution of every dimension together,
+and every reduction runs in a fixed order, so repeated runs are bit-for-bit
+reproducible.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,55 +125,6 @@ def line_nodes(grid: LineGrid):
     return nodes, weights
 
 
-class TensorGrid:
-    """Per-dimension node builders refined together.
-
-    Each builder maps a per-dimension resolution m to a (nodes, weights)
-    pair; `nodes(m)` collects them for all dimensions.
-    """
-
-    def __init__(self, builders):
-        self._builders = tuple(builders)
-        if not self._builders:
-            raise ValueError("need at least one dimension")
-
-    @property
-    def ndim(self) -> int:
-        return len(self._builders)
-
-    def nodes(self, m: int):
-        pairs = [b(m) for b in self._builders]
-        return [p[0] for p in pairs], [p[1] for p in pairs]
-
-    @classmethod
-    def from_circles(cls, contours) -> "TensorGrid":
-        if isinstance(contours, RadiiScheme):
-            contours = contours.contours()
-        return cls(tuple(
-            (lambda m, c=c: circle_nodes(c, m)) for c in contours
-        ))
-
-    @classmethod
-    def from_line(cls, cutoff: float, ndim: int) -> "TensorGrid":
-        def builder(m, k=float(cutoff)):
-            if m % 2:
-                raise ValueError("line resolution must be even")
-            return line_nodes(LineGrid(k, 2.0 * k / m))
-
-        return cls((builder,) * ndim)
-
-
-def pointwise_integrand(f):
-    """Adapt a pointwise integrand f(x1, ..., xN) to the tensor-grid interface."""
-
-    def integrand(nodes, weights):
-        grids = np.meshgrid(*nodes, indexing="ij")
-        w = functools.reduce(np.multiply.outer, weights)
-        return complex(np.sum(f(*grids) * w))
-
-    return integrand
-
-
 def adaptive_trace(level_eval, opts: QuadOptions | None = None):
     """Successive estimates [(m, value), ...], doubling m until stable.
 
@@ -209,13 +160,13 @@ def adaptive_trace(level_eval, opts: QuadOptions | None = None):
     )
 
 
-def adaptive_eval(integrand, scheme: TensorGrid, opts: QuadOptions | None = None):
-    """Refine a tensor-grid quadrature until two levels agree within tol.
+def adaptive_eval(level_eval, opts: QuadOptions | None = None):
+    """Refine a quadrature level function until two levels agree within tol.
 
-    Returns (value, error_estimate, points_per_dimension); the error estimate
-    is the last successive difference (no extrapolation, by design).
+    `level_eval(m)` is the estimate at per-dimension resolution m.  Returns
+    (value, error_estimate, m); the error estimate is the last successive
+    difference (no extrapolation, by design).
     """
-    opts = opts or QuadOptions()
-    trace = adaptive_trace(lambda m: integrand(*scheme.nodes(m)), opts)
+    trace = adaptive_trace(level_eval, opts)
     (m, value), (_, prev) = trace[-1], trace[-2]
     return value, abs(value - prev), m

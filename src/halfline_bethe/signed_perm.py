@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
+from ._kernels import PAIR_ORDER
 from .errors import SizeLimitError
 
 # 2^8 * 8! ~ 1e7 elements is the desk-scale enumeration ceiling
@@ -124,6 +125,37 @@ def inversions(sigma: SignedPermutation) -> list[Inversion]:
 def neg_count(sigma: SignedPermutation) -> int:
     """Number of positions with sigma(i) < 0."""
     return sum(1 for v in sigma.values if v < 0)
+
+
+class Term(NamedTuple):
+    """One signed permutation, compiled for a factorized integrand."""
+
+    #: (-1)^(number of negative entries)
+    parity: float
+    #: dimension d (variable d+1) -> (sign, 0-based position) of its entry
+    dims: tuple[tuple[int, int], ...]
+    #: per inversion (first, second): (index into PAIR_ORDER[n], first,
+    #: second, whether |second| < |first| so the pair matrix is transposed)
+    invs: tuple[tuple[int, int, int, bool], ...]
+
+
+@lru_cache(maxsize=32)
+def term_structure(n: int, halfline: bool) -> tuple[Term, ...]:
+    """Every element of B_n (halfline) or S_n, compiled once per (n, group)
+    for `_kernels.term_sum`."""
+    sigmas = enumerate_bn(n) if halfline else enumerate_sn(n)
+    pair_index = {pair: k for k, pair in enumerate(PAIR_ORDER[n])}
+    terms = []
+    for sigma in sigmas:
+        dims = [None] * n
+        for pos, v in enumerate(sigma.values):
+            dims[abs(v) - 1] = (1 if v > 0 else -1, pos)
+        invs = []
+        for a, b in inversions(sigma):
+            da, db = abs(a) - 1, abs(b) - 1
+            invs.append((pair_index[min(da, db), max(da, db)], a, b, da > db))
+        terms.append(Term((-1.0) ** neg_count(sigma), tuple(dims), tuple(invs)))
+    return tuple(terms)
 
 
 def apply_adjacent_transposition(sigma: SignedPermutation, i: int) -> SignedPermutation:

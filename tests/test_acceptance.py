@@ -4,13 +4,14 @@ Every test prints one PASS/FAIL line (visible with `pytest -s` and in the
 captured output); the criteria carrying runtime budgets assert them too.
 """
 
+import itertools
 import math
 import time
 
 import numpy as np
 import pytest
 
-from halfline_bethe.asep_exact import (evaluate_extended,
+from halfline_bethe.asep_exact import (_halfline_sum, evaluate_extended,
                                        master_equation_residual, prob_fullline,
                                        prob_halfline, prob_n1_closed,
                                        total_mass, tuned_radii)
@@ -18,7 +19,7 @@ from halfline_bethe.bose_exact import (DampedTime, bc1_residual,
                                        fermion_limit_cinf, free_limit_c0,
                                        images_kernel, propagator_fullline,
                                        propagator_halfline, wall_residual)
-from halfline_bethe.contour_quad import QuadOptions
+from halfline_bethe.contour_quad import QuadOptions, adaptive_eval
 from halfline_bethe.oracles import (LatticeWindow, McConfig, ctmc_distribution,
                                     ctmc_prob, mc_estimate)
 from halfline_bethe.scattering import AsepParams, BoseParams
@@ -134,6 +135,20 @@ def test_criterion_5_contour_robustness(capsys):
         worst = max(worst, abs(scaled - ref), abs(spread - ref))
     _report(capsys, 5, worst < 1e-8,
             f"contour robustness (x1.1 radii, doubled gaps): worst {worst:.2e}")
+
+
+def test_radii_assignment_invariance():
+    """Nested distinct radii enclose the same poles, so every assignment of
+    the radii to the variables gives the same value."""
+    for p in (0.15, 0.5, 0.9):
+        params = AsepParams.from_p(p)
+        for (y, x) in (((0, 2), (1, 3)), ((0, 2, 4), (1, 2, 5))):
+            ref = ctmc_prob(y, x, 1.0, params)
+            contours = tuned_radii(params, len(y)).contours()
+            for perm in itertools.permutations(contours):
+                value, _, _ = adaptive_eval(
+                    lambda m: _halfline_sum(y, x, 1.0, params, perm, m))
+                assert abs(value - ref) < 1e-11, (p, y, x, perm)
 
 
 def test_criterion_6_boundary_and_master_residuals(capsys):

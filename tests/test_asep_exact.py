@@ -93,7 +93,7 @@ class TestHalfline:
         assert abs(rep.value - ref) < 1e-6
         assert rep.imag_residual < 1e-10
         assert rep.value >= -1e-8
-        assert rep.term_count == 2 * 8
+        assert rep.term_count == 8  # |B_2|
 
     def test_report_fields(self):
         rep = prob_halfline((0,), (1,), 0.5, P04)
@@ -133,10 +133,10 @@ class TestHalfline:
         from halfline_bethe.asep_exact import _halfline_sum
         from halfline_bethe.contour_quad import adaptive_trace
 
-        radii = tuned_radii(P04, 2)
+        contours = tuned_radii(P04, 2).contours()
 
         def level(m):
-            return _halfline_sum((0, 2), (1, 3), 1.0, P04, radii, m)
+            return _halfline_sum((0, 2), (1, 3), 1.0, P04, contours, m)
 
         trace = adaptive_trace(level, QuadOptions(initial_points=16,
                                                   max_points=4096, tol=1e-5))
@@ -154,6 +154,33 @@ class TestHalfline:
         with pytest.raises(ConvergenceError):
             prob_halfline((0, 2), (1, 3), 1.0, P04,
                           opts=QuadOptions(initial_points=8, max_points=8))
+
+    @pytest.mark.parametrize("p, y, t, x", [
+        (0.7, (1, 3), 0.5, (6, 8)),
+        (0.7, (1, 3), 0.5, (6, 9)),
+        (0.7, (1, 3), 0.5, (7, 8)),
+        (0.7, (1, 3), 0.5, (8, 9)),
+        (0.9, (0, 2), 1.0, (6, 9)),
+        (0.9, (0, 2), 1.0, (8, 10)),
+        (0.9, (0, 2, 4), 0.5, (4, 6, 7)),
+    ])
+    def test_reversed_orientation_far_downstream(self, p, y, t, x):
+        # p > 1/2: the reversed sum is scaled by tau^(sum X - sum Y) > 1, so
+        # its tolerance must shrink by that factor for tol to bound the value
+        params = AsepParams.from_p(p)
+        got = prob_halfline(y, x, t, params).value
+        assert abs(got - ctmc_prob(y, x, t, params, tol=1e-16)) < 1e-12
+        assert got >= 0.0
+
+    @pytest.mark.parametrize("y, x, p, t", [
+        ((0, 1, 2, 3), (0, 1, 2, 4), 0.4, 0.3),
+        ((0, 1, 3, 4), (0, 2, 3, 5), 0.6, 0.5),
+    ])
+    def test_n4_matches_ctmc(self, y, x, p, t):
+        params = AsepParams.from_p(p)
+        got = prob_halfline(y, x, t, params).value
+        assert abs(got - ctmc_prob(y, x, t, params)) < 1e-8
+        assert got >= 0.0
 
 
 class TestFullline:

@@ -5,7 +5,7 @@ import pytest
 
 from halfline_bethe.bose_exact import (DampedTime, bc1_residual,
                                        fermion_limit_cinf, free_limit_c0,
-                                       images_kernel, pde_residual,
+                                       images_kernel,
                                        propagator_fullline,
                                        propagator_halfline, wall_residual)
 from halfline_bethe.contour_quad import QuadOptions
@@ -123,9 +123,6 @@ class TestBoundaryMatching:
 
 
 class TestEvolutionEquation:
-    def test_insertion_residual_vanishes(self):
-        assert abs(pde_residual((0.7, 1.9), (1.0, 2.2), T, C1)) < 1e-12
-
     def test_finite_difference_cross_check(self):
         # independent check: FD in time against FD Laplacian, step 1e-4
         y, x = (0.7, 1.9), (1.0, 2.2)

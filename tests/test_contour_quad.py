@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from halfline_bethe.contour_quad import (CircleContour, LineGrid, QuadOptions,
-                                         RadiiScheme, TensorGrid, adaptive_eval,
+                                         RadiiScheme, adaptive_eval,
                                          adaptive_trace, circle_nodes,
-                                         line_nodes, pointwise_integrand)
+                                         line_nodes)
 from halfline_bethe.errors import ConvergenceError
 
 
@@ -106,26 +106,36 @@ class TestLineRule:
         assert abs(fa - fb) < 1e-12
 
 
+def _circle_level(contour, f):
+    def level(m):
+        nodes, weights = circle_nodes(contour, m)
+        return np.sum(weights * f(nodes))
+
+    return level
+
+
 class TestAdaptive:
     def test_constant_on_circle(self):
-        grid = TensorGrid.from_circles([CircleContour(0.0, 1.0)])
-        integrand = pointwise_integrand(lambda x: np.ones_like(x))
-        value, err, m = adaptive_eval(integrand, grid, QuadOptions())
+        level = _circle_level(CircleContour(0.0, 1.0), np.ones_like)
+        value, err, m = adaptive_eval(level, QuadOptions())
         assert abs(value) < 1e-15
         assert err < 1e-15
         assert m == 32
 
     def test_residue_converges_immediately(self):
-        grid = TensorGrid.from_circles([CircleContour(0.0, 1.5)])
-        integrand = pointwise_integrand(lambda x: 1.0 / x)
-        value, err, m = adaptive_eval(integrand, grid, QuadOptions())
+        level = _circle_level(CircleContour(0.0, 1.5), lambda x: 1.0 / x)
+        value, err, m = adaptive_eval(level, QuadOptions())
         assert value == pytest.approx(1.0, abs=1e-13)
         assert m == 32
 
     def test_tensor_2d(self):
-        grid = TensorGrid.from_circles(RadiiScheme(0.0, (1.0, 1.5)))
-        integrand = pointwise_integrand(lambda x, y: 1.0 / (x * y))
-        value, err, m = adaptive_eval(integrand, grid, QuadOptions())
+        c1, c2 = RadiiScheme(0.0, (1.0, 1.5)).contours()
+
+        def level(m):
+            (x, wx), (y, wy) = circle_nodes(c1, m), circle_nodes(c2, m)
+            return wx @ (1.0 / np.multiply.outer(x, y)) @ wy
+
+        value, err, m = adaptive_eval(level, QuadOptions())
         assert value == pytest.approx(1.0, abs=1e-12)
 
     def test_nonconvergence_raises_with_estimates(self):
@@ -145,17 +155,18 @@ class TestAdaptive:
         opts = QuadOptions()
         vals = []
         for radius in (2.0, 2.2):
-            grid = TensorGrid.from_circles([CircleContour(0.0, radius)])
-            integrand = pointwise_integrand(lambda x: 1.0 / (x - 0.3) + x ** 2)
-            vals.append(adaptive_eval(integrand, grid, opts)[0])
+            level = _circle_level(CircleContour(0.0, radius),
+                                  lambda x: 1.0 / (x - 0.3) + x ** 2)
+            vals.append(adaptive_eval(level, opts)[0])
         assert abs(vals[0] - vals[1]) < 10 * opts.tol
 
     def test_line_tensor_grid(self):
-        grid = TensorGrid.from_line(8.0, 2)
-        integrand = pointwise_integrand(
-            lambda k1, k2: np.exp(-(k1 ** 2) - k2 ** 2))
+        def level(m):
+            k, w = line_nodes(LineGrid(8.0, 16.0 / m))
+            return w @ np.exp(-(k[:, None] ** 2) - k[None, :] ** 2) @ w
+
         value, err, m = adaptive_eval(
-            integrand, grid, QuadOptions(initial_points=64, max_points=1024))
+            level, QuadOptions(initial_points=64, max_points=1024))
         assert value == pytest.approx(math.pi / (4 * math.pi ** 2), abs=1e-11)
 
     def test_rounding_floor_plateau_accepted(self):
