@@ -4,7 +4,6 @@ validated against independent Markov-chain and Monte Carlo oracles."""
 
 __version__ = "0.1.0"
 
-from ._kernels import USING_NUMBA
 from .asep_exact import (AsepEvalReport, LatticeConfig, default_radii,
                          evaluate_extended, master_equation_residual,
                          prob_fullline, prob_halfline, prob_n1_closed,

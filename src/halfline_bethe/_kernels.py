@@ -1,43 +1,21 @@
-"""Hot numerical kernels, numba-compiled by default with pure-numpy fallbacks.
+"""Hot numerical kernels.
 
 Two kernel families live here:
 
 * ``contract``: sum over a full tensor grid of a factorized integrand
-  prod_d v_d[m_d] * prod_{d1<d2} M_{d1 d2}[m_{d1}, m_{d2}].  Every exact
-  evaluator reduces its per-term quadrature to this shape, and ``term_sum``
-  sums it over the signed-permutation terms of both models.
+  prod_d v_d[m_d] * prod_{d1<d2} M_{d1 d2}[m_{d1}, m_{d2}], as BLAS-backed
+  matrix products.  Every exact evaluator reduces its per-term quadrature to
+  this shape, and ``term_sum`` sums it over the signed-permutation terms of
+  both models.
 * the jump-chain simulator behind the Monte Carlo oracle, with a SplitMix64
   substream per trial so runs are reproducible and trial-order independent.
-
-Set ``HALFLINE_BETHE_PURE_NUMPY=1`` before import to select the numpy paths
-(used when numba is unavailable, and by the benchmark for comparison).  Both
-implementations are importable directly regardless of the flag.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
-
-_FORCE_NUMPY = os.environ.get("HALFLINE_BETHE_PURE_NUMPY", "") == "1"
-
-try:
-    from numba import njit as _njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
-
-    def _njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        return wrap
-
-
-USING_NUMBA = HAVE_NUMBA and not _FORCE_NUMPY
 
 #: dimension pairs, in fixed order, carrying coupling matrices for each N
 PAIR_ORDER = {
@@ -52,7 +30,7 @@ PAIR_ORDER = {
 # tensor contraction
 # ---------------------------------------------------------------------------
 
-def contract_numpy(vectors, mats) -> complex:
+def contract(vectors, mats) -> complex:
     """BLAS-backed contraction; vectors is a list of N 1-d complex arrays and
     mats a list of len(PAIR_ORDER[N]) matrices in PAIR_ORDER order."""
     n = len(vectors)
@@ -78,102 +56,6 @@ def contract_numpy(vectors, mats) -> complex:
         t = d @ v2                                          # t[a,b]
         return complex(v0 @ (m01 * t) @ v1)
     raise ValueError(f"contraction supports 1 <= N <= 4 dimensions, got {n}")
-
-
-@_njit(cache=True)
-def _contract1_nb(v0):
-    total = 0j
-    for a in range(v0.size):
-        total += v0[a]
-    return total
-
-
-@_njit(cache=True)
-def _contract2_nb(v0, v1, m01):
-    m = v0.size
-    total = 0j
-    for a in range(m):
-        s = 0j
-        row = m01[a]
-        for b in range(m):
-            s += row[b] * v1[b]
-        total += v0[a] * s
-    return total
-
-
-@_njit(cache=True)
-def _contract3_nb(v0, v1, v2, m01, m02, m12):
-    m = v0.size
-    w = np.empty(m, np.complex128)
-    total = 0j
-    for a in range(m):
-        row02 = m02[a]
-        for c in range(m):
-            w[c] = row02[c] * v2[c]
-        sa = 0j
-        for b in range(m):
-            row12 = m12[b]
-            s = 0j
-            for c in range(m):
-                s += w[c] * row12[c]
-            sa += v1[b] * m01[a, b] * s
-        total += v0[a] * sa
-    return total
-
-
-@_njit(cache=True)
-def _contract4_nb(v0, v1, v2, v3, m01, m02, m03, m12, m13, m23):
-    m = v0.size
-    wc = np.empty(m, np.complex128)
-    wd = np.empty(m, np.complex128)
-    ud = np.empty(m, np.complex128)
-    total = 0j
-    for a in range(m):
-        row02 = m02[a]
-        row03 = m03[a]
-        for c in range(m):
-            wc[c] = row02[c] * v2[c]
-        for d in range(m):
-            wd[d] = row03[d] * v3[d]
-        sa = 0j
-        for b in range(m):
-            row13 = m13[b]
-            for d in range(m):
-                ud[d] = wd[d] * row13[d]
-            sb = 0j
-            row12 = m12[b]
-            for c in range(m):
-                row23 = m23[c]
-                s = 0j
-                for d in range(m):
-                    s += ud[d] * row23[d]
-                sb += wc[c] * row12[c] * s
-            sa += v1[b] * m01[a, b] * sb
-        total += v0[a] * sa
-    return total
-
-
-def contract_numba(vectors, mats) -> complex:
-    """Loop-nest contraction compiled with numba (same contract as contract_numpy)."""
-    if not HAVE_NUMBA:
-        raise RuntimeError("numba is not available")
-    n = len(vectors)
-    if n == 1:
-        return complex(_contract1_nb(vectors[0]))
-    if n == 2:
-        return complex(_contract2_nb(vectors[0], vectors[1], mats[0]))
-    if n == 3:
-        return complex(_contract3_nb(*vectors, *mats))
-    if n == 4:
-        return complex(_contract4_nb(*vectors, *mats))
-    raise ValueError(f"contraction supports 1 <= N <= 4 dimensions, got {n}")
-
-
-def contract(vectors, mats) -> complex:
-    """Dispatch to the configured implementation."""
-    if USING_NUMBA:
-        return contract_numba(vectors, mats)
-    return contract_numpy(vectors, mats)
 
 
 def term_sum(tables, terms, insert=None) -> complex:
@@ -241,29 +123,6 @@ def _next_unit_py(state: int) -> tuple[int, float]:
     return state, (_mix64_py(state) >> 11) * 2.0 ** -53
 
 
-_U_MASK = np.uint64(_MASK)
-_U_GOLDEN = np.uint64(_GOLDEN)
-_U_MIX1 = np.uint64(_MIX1)
-_U_MIX2 = np.uint64(_MIX2)
-_U30 = np.uint64(30)
-_U27 = np.uint64(27)
-_U31 = np.uint64(31)
-_U11 = np.uint64(11)
-
-
-@_njit(cache=True)
-def _mix64_nb(z):
-    z = (z ^ (z >> _U30)) * _U_MIX1
-    z = (z ^ (z >> _U27)) * _U_MIX2
-    return z ^ (z >> _U31)
-
-
-@_njit(cache=True)
-def _next_unit_nb(state):
-    state = state + _U_GOLDEN
-    return state, (_mix64_nb(state) >> _U11) * 2.0 ** -53
-
-
 def _gillespie_hits_py(y, x, t, p, q, halfline, trials, seed):
     """Count trials whose configuration at time t equals x.
 
@@ -323,69 +182,10 @@ def _gillespie_hits_py(y, x, t, p, q, halfline, trials, seed):
     return hits
 
 
-@_njit(cache=True)
-def _gillespie_hits_nb(y, x, t, p, q, halfline, trials, seed):
-    n = y.size
-    s = np.empty(n, np.int64)
-    move_site = np.empty(2 * n, np.int64)
-    move_step = np.empty(2 * n, np.int64)
-    move_rate = np.empty(2 * n, np.float64)
-    useed = np.uint64(seed)
-    hits = 0
-    for trial in range(trials):
-        state = useed + np.uint64(trial + 1) * _U_GOLDEN
-        for i in range(n):
-            s[i] = y[i]
-        tcur = 0.0
-        while True:
-            nm = 0
-            total = 0.0
-            for i in range(n):
-                if i == n - 1 or s[i + 1] > s[i] + 1:
-                    move_site[nm] = i
-                    move_step[nm] = 1
-                    move_rate[nm] = p
-                    total += p
-                    nm += 1
-                if (not halfline or s[i] >= 1) and (i == 0 or s[i - 1] < s[i] - 1):
-                    move_site[nm] = i
-                    move_step[nm] = -1
-                    move_rate[nm] = q
-                    total += q
-                    nm += 1
-            if total <= 0.0:
-                break
-            state, u1 = _next_unit_nb(state)
-            tcur += -math.log(1.0 - u1) / total
-            if tcur > t:
-                break
-            state, u2 = _next_unit_nb(state)
-            r = u2 * total
-            pick = nm - 1
-            acc = 0.0
-            for j in range(nm):
-                acc += move_rate[j]
-                if r < acc:
-                    pick = j
-                    break
-            s[move_site[pick]] += move_step[pick]
-        ok = True
-        for i in range(n):
-            if s[i] != x[i]:
-                ok = False
-                break
-        if ok:
-            hits += 1
-    return hits
-
-
 def gillespie_hits(y, x, t, p, q, halfline, trials, seed) -> int:
     y = np.asarray(y, dtype=np.int64)
     x = np.asarray(x, dtype=np.int64)
     if seed < 0:
         raise ValueError("seed must be nonnegative")
-    if USING_NUMBA:
-        return int(_gillespie_hits_nb(y, x, float(t), float(p), float(q),
-                                      bool(halfline), int(trials), int(seed)))
     return int(_gillespie_hits_py(y, x, float(t), float(p), float(q),
                                   bool(halfline), int(trials), int(seed)))

@@ -203,6 +203,17 @@ def _check_common(y_cfg: LatticeConfig, n_other: int, t: float, params: AsepPara
         raise ValueError("t must be nonnegative")
 
 
+def _halfline_radii(radii: RadiiScheme | None, params: AsepParams,
+                    n: int) -> RadiiScheme:
+    """The caller's radii, one per particle, or `tuned_radii` when None."""
+    if radii is None:
+        return tuned_radii(params, n)
+    if radii.n != n:
+        raise ValueError(f"need one contour radius per particle: {n} particles, "
+                         f"{radii.n} radii")
+    return radii
+
+
 def _report(raw: complex, err: float, m: int, terms: int, opts: QuadOptions) -> AsepEvalReport:
     imag = abs(raw.imag)
     if imag > 100.0 * max(opts.tol, err):
@@ -213,7 +224,7 @@ def _report(raw: complex, err: float, m: int, terms: int, opts: QuadOptions) -> 
     return AsepEvalReport(float(raw.real), imag, err, m, terms)
 
 
-def _orientation_cost(y, x, radii: RadiiScheme, params: AsepParams) -> float:
+def _orientation_cost(y, x, radii: RadiiScheme) -> float:
     """Log of the estimated integrand magnitude for the (y, x) orientation.
 
     Positive position exponents see |xi| up to R_N + |center|, the fixed
@@ -244,13 +255,12 @@ def prob_halfline(Y, X, t: float, params: AsepParams,
     xcfg = _as_config(X, halfline=True)
     _check_common(ycfg, xcfg.n, t, params)
     opts = _default_opts(ycfg.n, opts)
-    radii = radii if radii is not None else tuned_radii(params, ycfg.n)
+    radii = _halfline_radii(radii, params, ycfg.n)
 
     delta = sum(xcfg.sites) - sum(ycfg.sites)
     log_tau = math.log(params.tau)
-    cost_direct = _orientation_cost(ycfg.sites, xcfg.sites, radii, params)
-    cost_swapped = delta * log_tau + _orientation_cost(xcfg.sites, ycfg.sites,
-                                                       radii, params)
+    cost_direct = _orientation_cost(ycfg.sites, xcfg.sites, radii)
+    cost_swapped = delta * log_tau + _orientation_cost(xcfg.sites, ycfg.sites, radii)
     if cost_swapped < cost_direct and abs(delta * log_tau) < 600.0:
         src, dst, prefactor = xcfg, ycfg, params.tau ** delta
     else:
@@ -325,7 +335,7 @@ def evaluate_extended(Y, Z, t: float, params: AsepParams,
     z = tuple(int(v) for v in Z)
     _check_common(ycfg, len(z), t, params)
     opts = _default_opts(ycfg.n, opts)
-    radii = radii if radii is not None else tuned_radii(params, ycfg.n)
+    radii = _halfline_radii(radii, params, ycfg.n)
     contours = radii.contours()
     value, _, _ = adaptive_eval(
         lambda mm: _halfline_sum(ycfg.sites, z, t, params, contours, mm), opts)

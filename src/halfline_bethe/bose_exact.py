@@ -136,13 +136,13 @@ class _LineTables:
 
 
 def _line_opts(y, x, time, c, opts: QuadOptions | None):
-    tol = (opts.tol if opts is not None else 1e-10)
-    cutoff, spacing = _grid_parameters(y, x, time, c, tol)
+    """Cutoff and refinement schedule; the grid starts no coarser than the
+    damping and the analytic strip need, whatever `opts` asks for."""
+    opts = opts or QuadOptions()
+    cutoff, spacing = _grid_parameters(y, x, time, c, opts.tol)
     m0 = max(16, 2 * math.ceil(cutoff / spacing))
-    if opts is None:
-        return cutoff, QuadOptions(initial_points=m0,
-                                   max_points=max(4096, 8 * m0), tol=tol)
-    return cutoff, opts
+    return cutoff, QuadOptions(initial_points=max(opts.initial_points, m0),
+                               max_points=max(opts.max_points, 8 * m0), tol=opts.tol)
 
 
 def _grid(cutoff: float, m: int):

@@ -87,7 +87,8 @@ def _parse_float_list(text: str) -> list[float]:
     return [float(v) for v in text.split(",") if v != ""]
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser, and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="halfline-bethe",
         description="Exact half-line exclusion-process probabilities and "
@@ -96,14 +97,15 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, bose=False):
-        sp.add_argument("--tol", type=float, default=1e-10)
-        sp.add_argument("--max-points", type=int, default=4096)
-        sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    def common(sp):
         sp.add_argument("--out", type=str, default=None)
         sp.add_argument("--format", choices=("json", "csv"), default="json")
         sp.add_argument("--config", type=str, default=None,
                         help="JSON file with defaults for any flag (flags win)")
+
+    def quad(sp):
+        sp.add_argument("--tol", type=float, default=1e-10)
+        sp.add_argument("--max-points", type=int, default=4096)
 
     def asep_core(sp):
         sp.add_argument("--p", type=float, default=None)
@@ -115,17 +117,20 @@ def _build_parser() -> argparse.ArgumentParser:
     asep_core(sp)
     sp.add_argument("--radii", type=str, default=None,
                     help="comma list overriding the automatic contour radii")
+    quad(sp)
     common(sp)
 
     sp = sub.add_parser("asep-fullline", help="full-line transition probability")
     asep_core(sp)
     sp.add_argument("--radii", type=str, default=None,
                     help="single radius overriding the default circle")
+    quad(sp)
     common(sp)
 
     sp = sub.add_parser("asep-n1", help="single-particle closed form")
     asep_core(sp)
     sp.add_argument("--radii", type=str, default=None)
+    quad(sp)
     common(sp)
 
     sp = sub.add_parser("bose-prop", help="hard-wall Bose-gas propagator")
@@ -137,7 +142,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t", type=str, default=None,
                     help="complex damped time, e.g. '0.3-0.5j'")
     sp.add_argument("--fullline", action="store_true")
-    common(sp, bose=True)
+    quad(sp)
+    common(sp)
 
     sp = sub.add_parser("mc-compare",
                         help="exact value vs uniformization vs Monte Carlo")
@@ -145,34 +151,51 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trials", type=int, default=200_000)
     sp.add_argument("--window", type=str, default=None,
                     help="lo,hi window override for the uniformization oracle")
+    quad(sp)
+    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
     common(sp)
 
-    for name in VALIDATE_COMMANDS:
-        sp = sub.add_parser(name, help=f"run the {name.split('-')[1]} suite")
-        sp.add_argument("--N", type=int, default=None,
-                        help="size cap for the identity suite")
-        sp.add_argument("--draws", type=int, default=200)
-        sp.add_argument("--p", type=float, default=0.4)
-        sp.add_argument("--c", type=float, default=1.0)
-        common(sp)
-    return parser
+    sp = sub.add_parser("validate-identities", help="run the identities suite")
+    sp.add_argument("--N", type=int, default=None,
+                    help="size cap for the identity suite")
+    sp.add_argument("--draws", type=int, default=200)
+    sp.add_argument("--p", type=float, default=0.4)
+    sp.add_argument("--c", type=float, default=1.0)
+    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    common(sp)
+
+    sp = sub.add_parser("validate-asep", help="run the asep suite")
+    sp.add_argument("--p", type=float, default=0.4)
+    common(sp)
+
+    sp = sub.add_parser("validate-bose", help="run the bose suite")
+    sp.add_argument("--c", type=float, default=1.0)
+    common(sp)
+    return parser, sub.choices
 
 
-def _apply_config(argv, args: argparse.Namespace,
-                  parser: argparse.ArgumentParser) -> argparse.Namespace:
+def _apply_config(argv, args: argparse.Namespace, parser: argparse.ArgumentParser,
+                  commands: dict) -> argparse.Namespace:
     """Merge a JSON config file under the explicitly given flags.
 
-    Re-parses into a namespace preloaded with the config values; argparse
-    only fills attributes that the command line leaves untouched.
+    The config values become the subcommand's defaults and argv is parsed
+    again, so flags win and string values go through each flag's type.  A
+    key that names no flag of the subcommand is a usage error.
     """
     if getattr(args, "config", None) is None:
         return args
     with open(args.config) as fh:
         conf = json.load(fh)
-    preset = argparse.Namespace()
-    for key, val in conf.items():
-        setattr(preset, key.replace("-", "_"), val)
-    return parser.parse_args(argv, namespace=preset)
+    if not isinstance(conf, dict):
+        raise ValueError(f"config {args.config} must hold a JSON object")
+    conf = {key.replace("-", "_"): val for key, val in conf.items()}
+    flags = set(vars(args)) - {"command", "config"}
+    unknown = sorted(set(conf) - flags)
+    if unknown:
+        raise ValueError(f"config keys name no flag of {args.command}: "
+                         + ", ".join(unknown))
+    commands[args.command].set_defaults(**conf)
+    return parser.parse_args(argv)
 
 
 def _require(args, *names):
@@ -233,8 +256,7 @@ def _run_command(args: argparse.Namespace) -> dict:
         t = DampedTime.imaginary(args.tau) if args.tau is not None \
             else DampedTime(complex(args.t))
         fn = propagator_fullline if args.fullline else propagator_halfline
-        rep = fn(y, x, t, params, None if args.max_points == 4096 and
-                 args.tol == 1e-10 else _quad_opts(args))
+        rep = fn(y, x, t, params, _quad_opts(args))
         rec.update(c=args.c, Y=y, X=x, tau=args.tau, t=str(t.t),
                    value=rep.value.real, value_imag=rep.value.imag,
                    error_estimate=rep.error_estimate,
@@ -257,12 +279,12 @@ def _run_command(args: argparse.Namespace) -> dict:
         if args.command == "validate-identities":
             suite = fn(n_max=args.N or 3, draws=args.draws, seed=args.seed,
                        p=args.p, c=args.c)
+            rec.update(seed=args.seed)
         elif args.command == "validate-asep":
-            suite = fn(seed=args.seed, p=args.p)
+            suite = fn(p=args.p)
         else:
-            suite = fn(seed=args.seed, c=args.c)
+            suite = fn(c=args.c)
         rec.update(
-            seed=args.seed,
             checks=[c.line() for c in suite.checks],
             all_passed=suite.all_passed,
         )
@@ -276,11 +298,11 @@ def _run_command(args: argparse.Namespace) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     args = parser.parse_args(argv)
     try:
-        args = _apply_config(argv, args, parser)
-    except (OSError, json.JSONDecodeError) as exc:
+        args = _apply_config(argv, args, parser, commands)
+    except (OSError, ValueError) as exc:  # a JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     spec = _spec_dict(args)

@@ -199,7 +199,7 @@ def run_identity_suite(n_max: int = 4, draws: int = 200,
 # exclusion-process evaluator suite
 # ---------------------------------------------------------------------------
 
-def run_asep_suite(seed: int = DEFAULT_SEED, p: float = 0.4) -> SuiteReport:
+def run_asep_suite(p: float = 0.4) -> SuiteReport:
     params = AsepParams.from_p(p)
     rep = SuiteReport()
 
@@ -272,7 +272,7 @@ def run_asep_suite(seed: int = DEFAULT_SEED, p: float = 0.4) -> SuiteReport:
 # Bose evaluator suite
 # ---------------------------------------------------------------------------
 
-def run_bose_suite(seed: int = DEFAULT_SEED, c: float = 1.0) -> SuiteReport:
+def run_bose_suite(c: float = 1.0) -> SuiteReport:
     rep = SuiteReport()
     params = BoseParams(c)
 

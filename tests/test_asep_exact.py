@@ -59,6 +59,13 @@ class TestRadii:
         with pytest.raises(ValueError):
             default_radii(AsepParams.from_p(0.0), 1)
 
+    def test_one_radius_per_particle(self):
+        three = tuned_radii(P04, 3)
+        with pytest.raises(ValueError):
+            prob_halfline((0, 2), (1, 3), 1.0, P04, radii=three)
+        with pytest.raises(ValueError):
+            evaluate_extended((0, 2), (1, 3), 1.0, P04, radii=tuned_radii(P04, 1))
+
 
 class TestN1Closed:
     def test_delta(self):

@@ -71,6 +71,13 @@ class TestSingleParticle:
         got = propagator_fullline((0.7,), (2.0,), T, C1).value
         assert abs(got - heat_kernel(1.3, TAU)) < 1e-10
 
+    def test_passed_options_keep_the_damping_resolution(self):
+        # tau = 0.002 needs a finer starting grid than the 16 points that
+        # QuadOptions asks for; the passed tolerance must not coarsen it
+        got = propagator_halfline((3.0,), (3.5,), DampedTime.imaginary(0.002), C1,
+                                  QuadOptions(tol=1e-9)).value
+        assert abs(got - images_kernel(3.5, 3.0, 0.002)) < 1e-12
+
     def test_coupling_independent_for_one_particle(self):
         a = propagator_halfline((1.0,), (2.0,), T, BoseParams(0.3)).value
         b = propagator_halfline((1.0,), (2.0,), T, BoseParams(30.0)).value

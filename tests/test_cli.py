@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from halfline_bethe.asep_exact import prob_halfline
+from halfline_bethe.bose_exact import images_kernel
 from halfline_bethe.cli import cache_key, export, main
 from halfline_bethe.scattering import AsepParams
 
@@ -44,6 +45,12 @@ class TestCommands:
         assert code == 0
         assert rec["value"] == pytest.approx(0.2375388761, abs=1e-9)
 
+    def test_bose_prop_with_tol_keeps_grid_resolution(self, capsys):
+        code, rec = run_cli(capsys, "bose-prop", "--c", "1", "--Y", "3.0",
+                            "--X", "3.5", "--tau", "0.002", "--tol", "1e-9")
+        assert code == 0
+        assert abs(rec["value"] - images_kernel(3.5, 3.0, 0.002)) < 1e-12
+
     def test_validate_identities_passes(self, capsys):
         code, rec = run_cli(capsys, "validate-identities", "--N", "2",
                             "--seed", "7")
@@ -72,6 +79,31 @@ class TestExitCodes:
         code, _ = run_cli(capsys, "asep-prob", "--p", "0.4", "--Y", "2,0",
                           "--X", "1,3", "--t", "1")
         assert code == 2
+
+    @pytest.mark.parametrize("radii", ["3.0", "3.0,4.0,5.0"])
+    def test_wrong_number_of_radii_is_2(self, capsys, radii):
+        code, _ = run_cli(capsys, "asep-prob", "--p", "0.4", "--Y", "0,2",
+                          "--X", "1,3", "--t", "1", "--radii", radii)
+        assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("asep-prob", "--p", "0.4", "--Y", "0,2", "--X", "1,3", "--t", "1",
+         "--seed", "3"),
+        ("validate-asep", "--draws", "5"),
+        ("validate-bose", "--p", "0.3"),
+    ])
+    def test_removed_flags_are_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+
+    def test_config_key_without_flag_is_2(self, capsys, tmp_path):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"seed": 3, "bogus": 1}))
+        code = main(["asep-n1", "--p", "0.3", "--Y", "1", "--X", "2", "--t", "1",
+                     "--config", str(conf)])
+        assert code == 2
+        assert "bogus, seed" in capsys.readouterr().err
 
     def test_nonconvergence_is_3(self, capsys):
         code, _ = run_cli(capsys, "asep-prob", "--p", "0.4", "--Y", "0,2",
@@ -163,3 +195,15 @@ def test_config_file_merges_under_flags(capsys, tmp_path):
     # explicit flag --p wins over the config value
     assert code == 0
     assert rec["p"] == 0.4
+
+
+def test_config_file_supplies_flags(capsys, tmp_path):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"p": 0.3, "t": "1.5", "Y": "2", "X": "4",
+                                "max-points": 512}))
+    code, rec = run_cli(capsys, "asep-n1", "--config", str(conf))
+    _, direct = run_cli(capsys, "asep-n1", "--p", "0.3", "--Y", "2", "--X", "4",
+                        "--t", "1.5", "--max-points", "512")
+    assert code == 0
+    assert (rec["t"], rec["max_points"]) == (1.5, 512)
+    assert rec["value"] == direct["value"]
