@@ -13,17 +13,14 @@ Two kernel families live here:
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
-#: dimension pairs, in fixed order, carrying coupling matrices for each N
-PAIR_ORDER = {
-    1: (),
-    2: ((0, 1),),
-    3: ((0, 1), (0, 2), (1, 2)),
-    4: ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)),
-}
+#: largest particle number the evaluators accept: a cap on cost, not on code,
+#: since one contraction costs m^N and a level runs 2^N N! of them
+MAX_N = 4
 
 
 # ---------------------------------------------------------------------------
@@ -31,31 +28,35 @@ PAIR_ORDER = {
 # ---------------------------------------------------------------------------
 
 def contract(vectors, mats) -> complex:
-    """BLAS-backed contraction; vectors is a list of N 1-d complex arrays and
-    mats a list of len(PAIR_ORDER[N]) matrices in PAIR_ORDER order."""
+    """BLAS-backed contraction for any N; vectors is a list of N 1-d complex
+    arrays and mats the N(N-1)/2 matrices in itertools.combinations order.
+
+    Dimensions N-1 down to 2 are summed out in turn: the first by folding v_j
+    into M_0j and one product with M_(j-1)j, each later one by multiplying its
+    pair matrices in place and one product with v_j.  numpy's complex product
+    is not bitwise commutative, so every operand order is part of the result.
+    """
     n = len(vectors)
     if n == 1:
         return complex(vectors[0].sum())
-    if n == 2:
-        v0, v1 = vectors
-        (m01,) = mats
-        return complex(v0 @ m01 @ v1)
-    if n == 3:
-        v0, v1, v2 = vectors
-        m01, m02, m12 = mats
-        r = (m02 * v2) @ m12.T  # r[a,b] = sum_c m02[a,c] v2[c] m12[b,c]
-        return complex(v0 @ (m01 * r) @ v1)
-    if n == 4:
-        v0, v1, v2, v3 = vectors
-        m01, m02, m03, m12, m13, m23 = mats
-        m = v0.size
-        e = (m03 * v3)[:, None, :] * m13[None, :, :]      # e[a,b,d]
-        d = (e.reshape(m * m, m) @ m23.T).reshape(m, m, m)  # d[a,b,c]
-        d *= m12[None, :, :]
-        d *= m02[:, None, :]
-        t = d @ v2                                          # t[a,b]
-        return complex(v0 @ (m01 * t) @ v1)
-    raise ValueError(f"contraction supports 1 <= N <= 4 dimensions, got {n}")
+    m = vectors[0].size
+    pair = dict(zip(itertools.combinations(range(n), 2), mats))
+    f = None  # the eliminated dimensions, as a tensor over dimensions 0..j-1
+    for j in range(n - 1, 1, -1):
+        if f is None:
+            w = pair[0, j] * vectors[j]
+            for i in range(1, j - 1):
+                w = w[..., None, :] * pair[i, j]
+            f = (w.reshape(-1, m) @ pair[j - 1, j].T).reshape((m,) * j)
+            del w  # so the next allocation can reuse its memory
+            continue
+        for i in range(j - 1, -1, -1):
+            axes = [1] * (j + 1)
+            axes[i] = axes[j] = m
+            f *= pair[i, j].reshape(axes)
+        f = f @ vectors[j]
+    coupled = pair[0, 1] if f is None else pair[0, 1] * f
+    return complex(vectors[0] @ coupled @ vectors[1])
 
 
 def term_sum(tables, terms, insert=None) -> complex:
@@ -77,7 +78,7 @@ def term_sum(tables, terms, insert=None) -> complex:
     total = 0.0 + 0.0j
     for term in terms:
         vectors = [tables.vectors[d, s, pos] for d, (s, pos) in enumerate(term.dims)]
-        mats = [None] * len(PAIR_ORDER[n])
+        mats = [None] * (n * (n - 1) // 2)
         for k, a, b, transpose in term.invs:
             m = tables.smat(a, b)
             if m is None:

@@ -24,14 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 
 # contract is bound here as well because perfbench/tracing.py patches it here
-from ._kernels import contract, term_sum  # noqa: F401
+from ._kernels import MAX_N, contract, term_sum  # noqa: F401
 from .contour_quad import (CircleContour, QuadOptions, RadiiScheme,
                            adaptive_eval, circle_nodes)
 from .errors import ConvergenceError
 from .scattering import AsepParams, eps_asep, r_factor, s_asep
 from .signed_perm import term_structure
-
-MAX_N = 4
 
 
 @dataclass(frozen=True)
@@ -69,24 +67,6 @@ def _as_config(c, halfline: bool) -> LatticeConfig:
     return cfg
 
 
-def default_radii(params: AsepParams, n: int) -> RadiiScheme:
-    """Reference contour scheme: generously large, linearly graded radii.
-
-    The scale 4*max(1, 1/|q|, |1 - 1/2q|, |tau - 1/2q|) keeps the fixed poles
-    of the wall and scattering factors (0, 1, tau) well inside every circle,
-    and the 1 + a/(4N) grading keeps the radii pairwise distinct so no two
-    variables can hit the mirrored singularity xi + xi' = 1/q on the contours.
-    """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    params.require_formula_ok()
-    center = 1.0 / (2.0 * params.q)
-    rho = 4.0 * max(1.0, 1.0 / abs(params.q), abs(1.0 - center),
-                    abs(params.tau - center))
-    radii = tuple(rho * (1.0 + a / (4.0 * n)) for a in range(1, n + 1))
-    return RadiiScheme(center, radii, min_gap=0.999 * rho / (4.0 * n))
-
-
 def _pole_images_inside(params: AsepParams, radii, safety: float) -> bool:
     """Check that every contour image of the scattering-factor poles stays
     inside the smallest circle by the given safety factor."""
@@ -110,12 +90,12 @@ def tuned_radii(params: AsepParams, n: int, *, ratio: float = 1.3,
                 safety: float = 0.75) -> RadiiScheme:
     """Accuracy-tuned contour scheme used by the evaluators.
 
-    Same deformation class as `default_radii` (fixed poles inside every
-    circle, pole images of the scattering denominators inside the smallest
-    circle, strictly ordered radii so the mirrored singularities never touch
-    a contour), but as small as those constraints allow.  Small radii keep
-    the exp(eps(xi) t) factor's dynamic range low, which is what limits the
-    achievable absolute accuracy in double precision at larger times.
+    The fixed poles (0, 1, tau) lie inside every circle, the pole images of
+    the scattering denominators inside the smallest one, and the radii are
+    strictly ordered so the mirrored singularities never touch a contour.
+    Within those constraints the circles are as small as possible: small
+    radii keep the dynamic range of exp(eps(xi) t) low, which is what limits
+    the absolute accuracy in double precision at larger times.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -371,6 +351,7 @@ def master_equation_residual(Y, X, t: float, params: AsepParams,
     x = xcfg.sites
     n = xcfg.n
     p, q = params.p, params.q
+    ux = u(x)
     rhs = 0.0 + 0.0j
     for i in range(n):
         gap_left = 1.0 if (i == 0 or x[i] - x[i - 1] > 1) else 0.0
@@ -380,8 +361,8 @@ def master_equation_residual(Y, X, t: float, params: AsepParams,
             rhs += p * u(x[:i] + (x[i] - 1,) + x[i + 1:]) * gap_left * wall
         if gap_right:
             rhs += q * u(x[:i] + (x[i] + 1,) + x[i + 1:]) * gap_right
-        rhs -= p * u(x) * gap_right
-        rhs -= q * u(x) * gap_left * wall
+        rhs -= p * ux * gap_right
+        rhs -= q * ux * gap_left * wall
     return abs(lhs - rhs)
 
 

@@ -19,12 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import term_sum
+from ._kernels import MAX_N, term_sum
 from .contour_quad import LineGrid, QuadOptions, adaptive_eval, line_nodes
 from .scattering import BoseParams, s_bose
 from .signed_perm import term_structure
-
-MAX_N = 4
 
 #: minimum damping -Im(t); keeps every integrand Gaussian-integrable
 MIN_DAMPING = 1e-3
@@ -145,10 +143,6 @@ def _line_opts(y, x, time, c, opts: QuadOptions | None):
                                max_points=max(opts.max_points, 8 * m0), tol=opts.tol)
 
 
-def _grid(cutoff: float, m: int):
-    return line_nodes(LineGrid(cutoff, 2.0 * cutoff / m))
-
-
 def _propagator(y, x, time: DampedTime, params: BoseParams,
                 opts: QuadOptions | None, halfline: bool,
                 insert=None) -> BoseEvalReport:
@@ -161,7 +155,7 @@ def _propagator(y, x, time: DampedTime, params: BoseParams,
     cutoff, opts = _line_opts(y, x, time, params.c, opts)
 
     def level(m):
-        k, w = _grid(cutoff, m)
+        k, w = line_nodes(LineGrid(cutoff, 2.0 * cutoff / m))
         return term_sum(_LineTables(k, w, y, x, time.t, params.c), terms, insert)
 
     value, err, m = adaptive_eval(level, opts)

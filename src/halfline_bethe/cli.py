@@ -113,25 +113,18 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
         sp.add_argument("--X", type=str, default=None)
         sp.add_argument("--t", type=float, default=None)
 
-    sp = sub.add_parser("asep-prob", help="half-line transition probability")
-    asep_core(sp)
-    sp.add_argument("--radii", type=str, default=None,
-                    help="comma list overriding the automatic contour radii")
-    quad(sp)
-    common(sp)
-
-    sp = sub.add_parser("asep-fullline", help="full-line transition probability")
-    asep_core(sp)
-    sp.add_argument("--radii", type=str, default=None,
-                    help="single radius overriding the default circle")
-    quad(sp)
-    common(sp)
-
-    sp = sub.add_parser("asep-n1", help="single-particle closed form")
-    asep_core(sp)
-    sp.add_argument("--radii", type=str, default=None)
-    quad(sp)
-    common(sp)
+    for name, what, radii in (
+            ("asep-prob", "half-line transition probability",
+             "comma list overriding the automatic contour radii"),
+            ("asep-fullline", "full-line transition probability",
+             "single radius overriding the default circle"),
+            ("asep-n1", "single-particle closed form",
+             "single radius overriding the tuned circle")):
+        sp = sub.add_parser(name, help=what)
+        asep_core(sp)
+        sp.add_argument("--radii", type=str, default=None, help=radii)
+        quad(sp)
+        common(sp)
 
     sp = sub.add_parser("bose-prop", help="hard-wall Bose-gas propagator")
     sp.add_argument("--c", type=float, default=None)
@@ -156,7 +149,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     common(sp)
 
     sp = sub.add_parser("validate-identities", help="run the identities suite")
-    sp.add_argument("--N", type=int, default=None,
+    sp.add_argument("--N", type=int, default=3,
                     help="size cap for the identity suite")
     sp.add_argument("--draws", type=int, default=200)
     sp.add_argument("--p", type=float, default=0.4)
@@ -194,8 +187,22 @@ def _apply_config(argv, args: argparse.Namespace, parser: argparse.ArgumentParse
     if unknown:
         raise ValueError(f"config keys name no flag of {args.command}: "
                          + ", ".join(unknown))
-    commands[args.command].set_defaults(**conf)
+    actions = {a.dest: a for a in commands[args.command]._actions}
+    commands[args.command].set_defaults(
+        **{key: _config_value(actions[key], val) for key, val in conf.items()})
     return parser.parse_args(argv)
+
+
+def _config_value(action: argparse.Action, val):
+    """A config value as its flag takes it: a JSON boolean for a switch, else
+    a string or a number, handed on as the text the flag's type parses."""
+    switch = action.nargs == 0
+    text = val if switch or isinstance(val, str) else json.dumps(val)
+    if (isinstance(val, bool) != switch or not isinstance(val, (str, int, float))
+            or (action.choices is not None and text not in action.choices)):
+        raise ValueError(f"config value {val!r} does not fit "
+                         f"{action.option_strings[0]}")
+    return text
 
 
 def _require(args, *names):
@@ -228,24 +235,18 @@ def _run_command(args: argparse.Namespace) -> dict:
         if args.radii:
             radii = RadiiScheme(1.0 / (2.0 * params.q), tuple(_parse_float_list(args.radii)))
         rep = prob_halfline(y, x, args.t, params, _quad_opts(args), radii)
-        rec.update(value=rep.value, imag_residual=rep.imag_residual,
-                   error_estimate=rep.error_estimate,
-                   points_used=rep.points_used, term_count=rep.term_count,
+        rec.update(dataclasses.asdict(rep),
                    radii=list(radii.radii if radii else tuned_radii(params, len(y)).radii))
     elif args.command == "asep-fullline":
         radius = _parse_float_list(args.radii)[0] if args.radii else None
         rep = prob_fullline(y, x, args.t, params, _quad_opts(args), radius)
-        rec.update(value=rep.value, imag_residual=rep.imag_residual,
-                   error_estimate=rep.error_estimate,
-                   points_used=rep.points_used, term_count=rep.term_count)
+        rec.update(dataclasses.asdict(rep))
     elif args.command == "asep-n1":
         if len(y) != 1 or len(x) != 1:
             raise ValueError("asep-n1 needs single-site Y and X")
         radius = _parse_float_list(args.radii)[0] if args.radii else None
         rep = prob_n1_closed(y[0], x[0], args.t, params, _quad_opts(args), radius)
-        rec.update(value=rep.value, imag_residual=rep.imag_residual,
-                   error_estimate=rep.error_estimate,
-                   points_used=rep.points_used, term_count=rep.term_count)
+        rec.update(dataclasses.asdict(rep))
     elif args.command == "bose-prop":
         _require(args, "c", "Y", "X")
         params = BoseParams(args.c)
@@ -257,10 +258,8 @@ def _run_command(args: argparse.Namespace) -> dict:
             else DampedTime(complex(args.t))
         fn = propagator_fullline if args.fullline else propagator_halfline
         rep = fn(y, x, t, params, _quad_opts(args))
-        rec.update(c=args.c, Y=y, X=x, tau=args.tau, t=str(t.t),
-                   value=rep.value.real, value_imag=rep.value.imag,
-                   error_estimate=rep.error_estimate,
-                   points_used=rep.points_used, term_count=rep.term_count)
+        rec.update(dataclasses.asdict(rep), c=args.c, Y=y, X=x, tau=args.tau,
+                   t=str(t.t), value=rep.value.real, value_imag=rep.value.imag)
     elif args.command == "mc-compare":
         rep = prob_halfline(y, x, args.t, params, _quad_opts(args))
         window = None
@@ -271,15 +270,16 @@ def _run_command(args: argparse.Namespace) -> dict:
         est, se = mc_estimate(y, x, McConfig(args.trials, args.seed, args.t),
                               params)
         rec.update(trials=args.trials, seed=args.seed, value=rep.value,
+                   window=[window.lo, window.hi] if window else None,
                    oracle_value=oracle, oracle_delta=rep.value - oracle,
                    mc_estimate=est, mc_std_error=se, mc_delta=rep.value - est,
                    all_passed=bool(abs(rep.value - est) <= 4.0 * max(se, 1e-12)))
     elif args.command in VALIDATE_COMMANDS:
         fn = VALIDATE_COMMANDS[args.command]
         if args.command == "validate-identities":
-            suite = fn(n_max=args.N or 3, draws=args.draws, seed=args.seed,
+            suite = fn(n_max=args.N, draws=args.draws, seed=args.seed,
                        p=args.p, c=args.c)
-            rec.update(seed=args.seed)
+            rec.update(seed=args.seed, N=args.N, draws=args.draws)
         elif args.command == "validate-asep":
             suite = fn(p=args.p)
         else:

@@ -36,7 +36,6 @@ class RadiiScheme:
 
     center: complex
     radii: tuple[float, ...]
-    min_gap: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "center", complex(self.center))
@@ -44,8 +43,7 @@ class RadiiScheme:
         object.__setattr__(self, "radii", radii)
         if any(not np.isfinite(r) or r <= 0 for r in radii):
             raise ValueError(f"radii must be positive and finite: {radii}")
-        gap = 0.05 * radii[0] if self.min_gap is None else float(self.min_gap)
-        object.__setattr__(self, "min_gap", gap)
+        gap = 0.05 * radii[0]
         for lo, hi in zip(radii, radii[1:]):
             if hi - lo < gap:
                 raise ValueError(

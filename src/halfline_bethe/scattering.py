@@ -108,13 +108,6 @@ def s_bose(k, params: BoseParams) -> np.ndarray | complex:
     return complex(out) if out.ndim == 0 else out
 
 
-def eps_bose(k) -> np.ndarray | complex:
-    """Single-particle energy k^2."""
-    k = np.asarray(k, dtype=complex)
-    out = k * k
-    return complex(out) if out.ndim == 0 else out
-
-
 def s_asep(x, y, params: AsepParams) -> np.ndarray | complex:
     """Two-particle factor -(p + q*x*y - x)/(p + q*x*y - y)."""
     x = np.asarray(x, dtype=complex)

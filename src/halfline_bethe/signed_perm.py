@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from ._kernels import PAIR_ORDER
 from .errors import SizeLimitError
 
 # 2^8 * 8! ~ 1e7 elements is the desk-scale enumeration ceiling
@@ -134,8 +133,9 @@ class Term(NamedTuple):
     parity: float
     #: dimension d (variable d+1) -> (sign, 0-based position) of its entry
     dims: tuple[tuple[int, int], ...]
-    #: per inversion (first, second): (index into PAIR_ORDER[n], first,
-    #: second, whether |second| < |first| so the pair matrix is transposed)
+    #: per inversion (first, second): (index of the dimension pair in
+    #: itertools.combinations(range(n), 2), first, second, whether
+    #: |second| < |first| so the pair matrix is transposed)
     invs: tuple[tuple[int, int, int, bool], ...]
 
 
@@ -144,7 +144,8 @@ def term_structure(n: int, halfline: bool) -> tuple[Term, ...]:
     """Every element of B_n (halfline) or S_n, compiled once per (n, group)
     for `_kernels.term_sum`."""
     sigmas = enumerate_bn(n) if halfline else enumerate_sn(n)
-    pair_index = {pair: k for k, pair in enumerate(PAIR_ORDER[n])}
+    pair_index = {pair: k for k, pair in
+                  enumerate(itertools.combinations(range(n), 2))}
     terms = []
     for sigma in sigmas:
         dims = [None] * n

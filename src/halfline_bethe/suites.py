@@ -118,6 +118,8 @@ def run_identity_suite(n_max: int = 4, draws: int = 200,
                        seed: int = DEFAULT_SEED, p: float = 0.4,
                        c: float = 1.0) -> SuiteReport:
     """All scattering identities over every signed permutation up to n_max."""
+    if n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
     rng = np.random.default_rng(seed)
     asep = AsepParams.from_p(p)
     bose = BoseParams(c)

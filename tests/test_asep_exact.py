@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from halfline_bethe.asep_exact import (AsepEvalReport, LatticeConfig,
-                                       default_radii, evaluate_extended,
+                                       evaluate_extended,
                                        master_equation_residual, prob_fullline,
                                        prob_halfline, prob_n1_closed,
                                        total_mass, tuned_radii,
@@ -33,21 +33,15 @@ class TestConfigs:
 
 
 class TestRadii:
-    def test_default_radii_symmetric_case(self):
-        # p = q = 1/2: center 1, scale 8, radii (9, 10) for two particles
-        scheme = default_radii(AsepParams.from_p(0.5), 2)
-        assert scheme.center == pytest.approx(1.0)
-        assert scheme.radii == pytest.approx((9.0, 10.0))
-
     @pytest.mark.parametrize("n", range(1, 7))
     @pytest.mark.parametrize("p", [0.3, 0.5, 0.7])
     def test_radii_distinct_and_poles_inside(self, n, p):
         params = AsepParams.from_p(p)
-        for scheme in (default_radii(params, n), tuned_radii(params, min(n, 4))):
-            assert all(b > a for a, b in zip(scheme.radii, scheme.radii[1:]))
-            center = scheme.center.real
-            for pole in (0.0, 1.0, params.tau):
-                assert abs(pole - center) < scheme.radii[0]
+        scheme = tuned_radii(params, n)
+        assert all(b > a for a, b in zip(scheme.radii, scheme.radii[1:]))
+        center = scheme.center.real
+        for pole in (0.0, 1.0, params.tau):
+            assert abs(pole - center) < scheme.radii[0]
 
     def test_tuned_radii_image_containment(self):
         for p in (0.3, 0.5, 0.7):
@@ -57,7 +51,7 @@ class TestRadii:
 
     def test_p_zero_rejected(self):
         with pytest.raises(ValueError):
-            default_radii(AsepParams.from_p(0.0), 1)
+            tuned_radii(AsepParams.from_p(0.0), 1)
 
     def test_one_radius_per_particle(self):
         three = tuned_radii(P04, 3)

@@ -52,6 +52,11 @@ class TestConfigValidation:
     def test_fullline_allows_negative(self):
         propagator_fullline((-1.0,), (0.5,), T, C1)
 
+    def test_size_cap(self):
+        xs = tuple(0.5 + i for i in range(5))
+        with pytest.raises(ValueError):
+            propagator_halfline(xs, xs, T, C1)
+
 
 class TestSingleParticle:
     @pytest.mark.parametrize("tau", [0.1, 0.5, 2.0])

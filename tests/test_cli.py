@@ -58,6 +58,15 @@ class TestCommands:
         assert rec["all_passed"] is True
         assert all(line.startswith("PASS") for line in rec["checks"])
 
+    def test_records_name_window_n_and_draws(self, capsys):
+        _, rec = run_cli(capsys, "mc-compare", "--p", "0.4", "--Y", "0,2",
+                         "--X", "1,3", "--t", "1", "--trials", "200",
+                         "--window", "0,12")
+        assert rec["window"] == [0, 12]
+        _, rec = run_cli(capsys, "validate-identities", "--N", "1",
+                         "--draws", "5")
+        assert (rec["N"], rec["draws"]) == (1, 5)
+
     def test_mc_compare(self, capsys):
         code, rec = run_cli(capsys, "mc-compare", "--p", "0.4", "--Y", "0,2",
                             "--X", "1,3", "--t", "1", "--trials", "20000",
@@ -104,6 +113,19 @@ class TestExitCodes:
                      "--config", str(conf)])
         assert code == 2
         assert "bogus, seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,conf", [
+        (("asep-n1", "--p", "0.3", "--Y", "1", "--X", "2", "--t", "1"),
+         {"max-points": [1]}),
+        (("bose-prop", "--c", "1", "--Y", "1.0", "--X", "2.0", "--tau", "0.5"),
+         {"fullline": "false"}),
+    ])
+    def test_config_value_of_wrong_type_is_2(self, capsys, tmp_path, argv, conf):
+        path = tmp_path / "conf.json"
+        path.write_text(json.dumps(conf))
+        code = main([*argv, "--config", str(path)])
+        assert code == 2
+        assert "config value" in capsys.readouterr().err
 
     def test_nonconvergence_is_3(self, capsys):
         code, _ = run_cli(capsys, "asep-prob", "--p", "0.4", "--Y", "0,2",
@@ -195,6 +217,15 @@ def test_config_file_merges_under_flags(capsys, tmp_path):
     # explicit flag --p wins over the config value
     assert code == 0
     assert rec["p"] == 0.4
+
+
+def test_config_switch_takes_a_boolean(capsys, tmp_path):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"fullline": False}))
+    code, rec = run_cli(capsys, "bose-prop", "--c", "1.0", "--Y", "1.0",
+                        "--X", "2.0", "--tau", "0.5", "--config", str(conf))
+    assert code == 0
+    assert rec["value"] == pytest.approx(0.2375388761, abs=1e-9)
 
 
 def test_config_file_supplies_flags(capsys, tmp_path):

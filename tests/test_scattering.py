@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from halfline_bethe.errors import SingularityError
 from halfline_bethe.scattering import (AsepParams, BoseParams, amplitude_asep,
-                                       amplitude_bose, eps_asep, eps_bose,
-                                       k_signed, r_factor, s_asep, s_bose,
-                                       s_product, xi_signed)
+                                       amplitude_bose, eps_asep, k_signed,
+                                       r_factor, s_asep, s_bose, s_product,
+                                       xi_signed)
 from halfline_bethe.signed_perm import (SignedPermutation, enumerate_bn,
                                         enumerate_sn, identity, negate_first)
 
@@ -89,14 +89,6 @@ class TestSBose:
 
 
 class TestEnergies:
-    def test_eps_bose(self):
-        assert eps_bose(0.0) == 0
-        assert eps_bose(2.0) == 4.0
-
-    @given(finite_reals)
-    def test_eps_bose_even(self, k):
-        assert eps_bose(-k) == eps_bose(k)
-
     def test_eps_asep(self):
         params = AsepParams.from_p(0.5)
         assert eps_asep(1.0, params) == pytest.approx(0.0)

@@ -1,5 +1,7 @@
 """The named validation suites must pass end to end (the CLI exposes them)."""
 
+import pytest
+
 from halfline_bethe.suites import (run_asep_suite, run_bose_suite,
                                    run_identity_suite)
 
@@ -7,6 +9,12 @@ from halfline_bethe.suites import (run_asep_suite, run_bose_suite,
 def test_identity_suite_passes():
     rep = run_identity_suite(n_max=3, draws=120)
     assert rep.all_passed, [c.line() for c in rep.checks if not c.passed]
+
+
+def test_identity_suite_needs_a_particle():
+    # an empty range of N would pass every check without testing anything
+    with pytest.raises(ValueError):
+        run_identity_suite(n_max=0)
 
 
 def test_asep_suite_passes():
