@@ -4,9 +4,13 @@ Two kernel families live here:
 
 * ``contract``: sum over a full tensor grid of a factorized integrand
   prod_d v_d[m_d] * prod_{d1<d2} M_{d1 d2}[m_{d1}, m_{d2}], as BLAS-backed
-  matrix products.  Every exact evaluator reduces its per-term quadrature to
-  this shape, and ``term_sum`` sums it over the signed-permutation terms of
-  both models.
+  matrix products.  A pair without a factor is None, and the sum is
+  eliminated along the graph of the pairs that have one: a dimension with at
+  most two such pairs costs at most one m^3 product, and only a core whose
+  dimensions all have three or more runs the dense m^N loop.  Every exact
+  evaluator reduces its per-term quadrature to this shape, and ``term_sum``
+  sums it over the signed-permutation terms of both models, one contraction
+  per sign-flip pair of a half-line sum.
 * the jump-chain simulator behind the Monte Carlo oracle, with a SplitMix64
   substream per trial so runs are reproducible and trial-order independent.
 """
@@ -15,11 +19,13 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import lru_cache
 
 import numpy as np
 
-#: largest particle number the evaluators accept: a cap on cost, not on code,
-#: since one contraction costs m^N and a level runs 2^N N! of them
+#: largest particle number the evaluators accept: a cap on cost, not on code.
+#: A half-line level runs 2^(N-1) N! contractions; at N = 4 the 60 whose pair
+#: graph is complete cost m^4, every other one m^3 or less.
 MAX_N = 4
 
 
@@ -27,36 +33,134 @@ MAX_N = 4
 # tensor contraction
 # ---------------------------------------------------------------------------
 
-def contract(vectors, mats) -> complex:
-    """BLAS-backed contraction for any N; vectors is a list of N 1-d complex
-    arrays and mats the N(N-1)/2 matrices in itertools.combinations order.
+@lru_cache(maxsize=1024)
+def _plan(n: int, present: tuple[bool, ...]):
+    """Elimination steps for n dimensions whose pairs (in
+    itertools.combinations order) carry a matrix where `present` is true.
 
-    Dimensions N-1 down to 2 are summed out in turn: the first by folding v_j
-    into M_0j and one product with M_(j-1)j, each later one by multiplying its
-    pair matrices in place and one product with v_j.  numpy's complex product
-    is not bitwise commutative, so every operand order is part of the result.
+    While some dimension has at most two neighbours, the one with the fewest
+    (the highest index among ties) is summed out: a step (d, links, closes)
+    where links holds, per neighbour u, (u, pair index, whether that matrix
+    is stored with rows over d), plus for two neighbours u < w the index of
+    the pair (u, w) that receives their new coupling; closes says that the
+    one neighbour has no other, so the step sums out both.  What is left has
+    only dimensions with three or more neighbours; it is returned as the
+    core order, the last dimension one of those with the most neighbours and
+    the one before it one of its neighbours, with per pair (i, j) of core
+    positions present (pair index, transposed).
     """
-    n = len(vectors)
-    if n == 1:
-        return complex(vectors[0].sum())
-    m = vectors[0].size
-    pair = dict(zip(itertools.combinations(range(n), 2), mats))
-    f = None  # the eliminated dimensions, as a tensor over dimensions 0..j-1
-    for j in range(n - 1, 1, -1):
+    pairs = list(itertools.combinations(range(n), 2))
+    index = {pair: k for k, pair in enumerate(pairs)}
+    adj = {d: set() for d in range(n)}
+    for (i, j), on in zip(pairs, present):
+        if on:
+            adj[i].add(j)
+            adj[j].add(i)
+    steps = []
+    while adj:
+        d = min(adj, key=lambda v: (len(adj[v]), -v))
+        nbrs = sorted(adj[d])
+        if len(nbrs) > 2:
+            break
+        links = tuple((u, index[min(u, d), max(u, d)], d < u) for u in nbrs)
+        for u in nbrs:
+            adj[u].discard(d)
+        if len(nbrs) == 2:
+            u, w = nbrs
+            adj[u].add(w)
+            adj[w].add(u)
+            links += (index[u, w],)
+        closes = len(nbrs) == 1 and not adj[nbrs[0]]
+        del adj[d]
+        if closes:
+            del adj[nbrs[0]]
+        steps.append((d, links, closes))
+    if not adj:
+        return tuple(steps), None
+    last = max(adj, key=lambda v: (len(adj[v]), v))
+    before = max(adj[last])
+    order = sorted(set(adj) - {last, before}) + [before, last]
+    core = {}
+    for i, j in itertools.combinations(range(len(order)), 2):
+        a, b = order[i], order[j]
+        if b in adj[a]:
+            core[i, j] = (index[min(a, b), max(a, b)], a > b)
+    return tuple(steps), (tuple(order), core)
+
+
+def _dense(vecs, mats, order, core) -> complex:
+    """The dense m^k loop over the k core dimensions in `order`, skipping
+    absent pairs: positions k-1 down to 2 are summed out in turn, the first
+    by one product with its pair matrix to position k-2 (present by the
+    plan's order), each later one after its pair matrices are multiplied in
+    place; then v0 @ (M01 * F) @ v1.  numpy's complex product is not bitwise
+    commutative, so every operand order is part of the result."""
+    def pair(i, j):
+        if (i, j) not in core:
+            return None
+        k, transposed = core[i, j]
+        return mats[k].T if transposed else mats[k]
+
+    v = [vecs[d] for d in order]
+    m = v[0].size
+    f = None  # the eliminated positions, as a tensor over positions 0..j-1
+    for j in range(len(order) - 1, 1, -1):
         if f is None:
-            w = pair[0, j] * vectors[j]
-            for i in range(1, j - 1):
-                w = w[..., None, :] * pair[i, j]
-            f = (w.reshape(-1, m) @ pair[j - 1, j].T).reshape((m,) * j)
+            w = v[j]
+            for i in range(j - 1):
+                mat = pair(i, j)
+                w = w[..., None, :] if mat is None else w[..., None, :] * mat
+            w = np.broadcast_to(w, (m,) * j).reshape(-1, m)
+            f = (w @ pair(j - 1, j).T).reshape((m,) * j)
             del w  # so the next allocation can reuse its memory
             continue
         for i in range(j - 1, -1, -1):
-            axes = [1] * (j + 1)
-            axes[i] = axes[j] = m
-            f *= pair[i, j].reshape(axes)
-        f = f @ vectors[j]
-    coupled = pair[0, 1] if f is None else pair[0, 1] * f
-    return complex(vectors[0] @ coupled @ vectors[1])
+            mat = pair(i, j)
+            if mat is not None:
+                axes = [1] * (j + 1)
+                axes[i] = axes[j] = m
+                f *= mat.reshape(axes)
+        f = f @ v[j]
+    mat = pair(0, 1)
+    return complex(v[0] @ (f if mat is None else mat * f) @ v[1])
+
+
+def contract(vectors, mats) -> complex:
+    """BLAS-backed contraction for any N; vectors is a list of N 1-d complex
+    arrays and mats the N(N-1)/2 pair matrices in itertools.combinations
+    order, rows over the lower dimension, None for a pair without a factor.
+
+    Dimensions are summed out along the pair graph (`_plan`): with no
+    neighbour by a sum, with one by a matrix-vector product into the
+    neighbour's vector, with two by one matrix product into the neighbours'
+    pair matrix; a remaining core runs the dense loop (`_dense`).
+    """
+    steps, core = _plan(len(vectors), tuple([m is not None for m in mats]))
+    vecs = list(vectors)
+    mats = list(mats)
+    scale = 1.0 + 0.0j
+    for d, links, closes in steps:
+        if not links:
+            scale *= vecs[d].sum()
+        elif len(links) == 1:
+            (u, k, d_rows), = links
+            # ndarray.dot: a third of matmul's call overhead on small operands
+            summed = (mats[k].T if d_rows else mats[k]).dot(vecs[d])
+            if closes:
+                scale *= vecs[u].dot(summed)
+            else:
+                vecs[u] = vecs[u] * summed
+        else:
+            (u, ku, d_rows_u), (w, kw, d_rows_w), kuw = links
+            mu = mats[ku].T if d_rows_u else mats[ku]  # rows over u, columns over d
+            mw = mats[kw] if d_rows_w else mats[kw].T  # rows over d, columns over w
+            coupling = (mu * vecs[d]).dot(mw)
+            if mats[kuw] is not None:
+                coupling *= mats[kuw]
+            mats[kuw] = coupling
+    if core is not None:
+        scale *= _dense(vecs, mats, *core)
+    return complex(scale)
 
 
 def term_sum(tables, terms, insert=None) -> complex:
@@ -67,14 +171,19 @@ def term_sum(tables, terms, insert=None) -> complex:
     per-dimension factor of variable d placed at position pos with that sign,
     `tables.smat(a, b)` the scattering matrix between the signed variables a
     and b (None where it is identically 1), and `tables.signed` whether a
-    term carries its parity.  `insert(tables, term)`, if given, lists
-    (d, factor, scale): the term is then contracted once per entry, with
-    dimension d's vector multiplied by factor (d None: no factor), and added
-    with weight scale.
+    term carries its parity.  A folded term (`Term.fold`) also stands for its
+    partner: the two share every pair matrix, so the folded dimension's
+    vector becomes v+ - v- (signed, opposite parities) or v+ + v-.
+
+    `insert(tables, term)`, if given, lists (d, factor, scale): the term is
+    then contracted once per entry, with dimension d's vector multiplied by
+    factor (d None: no factor), and added with weight scale.  For a folded
+    term the partner's list must pair up entry by entry, with the same d and
+    scale and, off the folded dimension, the same factor; the partner's
+    factor on the folded dimension goes on its vector before the fold.
     """
     n = len(terms[0].dims)
-    size = tables.vectors[0, 1, 0].size
-    ones = np.ones((size, size), dtype=complex) if n > 1 else None
+    flip = -1.0 if tables.signed else 1.0
     total = 0.0 + 0.0j
     for term in terms:
         vectors = [tables.vectors[d, s, pos] for d, (s, pos) in enumerate(term.dims)]
@@ -86,15 +195,20 @@ def term_sum(tables, terms, insert=None) -> complex:
             if transpose:
                 m = m.T
             mats[k] = m if mats[k] is None else mats[k] * m
-        mats = [ones if m is None else np.ascontiguousarray(m) for m in mats]
         sign = term.parity if tables.signed else 1.0
-        if insert is None:
-            total += sign * contract(vectors, mats)
-            continue
-        for d, factor, scale in insert(tables, term):
+        fold = term.fold
+        entries = [(None, None, 1.0)] if insert is None else insert(tables, term)
+        partner = (insert(tables, term.partner()) if insert and fold is not None
+                   else entries)
+        for (d, factor, scale), (_, partner_factor, _) in zip(entries, partner):
             inserted = list(vectors)
             if d is not None:
                 inserted[d] = inserted[d] * factor
+            if fold is not None:
+                neg = tables.vectors[fold, -1, 0]
+                if d == fold:
+                    neg = neg * partner_factor
+                inserted[fold] = inserted[fold] + flip * neg
             total += sign * scale * contract(inserted, mats)
     return total
 

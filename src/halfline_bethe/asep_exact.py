@@ -29,7 +29,7 @@ from .contour_quad import (CircleContour, QuadOptions, RadiiScheme,
                            adaptive_eval, circle_nodes)
 from .errors import ConvergenceError
 from .scattering import AsepParams, eps_asep, r_factor, s_asep
-from .signed_perm import term_structure
+from .signed_perm import group_order, term_structure
 
 
 @dataclass(frozen=True)
@@ -252,8 +252,8 @@ def prob_halfline(Y, X, t: float, params: AsepParams,
     value, err, m = adaptive_eval(
         lambda mm: _halfline_sum(src.sites, dst.sites, t, params, contours, mm),
         dataclasses.replace(opts, tol=opts.tol / max(prefactor, 1.0)))
-    terms = len(term_structure(ycfg.n, True))
-    return _report(prefactor * value, prefactor * err, m, terms, opts)
+    return _report(prefactor * value, prefactor * err, m, group_order(ycfg.n, True),
+                   opts)
 
 
 def prob_fullline(Y, X, t: float, params: AsepParams,
@@ -268,8 +268,7 @@ def prob_fullline(Y, X, t: float, params: AsepParams,
     radius = radius if radius is not None else max(2.0, 2.0 / abs(params.q))
     value, err, m = adaptive_eval(
         lambda mm: _fullline_sum(ycfg.sites, xcfg.sites, t, params, radius, mm), opts)
-    terms = len(term_structure(ycfg.n, False))
-    return _report(value, err, m, terms, opts)
+    return _report(value, err, m, group_order(ycfg.n, False), opts)
 
 
 def prob_n1_closed(y: int, x: int, t: float, params: AsepParams,

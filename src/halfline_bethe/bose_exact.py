@@ -22,7 +22,7 @@ import numpy as np
 from ._kernels import MAX_N, term_sum
 from .contour_quad import LineGrid, QuadOptions, adaptive_eval, line_nodes
 from .scattering import BoseParams, s_bose
-from .signed_perm import term_structure
+from .signed_perm import group_order, term_structure
 
 #: minimum damping -Im(t); keeps every integrand Gaussian-integrable
 MIN_DAMPING = 1e-3
@@ -159,7 +159,7 @@ def _propagator(y, x, time: DampedTime, params: BoseParams,
         return term_sum(_LineTables(k, w, y, x, time.t, params.c), terms, insert)
 
     value, err, m = adaptive_eval(level, opts)
-    return BoseEvalReport(value, err, m, len(terms))
+    return BoseEvalReport(value, err, m, group_order(n, halfline))
 
 
 def propagator_halfline(y, x, t, params: BoseParams,
@@ -193,6 +193,22 @@ def wall_residual(y, x, t, params: BoseParams,
     return complex(_propagator(yv, xv, time, params, opts, halfline=True).value)
 
 
+def _bc1_insertion(j: int, c: float):
+    """`term_sum` insertion of (i k_{sigma(j+1)} - i k_{sigma(j)} - c), j
+    1-based: the factor i*sign*k on the dimensions at positions j and j-1
+    (0-based), then the constant."""
+    def insert(tables: _LineTables, term):
+        pos_to_dim = {pos: d for d, (_, pos) in enumerate(term.dims)}
+        out = []
+        for pos, scale in ((j, 1.0), (j - 1, -1.0)):
+            d = pos_to_dim[pos]
+            out.append((d, 1j * term.dims[d][0] * tables.k, scale))
+        out.append((None, None, -c))
+        return out
+
+    return insert
+
+
 def bc1_residual(y, x, j: int, t, params: BoseParams,
                  opts: QuadOptions | None = None) -> complex:
     """(d/dx_{j+1} - d/dx_j - c) applied to the propagator at x_{j+1} = x_j.
@@ -209,19 +225,8 @@ def bc1_residual(y, x, j: int, t, params: BoseParams,
         raise ValueError(f"pair index must satisfy 1 <= j <= N-1, got {j}")
     yv = _check_positions(y, positive=True)
     xv = _check_positions(x, positive=True, allow_equal_pair=j - 1)
-    c = params.c
-    dpos = j - 1  # positions j-1 and j (0-based) straddle the diagonal
-
-    def insert(tables: _LineTables, term):
-        pos_to_dim = {pos: d for d, (_, pos) in enumerate(term.dims)}
-        out = []
-        for pos, scale in ((dpos + 1, 1.0), (dpos, -1.0)):
-            d = pos_to_dim[pos]
-            out.append((d, 1j * term.dims[d][0] * tables.k, scale))
-        out.append((None, None, -c))
-        return out
-
-    rep = _propagator(yv, xv, time, params, opts, halfline=True, insert=insert)
+    rep = _propagator(yv, xv, time, params, opts, halfline=True,
+                      insert=_bc1_insertion(j, params.c))
     return complex(rep.value)
 
 

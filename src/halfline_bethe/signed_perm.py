@@ -13,6 +13,7 @@ sigma(i+1).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -137,26 +138,53 @@ class Term(NamedTuple):
     #: itertools.combinations(range(n), 2), first, second, whether
     #: |second| < |first| so the pair matrix is transposed)
     invs: tuple[tuple[int, int, int, bool], ...]
+    #: the dimension at position 0 when the term stands for itself and its
+    #: `negate_first` partner, whose inversions are the same; None otherwise
+    fold: int | None = None
+
+    def partner(self) -> "Term":
+        """The `negate_first` partner: the folded dimension's sign and the
+        parity flipped, the same inversions."""
+        dims = list(self.dims)
+        sign, pos = dims[self.fold]
+        dims[self.fold] = (-sign, pos)
+        return self._replace(parity=-self.parity, dims=tuple(dims), fold=None)
+
+
+def compile_term(sigma: SignedPermutation) -> Term:
+    """sigma's parity, dimension placements and inversions, unfolded."""
+    n = sigma.n
+    pair_index = {pair: k for k, pair in
+                  enumerate(itertools.combinations(range(n), 2))}
+    dims = [None] * n
+    for pos, v in enumerate(sigma.values):
+        dims[abs(v) - 1] = (1 if v > 0 else -1, pos)
+    invs = []
+    for a, b in inversions(sigma):
+        da, db = abs(a) - 1, abs(b) - 1
+        invs.append((pair_index[min(da, db), max(da, db)], a, b, da > db))
+    return Term((-1.0) ** neg_count(sigma), tuple(dims), tuple(invs))
 
 
 @lru_cache(maxsize=32)
 def term_structure(n: int, halfline: bool) -> tuple[Term, ...]:
-    """Every element of B_n (halfline) or S_n, compiled once per (n, group)
-    for `_kernels.term_sum`."""
-    sigmas = enumerate_bn(n) if halfline else enumerate_sn(n)
-    pair_index = {pair: k for k, pair in
-                  enumerate(itertools.combinations(range(n), 2))}
-    terms = []
-    for sigma in sigmas:
-        dims = [None] * n
-        for pos, v in enumerate(sigma.values):
-            dims[abs(v) - 1] = (1 if v > 0 else -1, pos)
-        invs = []
-        for a, b in inversions(sigma):
-            da, db = abs(a) - 1, abs(b) - 1
-            invs.append((pair_index[min(da, db), max(da, db)], a, b, da > db))
-        terms.append(Term((-1.0) ** neg_count(sigma), tuple(dims), tuple(invs)))
-    return tuple(terms)
+    """The terms `_kernels.term_sum` contracts for B_n (halfline) or S_n,
+    compiled once per (n, group).
+
+    For B_n only the sigma with sigma(1) > 0 are listed, each folded with its
+    `negate_first` partner: the two share every scattering factor, so one
+    contraction covers both.  `group_order` counts the unfolded terms.
+    """
+    if not halfline:
+        return tuple(compile_term(s) for s in enumerate_sn(n))
+    return tuple(compile_term(s)._replace(fold=s.values[0] - 1)
+                 for s in enumerate_bn(n) if s.values[0] > 0)
+
+
+def group_order(n: int, halfline: bool) -> int:
+    """|B_n| = 2^n n! (halfline) or |S_n| = n!: the number of terms a sum
+    over the group has before folding."""
+    return 2 ** n * math.factorial(n) if halfline else math.factorial(n)
 
 
 def apply_adjacent_transposition(sigma: SignedPermutation, i: int) -> SignedPermutation:

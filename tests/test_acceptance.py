@@ -192,12 +192,9 @@ def test_criterion_8_bose_n2_n3(capsys):
     y2, x2 = (0.7, 1.9), (1.2, 2.8)
     y3, x3 = (0.5, 1.4, 2.6), (0.8, 1.9, 3.1)
 
-    wall = 0.0
-    for (y, x0, xref) in ((y2, (0.0, 1.5), (0.75, 1.5)),
-                          (y3, (0.0, 1.2, 2.3), (0.6, 1.2, 2.3))):
-        res = abs(wall_residual(y, x0, t, BoseParams(1.0)))
-        scale = abs(propagator_halfline(y, xref, t, BoseParams(1.0)).value)
-        wall = max(wall, res / scale)
+    # exactly zero: each folded term carries v+ - v-, which vanishes at x_1 = 0
+    wall = max(abs(wall_residual(y, x0, t, BoseParams(1.0)))
+               for y, x0 in ((y2, (0.0, 1.5)), (y3, (0.0, 1.2, 2.3))))
 
     bc1 = 0.0
     for c in (0.5, 1.0, 4.0):
@@ -220,7 +217,7 @@ def test_criterion_8_bose_n2_n3(capsys):
             for c in (1e2, 1e3, 1e4)]
     sweep_ok = errs[1] < 0.5 * errs[0] and errs[2] < 0.5 * errs[1]
 
-    ok = wall < 1e-10 and bc1 < 1e-8 and free < 1e-10 and sweep_ok
+    ok = wall == 0 and bc1 < 1e-8 and free < 1e-10 and sweep_ok
     _report(capsys, 8, ok,
             f"Bose N=2,3: wall {wall:.2e}, bc1 {bc1:.2e}, free-limit "
             f"{free:.2e}, strong-coupling errors {errs[0]:.1e}->"

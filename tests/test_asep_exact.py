@@ -176,11 +176,13 @@ class TestHalfline:
     @pytest.mark.parametrize("y, x, p, t", [
         ((0, 1, 2, 3), (0, 1, 2, 4), 0.4, 0.3),
         ((0, 1, 3, 4), (0, 2, 3, 5), 0.6, 0.5),
+        ((0, 1, 2, 3), (0, 1, 3, 5), 0.3, 0.5),
     ])
     def test_n4_matches_ctmc(self, y, x, p, t):
+        # at normal tolerance, not the reduced N = 4 default budget
         params = AsepParams.from_p(p)
-        got = prob_halfline(y, x, t, params).value
-        assert abs(got - ctmc_prob(y, x, t, params)) < 1e-8
+        got = prob_halfline(y, x, t, params, QuadOptions(tol=1e-10, max_points=64)).value
+        assert abs(got - ctmc_prob(y, x, t, params, tol=1e-16)) < 1e-12
         assert got >= 0.0
 
 

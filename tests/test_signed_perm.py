@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 from halfline_bethe.errors import SizeLimitError
 from halfline_bethe.signed_perm import (Inversion, SignedPermutation, ab_pair,
                                         apply_adjacent_transposition,
-                                        enumerate_bn, enumerate_sn, identity,
-                                        inversions, neg_count, negate_first)
+                                        compile_term, enumerate_bn,
+                                        enumerate_sn, group_order, identity,
+                                        inversions, neg_count, negate_first,
+                                        term_structure)
 
 
 def random_sigma(draw_n=st.integers(1, 5)):
@@ -149,6 +151,33 @@ class TestNegateFirst:
         assert negate_first(flipped) == sigma
         assert sorted(inversions(flipped)) == sorted(inversions(sigma))
         assert abs(neg_count(flipped) - neg_count(sigma)) == 1
+
+    @given(random_sigma(st.integers(1, 4)))
+    def test_partners_compile_to_the_same_pair_factors(self, sigma):
+        term, flipped = compile_term(sigma), compile_term(negate_first(sigma))
+        assert sorted(term.invs) == sorted(flipped.invs)
+        # Term.partner rebuilds the flipped term from the folded one
+        folded = term._replace(fold=abs(sigma.values[0]) - 1)
+        assert folded.partner() == flipped._replace(invs=term.invs)
+
+
+class TestTermStructure:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_halfline_folds_each_partner_pair_once(self, n):
+        terms = term_structure(n, True)
+        assert 2 * len(terms) == group_order(n, True) == len(enumerate_bn(n))
+        assert all(term.dims[term.fold] == (1, 0) for term in terms)
+        # the terms and their partners are B_n, each element once
+        covered = [(t.parity, t.dims) for t in terms] + \
+            [(t.partner().parity, t.partner().dims) for t in terms]
+        assert sorted(covered) == sorted((u.parity, u.dims) for u in
+                                         map(compile_term, enumerate_bn(n)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_fullline_is_unfolded(self, n):
+        terms = term_structure(n, False)
+        assert len(terms) == group_order(n, False) == len(enumerate_sn(n))
+        assert all(term.fold is None for term in terms)
 
 
 class TestAbPair:
