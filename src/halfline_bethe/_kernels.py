@@ -11,14 +11,15 @@ Two kernel families live here:
   evaluator reduces its per-term quadrature to this shape, and ``term_sum``
   sums it over the signed-permutation terms of both models, one contraction
   per sign-flip pair of a half-line sum.
-* the jump-chain simulator behind the Monte Carlo oracle, with a SplitMix64
-  substream per trial so runs are reproducible and trial-order independent.
+* ``gillespie_hits``: the jump chain behind the Monte Carlo oracle.  Chunks
+  of CHUNK trials step in lockstep numpy, each trial on its own SplitMix64
+  substream, so counts are reproducible and independent of trial order and
+  chunking, and memory follows the chunk, not the trial count.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from functools import lru_cache
 
 import numpy as np
@@ -214,93 +215,79 @@ def term_sum(tables, terms, insert=None) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# SplitMix64 substreams + jump-chain simulator
+# jump-chain simulator on SplitMix64 substreams
 # ---------------------------------------------------------------------------
 
-_MASK = 0xFFFFFFFFFFFFFFFF
-_GOLDEN = 0x9E3779B97F4A7C15
-_MIX1 = 0xBF58476D1CE4E5B9
-_MIX2 = 0x94D049BB133111EB
+#: trials that step in lockstep; memory follows this, not the trial count
+CHUNK = 4096
+
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
 
 
-def _mix64_py(z: int) -> int:
-    z = (z ^ (z >> 30)) * _MIX1 & _MASK
-    z = (z ^ (z >> 27)) * _MIX2 & _MASK
-    return z ^ (z >> 31)
+def _next_units(state: np.ndarray) -> np.ndarray:
+    """Advance each SplitMix64 state in place and return its next draw in
+    [0, 1); uint64 array arithmetic wraps modulo 2^64."""
+    state += _GOLDEN
+    z = (state ^ (state >> np.uint64(30))) * _MIX1
+    z = (z ^ (z >> np.uint64(27))) * _MIX2
+    z ^= z >> np.uint64(31)
+    return (z >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
 
 
-def _trial_state_py(seed: int, trial: int) -> int:
-    return (seed + (trial + 1) * _GOLDEN) & _MASK
+def _chunk_hits(y, x, t, p, q, halfline, first, count, seed) -> int:
+    """Hits among trials first .. first+count-1, stepped in lockstep.
 
-
-def _next_unit_py(state: int) -> tuple[int, float]:
-    state = (state + _GOLDEN) & _MASK
-    return state, (_mix64_py(state) >> 11) * 2.0 ** -53
-
-
-def _gillespie_hits_py(y, x, t, p, q, halfline, trials, seed):
-    """Count trials whose configuration at time t equals x.
-
-    One SplitMix64 substream per trial, derived from (seed, trial index); two
-    runs with the same seed produce identical counts.
+    Move slot 2i is particle i's right hop (rate p), slot 2i+1 its left hop
+    (rate q).  Each step adds the slot rates in that order, 0.0 for a move
+    that is absent, so the running sums and the total are those of the
+    one-trial chain, bit for bit; the first slot whose running sum exceeds
+    u2 * total is taken, or the last allowed one if rounding leaves none.
     """
     n = y.size
-    s = np.empty(n, np.int64)
-    move_site = np.empty(2 * n, np.int64)
-    move_step = np.empty(2 * n, np.int64)
-    move_rate = np.empty(2 * n, np.float64)
-    hits = 0
-    for trial in range(trials):
-        state = _trial_state_py(seed, trial)
-        for i in range(n):
-            s[i] = y[i]
-        tcur = 0.0
-        while True:
-            nm = 0
-            total = 0.0
-            for i in range(n):
-                if i == n - 1 or s[i + 1] > s[i] + 1:
-                    move_site[nm] = i
-                    move_step[nm] = 1
-                    move_rate[nm] = p
-                    total += p
-                    nm += 1
-                if (not halfline or s[i] >= 1) and (i == 0 or s[i - 1] < s[i] - 1):
-                    move_site[nm] = i
-                    move_step[nm] = -1
-                    move_rate[nm] = q
-                    total += q
-                    nm += 1
-            if total <= 0.0:
-                break
-            state, u1 = _next_unit_py(state)
-            tcur += -math.log(1.0 - u1) / total
-            if tcur > t:
-                break
-            state, u2 = _next_unit_py(state)
-            r = u2 * total
-            pick = nm - 1
-            acc = 0.0
-            for j in range(nm):
-                acc += move_rate[j]
-                if r < acc:
-                    pick = j
-                    break
-            s[move_site[pick]] += move_step[pick]
-        ok = True
-        for i in range(n):
-            if s[i] != x[i]:
-                ok = False
-                break
-        if ok:
-            hits += 1
-    return hits
+    slot_rates = np.tile(np.array([p, q]), n)
+    pos = np.tile(y, (count, 1))
+    live = np.arange(count)
+    state = np.uint64(seed) + (live + first + 1).astype(np.uint64) * _GOLDEN
+    clock = np.zeros(count)
+    while live.size:
+        s = pos[live]
+        right = np.ones(s.shape, bool)
+        right[:, :-1] = s[:, 1:] > s[:, :-1] + 1
+        left = np.ones(s.shape, bool)
+        left[:, 1:] = right[:, :-1]
+        if halfline:
+            left &= s >= 1
+        allowed = np.stack((right, left), axis=2).reshape(live.size, 2 * n)
+        running = np.where(allowed, slot_rates, 0.0).cumsum(axis=1)
+        total = running[:, -1]
+        moving = total > 0.0
+        # a trial without moves stops before it draws; dividing it by 1.0
+        # keeps the step free of warnings
+        clock += -np.log(1.0 - _next_units(state)) / np.where(moving, total, 1.0)
+        keep = moving & ~(clock > t)
+        live, state, clock = live[keep], state[keep], clock[keep]
+        allowed, running, total = allowed[keep], running[keep], total[keep]
+        below = (_next_units(state) * total)[:, None] < running
+        last = 2 * n - 1 - allowed[:, ::-1].argmax(axis=1)
+        pick = np.where(below.any(axis=1), below.argmax(axis=1), last)
+        pos[live, pick // 2] += 1 - 2 * (pick % 2)
+    return int((pos == x).all(axis=1).sum())
 
 
 def gillespie_hits(y, x, t, p, q, halfline, trials, seed) -> int:
+    """Count trials whose configuration at time t equals x.
+
+    Trial i runs on its own SplitMix64 substream, started at
+    seed + (i+1) * golden ratio mod 2^64, so two runs with the same seed
+    give identical counts whatever the chunking.
+    """
     y = np.asarray(y, dtype=np.int64)
     x = np.asarray(x, dtype=np.int64)
     if seed < 0:
         raise ValueError("seed must be nonnegative")
-    return int(_gillespie_hits_py(y, x, float(t), float(p), float(q),
-                                  bool(halfline), int(trials), int(seed)))
+    trials, seed = int(trials), int(seed) % 2 ** 64
+    return sum(_chunk_hits(y, x, float(t), float(p), float(q), bool(halfline),
+                           first, min(CHUNK, trials - first), seed)
+               for first in range(0, trials, CHUNK))

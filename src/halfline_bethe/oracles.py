@@ -12,6 +12,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 import scipy.sparse as sp
@@ -21,6 +23,8 @@ from .scattering import AsepParams
 
 #: state-count guard for the generator build
 MAX_STATES = 2_000_000
+#: windows with more states are enumerated on every call, not cached
+MAX_CACHED_STATES = 50_000
 
 
 @dataclass(frozen=True)
@@ -58,13 +62,27 @@ class McConfig:
 
 @dataclass
 class GeneratorMatrix:
-    """Sparse rate matrix over ordered particle configurations in a window."""
+    """Sparse rate matrix over ordered particle configurations in a window.
 
-    states: list[tuple[int, ...]]
-    index: dict[tuple[int, ...], int]
+    `states` and `index` may be shared with every other generator on the
+    same window and particle number, so they are read-only.
+    """
+
+    states: tuple[tuple[int, ...], ...]
+    index: MappingProxyType  # state -> position in `states`
     rates: sp.csr_matrix  # row sums are zero
     window: LatticeWindow
     halfline: bool
+
+
+def _enumerate(n: int, lo: int, hi: int):
+    """The ordered n-subsets of sites lo..hi and the position of each."""
+    states = tuple(itertools.combinations(range(lo, hi + 1), n))
+    return states, {s: i for i, s in enumerate(states)}
+
+
+#: four windows of at most MAX_CACHED_STATES states each
+_enumerate_cached = lru_cache(maxsize=4)(_enumerate)
 
 
 def build_generator(params: AsepParams, window: LatticeWindow, n: int,
@@ -73,7 +91,9 @@ def build_generator(params: AsepParams, window: LatticeWindow, n: int,
 
     A particle hops right at rate p when the target site is inside the window
     and unoccupied, and left at rate q under the same conditions; on the
-    half-line a particle at site 0 additionally never hops left.
+    half-line a particle at site 0 additionally never hops left.  The states
+    and their index come from a cache of the last four windows of at most
+    MAX_CACHED_STATES states, so generators on one window share them.
     """
     span = window.size
     if span - 1 < n:
@@ -87,8 +107,9 @@ def build_generator(params: AsepParams, window: LatticeWindow, n: int,
     if halfline and window.lo != 0:
         raise ValueError("half-line windows must start at 0")
 
-    states = [tuple(c) for c in itertools.combinations(range(window.lo, window.hi + 1), n)]
-    index = {s: i for i, s in enumerate(states)}
+    enumerate_window = (_enumerate_cached if math.comb(span, n) <= MAX_CACHED_STATES
+                        else _enumerate)
+    states, index = enumerate_window(n, window.lo, window.hi)
     rows, cols, vals = [], [], []
     p, q = params.p, params.q
     for i, s in enumerate(states):
@@ -115,7 +136,7 @@ def build_generator(params: AsepParams, window: LatticeWindow, n: int,
             vals.append(-out_rate)
     m = len(states)
     rates = sp.csr_matrix((vals, (rows, cols)), shape=(m, m))
-    return GeneratorMatrix(states, index, rates, window, halfline)
+    return GeneratorMatrix(states, MappingProxyType(index), rates, window, halfline)
 
 
 def _uniformized_distribution(gen: GeneratorMatrix, y: tuple[int, ...], t: float,
@@ -212,12 +233,21 @@ def mc_estimate(y, x, cfg: McConfig, params: AsepParams,
 
     Returns (hit frequency of x at time t, binomial standard error).  Trials
     use independent SplitMix64 substreams derived from cfg.seed, so identical
-    seeds reproduce identical estimates.
+    seeds reproduce identical estimates.  Like `ctmc_prob`, it raises
+    ValueError unless y and x are strictly increasing and, on the half-line,
+    nonnegative.
     """
     y = np.asarray([int(v) for v in y], dtype=np.int64)
     x = np.asarray([int(v) for v in x], dtype=np.int64)
     if x.size != y.size:
         raise ValueError("configurations must have equal particle number")
+    if y.size == 0:
+        raise ValueError("need at least one particle")
+    for name, config in (("y", y), ("x", x)):
+        if np.any(np.diff(config) <= 0):
+            raise ValueError(f"{name} = {tuple(config.tolist())} must be strictly increasing")
+        if halfline and config[0] < 0:
+            raise ValueError(f"{name} = {tuple(config.tolist())} has a site left of the wall")
     hits = _kernels.gillespie_hits(y, x, cfg.t, params.p, params.q,
                                    halfline, cfg.trials, cfg.seed)
     est = hits / cfg.trials

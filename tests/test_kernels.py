@@ -1,15 +1,15 @@
 """The contraction must match its definition for every pattern of present
-pairs, and the jump chain its SplitMix64 reference."""
+pairs, and the lockstep jump chain its one-trial SplitMix64 reference."""
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from halfline_bethe._kernels import (_gillespie_hits_py, _mix64_py,
-                                     _next_unit_py, _plan, _trial_state_py,
-                                     contract, gillespie_hits, term_sum)
+from halfline_bethe import _kernels
+from halfline_bethe._kernels import _plan, contract, gillespie_hits, term_sum
 from halfline_bethe.asep_exact import _energy_insertion, _LevelTables, tuned_radii
 from halfline_bethe.bose_exact import _bc1_insertion, _LineTables
 from halfline_bethe.contour_quad import LineGrid, circle_nodes, line_nodes
@@ -153,6 +153,71 @@ class TestFolding:
         assert got == pytest.approx(_unfolded_sum(tables, n, insert), rel=1e-13)
 
 
+# ---------------------------------------------------------------------------
+# the one-trial jump chain on Python integers: the reference for the lockstep
+# chain, which must give the same hit counts
+# ---------------------------------------------------------------------------
+
+_MASK = 0xFFFFFFFFFFFFFFFF
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+
+
+def _mix64_py(z: int) -> int:
+    z = (z ^ (z >> 30)) * _MIX1 & _MASK
+    z = (z ^ (z >> 27)) * _MIX2 & _MASK
+    return z ^ (z >> 31)
+
+
+def _trial_state_py(seed: int, trial: int) -> int:
+    return (seed + (trial + 1) * _GOLDEN) & _MASK
+
+
+def _next_unit_py(state: int) -> tuple[int, float]:
+    state = (state + _GOLDEN) & _MASK
+    return state, (_mix64_py(state) >> 11) * 2.0 ** -53
+
+
+def _gillespie_hits_py(y, x, t, p, q, halfline, trials, seed):
+    """Count trials whose configuration at time t equals x, one trial at a
+    time, each on the SplitMix64 substream of (seed, trial index)."""
+    n = len(y)
+    hits = 0
+    for trial in range(trials):
+        state = _trial_state_py(seed, trial)
+        s = [int(v) for v in y]
+        tcur = 0.0
+        while True:
+            moves = []  # (particle, step, rate) in slot order
+            total = 0.0
+            for i in range(n):
+                if i == n - 1 or s[i + 1] > s[i] + 1:
+                    moves.append((i, 1, p))
+                    total += p
+                if (not halfline or s[i] >= 1) and (i == 0 or s[i - 1] < s[i] - 1):
+                    moves.append((i, -1, q))
+                    total += q
+            if total <= 0.0:
+                break
+            state, u1 = _next_unit_py(state)
+            tcur += -math.log(1.0 - u1) / total
+            if tcur > t:
+                break
+            state, u2 = _next_unit_py(state)
+            r = u2 * total
+            pick = moves[-1]
+            acc = 0.0
+            for move in moves:
+                acc += move[2]
+                if r < acc:
+                    pick = move
+                    break
+            s[pick[0]] += pick[1]
+        hits += s == [int(v) for v in x]
+    return hits
+
+
 class TestSplitMix:
     def test_mix64_reference_values(self):
         # SplitMix64 outputs for seed 0 taken from the reference sequence
@@ -175,8 +240,72 @@ class TestSplitMix:
         s1 = _trial_state_py(42, 1)
         assert s0 != s1
 
+    def test_lockstep_draws_match_reference(self):
+        # uint64 arrays wrap where the reference masks
+        starts = [0, 1, _GOLDEN, _MASK - _GOLDEN, _MASK - 1, _MASK,
+                  _trial_state_py(2 ** 64 - 1, 4096)]
+        state = np.array(starts, dtype=np.uint64)
+        ref = list(starts)
+        for _ in range(50):
+            units = _kernels._next_units(state)
+            for k, value in enumerate(ref):
+                ref[k], u = _next_unit_py(value)
+                assert units[k] == u
+            assert state.tolist() == ref
+
+
+#: seeds cycled over the edge-case matrix, up to 2^64 - 1
+_SEEDS = (0, 1, 99, 2 ** 32, 2 ** 63 + 5, 2 ** 64 - 1)
+_Y = {1: (0,), 2: (0, 2), 3: (0, 1, 3), 4: (0, 2, 3, 5)}
+_X = {1: (1,), 2: (1, 3), 3: (0, 2, 3), 4: (1, 2, 4, 5)}
+_MATRIX = list(itertools.product((1, 2, 3, 4), (0.0, 0.5, 0.9, 1.0), (True, False),
+                                 (0.0, 0.3, 3.0)))
+
+
+def _hits(n, args, chunk=None, monkeypatch=None):
+    if chunk is not None:
+        monkeypatch.setattr(_kernels, "CHUNK", chunk)
+    return gillespie_hits(np.array(_Y[n]), np.array(_X[n]), *args)
+
 
 class TestGillespie:
+    @pytest.mark.parametrize("case", range(len(_MATRIX)),
+                             ids=["N{}-p{}-{}-t{}".format(n, p, "half" if h else "full", t)
+                                  for n, p, h, t in _MATRIX])
+    def test_matches_reference(self, case, monkeypatch):
+        # every N, rate, geometry and time; the last chunk of 7 is partial
+        n, p, halfline, t = _MATRIX[case]
+        args = (t, p, 1.0 - p, halfline, 100, _SEEDS[case % len(_SEEDS)])
+        ref = _gillespie_hits_py(_Y[n], _X[n], *args)
+        assert _hits(n, args) == ref
+        assert _hits(n, args, 7, monkeypatch) == ref
+
+    @pytest.mark.parametrize("n,trials,seed", [(1, 1, 2 ** 64 - 1), (4, 1, 3),
+                                               (2, 1000, 11), (2, 4097, 2 ** 64 - 1),
+                                               (4, 4097, 5)])
+    def test_trial_counts_match_reference(self, n, trials, seed):
+        # 4097 trials leave one trial in a second chunk
+        args = (3.0, 0.6, 0.4, n % 2 == 0, trials, seed)
+        assert _hits(n, args) == _gillespie_hits_py(_Y[n], _X[n], *args)
+
+    @pytest.mark.parametrize("chunk", [1, 7, _kernels.CHUNK])
+    def test_chunking_does_not_change_hits(self, chunk, monkeypatch):
+        # a trial's substream depends on its index only, not on its chunk
+        args = (1.0, 0.4, 0.6, True, 300, 2 ** 64 - 3)
+        assert (_hits(3, args, chunk, monkeypatch)
+                == _gillespie_hits_py(_Y[3], _X[3], *args))
+
+    def test_memory_follows_the_chunk(self):
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                _hits(2, (1.0, 0.4, 0.6, True, trials, 1))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(200_000) <= 2 * peak(5_000)
+
     def test_seed_reproducibility(self):
         y = np.array([0, 2], dtype=np.int64)
         x = np.array([1, 3], dtype=np.int64)
@@ -185,7 +314,7 @@ class TestGillespie:
         assert a == b
 
     def test_python_and_dispatch_agree(self):
-        # the public entry point runs the reference chain unchanged
+        # the public entry point gives the reference chain's count
         y = np.array([0, 2], dtype=np.int64)
         x = np.array([0, 2], dtype=np.int64)
         kwargs = (1.0, 0.4, 0.6, True, 2000, 7)

@@ -1,8 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from halfline_bethe import oracles
 from halfline_bethe.oracles import (LatticeWindow, McConfig, build_generator,
                                     ctmc_distribution, ctmc_prob, mc_estimate)
 from halfline_bethe.scattering import AsepParams
@@ -55,6 +57,48 @@ class TestGenerator:
             build_generator(PARAMS, LatticeWindow(0, 1), 2, halfline=True)
         with pytest.raises(ValueError):
             build_generator(PARAMS, LatticeWindow(0, 200), 1, halfline=True)
+
+
+class TestSharedEnumeration:
+    """Generators on one window share a read-only state enumeration."""
+
+    def test_same_states_object(self):
+        window = LatticeWindow(0, 11)
+        a, dist_a = ctmc_distribution((0, 2), 1.0, PARAMS, window)
+        b, dist_b = ctmc_distribution((1, 4), 0.5, AsepParams.from_p(0.7), window)
+        assert a is b
+        assert isinstance(a, tuple)
+        assert a == tuple(itertools.combinations(range(12), 2))
+
+    def test_index_is_read_only(self):
+        gen = build_generator(PARAMS, LatticeWindow(0, 6), 2, halfline=True)
+        assert gen.index[gen.states[5]] == 5
+        with pytest.raises(TypeError):
+            gen.index[(0, 1)] = 3
+
+    def test_large_window_not_cached(self, monkeypatch):
+        monkeypatch.setattr(oracles, "MAX_CACHED_STATES", 20)
+        window = LatticeWindow(0, 7)  # C(8, 2) = 28 states
+        a, dist_a = ctmc_distribution((0, 2), 1.0, PARAMS, window)
+        b, dist_b = ctmc_distribution((0, 2), 1.0, PARAMS, window)
+        assert a is not b
+        assert a == b
+        assert np.array_equal(dist_a, dist_b)
+
+    @pytest.mark.parametrize("y,hi,halfline", [
+        ((0, 3), 12, True), ((0, 2), 9, True), ((1, 3), 40, True),
+        ((0, 2, 4), 24, True), ((0, 2, 4, 6), 20, True), ((0,), 6, False)])
+    def test_cached_and_fresh_distributions_agree(self, y, hi, halfline):
+        # a cached enumeration lists the states in the order a fresh one does,
+        # so the distribution is bit-identical
+        window = LatticeWindow(0, hi)
+        oracles._enumerate_cached.cache_clear()
+        fresh_states, fresh = ctmc_distribution(y, 1.0, PARAMS, window, halfline=halfline)
+        cached_states, cached = ctmc_distribution(y, 1.0, PARAMS, window, halfline=halfline)
+        assert cached_states is fresh_states
+        assert list(cached_states) == [tuple(c) for c in
+                                       itertools.combinations(range(hi + 1), len(y))]
+        assert np.array_equal(cached, fresh)
 
 
 class TestCtmc:
@@ -119,6 +163,22 @@ class TestMonteCarlo:
             McConfig(10, -1, 1.0)
         with pytest.raises(ValueError):
             McConfig(10, 1, -1.0)
+
+    @pytest.mark.parametrize("y", [(2, 1), (1, 1), (-3, 1)])
+    def test_impossible_configurations_rejected(self, y):
+        # as ctmc_prob rejects them: order, exclusion and the wall
+        cfg = McConfig(1000, 1, 1.0)
+        with pytest.raises(ValueError):
+            mc_estimate(y, y, cfg, PARAMS)
+        with pytest.raises(ValueError):
+            mc_estimate((0, 2), y, cfg, PARAMS)
+        with pytest.raises(ValueError):
+            ctmc_prob(y, y, 1.0, PARAMS)
+
+    def test_left_of_origin_allowed_on_full_line(self):
+        est, se = mc_estimate((-3, 1), (-3, 1), McConfig(1000, 1, 1.0), PARAMS,
+                              halfline=False)
+        assert 0.0 < est < 1.0
 
     def test_fullline_no_wall(self):
         # with q = 1 - p large, a full-line walker drifts left freely
