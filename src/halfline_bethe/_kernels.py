@@ -164,7 +164,7 @@ def contract(vectors, mats) -> complex:
     return complex(scale)
 
 
-def term_sum(tables, terms, insert=None) -> complex:
+def term_sum(tables, terms) -> complex:
     """Sum of the contracted integrands of compiled signed-permutation terms
     (`signed_perm.term_structure`) at one quadrature level.
 
@@ -174,14 +174,9 @@ def term_sum(tables, terms, insert=None) -> complex:
     and b (None where it is identically 1), and `tables.signed` whether a
     term carries its parity.  A folded term (`Term.fold`) also stands for its
     partner: the two share every pair matrix, so the folded dimension's
-    vector becomes v+ - v- (signed, opposite parities) or v+ + v-.
-
-    `insert(tables, term)`, if given, lists (d, factor, scale): the term is
-    then contracted once per entry, with dimension d's vector multiplied by
-    factor (d None: no factor), and added with weight scale.  For a folded
-    term the partner's list must pair up entry by entry, with the same d and
-    scale and, off the folded dimension, the same factor; the partner's
-    factor on the folded dimension goes on its vector before the fold.
+    vector becomes v+ - v- (signed, opposite parities) or v+ + v-.  A
+    derivative of the integrand is the sum over tables whose vectors carry
+    its factor (`_LevelTables.d_dt`, `_LineTables.d_dx`).
     """
     n = len(terms[0].dims)
     flip = -1.0 if tables.signed else 1.0
@@ -198,19 +193,9 @@ def term_sum(tables, terms, insert=None) -> complex:
             mats[k] = m if mats[k] is None else mats[k] * m
         sign = term.parity if tables.signed else 1.0
         fold = term.fold
-        entries = [(None, None, 1.0)] if insert is None else insert(tables, term)
-        partner = (insert(tables, term.partner()) if insert and fold is not None
-                   else entries)
-        for (d, factor, scale), (_, partner_factor, _) in zip(entries, partner):
-            inserted = list(vectors)
-            if d is not None:
-                inserted[d] = inserted[d] * factor
-            if fold is not None:
-                neg = tables.vectors[fold, -1, 0]
-                if d == fold:
-                    neg = neg * partner_factor
-                inserted[fold] = inserted[fold] + flip * neg
-            total += sign * scale * contract(inserted, mats)
+        if fold is not None:
+            vectors[fold] = vectors[fold] + flip * tables.vectors[fold, -1, 0]
+        total += sign * contract(vectors, mats)
     return total
 
 

@@ -16,6 +16,7 @@ contraction in `_kernels`.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import itertools
 import math
@@ -67,45 +68,48 @@ def _as_config(c, halfline: bool) -> LatticeConfig:
     return cfg
 
 
-def _pole_images_inside(params: AsepParams, radii, safety: float) -> bool:
-    """Check that every contour image of the scattering-factor poles stays
-    inside the smallest circle by the given safety factor."""
+#: `tuned_radii`: R_d = RADIUS_RATIO^(d-1) R_1, every pole within POLE_SAFETY R_1
+RADIUS_RATIO = 1.3
+POLE_SAFETY = 0.75
+
+
+def _fixed_reach(center: complex, tau: float) -> float:
+    """Distance from the center to the farthest fixed pole 0, 1 or tau."""
+    return max(abs(center), abs(1.0 - center), abs(tau - center))
+
+
+def _image_reach(params: AsepParams, r: float) -> float:
+    """Farthest distance from c = 1/(2q) of the images of |xi - c| = r under
+    the scattering-pole maps xi -> p/(1 - q xi) and xi -> p xi/(xi - p): real
+    Moebius maps, so each image is a circle about the real axis, farthest
+    from c at the image of c - r or c + r.  For 0 < p < 1 that is
+    c + p/(qr - 1/2) or (c - p) + p^2/(r - c + p); both fall as r grows."""
     p, q = params.p, params.q
     center = 1.0 / (2.0 * q)
-    r_min = radii[0]
-    fixed = max(abs(center), abs(1.0 - center), abs(params.tau - center))
-    if fixed > safety * r_min:
-        return False
-    theta = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
-    ring = np.exp(1j * theta)
-    for r in np.linspace(radii[0], radii[-1], 7):
-        xi = center + r * ring
-        for img in (p / (1.0 - q * xi), p * xi / (xi - p)):
-            if np.max(np.abs(img - center)) > safety * r_min:
-                return False
-    return True
+    return max(abs(img - center) for xi in (center - r, center + r)
+               for img in (p / (1.0 - q * xi), p * xi / (xi - p)))
 
 
-def tuned_radii(params: AsepParams, n: int, *, ratio: float = 1.3,
-                safety: float = 0.75) -> RadiiScheme:
+def tuned_radii(params: AsepParams, n: int) -> RadiiScheme:
     """Accuracy-tuned contour scheme used by the evaluators.
 
-    The fixed poles (0, 1, tau) lie inside every circle, the pole images of
-    the scattering denominators inside the smallest one, and the radii are
-    strictly ordered so the mirrored singularities never touch a contour.
-    Within those constraints the circles are as small as possible: small
-    radii keep the dynamic range of exp(eps(xi) t) low, which is what limits
-    the absolute accuracy in double precision at larger times.
+    The fixed poles (0, 1, tau) and the pole images of the scattering
+    denominators (`_image_reach`) lie within POLE_SAFETY of the smallest
+    circle, and the radii grow by RADIUS_RATIO so the mirrored singularities
+    never touch a contour.  R_1 is the first radius on the ladder 1.3, 1.3 *
+    1.12, 1.3 * 1.12^2, ... times the farthest fixed pole that meets this:
+    small radii keep the dynamic range of exp(eps(xi) t) low, which is what
+    limits the absolute accuracy in double precision at larger times.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     params.require_formula_ok()
     center = 1.0 / (2.0 * params.q)
-    base = 1.3 * max(abs(center), abs(1.0 - center), abs(params.tau - center))
+    fixed = _fixed_reach(center, params.tau)
+    base = 1.3 * fixed
     for _ in range(80):
-        radii = tuple(base * ratio ** a for a in range(n))
-        if _pole_images_inside(params, radii, safety):
-            return RadiiScheme(center, radii)
+        if max(fixed, _image_reach(params, base)) <= POLE_SAFETY * base:
+            return RadiiScheme(center, tuple(base * RADIUS_RATIO ** a for a in range(n)))
         base *= 1.12
     raise RuntimeError(f"could not tune contour radii for {params}")
 
@@ -131,6 +135,14 @@ class _LevelTables:
                     self.vectors[d, s, i] = v * r_neg if s < 0 else v
         self._smats = {}
 
+    def d_dt(self, d: int) -> "_LevelTables":
+        """The tables of d/dt of exp(eps(xi_d) t): each vector of dimension d,
+        v- too as eps(tau/xi) = eps(xi), times eps(xi_d).  Shares the S cache."""
+        out = copy.copy(self)
+        out.vectors = {key: v * self.energies[d] if key[0] == d else v
+                       for key, v in self.vectors.items()}
+        return out
+
     def _signed(self, a):
         vals = self.pos_vals if a > 0 else self.neg_vals
         return vals[abs(a) - 1]
@@ -145,17 +157,11 @@ class _LevelTables:
         return self._smats[key]
 
 
-def _energy_insertion(tables: _LevelTables, term):
-    """d/dt of the integrand: each dimension's energy factor in turn."""
-    return [(d, e, 1.0) for d, e in enumerate(tables.energies)]
-
-
-def _halfline_sum(y, z, t, params, contours, m, insert_energy=False) -> complex:
+def _halfline_sum(y, z, t, params, contours, m) -> complex:
     """One quadrature level of the half-line sum at per-dimension resolution m,
     with variable d on contours[d]."""
     tables = _LevelTables(params, [circle_nodes(c, m) for c in contours], y, t, z)
-    return term_sum(tables, term_structure(len(y), True),
-                    _energy_insertion if insert_energy else None)
+    return term_sum(tables, term_structure(len(y), True))
 
 
 def _fullline_sum(y, z, t, params, radius, m) -> complex:
@@ -183,6 +189,14 @@ def _check_common(y_cfg: LatticeConfig, n_other: int, t: float, params: AsepPara
         raise ValueError("t must be nonnegative")
 
 
+def _require_fixed_poles_inside(center: complex, r_min: float, tau: float):
+    """The integrand always has poles at 0, 1 and tau."""
+    reach = _fixed_reach(center, tau)
+    if r_min <= reach:
+        raise ValueError(f"the innermost contour radius {r_min} must exceed {reach}, "
+                         f"the distance from its center to the poles 0, 1 and tau")
+
+
 def _halfline_radii(radii: RadiiScheme | None, params: AsepParams,
                     n: int) -> RadiiScheme:
     """The caller's radii, one per particle, or `tuned_radii` when None."""
@@ -191,6 +205,7 @@ def _halfline_radii(radii: RadiiScheme | None, params: AsepParams,
     if radii.n != n:
         raise ValueError(f"need one contour radius per particle: {n} particles, "
                          f"{radii.n} radii")
+    _require_fixed_poles_inside(radii.center, radii.radii[0], params.tau)
     return radii
 
 
@@ -223,7 +238,8 @@ def prob_halfline(Y, X, t: float, params: AsepParams,
 
     Both configurations live on the nonnegative integers.  The contour scheme
     defaults to `tuned_radii`; pass `radii` to override (robustness tests
-    scale the defaults and check invariance).
+    scale the defaults and check invariance).  The innermost of the caller's
+    circles must enclose the poles 0, 1 and tau, or ValueError is raised.
 
     The process is reversible with respect to tau^(sum of sites), so
     P_Y(X;t) = tau^(sum X - sum Y) * P_X(Y;t) exactly; the evaluator uses
@@ -287,8 +303,10 @@ def prob_n1_closed(y: int, x: int, t: float, params: AsepParams,
         raise ValueError("t must be nonnegative")
     opts = opts or QuadOptions()
     tau = params.tau
-    r = radius if radius is not None else tuned_radii(params, 1).radii[0]
-    contour = CircleContour(1.0 / (2.0 * params.q), r)
+    center = 1.0 / (2.0 * params.q)
+    radius = radius if radius is not None else tuned_radii(params, 1).radii[0]
+    _require_fixed_poles_inside(center, radius, tau)
+    contour = CircleContour(center, radius)
 
     def level(m):
         nodes, weights = circle_nodes(contour, m)
@@ -325,7 +343,7 @@ def master_equation_residual(Y, X, t: float, params: AsepParams,
                              opts: QuadOptions | None = None) -> float:
     """|du/dt - (master-equation right side)| at configuration X.
 
-    The time derivative is exact (energy factor inserted into the integrand);
+    The time derivative is exact (the sum over d of `_LevelTables.d_dt(d)`);
     the right side is assembled from `evaluate_extended` with the wall rule:
     the inflow-from-the-left and outflow-to-the-left terms of the leftmost
     particle carry the factor (1 - delta(x_1)).
@@ -340,9 +358,14 @@ def master_equation_residual(Y, X, t: float, params: AsepParams,
     opts = _default_opts(ycfg.n, opts)
     radii = tuned_radii(params, ycfg.n)
     contours = radii.contours()
-    lhs, _, _ = adaptive_eval(
-        lambda mm: _halfline_sum(ycfg.sites, xcfg.sites, t, params, contours, mm,
-                                 insert_energy=True), opts)
+    terms = term_structure(ycfg.n, True)
+
+    def du_dt(mm):
+        tables = _LevelTables(params, [circle_nodes(c, mm) for c in contours],
+                              ycfg.sites, t, xcfg.sites)
+        return sum(term_sum(tables.d_dt(d), terms) for d in range(ycfg.n))
+
+    lhs, _, _ = adaptive_eval(du_dt, opts)
 
     def u(zt):
         return evaluate_extended(ycfg, zt, t, params, opts, radii)

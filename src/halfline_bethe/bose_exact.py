@@ -13,6 +13,7 @@ are derived independently and double as oracles for the full sum.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 from dataclasses import dataclass
@@ -120,6 +121,14 @@ class _LineTables:
         self.c = c
         self._smats = {}
 
+    def d_dx(self, j: int) -> "_LineTables":
+        """The tables of d/dx_j (j 0-based): every vector placed at position j
+        with sign s times i s k.  The S-matrix cache is shared."""
+        out = copy.copy(self)
+        out.vectors = {(d, s, pos): v * (1j * s * self.k) if pos == j else v
+                       for (d, s, pos), v in self.vectors.items()}
+        return out
+
     def smat(self, a: int, b: int) -> np.ndarray | None:
         """S(sa*k[m1] - sb*k[m2]) over the shared grid for the signs sa, sb
         of a, b; None (identically 1) at c = 0."""
@@ -145,7 +154,7 @@ def _line_opts(y, x, time, c, opts: QuadOptions | None):
 
 def _propagator(y, x, time: DampedTime, params: BoseParams,
                 opts: QuadOptions | None, halfline: bool,
-                insert=None) -> BoseEvalReport:
+                level_sum=term_sum) -> BoseEvalReport:
     n = len(y)
     if n > MAX_N:
         raise ValueError(f"evaluators support N <= {MAX_N}")
@@ -156,7 +165,7 @@ def _propagator(y, x, time: DampedTime, params: BoseParams,
 
     def level(m):
         k, w = line_nodes(LineGrid(cutoff, 2.0 * cutoff / m))
-        return term_sum(_LineTables(k, w, y, x, time.t, params.c), terms, insert)
+        return level_sum(_LineTables(k, w, y, x, time.t, params.c), terms)
 
     value, err, m = adaptive_eval(level, opts)
     return BoseEvalReport(value, err, m, group_order(n, halfline))
@@ -193,29 +202,13 @@ def wall_residual(y, x, t, params: BoseParams,
     return complex(_propagator(yv, xv, time, params, opts, halfline=True).value)
 
 
-def _bc1_insertion(j: int, c: float):
-    """`term_sum` insertion of (i k_{sigma(j+1)} - i k_{sigma(j)} - c), j
-    1-based: the factor i*sign*k on the dimensions at positions j and j-1
-    (0-based), then the constant."""
-    def insert(tables: _LineTables, term):
-        pos_to_dim = {pos: d for d, (_, pos) in enumerate(term.dims)}
-        out = []
-        for pos, scale in ((j, 1.0), (j - 1, -1.0)):
-            d = pos_to_dim[pos]
-            out.append((d, 1j * term.dims[d][0] * tables.k, scale))
-        out.append((None, None, -c))
-        return out
-
-    return insert
-
-
 def bc1_residual(y, x, j: int, t, params: BoseParams,
                  opts: QuadOptions | None = None) -> complex:
     """(d/dx_{j+1} - d/dx_j - c) applied to the propagator at x_{j+1} = x_j.
 
-    The derivative factor (i k_{sigma(j+1)} - i k_{sigma(j)} - c) is inserted
-    into each term's integrand exactly (no finite differences).  j is
-    1-based; x must carry x_{j+1} = x_j.
+    The derivatives are exact (no finite differences): they differentiate
+    the factor tables (`_LineTables.d_dx`).  j is 1-based; x must carry
+    x_{j+1} = x_j.
     """
     time = _as_time(t)
     n = len(tuple(y))
@@ -225,8 +218,12 @@ def bc1_residual(y, x, j: int, t, params: BoseParams,
         raise ValueError(f"pair index must satisfy 1 <= j <= N-1, got {j}")
     yv = _check_positions(y, positive=True)
     xv = _check_positions(x, positive=True, allow_equal_pair=j - 1)
-    rep = _propagator(yv, xv, time, params, opts, halfline=True,
-                      insert=_bc1_insertion(j, params.c))
+
+    def level_sum(tables, terms):
+        return (term_sum(tables.d_dx(j), terms) - term_sum(tables.d_dx(j - 1), terms)
+                - params.c * term_sum(tables, terms))
+
+    rep = _propagator(yv, xv, time, params, opts, halfline=True, level_sum=level_sum)
     return complex(rep.value)
 
 

@@ -142,14 +142,6 @@ class Term(NamedTuple):
     #: `negate_first` partner, whose inversions are the same; None otherwise
     fold: int | None = None
 
-    def partner(self) -> "Term":
-        """The `negate_first` partner: the folded dimension's sign and the
-        parity flipped, the same inversions."""
-        dims = list(self.dims)
-        sign, pos = dims[self.fold]
-        dims[self.fold] = (-sign, pos)
-        return self._replace(parity=-self.parity, dims=tuple(dims), fold=None)
-
 
 def compile_term(sigma: SignedPermutation) -> Term:
     """sigma's parity, dimension placements and inversions, unfolded."""

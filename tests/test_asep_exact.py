@@ -2,14 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from halfline_bethe.asep_exact import (AsepEvalReport, LatticeConfig,
-                                       evaluate_extended,
+                                       _image_reach, evaluate_extended,
                                        master_equation_residual, prob_fullline,
                                        prob_halfline, prob_n1_closed,
-                                       total_mass, tuned_radii,
-                                       _pole_images_inside)
-from halfline_bethe.contour_quad import QuadOptions
+                                       total_mass, tuned_radii)
+from halfline_bethe.contour_quad import QuadOptions, RadiiScheme
 from halfline_bethe.oracles import ctmc_prob
 from halfline_bethe.scattering import AsepParams
 
@@ -32,7 +32,69 @@ class TestConfigs:
             prob_halfline(tuple(range(5)), tuple(range(5)), 1.0, P04)
 
 
+def _pole_images_inside(params: AsepParams, radii, safety: float) -> bool:
+    """Check by sampling that the fixed poles and every contour image of the
+    scattering-factor poles stay inside the smallest circle by the given
+    safety factor: 720 angles on 7 circles between R_1 and R_N."""
+    p, q = params.p, params.q
+    center = 1.0 / (2.0 * q)
+    r_min = radii[0]
+    fixed = max(abs(center), abs(1.0 - center), abs(params.tau - center))
+    if fixed > safety * r_min:
+        return False
+    theta = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
+    ring = np.exp(1j * theta)
+    for r in np.linspace(radii[0], radii[-1], 7):
+        xi = center + r * ring
+        for img in (p / (1.0 - q * xi), p * xi / (xi - p)):
+            if np.max(np.abs(img - center)) > safety * r_min:
+                return False
+    return True
+
+
+def _sampled_radii(params: AsepParams, n: int) -> RadiiScheme:
+    """The reference for tuned_radii: the same ladder of R_1 (1.3, then
+    x1.12 per step, times the farthest fixed pole), each step checked by
+    sampling."""
+    center = 1.0 / (2.0 * params.q)
+    base = 1.3 * max(abs(center), abs(1.0 - center), abs(params.tau - center))
+    for _ in range(80):
+        radii = tuple(base * 1.3 ** a for a in range(n))
+        if _pole_images_inside(params, radii, 0.75):
+            return RadiiScheme(center, radii)
+        base *= 1.12
+    raise AssertionError(f"no radii for {params}")
+
+
 class TestRadii:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_equal_to_the_sampled_search(self, n):
+        for p in np.linspace(0.001, 0.999, 1000):
+            params = AsepParams.from_p(float(p))
+            assert tuned_radii(params, n) == _sampled_radii(params, n), p
+
+    @pytest.mark.parametrize("p", [0.001, 0.05, 0.3, 0.5, 0.7, 0.95, 0.999, -0.3, 1.5])
+    def test_image_reach_is_the_sampled_maximum(self, p):
+        params = AsepParams.from_p(p)
+        q = params.q
+        center = 1.0 / (2.0 * q)
+        fixed = max(abs(center), abs(1.0 - center), abs(params.tau - center))
+        ring = np.exp(2j * np.pi * np.arange(20_000) / 20_000)
+        reaches = []
+        for r in fixed * np.geomspace(1.3, 20.0, 12):
+            xi = center + r * ring
+            sampled = max(np.max(np.abs(img - center))
+                          for img in (p / (1.0 - q * xi), p * xi / (xi - p)))
+            reaches.append(_image_reach(params, r))
+            assert reaches[-1] == pytest.approx(sampled, rel=1e-14), r
+            if 0 < p < 1:  # the closed forms; here fixed = center
+                assert reaches[-1] == pytest.approx(
+                    max(center + p / (q * r - 0.5), center - p + p * p / (r - center + p)),
+                    rel=1e-14)
+        if 0 < p < 1:
+            # the innermost circle bounds the images of every larger one
+            assert all(b < a for a, b in zip(reaches, reaches[1:]))
+
     @pytest.mark.parametrize("n", range(1, 7))
     @pytest.mark.parametrize("p", [0.3, 0.5, 0.7])
     def test_radii_distinct_and_poles_inside(self, n, p):
@@ -52,6 +114,37 @@ class TestRadii:
     def test_p_zero_rejected(self):
         with pytest.raises(ValueError):
             tuned_radii(AsepParams.from_p(0.0), 1)
+
+    @pytest.mark.parametrize("p", [0.2, 0.4, 0.7])
+    def test_caller_radii_must_enclose_the_fixed_poles(self, p):
+        params = AsepParams.from_p(p)
+        center = 1.0 / (2.0 * params.q)  # the farthest fixed pole, 0, is this far
+        with pytest.raises(ValueError, match="poles 0, 1 and tau"):
+            prob_n1_closed(0, 2, 1.0, params, radius=0.6 * center)
+        with pytest.raises(ValueError, match="poles 0, 1 and tau"):
+            prob_n1_closed(0, 2, 1.0, params, radius=center)
+        for radii in ((0.6 * center, 0.96 * center), (center, 1.3 * center)):
+            with pytest.raises(ValueError, match="poles 0, 1 and tau"):
+                prob_halfline((0, 2), (1, 3), 1.0, params,
+                              radii=RadiiScheme(center, radii))
+            with pytest.raises(ValueError, match="poles 0, 1 and tau"):
+                evaluate_extended((0, 2), (1, 3), 1.0, params,
+                                  radii=RadiiScheme(center, radii))
+
+    @pytest.mark.parametrize("p", [0.2, 0.4, 0.7])
+    @pytest.mark.parametrize("y,x", [((0, 2), (1, 3)), ((0, 2, 4), (1, 3, 5))])
+    def test_radii_inside_the_image_reach_still_work(self, p, y, x):
+        # reach < R_1 is sufficient, not necessary: 3 % inside the radius
+        # where the images touch the innermost circle the value still matches
+        # the CTMC, so the evaluators do not reject on it
+        params = AsepParams.from_p(p)
+        center = 1.0 / (2.0 * params.q)
+        touch = brentq(lambda r: _image_reach(params, r) - r, 1.001 * center,
+                       100.0 * center)
+        radii = tuple(0.97 * touch * 1.3 ** a for a in range(len(y)))
+        assert radii[0] > center and _image_reach(params, radii[0]) > radii[0]
+        rep = prob_halfline(y, x, 1.0, params, radii=RadiiScheme(center, radii))
+        assert abs(rep.value - ctmc_prob(y, x, 1.0, params, tol=1e-16)) < 1e-14
 
     def test_one_radius_per_particle(self):
         three = tuned_radii(P04, 3)

@@ -95,6 +95,16 @@ class TestExitCodes:
                           "--X", "1,3", "--t", "1", "--radii", radii)
         assert code == 2
 
+    @pytest.mark.parametrize("command,y,x,radii", [
+        ("asep-n1", "0", "2", "0.5"),
+        ("asep-prob", "0,2", "1,3", "0.5,0.8"),
+    ])
+    def test_radii_leaving_a_pole_outside_are_2(self, capsys, command, y, x, radii):
+        # at p = 0.4 the center 1/(2q) sits 5/6 from the pole at 0
+        code, _ = run_cli(capsys, command, "--p", "0.4", "--Y", y, "--X", x,
+                          "--t", "1", "--radii", radii)
+        assert code == 2
+
     @pytest.mark.parametrize("argv", [
         ("asep-prob", "--p", "0.4", "--Y", "0,2", "--X", "1,3", "--t", "1",
          "--seed", "3"),

@@ -10,12 +10,12 @@ import pytest
 
 from halfline_bethe import _kernels
 from halfline_bethe._kernels import _plan, contract, gillespie_hits, term_sum
-from halfline_bethe.asep_exact import _energy_insertion, _LevelTables, tuned_radii
-from halfline_bethe.bose_exact import _bc1_insertion, _LineTables
+from halfline_bethe.asep_exact import _LevelTables, tuned_radii
+from halfline_bethe.bose_exact import _LineTables
 from halfline_bethe.contour_quad import LineGrid, circle_nodes, line_nodes
 from halfline_bethe.scattering import AsepParams
-from halfline_bethe.signed_perm import (Term, enumerate_bn, inversions,
-                                        neg_count, term_structure)
+from halfline_bethe.signed_perm import (enumerate_bn, inversions, neg_count,
+                                        term_structure)
 
 
 def _pairs(n):
@@ -97,16 +97,19 @@ def _bose_tables(n, c=1.0):
     return _LineTables(k, w, (0.5, 1.4, 2.6)[:n], (0.8, 1.7, 1.7)[:n], -0.5j, c)
 
 
-def _unfolded_sum(tables, n, insert=None):
+def _unfolded_sum(tables, n, factor=None):
     """The half-line sum term by term over all of B_n, straight from each
-    sigma and its inversions, each integrand summed over the grid by einsum."""
+    sigma and its inversions, each integrand summed over the grid by einsum.
+    factor(d, sign, pos), if given, multiplies the vector of dimension d
+    placed at position pos with that sign (None: no factor)."""
     letters = "abcd"[:n]
     total = 0.0 + 0.0j
     for sigma in enumerate_bn(n):
-        dims = [None] * n
+        vectors = [None] * n
         for pos, v in enumerate(sigma.values):
-            dims[abs(v) - 1] = (1 if v > 0 else -1, pos)
-        term = Term((-1.0) ** neg_count(sigma), tuple(dims), ())
+            d, s = abs(v) - 1, (1 if v > 0 else -1)
+            f = factor(d, s, pos) if factor else None
+            vectors[d] = tables.vectors[d, s, pos] * (1.0 if f is None else f)
         subs, mats = [], []
         for a, b in inversions(sigma):
             mat = tables.smat(a, b)
@@ -114,43 +117,83 @@ def _unfolded_sum(tables, n, insert=None):
                 subs.append(letters[abs(a) - 1] + letters[abs(b) - 1])
                 mats.append(mat)
         spec = ",".join(list(letters) + subs) + "->"
-        sign = term.parity if tables.signed else 1.0
-        for d, factor, scale in (insert(tables, term) if insert
-                                 else [(None, None, 1.0)]):
-            vectors = [tables.vectors[dd, s, pos] for dd, (s, pos) in enumerate(dims)]
-            if d is not None:
-                vectors[d] = vectors[d] * factor
-            total += sign * scale * np.einsum(spec, *vectors, *mats)
+        sign = (-1.0) ** neg_count(sigma) if tables.signed else 1.0
+        total += sign * np.einsum(spec, *vectors, *mats)
     return total
 
 
+def _energy(tables, d):
+    """The factor of d/dt through variable d: its energy, whatever the sign."""
+    return lambda dd, s, pos: tables.energies[d] if dd == d else None
+
+
+def _momentum(tables, j):
+    """The factor of d/dx_j: i s k on the vector at position j with sign s."""
+    return lambda d, s, pos: 1j * s * tables.k if pos == j else None
+
+
 class TestFolding:
-    """One contraction per sign-flip pair gives the per-sigma sum over B_N."""
+    """One contraction per sign-flip pair gives the per-sigma sum over B_N,
+    also for the tables of a derivative."""
 
-    @pytest.mark.parametrize("n,insert", [
-        pytest.param(n, insert, id=f"N{n}-{name}")
-        for name, insert in (("plain", None), ("energy", _energy_insertion))
-        for n in (1, 2, 3, 4)
+    @pytest.mark.parametrize("n,derivative", [
+        pytest.param(n, derivative, id=f"N{n}-{derivative}")
+        for derivative in ("plain", "energy") for n in (1, 2, 3, 4)
     ])
-    def test_asep(self, n, insert):
+    def test_asep(self, n, derivative):
         tables = _asep_tables(n)
-        got = term_sum(tables, term_structure(n, True), insert)
-        assert got == pytest.approx(_unfolded_sum(tables, n, insert), rel=1e-13)
+        terms = term_structure(n, True)
+        if derivative == "plain":
+            assert term_sum(tables, terms) == pytest.approx(_unfolded_sum(tables, n),
+                                                            rel=1e-13)
+            return
+        # d/dt through each variable in turn, the folded one (d = 0) included
+        for d in range(n):
+            got = term_sum(tables.d_dt(d), terms)
+            assert got == pytest.approx(_unfolded_sum(tables, n, _energy(tables, d)),
+                                        rel=1e-13), d
 
-    @pytest.mark.parametrize("n,c,insert", [
+    @pytest.mark.parametrize("n,c,j", [
         pytest.param(1, 1.0, None, id="N1-plain"),
         pytest.param(2, 1.0, None, id="N2-plain"),
         pytest.param(3, 1.0, None, id="N3-plain"),
         pytest.param(3, 0.0, None, id="N3-plain-c0"),
-        pytest.param(2, 1.0, _bc1_insertion(1, 1.0), id="N2-bc1-j1"),
-        # j = 1 puts a factor on position 0, the folded dimension
-        pytest.param(3, 1.0, _bc1_insertion(1, 1.0), id="N3-bc1-j1"),
-        pytest.param(3, 1.0, _bc1_insertion(2, 1.0), id="N3-bc1-j2"),
+        pytest.param(2, 1.0, 1, id="N2-bc1-j1"),
+        # j = 1 differentiates at position 0, the folded dimension
+        pytest.param(3, 1.0, 1, id="N3-bc1-j1"),
+        pytest.param(3, 1.0, 2, id="N3-bc1-j2"),
     ])
-    def test_bose(self, n, c, insert):
+    def test_bose(self, n, c, j):
         tables = _bose_tables(n, c)
-        got = term_sum(tables, term_structure(n, True), insert)
-        assert got == pytest.approx(_unfolded_sum(tables, n, insert), rel=1e-13)
+        terms = term_structure(n, True)
+        if j is None:
+            assert term_sum(tables, terms) == pytest.approx(_unfolded_sum(tables, n),
+                                                            rel=1e-13)
+            return
+        # the bc1_residual level: (d/dx_{j+1} - d/dx_j - c) u, j 1-based
+        got = (term_sum(tables.d_dx(j), terms) - term_sum(tables.d_dx(j - 1), terms)
+               - c * term_sum(tables, terms))
+        want = (_unfolded_sum(tables, n, _momentum(tables, j))
+                - _unfolded_sum(tables, n, _momentum(tables, j - 1))
+                - c * _unfolded_sum(tables, n))
+        assert got == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("n,c,j", [
+        pytest.param(n, c, j, id=f"N{n}-j{j}-c{c:g}")
+        for n in (1, 2, 3) for j in range(n) for c in (1.0, 0.0)
+    ])
+    def test_bose_d_dx(self, n, c, j):
+        # j = 0 is the folded dimension: its partner's factor is -i k
+        tables = _bose_tables(n, c)
+        got = term_sum(tables.d_dx(j), term_structure(n, True))
+        assert got == pytest.approx(_unfolded_sum(tables, n, _momentum(tables, j)),
+                                    rel=1e-13)
+
+    def test_derivative_tables_share_the_scattering_cache(self):
+        asep, bose = _asep_tables(2), _bose_tables(2)
+        assert asep.d_dt(1)._smats is asep._smats
+        assert bose.d_dx(0)._smats is bose._smats
+        assert bose.d_dx(0).vectors[0, 1, 1] is bose.vectors[0, 1, 1]
 
 
 # ---------------------------------------------------------------------------
