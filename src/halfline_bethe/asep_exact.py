@@ -11,7 +11,9 @@ and master-equation residual checks evaluate.
 
 Every per-term integrand factorizes into per-dimension vectors coupled by
 two-variable scattering matrices, so each term reduces to the tensor
-contraction in `_kernels`.
+contraction in `_kernels`.  The matrices and the per-node factors depend only
+on p, the contours and the resolution, so a bounded cache shares them between
+calls (`_contour_tables`).
 """
 
 from __future__ import annotations
@@ -20,7 +22,9 @@ import copy
 import dataclasses
 import itertools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -114,59 +118,132 @@ def tuned_radii(params: AsepParams, n: int) -> RadiiScheme:
     raise RuntimeError(f"could not tune contour radii for {params}")
 
 
+#: bytes of contour tables kept between calls (`_contour_tables`).  The
+#: whole distributions of N <= 3 at tol 1e-10 need about 6 MiB; at m = 4096
+#: one S-matrix alone takes 256 MiB, so such a level is never kept.
+MAX_CACHED_BYTES = 32 * 2**20
+
+
+@lru_cache(maxsize=None)
+def _pair_keys(n: int, halfline: bool) -> tuple[tuple[int, int], ...]:
+    """The signed variable pairs (a, b) whose S-matrix the terms use."""
+    return tuple(sorted({(a, b) for term in term_structure(n, halfline)
+                         for _, a, b, _ in term.invs}))
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+class _ContourTables:
+    """The factor tables of one quadrature level that depend only on the
+    parameters, the contour of each dimension and the resolution m: nodes and
+    weights, tau/xi, eps(xi), r(tau/xi) and the S-matrix of every signed pair
+    the terms use.  `_contour_tables` shares them between calls, so every
+    array is read-only.
+
+    Dimensions on one contour (the full line) share their arrays and
+    matrices.  As s(tau/y, tau/x) = s(x, y), S(-b, -a) = S(a, b)^T: only the
+    pairs with a + b >= 0 are computed, the others are transposed views.
+    """
+
+    def __init__(self, params: AsepParams, contours, m: int, halfline: bool):
+        self.halfline = halfline
+        grids = tuple(dict.fromkeys(contours))  # the distinct contours, in order
+        per_grid = []
+        for contour in grids:
+            nodes, weights = circle_nodes(contour, m)
+            neg = params.tau / nodes
+            per_grid.append(tuple(_frozen(a) for a in (
+                nodes, weights, neg, eps_asep(nodes, params), r_factor(neg, params))))
+        grid = [grids.index(c) for c in contours]
+        (self.pos_vals, self.weights, self.neg_vals, self.energies,
+         self.r_neg) = zip(*(per_grid[g] for g in grid))
+
+        def signed_grid(a):
+            return (grid[abs(a) - 1] + 1) * (1 if a > 0 else -1)
+
+        def values(g):
+            return per_grid[abs(g) - 1][0 if g > 0 else 2]
+
+        built = {}
+        self.smats = {}
+        for a, b in _pair_keys(len(contours), halfline):
+            ga, gb = signed_grid(a), signed_grid(b)
+            mirrored = ga + gb < 0
+            key = (-gb, -ga) if mirrored else (ga, gb)
+            if key not in built:
+                built[key] = _frozen(s_asep(values(key[0])[:, None],
+                                            values(key[1])[None, :], params))
+            self.smats[a, b] = built[key].T if mirrored else built[key]
+        self.nbytes = sum(a.nbytes for arrays in per_grid for a in arrays) + sum(
+            s.nbytes for s in built.values())
+
+
+_CONTOUR_CACHE: OrderedDict = OrderedDict()
+
+
+def _contour_tables(params: AsepParams, contours, m: int,
+                    halfline: bool) -> _ContourTables:
+    """The contour tables of one level, from a least-recently-used cache of
+    at most MAX_CACHED_BYTES; tables larger than that serve one call only."""
+    key = (params, tuple(contours), m, halfline)
+    tables = _CONTOUR_CACHE.pop(key, None)
+    if tables is None:
+        tables = _ContourTables(params, contours, m, halfline)
+        if tables.nbytes > MAX_CACHED_BYTES:
+            return tables
+        held = tables.nbytes + sum(t.nbytes for t in _CONTOUR_CACHE.values())
+        while held > MAX_CACHED_BYTES:
+            held -= _CONTOUR_CACHE.popitem(last=False)[1].nbytes
+    _CONTOUR_CACHE[key] = tables
+    return tables
+
+
 class _LevelTables:
-    """Per-quadrature-level factor tables for one product contour; one
-    (nodes, weights) grid per dimension."""
+    """The factor tables of one level of one call: the shared contour tables
+    and the vectors of (Y, Z, t).  The full line uses no reflected vectors."""
 
     signed = False
 
-    def __init__(self, params, grids, y, t, z_exponents):
-        self.params = params
-        self.pos_vals = [np.ascontiguousarray(nd) for nd, _ in grids]
-        self.neg_vals = [params.tau / nd for nd in self.pos_vals]
-        self.energies = [eps_asep(nd, params) for nd in self.pos_vals]
+    def __init__(self, contour: _ContourTables, y, t, z_exponents):
+        self.contour = contour
+        signs = (1, -1) if contour.halfline else (1,)
         self.vectors = {}
-        for d, ((_, w), nd, yi) in enumerate(zip(grids, self.pos_vals, y)):
-            base = w * nd ** (-int(yi) - 1) * np.exp(self.energies[d] * t)
-            r_neg = r_factor(self.neg_vals[d], params)
-            for s, vals in ((1, nd), (-1, self.neg_vals[d])):
+        for d, yi in enumerate(y):
+            nd = contour.pos_vals[d]
+            base = (contour.weights[d] * nd ** (-int(yi) - 1)
+                    * np.exp(contour.energies[d] * t))
+            for s in signs:
+                vals = nd if s > 0 else contour.neg_vals[d]
                 for i, zi in enumerate(z_exponents):
                     v = base * vals ** int(zi)
-                    self.vectors[d, s, i] = v * r_neg if s < 0 else v
-        self._smats = {}
+                    self.vectors[d, s, i] = v * contour.r_neg[d] if s < 0 else v
 
     def d_dt(self, d: int) -> "_LevelTables":
         """The tables of d/dt of exp(eps(xi_d) t): each vector of dimension d,
-        v- too as eps(tau/xi) = eps(xi), times eps(xi_d).  Shares the S cache."""
+        v- too as eps(tau/xi) = eps(xi), times eps(xi_d)."""
         out = copy.copy(self)
-        out.vectors = {key: v * self.energies[d] if key[0] == d else v
+        out.vectors = {key: v * self.contour.energies[d] if key[0] == d else v
                        for key, v in self.vectors.items()}
         return out
 
-    def _signed(self, a):
-        vals = self.pos_vals if a > 0 else self.neg_vals
-        return vals[abs(a) - 1]
-
     def smat(self, a: int, b: int) -> np.ndarray:
         """Matrix S(xi_a[m1], xi_b[m2]) over the node grids of |a| and |b|."""
-        key = (a, b)
-        if key not in self._smats:
-            va = self._signed(a)[:, None]
-            vb = self._signed(b)[None, :]
-            self._smats[key] = s_asep(va, vb, self.params)
-        return self._smats[key]
+        return self.contour.smats[a, b]
 
 
 def _halfline_sum(y, z, t, params, contours, m) -> complex:
     """One quadrature level of the half-line sum at per-dimension resolution m,
     with variable d on contours[d]."""
-    tables = _LevelTables(params, [circle_nodes(c, m) for c in contours], y, t, z)
+    tables = _LevelTables(_contour_tables(params, contours, m, True), y, t, z)
     return term_sum(tables, term_structure(len(y), True))
 
 
 def _fullline_sum(y, z, t, params, radius, m) -> complex:
-    grid = circle_nodes(CircleContour(0.0, radius), m)
-    tables = _LevelTables(params, [grid] * len(y), y, t, z)
+    contours = (CircleContour(0.0, radius),) * len(y)
+    tables = _LevelTables(_contour_tables(params, contours, m, False), y, t, z)
     return term_sum(tables, term_structure(len(y), False))
 
 
@@ -361,7 +438,7 @@ def master_equation_residual(Y, X, t: float, params: AsepParams,
     terms = term_structure(ycfg.n, True)
 
     def du_dt(mm):
-        tables = _LevelTables(params, [circle_nodes(c, mm) for c in contours],
+        tables = _LevelTables(_contour_tables(params, contours, mm, True),
                               ycfg.sites, t, xcfg.sites)
         return sum(term_sum(tables.d_dt(d), terms) for d in range(ycfg.n))
 

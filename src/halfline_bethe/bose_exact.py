@@ -131,10 +131,13 @@ class _LineTables:
 
     def smat(self, a: int, b: int) -> np.ndarray | None:
         """S(sa*k[m1] - sb*k[m2]) over the shared grid for the signs sa, sb
-        of a, b; None (identically 1) at c = 0."""
+        of a, b; None (identically 1) at c = 0.  S(-k_i + k_j) is S(k_j - k_i)
+        bit for bit, so the (-, -) matrix is the transpose of the (+, +) one."""
         if self.c == 0.0:
             return None
         key = (1 if a > 0 else -1, 1 if b > 0 else -1)
+        if key == (-1, -1):
+            return self.smat(1, 1).T
         if key not in self._smats:
             sa, sb = key
             arg = sa * self.k[:, None] - sb * self.k[None, :]

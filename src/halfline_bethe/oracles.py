@@ -14,9 +14,9 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import _kernels
 from .scattering import AsepParams
@@ -60,6 +60,15 @@ class McConfig:
             raise ValueError("t must be nonnegative")
 
 
+class CooRates(NamedTuple):
+    """A rate matrix in coordinate form: entry k is vals[k] at (rows[k],
+    cols[k]), the diagonal included, so every row sums to zero."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+
+
 @dataclass
 class GeneratorMatrix:
     """Sparse rate matrix over ordered particle configurations in a window.
@@ -70,9 +79,16 @@ class GeneratorMatrix:
 
     states: tuple[tuple[int, ...], ...]
     index: MappingProxyType  # state -> position in `states`
-    rates: sp.csr_matrix  # row sums are zero
+    rates: CooRates
     window: LatticeWindow
     halfline: bool
+
+
+def _require_rates(params: AsepParams):
+    """A p outside [0, 1] makes one hop rate negative: no Markov chain."""
+    if params.p < 0.0 or params.q < 0.0:
+        raise ValueError(f"hop rates must be nonnegative, got p = {params.p}, "
+                         f"q = {params.q}")
 
 
 def _enumerate(n: int, lo: int, hi: int):
@@ -95,6 +111,7 @@ def build_generator(params: AsepParams, window: LatticeWindow, n: int,
     and their index come from a cache of the last four windows of at most
     MAX_CACHED_STATES states, so generators on one window share them.
     """
+    _require_rates(params)
     span = window.size
     if span - 1 < n:
         raise ValueError(f"window of {span} sites is too small for {n} particles")
@@ -134,8 +151,8 @@ def build_generator(params: AsepParams, window: LatticeWindow, n: int,
             rows.append(i)
             cols.append(i)
             vals.append(-out_rate)
-    m = len(states)
-    rates = sp.csr_matrix((vals, (rows, cols)), shape=(m, m))
+    rates = CooRates(np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
+                     np.array(vals))
     return GeneratorMatrix(states, MappingProxyType(index), rates, window, halfline)
 
 
@@ -147,13 +164,20 @@ def _uniformized_distribution(gen: GeneratorMatrix, y: tuple[int, ...], t: float
     v[gen.index[y]] = 1.0
     if t == 0.0:
         return v
-    lam = float(-gen.rates.diagonal().min())
+    rows, cols, vals = gen.rates
+    diagonal = rows == cols
+    exit_rate = np.zeros(m)
+    exit_rate[rows[diagonal]] = -vals[diagonal]
+    lam = float(exit_rate.max())
     if lam == 0.0:
         return v
     if lam * t > 700.0:
         raise ValueError(f"uniformization rate*t = {lam * t} too large")
-    # distribution evolves as a row vector: v <- v P with P = I + Q/lam
-    pt = (sp.identity(m, format="csr") + gen.rates / lam).T.tocsr()
+    # distribution evolves as a row vector: v <- v P with P = I + Q/lam, that
+    # is, each state keeps 1 - exit/lam of its mass and moves rate/lam of it
+    keep = 1.0 - exit_rate / lam
+    moves = ~diagonal
+    sources, targets, moved = rows[moves], cols[moves], vals[moves] / lam
     weight = math.exp(-lam * t)
     acc = weight * v
     covered = weight
@@ -162,7 +186,7 @@ def _uniformized_distribution(gen: GeneratorMatrix, y: tuple[int, ...], t: float
         k += 1
         if k > 200_000:
             raise RuntimeError("Poisson series failed to terminate")
-        v = pt @ v
+        v = keep * v + np.bincount(targets, moved * v[sources], minlength=m)
         weight *= lam * t / k
         acc += weight * v
         covered += weight
@@ -200,6 +224,7 @@ def ctmc_prob(y, x, t: float, params: AsepParams,
     the configurations and its margin doubles until the answer is stable
     within tol.
     """
+    _require_rates(params)
     y = tuple(int(v) for v in y)
     x = tuple(int(v) for v in x)
     if len(x) != len(y):
@@ -235,8 +260,9 @@ def mc_estimate(y, x, cfg: McConfig, params: AsepParams,
     use independent SplitMix64 substreams derived from cfg.seed, so identical
     seeds reproduce identical estimates.  Like `ctmc_prob`, it raises
     ValueError unless y and x are strictly increasing and, on the half-line,
-    nonnegative.
+    nonnegative, and unless both hop rates are nonnegative.
     """
+    _require_rates(params)
     y = np.asarray([int(v) for v in y], dtype=np.int64)
     x = np.asarray([int(v) for v in x], dtype=np.int64)
     if x.size != y.size:

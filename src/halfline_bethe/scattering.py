@@ -40,6 +40,8 @@ class AsepParams:
     q must be nonzero.  p = 0 is accepted at construction (the jump-chain
     oracles can simulate it) but the exact integral formulas require p != 0
     because the reflection substitution xi -> tau/xi degenerates at tau = 0.
+    A p outside [0, 1] constructs too, but the evaluators and the oracles
+    reject it: one of its hop rates is negative.
     """
 
     p: float
@@ -64,11 +66,15 @@ class AsepParams:
         return self.p / self.q
 
     def require_formula_ok(self):
+        """The exact formulas need 0 < p < 1: at p = 0 tau degenerates, and
+        outside [0, 1] one hop rate is negative."""
         if self.p == 0.0:
             raise ValueError(
                 "p = 0 is outside the exact-formula domain (tau degenerates); "
                 "use the oracle modules for p = 0 dynamics"
             )
+        if not 0.0 < self.p < 1.0:
+            raise ValueError(f"the exact formulas need 0 < p < 1, got p = {self.p}")
 
 
 def _check_index(a: int, n: int):

@@ -1,17 +1,22 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from halfline_bethe import asep_exact
 from halfline_bethe.asep_exact import (AsepEvalReport, LatticeConfig,
-                                       _image_reach, evaluate_extended,
+                                       _ContourTables, _contour_tables,
+                                       _image_reach, _pair_keys,
+                                       evaluate_extended,
                                        master_equation_residual, prob_fullline,
                                        prob_halfline, prob_n1_closed,
                                        total_mass, tuned_radii)
-from halfline_bethe.contour_quad import QuadOptions, RadiiScheme
+from halfline_bethe.contour_quad import (CircleContour, QuadOptions, RadiiScheme,
+                                         circle_nodes)
 from halfline_bethe.oracles import ctmc_prob
-from halfline_bethe.scattering import AsepParams
+from halfline_bethe.scattering import AsepParams, s_asep
 
 P04 = AsepParams.from_p(0.4)
 
@@ -336,3 +341,147 @@ class TestMasterEquation:
     def test_requires_positive_time(self):
         with pytest.raises(ValueError):
             master_equation_residual((0,), (1,), 0.0, P04)
+
+
+@pytest.mark.parametrize("p", [1.5, -0.3])
+def test_p_outside_the_unit_interval_rejected(p):
+    # one hop rate is negative: no process, whatever the formulas would give
+    params = AsepParams.from_p(p)
+    with pytest.raises(ValueError, match="0 < p < 1"):
+        prob_halfline((0, 2), (1, 3), 1.0, params)
+    with pytest.raises(ValueError, match="0 < p < 1"):
+        prob_fullline((0, 2), (1, 3), 1.0, params)
+    with pytest.raises(ValueError, match="0 < p < 1"):
+        prob_n1_closed(0, 2, 1.0, params)
+    with pytest.raises(ValueError, match="0 < p < 1"):
+        tuned_radii(params, 2)
+    with pytest.raises(ValueError, match="nonnegative"):
+        ctmc_prob((0, 2), (1, 3), 1.0, params)
+
+
+#: two levels, m = 16 and 32, whatever the values: tables, not accuracy
+TWO_LEVELS = QuadOptions(initial_points=16, max_points=32, tol=1.0)
+CACHE_CASES = {1: ((2,), (3,)), 2: ((0, 2), (1, 3)), 3: ((0, 2, 4), (1, 2, 5)),
+               4: ((0, 1, 2, 3), (0, 1, 2, 4))}
+
+
+@pytest.fixture
+def empty_cache():
+    asep_exact._CONTOUR_CACHE.clear()
+    yield asep_exact._CONTOUR_CACHE
+    asep_exact._CONTOUR_CACHE.clear()
+
+
+class TestContourCache:
+    """Contour tables shared between calls give the values of fresh ones,
+    stay read-only and keep the memory they hold under MAX_CACHED_BYTES."""
+
+    @pytest.mark.parametrize("halfline", [True, False], ids=["half", "full"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_cached_values_equal_fresh_ones(self, empty_cache, n, halfline):
+        fn = prob_halfline if halfline else prob_fullline
+        y, x = CACHE_CASES[n]
+        fn(x, x, 0.5, P04, TWO_LEVELS)  # another call on the same contours
+        filled = dict(empty_cache)
+        assert len(filled) == 2
+        cached = fn(y, x, 0.5, P04, TWO_LEVELS)
+        # the call built no tables of its own
+        assert len(empty_cache) == 2
+        assert all(empty_cache[key] is tables for key, tables in filled.items())
+        empty_cache.clear()
+        assert repr(cached) == repr(fn(y, x, 0.5, P04, TWO_LEVELS))
+
+    def test_extension_and_residual_share_the_tables(self, empty_cache):
+        prob_halfline((0, 2), (1, 3), 1.0, P04, TWO_LEVELS)
+        cached = (evaluate_extended((0, 2), (-1, 4), 1.0, P04, TWO_LEVELS),
+                  master_equation_residual((0, 2), (1, 4), 1.0, P04, TWO_LEVELS))
+        assert len(empty_cache) == 2
+        empty_cache.clear()
+        fresh = (evaluate_extended((0, 2), (-1, 4), 1.0, P04, TWO_LEVELS),
+                 master_equation_residual((0, 2), (1, 4), 1.0, P04, TWO_LEVELS))
+        assert repr(cached) == repr(fresh)
+
+    def test_cached_arrays_are_read_only(self, empty_cache):
+        prob_halfline((0, 2, 4), (1, 2, 5), 0.5, P04, TWO_LEVELS)
+        prob_fullline((0, 2), (1, 3), 0.5, P04, TWO_LEVELS)
+        arrays = [a for tables in empty_cache.values()
+                  for a in (*tables.pos_vals, *tables.weights, *tables.neg_vals,
+                            *tables.energies, *tables.r_neg, *tables.smats.values())]
+        assert len(arrays) == 2 * (5 * 3 + 12) + 2 * (5 * 2 + 1)
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+    @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_every_matrix_is_s_asep(self, n, p):
+        # half of the matrices are transposes, S(-b, -a) = S(a, b)^T
+        params = AsepParams.from_p(p)
+        contours = tuned_radii(params, n).contours()
+        tables = _ContourTables(params, contours, 16, True)
+        nodes = [circle_nodes(c, 16)[0] for c in contours]
+
+        def signed(a):
+            return nodes[a - 1] if a > 0 else params.tau / nodes[-a - 1]
+
+        assert set(tables.smats) == set(_pair_keys(n, True))
+        assert len(tables.smats) == 2 * n * (n - 1)
+        for (a, b), mat in tables.smats.items():
+            direct = s_asep(signed(a)[:, None], signed(b)[None, :], params)
+            assert np.max(np.abs(mat - direct) / np.abs(direct)) <= 1e-14, (a, b)
+        owners = {id(m if m.base is None else m.base) for m in tables.smats.values()}
+        assert len(owners) == n * (n - 1)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_full_line_dimensions_share_one_matrix(self, n):
+        contours = (CircleContour(0.0, 2.0 / P04.q),) * n
+        tables = _ContourTables(P04, contours, 16, False)
+        nodes = circle_nodes(contours[0], 16)[0]
+        direct = s_asep(nodes[:, None], nodes[None, :], P04)
+        assert len(tables.smats) == n * (n - 1) // 2
+        for mat in tables.smats.values():
+            assert mat is tables.smats[2, 1]
+        np.testing.assert_array_equal(tables.smats[2, 1], direct)
+
+    def test_least_recently_used_goes_first(self, empty_cache, monkeypatch):
+        params = {p: AsepParams.from_p(p) for p in (0.3, 0.4, 0.5)}
+        contours = {p: tuned_radii(params[p], 2).contours() for p in params}
+
+        def get(p):
+            return _contour_tables(params[p], contours[p], 64, True)
+
+        size = _ContourTables(params[0.3], contours[0.3], 64, True).nbytes
+        monkeypatch.setattr(asep_exact, "MAX_CACHED_BYTES", 2 * size)
+        first = get(0.3)
+        get(0.4)
+        assert get(0.3) is first
+        get(0.5)
+        assert [key[0].p for key in empty_cache] == [0.3, 0.5]
+
+    def test_tables_over_the_budget_are_not_kept(self, empty_cache, monkeypatch):
+        # at N = 2, m = 64 holds about 140 kB, m = 128 about 540 kB
+        monkeypatch.setattr(asep_exact, "MAX_CACHED_BYTES", 300_000)
+        prob_halfline((0, 2), (1, 3), 0.5, P04,
+                      QuadOptions(initial_points=64, max_points=128, tol=1.0))
+        assert [key[2] for key in empty_cache] == [64]
+
+    def test_memory_stays_within_the_budget(self, empty_cache, monkeypatch):
+        budget = 2**20
+        monkeypatch.setattr(asep_exact, "MAX_CACHED_BYTES", budget)
+        opts = QuadOptions(initial_points=64, max_points=128, tol=1.0)
+
+        def peak(ps):
+            empty_cache.clear()
+            tracemalloc.start()
+            try:
+                for p in ps:
+                    prob_halfline((0, 2), (1, 3), 0.5, AsepParams.from_p(p), opts)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one = peak([0.3])
+        # 50 calls hold about 34 MB of tables without the bound
+        assert peak(np.linspace(0.2, 0.8, 50)) <= budget + one
+        assert sum(tables.nbytes for tables in empty_cache.values()) <= budget

@@ -1,10 +1,13 @@
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import halfline_bethe
 from halfline_bethe.asep_exact import prob_halfline
 from halfline_bethe.bose_exact import images_kernel
 from halfline_bethe.cli import cache_key, export, main
@@ -103,6 +106,15 @@ class TestExitCodes:
         # at p = 0.4 the center 1/(2q) sits 5/6 from the pole at 0
         code, _ = run_cli(capsys, command, "--p", "0.4", "--Y", y, "--X", x,
                           "--t", "1", "--radii", radii)
+        assert code == 2
+
+    @pytest.mark.parametrize("p", ["1.5", "-0.3"])
+    @pytest.mark.parametrize("command,y,x", [
+        ("asep-prob", "0,2", "1,3"), ("asep-fullline", "0,2", "1,3"),
+        ("asep-n1", "0", "2"), ("mc-compare", "0,2", "1,3"),
+    ])
+    def test_p_outside_the_unit_interval_is_2(self, capsys, command, y, x, p):
+        code, _ = run_cli(capsys, command, "--p", p, "--Y", y, "--X", x, "--t", "1")
         assert code == 2
 
     @pytest.mark.parametrize("argv", [
@@ -248,3 +260,19 @@ def test_config_file_supplies_flags(capsys, tmp_path):
     assert code == 0
     assert (rec["t"], rec["max_points"]) == (1.5, 512)
     assert rec["value"] == direct["value"]
+
+
+def test_runtime_loads_no_scipy():
+    # scipy is a test-only dependency: the library and the CLI run on numpy
+    script = ("import sys\n"
+              "import halfline_bethe\n"
+              "from halfline_bethe.cli import main\n"
+              "code = main(['asep-n1', '--p', '0.4', '--Y', '0', '--X', '2', '--t', '1'])\n"
+              "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    src = str(Path(halfline_bethe.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "0 []"

@@ -10,9 +10,9 @@ import pytest
 
 from halfline_bethe import _kernels
 from halfline_bethe._kernels import _plan, contract, gillespie_hits, term_sum
-from halfline_bethe.asep_exact import _LevelTables, tuned_radii
+from halfline_bethe.asep_exact import _ContourTables, _LevelTables, tuned_radii
 from halfline_bethe.bose_exact import _LineTables
-from halfline_bethe.contour_quad import LineGrid, circle_nodes, line_nodes
+from halfline_bethe.contour_quad import LineGrid, line_nodes
 from halfline_bethe.scattering import AsepParams
 from halfline_bethe.signed_perm import (enumerate_bn, inversions, neg_count,
                                         term_structure)
@@ -88,8 +88,8 @@ def test_only_complete_graphs_run_the_dense_loop(n, complete, dense):
 
 def _asep_tables(n, m=8):
     params = AsepParams.from_p(0.3)
-    grids = [circle_nodes(c, m) for c in tuned_radii(params, n).contours()]
-    return _LevelTables(params, grids, (0, 2, 4, 6)[:n], 0.5, (1, 2, 5, 7)[:n])
+    contour = _ContourTables(params, tuned_radii(params, n).contours(), m, True)
+    return _LevelTables(contour, (0, 2, 4, 6)[:n], 0.5, (1, 2, 5, 7)[:n])
 
 
 def _bose_tables(n, c=1.0):
@@ -124,7 +124,7 @@ def _unfolded_sum(tables, n, factor=None):
 
 def _energy(tables, d):
     """The factor of d/dt through variable d: its energy, whatever the sign."""
-    return lambda dd, s, pos: tables.energies[d] if dd == d else None
+    return lambda dd, s, pos: tables.contour.energies[d] if dd == d else None
 
 
 def _momentum(tables, j):
@@ -191,7 +191,7 @@ class TestFolding:
 
     def test_derivative_tables_share_the_scattering_cache(self):
         asep, bose = _asep_tables(2), _bose_tables(2)
-        assert asep.d_dt(1)._smats is asep._smats
+        assert asep.d_dt(1).contour is asep.contour
         assert bose.d_dx(0)._smats is bose._smats
         assert bose.d_dx(0).vectors[0, 1, 1] is bose.vectors[0, 1, 1]
 

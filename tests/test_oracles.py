@@ -19,23 +19,35 @@ class TestWindow:
         assert LatticeWindow(0, 5).size == 6
 
 
+def _dense(gen):
+    """The generator's rate matrix as a dense array."""
+    rows, cols, vals = gen.rates
+    out = np.zeros((len(gen.states),) * 2)
+    np.add.at(out, (rows, cols), vals)
+    return out
+
+
+def _row(gen, state):
+    return _dense(gen)[gen.index[state]]
+
+
 class TestGenerator:
     def test_wall_blocks_left_jump(self):
         gen = build_generator(PARAMS, LatticeWindow(0, 2), 1, halfline=True)
-        row = gen.rates.getrow(gen.index[(0,)]).toarray().ravel()
+        row = _row(gen, (0,))
         assert row[gen.index[(1,)]] == pytest.approx(PARAMS.p)
         assert row[gen.index[(0,)]] == pytest.approx(-PARAMS.p)
         assert np.count_nonzero(row) == 2  # single transition + diagonal
 
     def test_interior_state_has_both_jumps(self):
         gen = build_generator(PARAMS, LatticeWindow(0, 4), 1, halfline=True)
-        row = gen.rates.getrow(gen.index[(2,)]).toarray().ravel()
+        row = _row(gen, (2,))
         assert row[gen.index[(3,)]] == pytest.approx(PARAMS.p)
         assert row[gen.index[(1,)]] == pytest.approx(PARAMS.q)
 
     def test_exclusion_blocks_adjacent(self):
         gen = build_generator(PARAMS, LatticeWindow(0, 5), 2, halfline=True)
-        row = gen.rates.getrow(gen.index[(2, 3)]).toarray().ravel()
+        row = _row(gen, (2, 3))
         # left particle cannot jump right, right particle cannot jump left
         assert row[gen.index[(2, 4)]] == pytest.approx(PARAMS.p)
         assert row[gen.index[(1, 3)]] == pytest.approx(PARAMS.q)
@@ -43,13 +55,14 @@ class TestGenerator:
 
     def test_row_sums_zero_and_rates(self):
         gen = build_generator(PARAMS, LatticeWindow(0, 8), 2, halfline=True)
-        sums = np.asarray(gen.rates.sum(axis=1)).ravel()
+        rows, cols, vals = gen.rates
+        # one entry per coordinate, so the arrays are the matrix
+        assert len(set(zip(rows.tolist(), cols.tolist()))) == len(vals)
+        sums = _dense(gen).sum(axis=1)
         # diagonal negates the accumulated exit rate; column-order summation
         # can still leave one ulp
         assert np.max(np.abs(sums)) < 1e-15
-        off = gen.rates.tocoo()
-        vals = {round(v, 12) for r, c, v in zip(off.row, off.col, off.data)
-                if r != c}
+        vals = {round(v, 12) for r, c, v in zip(rows, cols, vals) if r != c}
         assert vals <= {round(PARAMS.p, 12), round(PARAMS.q, 12)}
 
     def test_state_guards(self):
@@ -189,12 +202,33 @@ class TestMonteCarlo:
         assert abs(est - ref) < 0.01
 
 
+@pytest.mark.parametrize("p", [1.5, -0.3])
+def test_negative_rates_rejected(p):
+    params = AsepParams.from_p(p)
+    window = LatticeWindow(0, 8)
+    calls = [lambda: build_generator(params, window, 2, halfline=True),
+             lambda: ctmc_distribution((1, 3), 1.0, params, window),
+             lambda: ctmc_prob((1, 3), (2, 4), 1.0, params),
+             lambda: ctmc_prob((1, 3), (1, 3), 0.0, params),
+             lambda: mc_estimate((1, 3), (2, 4), McConfig(10, 1, 1.0), params)]
+    for call in calls:
+        with pytest.raises(ValueError, match="nonnegative"):
+            call()
+
+
+def test_p_zero_still_simulated():
+    # q = 1: every particle drifts left onto the wall
+    params = AsepParams.from_p(0.0)
+    assert ctmc_prob((0,), (0,), 1.0, params) == pytest.approx(1.0, abs=1e-12)
+    assert mc_estimate((0,), (0,), McConfig(100, 1, 1.0), params)[0] == 1.0
+
+
 def test_poisson_truncation_matches_scipy_expm():
     # dense matrix exponential as an independent check on uniformization
     from scipy.linalg import expm
 
     gen = build_generator(PARAMS, LatticeWindow(0, 9), 2, halfline=True)
-    dense = expm(gen.rates.toarray() * 0.8)
+    dense = expm(_dense(gen) * 0.8)
     i = gen.index[(0, 2)]
     states, dist = ctmc_distribution((0, 2), 0.8, PARAMS, LatticeWindow(0, 9))
     assert np.max(np.abs(dense[i] - dist)) < 1e-12
