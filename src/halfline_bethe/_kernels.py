@@ -10,7 +10,8 @@ Two kernel families live here:
   dimensions all have three or more runs the dense m^N loop.  Every exact
   evaluator reduces its per-term quadrature to this shape, and ``term_sum``
   sums it over the signed-permutation terms of both models, one contraction
-  per sign-flip pair of a half-line sum.
+  per sign-flip pair of a half-line sum.  The models differ only in their
+  factor tables (`LevelTables`, `pair_matrices`).
 * ``gillespie_hits``: the jump chain behind the Monte Carlo oracle.  Chunks
   of CHUNK trials step in lockstep numpy, each trial on its own SplitMix64
   substream, so counts are reproducible and independent of trial order and
@@ -21,8 +22,11 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
+
+from .signed_perm import term_structure
 
 #: largest particle number the evaluators accept: a cap on cost, not on code.
 #: A half-line level runs 2^(N-1) N! contractions; at N = 4 the 60 whose pair
@@ -164,38 +168,82 @@ def contract(vectors, mats) -> complex:
     return complex(scale)
 
 
-def term_sum(tables, terms) -> complex:
+class LevelTables(NamedTuple):
+    """The factor tables of one quadrature level, for either model.
+
+    `vectors[d, s, pos]` is the factor of variable d placed at position pos
+    with sign s, a negative entry's amplitude included: r(tau/xi) for the
+    exclusion process, -1 for the Bose gas.  `smats[a, b]` is the scattering
+    matrix of the signed variables a and b, rows over |a|; a pair it lacks
+    is identically 1.
+    """
+
+    vectors: dict
+    smats: dict
+
+    def scaled(self, factors: dict) -> "LevelTables":
+        """The tables with each vector times its key's entry in `factors`,
+        sharing the matrices: the tables of a derivative."""
+        return LevelTables({key: v * factors[key] if key in factors else v
+                            for key, v in self.vectors.items()}, self.smats)
+
+
+@lru_cache(maxsize=None)
+def _pair_keys(n: int, halfline: bool) -> tuple[tuple[int, int], ...]:
+    """The signed variable pairs (a, b) whose S-matrix the terms use."""
+    return tuple(sorted({(a, b) for term in term_structure(n, halfline)
+                         for _, a, b, _ in term.invs}))
+
+
+def pair_matrices(pos, neg, pair, halfline: bool) -> dict:
+    """The read-only S-matrix of every signed pair (a, b) the terms of B_n
+    (halfline) or S_n use, n = len(pos): pair(x[:, None], y[None, :]) over the
+    node values x of a and y of b, pos[d] for variable d+1, neg[d] for -(d+1).
+
+    In both models S(-b, -a) = S(a, b)^T, so only the pairs with a + b >= 0
+    are computed, the others are transposed views.  Variables on one node
+    array share their matrices: each counts as the first variable on it.
+    """
+    first = {}
+    grid = [first.setdefault(id(v), d + 1) for d, v in enumerate(pos)]
+    built = {}
+    smats = {}
+    for a, b in _pair_keys(len(pos), halfline):
+        ga, gb = (grid[abs(v) - 1] if v > 0 else -grid[abs(v) - 1] for v in (a, b))
+        mirrored = ga + gb < 0
+        key = (-gb, -ga) if mirrored else (ga, gb)
+        if key not in built:
+            x, y = (pos[g - 1] if g > 0 else neg[-g - 1] for g in key)
+            built[key] = pair(x[:, None], y[None, :])
+            built[key].flags.writeable = False
+        smats[a, b] = built[key].T if mirrored else built[key]
+    return smats
+
+
+def term_sum(tables: LevelTables, terms) -> complex:
     """Sum of the contracted integrands of compiled signed-permutation terms
     (`signed_perm.term_structure`) at one quadrature level.
 
-    `tables` is a model's factor table: `tables.vectors[d, sign, pos]` is the
-    per-dimension factor of variable d placed at position pos with that sign,
-    `tables.smat(a, b)` the scattering matrix between the signed variables a
-    and b (None where it is identically 1), and `tables.signed` whether a
-    term carries its parity.  A folded term (`Term.fold`) also stands for its
-    partner: the two share every pair matrix, so the folded dimension's
-    vector becomes v+ - v- (signed, opposite parities) or v+ + v-.  A
-    derivative of the integrand is the sum over tables whose vectors carry
-    its factor (`_LevelTables.d_dt`, `_LineTables.d_dx`).
+    A folded term (`Term.fold`) also stands for its partner: the two share
+    every pair matrix, so the folded dimension's vector becomes v+ + v-, the
+    partner's amplitude riding in v-.
     """
     n = len(terms[0].dims)
-    flip = -1.0 if tables.signed else 1.0
     total = 0.0 + 0.0j
     for term in terms:
         vectors = [tables.vectors[d, s, pos] for d, (s, pos) in enumerate(term.dims)]
         mats = [None] * (n * (n - 1) // 2)
         for k, a, b, transpose in term.invs:
-            m = tables.smat(a, b)
+            m = tables.smats.get((a, b))
             if m is None:
                 continue
             if transpose:
                 m = m.T
             mats[k] = m if mats[k] is None else mats[k] * m
-        sign = term.parity if tables.signed else 1.0
         fold = term.fold
         if fold is not None:
-            vectors[fold] = vectors[fold] + flip * tables.vectors[fold, -1, 0]
-        total += sign * contract(vectors, mats)
+            vectors[fold] = vectors[fold] + tables.vectors[fold, -1, 0]
+        total += contract(vectors, mats)
     return total
 
 

@@ -18,22 +18,22 @@ calls (`_contour_tables`).
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import itertools
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 # contract is bound here as well because perfbench/tracing.py patches it here
-from ._kernels import MAX_N, contract, term_sum  # noqa: F401
+from ._kernels import (MAX_N, LevelTables, contract,  # noqa: F401
+                       pair_matrices, term_sum)
 from .contour_quad import (CircleContour, QuadOptions, RadiiScheme,
                            adaptive_eval, circle_nodes)
 from .errors import ConvergenceError
-from .scattering import AsepParams, eps_asep, r_factor, s_asep
+from .scattering import (AsepParams, eps_asep, integer_sites, r_factor,
+                         require_time, s_asep)
 from .signed_perm import group_order, term_structure
 
 
@@ -44,7 +44,7 @@ class LatticeConfig:
     sites: tuple[int, ...]
 
     def __post_init__(self):
-        sites = tuple(int(v) for v in self.sites)
+        sites = integer_sites(self.sites)
         object.__setattr__(self, "sites", sites)
         if len(sites) < 1:
             raise ValueError("need at least one particle")
@@ -124,28 +124,13 @@ def tuned_radii(params: AsepParams, n: int) -> RadiiScheme:
 MAX_CACHED_BYTES = 32 * 2**20
 
 
-@lru_cache(maxsize=None)
-def _pair_keys(n: int, halfline: bool) -> tuple[tuple[int, int], ...]:
-    """The signed variable pairs (a, b) whose S-matrix the terms use."""
-    return tuple(sorted({(a, b) for term in term_structure(n, halfline)
-                         for _, a, b, _ in term.invs}))
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
 class _ContourTables:
     """The factor tables of one quadrature level that depend only on the
     parameters, the contour of each dimension and the resolution m: nodes and
-    weights, tau/xi, eps(xi), r(tau/xi) and the S-matrix of every signed pair
-    the terms use.  `_contour_tables` shares them between calls, so every
-    array is read-only.
-
-    Dimensions on one contour (the full line) share their arrays and
-    matrices.  As s(tau/y, tau/x) = s(x, y), S(-b, -a) = S(a, b)^T: only the
-    pairs with a + b >= 0 are computed, the others are transposed views.
+    weights, tau/xi, eps(xi), r(tau/xi) and the S-matrices (`pair_matrices`).
+    `_contour_tables` shares them between calls, so every array is
+    read-only.  Dimensions on one contour (the full line) share their arrays
+    and matrices.
     """
 
     def __init__(self, params: AsepParams, contours, m: int, halfline: bool):
@@ -155,30 +140,17 @@ class _ContourTables:
         for contour in grids:
             nodes, weights = circle_nodes(contour, m)
             neg = params.tau / nodes
-            per_grid.append(tuple(_frozen(a) for a in (
-                nodes, weights, neg, eps_asep(nodes, params), r_factor(neg, params))))
-        grid = [grids.index(c) for c in contours]
+            per_grid.append((nodes, weights, neg, eps_asep(nodes, params),
+                             r_factor(neg, params)))
+            for a in per_grid[-1]:
+                a.flags.writeable = False
         (self.pos_vals, self.weights, self.neg_vals, self.energies,
-         self.r_neg) = zip(*(per_grid[g] for g in grid))
-
-        def signed_grid(a):
-            return (grid[abs(a) - 1] + 1) * (1 if a > 0 else -1)
-
-        def values(g):
-            return per_grid[abs(g) - 1][0 if g > 0 else 2]
-
-        built = {}
-        self.smats = {}
-        for a, b in _pair_keys(len(contours), halfline):
-            ga, gb = signed_grid(a), signed_grid(b)
-            mirrored = ga + gb < 0
-            key = (-gb, -ga) if mirrored else (ga, gb)
-            if key not in built:
-                built[key] = _frozen(s_asep(values(key[0])[:, None],
-                                            values(key[1])[None, :], params))
-            self.smats[a, b] = built[key].T if mirrored else built[key]
-        self.nbytes = sum(a.nbytes for arrays in per_grid for a in arrays) + sum(
-            s.nbytes for s in built.values())
+         self.r_neg) = zip(*(per_grid[grids.index(c)] for c in contours))
+        # s(tau/y, tau/x) = s(x, y); a lambda, so a wrapper of s_asep here is seen
+        self.smats = pair_matrices(self.pos_vals, self.neg_vals,
+                                   lambda x, y: s_asep(x, y, params), halfline)
+        owners = {id(s if s.base is None else s.base): s.nbytes for s in self.smats.values()}
+        self.nbytes = sum(owners.values()) + sum(a.nbytes for g in per_grid for a in g)
 
 
 _CONTOUR_CACHE: OrderedDict = OrderedDict()
@@ -201,50 +173,28 @@ def _contour_tables(params: AsepParams, contours, m: int,
     return tables
 
 
-class _LevelTables:
-    """The factor tables of one level of one call: the shared contour tables
-    and the vectors of (Y, Z, t).  The full line uses no reflected vectors."""
-
-    signed = False
-
-    def __init__(self, contour: _ContourTables, y, t, z_exponents):
-        self.contour = contour
-        signs = (1, -1) if contour.halfline else (1,)
-        self.vectors = {}
-        for d, yi in enumerate(y):
-            nd = contour.pos_vals[d]
-            base = (contour.weights[d] * nd ** (-int(yi) - 1)
-                    * np.exp(contour.energies[d] * t))
-            for s in signs:
-                vals = nd if s > 0 else contour.neg_vals[d]
-                for i, zi in enumerate(z_exponents):
-                    v = base * vals ** int(zi)
-                    self.vectors[d, s, i] = v * contour.r_neg[d] if s < 0 else v
-
-    def d_dt(self, d: int) -> "_LevelTables":
-        """The tables of d/dt of exp(eps(xi_d) t): each vector of dimension d,
-        v- too as eps(tau/xi) = eps(xi), times eps(xi_d)."""
-        out = copy.copy(self)
-        out.vectors = {key: v * self.contour.energies[d] if key[0] == d else v
-                       for key, v in self.vectors.items()}
-        return out
-
-    def smat(self, a: int, b: int) -> np.ndarray:
-        """Matrix S(xi_a[m1], xi_b[m2]) over the node grids of |a| and |b|."""
-        return self.contour.smats[a, b]
+def _level_tables(contour: _ContourTables, y, t, z_exponents) -> LevelTables:
+    """One call's level tables: the vectors of (Y, Z, t), v- times the wall
+    factor r(tau/xi) and absent on the full line, and the contour's matrices."""
+    signs = (1, -1) if contour.halfline else (1,)
+    vectors = {}
+    for d, yi in enumerate(y):
+        nd = contour.pos_vals[d]
+        base = (contour.weights[d] * nd ** (-int(yi) - 1)
+                * np.exp(contour.energies[d] * t))
+        for s in signs:
+            vals = nd if s > 0 else contour.neg_vals[d]
+            for i, zi in enumerate(z_exponents):
+                v = base * vals ** int(zi)
+                vectors[d, s, i] = v * contour.r_neg[d] if s < 0 else v
+    return LevelTables(vectors, contour.smats)
 
 
-def _halfline_sum(y, z, t, params, contours, m) -> complex:
-    """One quadrature level of the half-line sum at per-dimension resolution m,
-    with variable d on contours[d]."""
-    tables = _LevelTables(_contour_tables(params, contours, m, True), y, t, z)
-    return term_sum(tables, term_structure(len(y), True))
-
-
-def _fullline_sum(y, z, t, params, radius, m) -> complex:
-    contours = (CircleContour(0.0, radius),) * len(y)
-    tables = _LevelTables(_contour_tables(params, contours, m, False), y, t, z)
-    return term_sum(tables, term_structure(len(y), False))
+def _level_sum(y, z, t, params, contours, m, halfline: bool) -> complex:
+    """One quadrature level at per-dimension resolution m, with variable d on
+    contours[d]: the half-line sum over B_N or the full-line sum over S_N."""
+    tables = _level_tables(_contour_tables(params, contours, m, halfline), y, t, z)
+    return term_sum(tables, term_structure(len(y), halfline))
 
 
 def _default_opts(n: int, opts: QuadOptions | None) -> QuadOptions:
@@ -262,8 +212,7 @@ def _check_common(y_cfg: LatticeConfig, n_other: int, t: float, params: AsepPara
         raise ValueError("X and Y must hold the same number of particles")
     if y_cfg.n > MAX_N:
         raise ValueError(f"evaluators support N <= {MAX_N}")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    require_time(t)
 
 
 def _require_fixed_poles_inside(center: complex, r_min: float, tau: float):
@@ -343,7 +292,7 @@ def prob_halfline(Y, X, t: float, params: AsepParams,
     # tightened for `tol` to bound the returned value
     contours = radii.contours()
     value, err, m = adaptive_eval(
-        lambda mm: _halfline_sum(src.sites, dst.sites, t, params, contours, mm),
+        lambda mm: _level_sum(src.sites, dst.sites, t, params, contours, mm, True),
         dataclasses.replace(opts, tol=opts.tol / max(prefactor, 1.0)))
     return _report(prefactor * value, prefactor * err, m, group_order(ycfg.n, True),
                    opts)
@@ -359,8 +308,10 @@ def prob_fullline(Y, X, t: float, params: AsepParams,
     _check_common(ycfg, xcfg.n, t, params)
     opts = _default_opts(ycfg.n, opts)
     radius = radius if radius is not None else max(2.0, 2.0 / abs(params.q))
+    contours = (CircleContour(0.0, radius),) * ycfg.n
     value, err, m = adaptive_eval(
-        lambda mm: _fullline_sum(ycfg.sites, xcfg.sites, t, params, radius, mm), opts)
+        lambda mm: _level_sum(ycfg.sites, xcfg.sites, t, params, contours, mm, False),
+        opts)
     return _report(value, err, m, group_order(ycfg.n, False), opts)
 
 
@@ -374,10 +325,10 @@ def prob_n1_closed(y: int, x: int, t: float, params: AsepParams,
     cross-check each other.
     """
     params.require_formula_ok()
+    y, x = integer_sites((y, x))
     if y < 0 or x < 0:
         raise ValueError("half-line sites must be nonnegative")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    require_time(t)
     opts = opts or QuadOptions()
     tau = params.tau
     center = 1.0 / (2.0 * params.q)
@@ -406,13 +357,13 @@ def evaluate_extended(Y, Z, t: float, params: AsepParams,
     with prob_halfline.
     """
     ycfg = _as_config(Y, halfline=True)
-    z = tuple(int(v) for v in Z)
+    z = integer_sites(Z)
     _check_common(ycfg, len(z), t, params)
     opts = _default_opts(ycfg.n, opts)
     radii = _halfline_radii(radii, params, ycfg.n)
     contours = radii.contours()
     value, _, _ = adaptive_eval(
-        lambda mm: _halfline_sum(ycfg.sites, z, t, params, contours, mm), opts)
+        lambda mm: _level_sum(ycfg.sites, z, t, params, contours, mm, True), opts)
     return complex(value)
 
 
@@ -420,8 +371,9 @@ def master_equation_residual(Y, X, t: float, params: AsepParams,
                              opts: QuadOptions | None = None) -> float:
     """|du/dt - (master-equation right side)| at configuration X.
 
-    The time derivative is exact (the sum over d of `_LevelTables.d_dt(d)`);
-    the right side is assembled from `evaluate_extended` with the wall rule:
+    The time derivative is exact: the sum over d of the level tables with
+    every vector of dimension d, v- too as eps(tau/xi) = eps(xi), times
+    eps(xi_d) (`LevelTables.scaled`); the right side is assembled from `evaluate_extended` with the wall rule:
     the inflow-from-the-left and outflow-to-the-left terms of the leftmost
     particle carry the factor (1 - delta(x_1)).
     """
@@ -438,9 +390,11 @@ def master_equation_residual(Y, X, t: float, params: AsepParams,
     terms = term_structure(ycfg.n, True)
 
     def du_dt(mm):
-        tables = _LevelTables(_contour_tables(params, contours, mm, True),
-                              ycfg.sites, t, xcfg.sites)
-        return sum(term_sum(tables.d_dt(d), terms) for d in range(ycfg.n))
+        contour = _contour_tables(params, contours, mm, True)
+        tables = _level_tables(contour, ycfg.sites, t, xcfg.sites)
+        return sum(term_sum(tables.scaled({key: contour.energies[d]
+                                           for key in tables.vectors if key[0] == d}),
+                            terms) for d in range(ycfg.n))
 
     lhs, _, _ = adaptive_eval(du_dt, opts)
 

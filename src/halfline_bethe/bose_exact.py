@@ -13,14 +13,13 @@ are derived independently and double as oracles for the full sum.
 
 from __future__ import annotations
 
-import copy
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import MAX_N, term_sum
+from ._kernels import MAX_N, LevelTables, pair_matrices, term_sum
 from .contour_quad import LineGrid, QuadOptions, adaptive_eval, line_nodes
 from .scattering import BoseParams, s_bose
 from .signed_perm import group_order, term_structure
@@ -74,6 +73,8 @@ def _check_positions(xs, *, positive: bool, allow_equal_pair: int | None = None,
     xs = tuple(float(v) for v in xs)
     if len(xs) < 1:
         raise ValueError("need at least one particle")
+    if not all(math.isfinite(v) for v in xs):
+        raise ValueError(f"positions must be finite: {xs}")
     for j, (a, b) in enumerate(zip(xs, xs[1:])):
         if allow_equal_pair is not None and j == allow_equal_pair:
             if a != b:
@@ -103,46 +104,25 @@ def _grid_parameters(y, x, time: DampedTime, c: float, tol: float):
     return cutoff, spacing
 
 
-class _LineTables:
-    """Factor tables on one line grid (shared by every dimension)."""
-
-    signed = True
-
-    def __init__(self, k, w, y, x, t: complex, c: float):
-        self.k = k
-        damp = np.exp(-1j * t * k * k)
-        expx = {(s, j): np.exp(1j * s * k * xj)
-                for j, xj in enumerate(x) for s in (1, -1)}
-        self.vectors = {}
-        for d, yd in enumerate(y):
-            base = w * np.exp(-1j * k * yd) * damp
-            for (s, j), e in expx.items():
-                self.vectors[d, s, j] = base * e
-        self.c = c
-        self._smats = {}
-
-    def d_dx(self, j: int) -> "_LineTables":
-        """The tables of d/dx_j (j 0-based): every vector placed at position j
-        with sign s times i s k.  The S-matrix cache is shared."""
-        out = copy.copy(self)
-        out.vectors = {(d, s, pos): v * (1j * s * self.k) if pos == j else v
-                       for (d, s, pos), v in self.vectors.items()}
-        return out
-
-    def smat(self, a: int, b: int) -> np.ndarray | None:
-        """S(sa*k[m1] - sb*k[m2]) over the shared grid for the signs sa, sb
-        of a, b; None (identically 1) at c = 0.  S(-k_i + k_j) is S(k_j - k_i)
-        bit for bit, so the (-, -) matrix is the transpose of the (+, +) one."""
-        if self.c == 0.0:
-            return None
-        key = (1 if a > 0 else -1, 1 if b > 0 else -1)
-        if key == (-1, -1):
-            return self.smat(1, 1).T
-        if key not in self._smats:
-            sa, sb = key
-            arg = sa * self.k[:, None] - sb * self.k[None, :]
-            self._smats[key] = s_bose(arg, BoseParams(self.c))
-        return self._smats[key]
+def _line_tables(k, w, y, x, t: complex, c: float, halfline: bool) -> LevelTables:
+    """Factor tables on one line grid, shared by every dimension: the vector
+    of variable d at position j with sign s is w e^(-i k y_d - i t k^2 + i s k
+    x_j), negated for s = -1 (the amplitude of a negative entry), and the
+    matrices S(k_a - k_b), none at c = 0.  The full line uses no reflected
+    vectors."""
+    signs = (1, -1) if halfline else (1,)
+    damp = np.exp(-1j * t * k * k)
+    expx = {(s, j): np.exp(1j * s * k * xj) for j, xj in enumerate(x) for s in signs}
+    vectors = {}
+    for d, yd in enumerate(y):
+        base = w * np.exp(-1j * k * yd) * damp
+        for (s, j), e in expx.items():
+            vectors[d, s, j] = base * e if s > 0 else -(base * e)
+    # S(-k_b + k_a) = S(k_a - k_b); a lambda, so a wrapper of s_bose here is seen
+    smats = pair_matrices((k,) * len(y), (-k,) * len(y),
+                          lambda ka, kb: s_bose(ka - kb, BoseParams(c)),
+                          halfline) if c != 0.0 else {}
+    return LevelTables(vectors, smats)
 
 
 def _line_opts(y, x, time, c, opts: QuadOptions | None):
@@ -157,7 +137,8 @@ def _line_opts(y, x, time, c, opts: QuadOptions | None):
 
 def _propagator(y, x, time: DampedTime, params: BoseParams,
                 opts: QuadOptions | None, halfline: bool,
-                level_sum=term_sum) -> BoseEvalReport:
+                level_sum=lambda tables, terms, k: term_sum(tables, terms)
+                ) -> BoseEvalReport:
     n = len(y)
     if n > MAX_N:
         raise ValueError(f"evaluators support N <= {MAX_N}")
@@ -168,7 +149,7 @@ def _propagator(y, x, time: DampedTime, params: BoseParams,
 
     def level(m):
         k, w = line_nodes(LineGrid(cutoff, 2.0 * cutoff / m))
-        return level_sum(_LineTables(k, w, y, x, time.t, params.c), terms)
+        return level_sum(_line_tables(k, w, y, x, time.t, params.c, halfline), terms, k)
 
     value, err, m = adaptive_eval(level, opts)
     return BoseEvalReport(value, err, m, group_order(n, halfline))
@@ -209,9 +190,9 @@ def bc1_residual(y, x, j: int, t, params: BoseParams,
                  opts: QuadOptions | None = None) -> complex:
     """(d/dx_{j+1} - d/dx_j - c) applied to the propagator at x_{j+1} = x_j.
 
-    The derivatives are exact (no finite differences): they differentiate
-    the factor tables (`_LineTables.d_dx`).  j is 1-based; x must carry
-    x_{j+1} = x_j.
+    The derivatives are exact (no finite differences): d/dx_i multiplies
+    every vector placed at position i with sign s by i s k
+    (`LevelTables.scaled`).  j is 1-based; x must carry x_{j+1} = x_j.
     """
     time = _as_time(t)
     n = len(tuple(y))
@@ -222,9 +203,13 @@ def bc1_residual(y, x, j: int, t, params: BoseParams,
     yv = _check_positions(y, positive=True)
     xv = _check_positions(x, positive=True, allow_equal_pair=j - 1)
 
-    def level_sum(tables, terms):
-        return (term_sum(tables.d_dx(j), terms) - term_sum(tables.d_dx(j - 1), terms)
-                - params.c * term_sum(tables, terms))
+    def level_sum(tables, terms, k):
+        def d_dx(i):
+            return term_sum(tables.scaled({key: 1j * key[1] * k
+                                           for key in tables.vectors if key[2] == i}),
+                            terms)
+
+        return d_dx(j) - d_dx(j - 1) - params.c * term_sum(tables, terms)
 
     rep = _propagator(yv, xv, time, params, opts, halfline=True, level_sum=level_sum)
     return complex(rep.value)

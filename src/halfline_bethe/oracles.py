@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .scattering import AsepParams
+from .scattering import AsepParams, integer_sites, require_time
 
 #: state-count guard for the generator build
 MAX_STATES = 2_000_000
@@ -35,8 +35,8 @@ class LatticeWindow:
     hi: int
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", int(self.lo))
-        object.__setattr__(self, "hi", int(self.hi))
+        object.__setattr__(self, "lo", integer_sites((self.lo,))[0])
+        object.__setattr__(self, "hi", integer_sites((self.hi,))[0])
         if self.hi <= self.lo:
             raise ValueError(f"window must satisfy hi > lo, got [{self.lo}, {self.hi}]")
 
@@ -56,8 +56,7 @@ class McConfig:
             raise ValueError("trials must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        if self.t < 0:
-            raise ValueError("t must be nonnegative")
+        require_time(self.t)
 
 
 class CooRates(NamedTuple):
@@ -193,19 +192,27 @@ def _uniformized_distribution(gen: GeneratorMatrix, y: tuple[int, ...], t: float
     return acc
 
 
-def _auto_window(y, x, t, n, halfline):
-    margin = math.ceil(4.0 * math.sqrt(max(t, 1e-12))) + 4
-    lo = 0 if halfline else min(min(y), min(x)) - margin
-    hi = max(max(y), max(x)) + margin
-    if hi - lo + 1 < n + 2:
-        hi = lo + n + 1
-    return LatticeWindow(lo, hi), margin
+def _configs(y, x, halfline: bool) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """y and x as integer sites; ValueError unless both hold the same number
+    of particles, strictly increasing and, on the half-line, nonnegative."""
+    y, x = integer_sites(y), integer_sites(x)
+    if len(x) != len(y):
+        raise ValueError("configurations must have equal particle number")
+    if not y:
+        raise ValueError("need at least one particle")
+    for name, config in (("y", y), ("x", x)):
+        if any(b <= a for a, b in zip(config, config[1:])):
+            raise ValueError(f"{name} = {config} must be strictly increasing")
+        if halfline and config[0] < 0:
+            raise ValueError(f"{name} = {config} has a site left of the wall")
+    return y, x
 
 
 def ctmc_distribution(y, t: float, params: AsepParams, window: LatticeWindow,
                       tol: float = 1e-12, halfline: bool = True):
     """All transition probabilities out of y at time t, over window states."""
-    y = tuple(int(v) for v in y)
+    y = integer_sites(y)
+    require_time(t)
     gen = build_generator(params, window, len(y), halfline)
     if y not in gen.index:
         raise ValueError(f"initial configuration {y} not inside window")
@@ -220,35 +227,33 @@ def ctmc_prob(y, x, t: float, params: AsepParams,
               halfline: bool = True) -> float:
     """Transition probability from y to x at time t by uniformization.
 
-    With window=None the window starts at a drift+diffusion envelope around
-    the configurations and its margin doubles until the answer is stable
-    within tol.
+    With window=None the window reaches a drift+diffusion margin past the
+    configurations, and the margin doubles until the answer is stable within
+    tol.  y and x must be strictly increasing and, on the half-line,
+    nonnegative, or ValueError is raised.
     """
     _require_rates(params)
-    y = tuple(int(v) for v in y)
-    x = tuple(int(v) for v in x)
-    if len(x) != len(y):
-        raise ValueError("configurations must have equal particle number")
+    y, x = _configs(y, x, halfline)
+    require_time(t)
     if t == 0.0:
         return 1.0 if x == y else 0.0
-    if window is not None:
+
+    def prob(window):
         states, dist = ctmc_distribution(y, t, params, window, tol, halfline)
         gen_index = {s: i for i, s in enumerate(states)}
         return float(dist[gen_index[x]]) if x in gen_index else 0.0
 
-    window, margin = _auto_window(y, x, t, len(y), halfline)
+    if window is not None:
+        return prob(window)
+    margin = math.ceil(4.0 * math.sqrt(t)) + 4
     prev = None
     for _ in range(8):
-        states, dist = ctmc_distribution(y, t, params, window, tol, halfline)
-        gen_index = {s: i for i, s in enumerate(states)}
-        cur = float(dist[gen_index[x]]) if x in gen_index else 0.0
+        lo = 0 if halfline else min(y[0], x[0]) - margin
+        cur = prob(LatticeWindow(lo, max(y[-1], x[-1]) + margin))
         if prev is not None and abs(cur - prev) < tol:
             return cur
         prev = cur
         margin *= 2
-        lo = 0 if halfline else min(min(y), min(x)) - margin
-        hi = max(max(y), max(x)) + margin
-        window = LatticeWindow(lo, hi)
     raise RuntimeError("window growth did not stabilize the CTMC probability")
 
 
@@ -263,17 +268,7 @@ def mc_estimate(y, x, cfg: McConfig, params: AsepParams,
     nonnegative, and unless both hop rates are nonnegative.
     """
     _require_rates(params)
-    y = np.asarray([int(v) for v in y], dtype=np.int64)
-    x = np.asarray([int(v) for v in x], dtype=np.int64)
-    if x.size != y.size:
-        raise ValueError("configurations must have equal particle number")
-    if y.size == 0:
-        raise ValueError("need at least one particle")
-    for name, config in (("y", y), ("x", x)):
-        if np.any(np.diff(config) <= 0):
-            raise ValueError(f"{name} = {tuple(config.tolist())} must be strictly increasing")
-        if halfline and config[0] < 0:
-            raise ValueError(f"{name} = {tuple(config.tolist())} has a site left of the wall")
+    y, x = (np.asarray(c, dtype=np.int64) for c in _configs(y, x, halfline))
     hits = _kernels.gillespie_hits(y, x, cfg.t, params.p, params.q,
                                    halfline, cfg.trials, cfg.seed)
     est = hits / cfg.trials

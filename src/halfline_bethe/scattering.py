@@ -9,6 +9,7 @@ variable: k_{-a} = -k_a and xi_{-a} = tau/xi_a with tau = p/q.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,6 +76,23 @@ class AsepParams:
             )
         if not 0.0 < self.p < 1.0:
             raise ValueError(f"the exact formulas need 0 < p < 1, got p = {self.p}")
+
+
+def integer_sites(values) -> tuple[int, ...]:
+    """Lattice sites of the exclusion process as ints; a value that is not an
+    integer (2.7, nan, inf) raises ValueError instead of being truncated."""
+    values = tuple(values)
+    bad = [v for v in values if not float(v).is_integer()]
+    if bad:
+        raise ValueError(f"sites must be integers, got {bad[0]!r}")
+    return tuple(int(v) for v in values)
+
+
+def require_time(t: float):
+    """The exclusion process's time: a nan or infinite t would run every
+    evaluator and oracle to its limit, or forever."""
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"t must be finite and nonnegative, got {t}")
 
 
 def _check_index(a: int, n: int):

@@ -130,8 +130,6 @@ def neg_count(sigma: SignedPermutation) -> int:
 class Term(NamedTuple):
     """One signed permutation, compiled for a factorized integrand."""
 
-    #: (-1)^(number of negative entries)
-    parity: float
     #: dimension d (variable d+1) -> (sign, 0-based position) of its entry
     dims: tuple[tuple[int, int], ...]
     #: per inversion (first, second): (index of the dimension pair in
@@ -144,7 +142,7 @@ class Term(NamedTuple):
 
 
 def compile_term(sigma: SignedPermutation) -> Term:
-    """sigma's parity, dimension placements and inversions, unfolded."""
+    """sigma's dimension placements and inversions, unfolded."""
     n = sigma.n
     pair_index = {pair: k for k, pair in
                   enumerate(itertools.combinations(range(n), 2))}
@@ -155,7 +153,7 @@ def compile_term(sigma: SignedPermutation) -> Term:
     for a, b in inversions(sigma):
         da, db = abs(a) - 1, abs(b) - 1
         invs.append((pair_index[min(da, db), max(da, db)], a, b, da > db))
-    return Term((-1.0) ** neg_count(sigma), tuple(dims), tuple(invs))
+    return Term(tuple(dims), tuple(invs))
 
 
 @lru_cache(maxsize=32)

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from halfline_bethe.asep_exact import (_halfline_sum, evaluate_extended,
+from halfline_bethe.asep_exact import (_level_sum, evaluate_extended,
                                        master_equation_residual, prob_fullline,
                                        prob_halfline, prob_n1_closed,
                                        total_mass, tuned_radii)
@@ -147,7 +147,7 @@ def test_radii_assignment_invariance():
             contours = tuned_radii(params, len(y)).contours()
             for perm in itertools.permutations(contours):
                 value, _, _ = adaptive_eval(
-                    lambda m: _halfline_sum(y, x, 1.0, params, perm, m))
+                    lambda m: _level_sum(y, x, 1.0, params, perm, m, True))
                 assert abs(value - ref) < 1e-11, (p, y, x, perm)
 
 

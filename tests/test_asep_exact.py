@@ -6,9 +6,10 @@ import pytest
 from scipy.optimize import brentq
 
 from halfline_bethe import asep_exact
+from halfline_bethe._kernels import _pair_keys
 from halfline_bethe.asep_exact import (AsepEvalReport, LatticeConfig,
                                        _ContourTables, _contour_tables,
-                                       _image_reach, _pair_keys,
+                                       _image_reach,
                                        evaluate_extended,
                                        master_equation_residual, prob_fullline,
                                        prob_halfline, prob_n1_closed,
@@ -35,6 +36,37 @@ class TestConfigs:
     def test_size_cap(self):
         with pytest.raises(ValueError):
             prob_halfline(tuple(range(5)), tuple(range(5)), 1.0, P04)
+
+    @pytest.mark.parametrize("bad", [2.7, 2.5, math.nan, math.inf])
+    def test_non_integer_sites_rejected(self, bad):
+        # int() would truncate 2.7 to 2 and give the value at (0, 2)
+        calls = [lambda: LatticeConfig((0, bad)),
+                 lambda: prob_halfline((0, bad), (1, 3), 1.0, P04),
+                 lambda: prob_halfline((0, 2), (1, bad), 1.0, P04),
+                 lambda: prob_fullline((0, bad), (1, 3), 1.0, P04),
+                 lambda: evaluate_extended((0, 2), (bad, 3), 1.0, P04),
+                 lambda: prob_n1_closed(0, bad, 1.0, P04),
+                 lambda: prob_n1_closed(bad, 1, 1.0, P04)]
+        for call in calls:
+            with pytest.raises(ValueError, match="integers"):
+                call()
+
+    def test_integral_floats_still_accepted(self):
+        assert (prob_halfline((0.0, np.float64(2.0)), (1, 3), 1.0, P04)
+                == prob_halfline((0, 2), (1, 3), 1.0, P04))
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_non_finite_time_rejected(t):
+    # before any level: a nan or infinite t refined every level to max_points
+    calls = [lambda: prob_halfline((0,), (1,), t, P04),
+             lambda: prob_fullline((0,), (1,), t, P04),
+             lambda: evaluate_extended((0,), (-1,), t, P04),
+             lambda: master_equation_residual((0,), (1,), t, P04),
+             lambda: prob_n1_closed(0, 1, t, P04)]
+    for call in calls:
+        with pytest.raises(ValueError, match="finite"):
+            call()
 
 
 def _pole_images_inside(params: AsepParams, radii, safety: float) -> bool:
@@ -229,13 +261,13 @@ class TestHalfline:
         # refinement history of the two-particle integrand: monotone
         # successive differences, and the reported estimate bounds the true
         # error within a factor of 10 (deep refinement as reference)
-        from halfline_bethe.asep_exact import _halfline_sum
+        from halfline_bethe.asep_exact import _level_sum
         from halfline_bethe.contour_quad import adaptive_trace
 
         contours = tuned_radii(P04, 2).contours()
 
         def level(m):
-            return _halfline_sum((0, 2), (1, 3), 1.0, P04, contours, m)
+            return _level_sum((0, 2), (1, 3), 1.0, P04, contours, m, True)
 
         trace = adaptive_trace(level, QuadOptions(initial_points=16,
                                                   max_points=4096, tol=1e-5))

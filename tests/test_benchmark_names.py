@@ -2,9 +2,13 @@
 unbinds one would leave its per-layer metrics empty without failing a run."""
 
 import importlib.util
+from collections import OrderedDict
 from pathlib import Path
 
-from halfline_bethe import _kernels, asep_exact
+from halfline_bethe import _kernels, asep_exact, bose_exact
+from halfline_bethe.contour_quad import LineGrid, line_nodes
+from halfline_bethe.scattering import AsepParams
+from halfline_bethe.signed_perm import term_structure
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -24,3 +28,29 @@ def test_every_traced_name_is_bound():
     assert tracer.missing == []
     # the wrappers are gone again
     assert asep_exact.contract is _kernels.contract is contract
+
+
+def test_one_level_of_each_model_is_traced(monkeypatch):
+    # the models hand pair_matrices a lambda that looks s_asep and s_bose up
+    # in their own module at each call, where the tracer replaces them; an
+    # empty contour cache makes the ASEP level build its tables
+    monkeypatch.setattr(asep_exact, "_CONTOUR_CACHE", OrderedDict())
+    params = AsepParams.from_p(0.4)
+    contours = asep_exact.tuned_radii(params, 3).contours()
+    k, w = line_nodes(LineGrid(4.0, 0.5))
+    tracer = _load_tracing().Tracer()
+    with tracer.installed():
+        asep_exact._level_sum((0, 2, 4), (1, 2, 5), 0.5, params, contours, 8, True)
+        asep_calls = dict(tracer.counts)
+        tracer.reset()
+        tables = bose_exact._line_tables(k, w, (0.5, 1.4, 2.6), (0.8, 1.7, 2.9),
+                                         -0.5j, 1.0, True)
+        _kernels.term_sum(tables, term_structure(3, True))
+        bose_calls = dict(tracer.counts)
+    terms = len(term_structure(3, True))
+    # ASEP: eps and r on each of 3 circles, N(N-1) = 6 S-matrices
+    assert asep_calls["scattering.calls"] == 3 + 3 + 6
+    assert asep_calls["kernels.contract.calls"] == terms
+    # Bose: S(k_a - k_b) and S(k_a + k_b)
+    assert bose_calls["scattering.calls"] == 2
+    assert bose_calls["kernels.contract.calls"] == terms

@@ -52,6 +52,14 @@ class TestConfigValidation:
     def test_fullline_allows_negative(self):
         propagator_fullline((-1.0,), (0.5,), T, C1)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_positions_rejected(self, bad):
+        for fn in (propagator_halfline, propagator_fullline):
+            with pytest.raises(ValueError, match="finite"):
+                fn((0.5, 1.0), (1.0, bad), T, C1)
+            with pytest.raises(ValueError, match="finite"):
+                fn((0.5, bad), (1.0, 2.0), T, C1)
+
     def test_size_cap(self):
         xs = tuple(0.5 + i for i in range(5))
         with pytest.raises(ValueError):

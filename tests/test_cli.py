@@ -117,6 +117,23 @@ class TestExitCodes:
         code, _ = run_cli(capsys, command, "--p", p, "--Y", y, "--X", x, "--t", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("t", ["nan", "inf"])
+    @pytest.mark.parametrize("command,y,x", [
+        ("asep-prob", "0,2", "1,3"), ("asep-fullline", "0,2", "1,3"),
+        ("asep-n1", "0", "2"), ("mc-compare", "0,2", "1,3"),
+    ])
+    def test_non_finite_time_is_2(self, capsys, command, y, x, t):
+        code, _ = run_cli(capsys, command, "--p", "0.4", "--Y", y, "--X", x, "--t", t)
+        assert code == 2
+
+    @pytest.mark.parametrize("bad", ["inf", "nan", "-inf"])
+    @pytest.mark.parametrize("fullline", [False, True])
+    def test_non_finite_bose_positions_are_2(self, capsys, bad, fullline):
+        for y, x in (("1.0", bad), (bad, "2.0")):
+            argv = ["bose-prop", "--c", "1", f"--Y={y}", f"--X={x}", "--tau", "0.5"]
+            assert main(argv + (["--fullline"] if fullline else [])) == 2
+            assert "finite" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
         ("asep-prob", "--p", "0.4", "--Y", "0,2", "--X", "1,3", "--t", "1",
          "--seed", "3"),

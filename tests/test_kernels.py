@@ -9,12 +9,14 @@ import numpy as np
 import pytest
 
 from halfline_bethe import _kernels
-from halfline_bethe._kernels import _plan, contract, gillespie_hits, term_sum
-from halfline_bethe.asep_exact import _ContourTables, _LevelTables, tuned_radii
-from halfline_bethe.bose_exact import _LineTables
+from halfline_bethe._kernels import (LevelTables, _pair_keys, _plan, contract,
+                                    gillespie_hits, term_sum)
+from halfline_bethe.asep_exact import _ContourTables, _level_tables, tuned_radii
+from halfline_bethe.bose_exact import _line_tables
 from halfline_bethe.contour_quad import LineGrid, line_nodes
-from halfline_bethe.scattering import AsepParams
-from halfline_bethe.signed_perm import (enumerate_bn, inversions, neg_count,
+from halfline_bethe.scattering import (AsepParams, BoseParams, eps_asep, r_factor,
+                                       s_bose)
+from halfline_bethe.signed_perm import (enumerate_bn, enumerate_sn, inversions,
                                         term_structure)
 
 
@@ -87,49 +89,127 @@ def test_only_complete_graphs_run_the_dense_loop(n, complete, dense):
 
 
 def _asep_tables(n, m=8):
+    """The contour tables and the level tables of one half-line level."""
     params = AsepParams.from_p(0.3)
     contour = _ContourTables(params, tuned_radii(params, n).contours(), m, True)
-    return _LevelTables(contour, (0, 2, 4, 6)[:n], 0.5, (1, 2, 5, 7)[:n])
+    return contour, _level_tables(contour, (0, 2, 4, 6)[:n], 0.5, (1, 2, 5, 7)[:n])
 
 
-def _bose_tables(n, c=1.0):
-    k, w = line_nodes(LineGrid(4.0, 0.5))
-    return _LineTables(k, w, (0.5, 1.4, 2.6)[:n], (0.8, 1.7, 1.7)[:n], -0.5j, c)
+K, W = line_nodes(LineGrid(4.0, 0.5))
+BOSE_Y, BOSE_X, BOSE_T = (0.5, 1.4, 2.6), (0.8, 1.7, 1.7), -0.5j
 
 
-def _unfolded_sum(tables, n, factor=None):
-    """The half-line sum term by term over all of B_n, straight from each
+def _bose_tables(n, c=1.0, halfline=True):
+    return _line_tables(K, W, BOSE_Y[:n], BOSE_X[:n], BOSE_T, c, halfline)
+
+
+def _unfolded_sum(tables, n, factors=None, group=enumerate_bn):
+    """The sum term by term over all of B_n (or S_n), straight from each
     sigma and its inversions, each integrand summed over the grid by einsum.
-    factor(d, sign, pos), if given, multiplies the vector of dimension d
-    placed at position pos with that sign (None: no factor)."""
+    factors[d, sign, pos], where given, multiplies the vector of dimension d
+    placed at position pos with that sign."""
     letters = "abcd"[:n]
     total = 0.0 + 0.0j
-    for sigma in enumerate_bn(n):
+    for sigma in group(n):
         vectors = [None] * n
         for pos, v in enumerate(sigma.values):
             d, s = abs(v) - 1, (1 if v > 0 else -1)
-            f = factor(d, s, pos) if factor else None
-            vectors[d] = tables.vectors[d, s, pos] * (1.0 if f is None else f)
+            vectors[d] = tables.vectors[d, s, pos] * (factors or {}).get((d, s, pos), 1.0)
         subs, mats = [], []
         for a, b in inversions(sigma):
-            mat = tables.smat(a, b)
+            mat = tables.smats.get((a, b))
             if mat is not None:
                 subs.append(letters[abs(a) - 1] + letters[abs(b) - 1])
                 mats.append(mat)
         spec = ",".join(list(letters) + subs) + "->"
-        sign = (-1.0) ** neg_count(sigma) if tables.signed else 1.0
-        total += sign * np.einsum(spec, *vectors, *mats)
+        total += np.einsum(spec, *vectors, *mats)
     return total
 
 
-def _energy(tables, d):
-    """The factor of d/dt through variable d: its energy, whatever the sign."""
-    return lambda dd, s, pos: tables.contour.energies[d] if dd == d else None
+def _energy(contour, tables, d):
+    """The factors of d/dt through variable d: its energy, whatever the sign."""
+    return {key: contour.energies[d] for key in tables.vectors if key[0] == d}
 
 
 def _momentum(tables, j):
-    """The factor of d/dx_j: i s k on the vector at position j with sign s."""
-    return lambda d, s, pos: 1j * s * tables.k if pos == j else None
+    """The factors of d/dx_j: i s k on the vector at position j with sign s."""
+    return {(d, s, pos): 1j * s * K for d, s, pos in tables.vectors if pos == j}
+
+
+class TestLevelTables:
+    """The model-free layer: term_sum on any tables, and the sign of a
+    negative entry riding in its vector."""
+
+    @pytest.mark.parametrize("n,halfline", [
+        pytest.param(n, halfline, id=f"N{n}-{'half' if halfline else 'full'}")
+        for n in (1, 2, 3, 4) for halfline in (True, False)
+    ])
+    def test_term_sum_on_hand_built_tables(self, rng, n, halfline):
+        # random vectors and an independent random matrix per signed pair,
+        # every third pair left out (identically 1)
+        m = 5
+
+        def draw(*shape):
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+        vectors = {(d, s, pos): draw(m) for d in range(n) for s in (1, -1)
+                   for pos in range(n)}
+        smats = {key: draw(m, m) for k, key in enumerate(_pair_keys(n, halfline))
+                 if k % 3 != 2}
+        tables = LevelTables(vectors, smats)
+        group = enumerate_bn if halfline else enumerate_sn
+        want = _unfolded_sum(tables, n, group=group)
+        assert term_sum(tables, term_structure(n, halfline)) == pytest.approx(
+            want, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_negative_entries_carry_their_amplitude(self, n):
+        # v- is the plain factor of the reflected variable times the
+        # amplitude of a negative entry: -1 (Bose), r(tau/xi) (ASEP)
+        bose = _bose_tables(n)
+        for d, j in itertools.product(range(n), repeat=2):
+            for s in (1, -1):
+                plain = W * np.exp(-1j * K * BOSE_Y[d] - 1j * BOSE_T * K * K
+                                   + 1j * s * K * BOSE_X[j])
+                np.testing.assert_allclose(bose.vectors[d, s, j], s * plain,
+                                           rtol=1e-13)
+        contour, asep = _asep_tables(n)
+        params = AsepParams.from_p(0.3)
+        for d, i in itertools.product(range(n), repeat=2):
+            xi = contour.pos_vals[d]
+            base = (contour.weights[d] * xi ** (-(0, 2, 4)[d] - 1)
+                    * np.exp(eps_asep(xi, params) * 0.5))
+            z = (1, 2, 5)[i]
+            np.testing.assert_allclose(asep.vectors[d, 1, i], base * xi ** z,
+                                       rtol=1e-13)
+            reflected = params.tau / xi
+            np.testing.assert_allclose(
+                asep.vectors[d, -1, i],
+                base * reflected ** z * r_factor(reflected, params), rtol=1e-13)
+
+class TestPairMatrices:
+    """Bose: S(sa k - sb k) on one shared grid, so two distinct matrices on
+    the half-line (++ and +-; -- is the transpose of ++), one on the full line
+    and none at c = 0.  ASEP's counts are in test_asep_exact."""
+
+    @pytest.mark.parametrize("n,halfline,c,distinct", [
+        (2, True, 1.0, 2), (3, True, 0.5, 2), (4, True, 4.0, 2),
+        (3, False, 1.0, 1), (3, True, 0.0, 0), (2, False, 0.0, 0),
+    ])
+    def test_bose(self, n, halfline, c, distinct):
+        smats = _line_tables(K, W, (0.5, 1.4, 2.6, 3.1)[:n], (0.8, 1.7, 2.0, 2.2)[:n],
+                             BOSE_T, c, halfline).smats
+        owners = {id(m if m.base is None else m.base) for m in smats.values()}
+        assert len(owners) == distinct
+        if c == 0.0:
+            assert smats == {}
+            return
+        assert set(smats) == set(_pair_keys(n, halfline))
+        for (a, b), mat in smats.items():
+            direct = s_bose(np.sign(a) * K[:, None] - np.sign(b) * K[None, :],
+                            BoseParams(c))
+            np.testing.assert_array_equal(mat, direct)
+            assert not mat.flags.writeable
 
 
 class TestFolding:
@@ -141,7 +221,7 @@ class TestFolding:
         for derivative in ("plain", "energy") for n in (1, 2, 3, 4)
     ])
     def test_asep(self, n, derivative):
-        tables = _asep_tables(n)
+        contour, tables = _asep_tables(n)
         terms = term_structure(n, True)
         if derivative == "plain":
             assert term_sum(tables, terms) == pytest.approx(_unfolded_sum(tables, n),
@@ -149,9 +229,9 @@ class TestFolding:
             return
         # d/dt through each variable in turn, the folded one (d = 0) included
         for d in range(n):
-            got = term_sum(tables.d_dt(d), terms)
-            assert got == pytest.approx(_unfolded_sum(tables, n, _energy(tables, d)),
-                                        rel=1e-13), d
+            factors = _energy(contour, tables, d)
+            got = term_sum(tables.scaled(factors), terms)
+            assert got == pytest.approx(_unfolded_sum(tables, n, factors), rel=1e-13), d
 
     @pytest.mark.parametrize("n,c,j", [
         pytest.param(1, 1.0, None, id="N1-plain"),
@@ -171,10 +251,10 @@ class TestFolding:
                                                             rel=1e-13)
             return
         # the bc1_residual level: (d/dx_{j+1} - d/dx_j - c) u, j 1-based
-        got = (term_sum(tables.d_dx(j), terms) - term_sum(tables.d_dx(j - 1), terms)
+        upper, lower = _momentum(tables, j), _momentum(tables, j - 1)
+        got = (term_sum(tables.scaled(upper), terms) - term_sum(tables.scaled(lower), terms)
                - c * term_sum(tables, terms))
-        want = (_unfolded_sum(tables, n, _momentum(tables, j))
-                - _unfolded_sum(tables, n, _momentum(tables, j - 1))
+        want = (_unfolded_sum(tables, n, upper) - _unfolded_sum(tables, n, lower)
                 - c * _unfolded_sum(tables, n))
         assert got == pytest.approx(want, rel=1e-13)
 
@@ -185,15 +265,20 @@ class TestFolding:
     def test_bose_d_dx(self, n, c, j):
         # j = 0 is the folded dimension: its partner's factor is -i k
         tables = _bose_tables(n, c)
-        got = term_sum(tables.d_dx(j), term_structure(n, True))
-        assert got == pytest.approx(_unfolded_sum(tables, n, _momentum(tables, j)),
-                                    rel=1e-13)
+        factors = _momentum(tables, j)
+        got = term_sum(tables.scaled(factors), term_structure(n, True))
+        assert got == pytest.approx(_unfolded_sum(tables, n, factors), rel=1e-13)
 
     def test_derivative_tables_share_the_scattering_cache(self):
-        asep, bose = _asep_tables(2), _bose_tables(2)
-        assert asep.d_dt(1).contour is asep.contour
-        assert bose.d_dx(0)._smats is bose._smats
-        assert bose.d_dx(0).vectors[0, 1, 1] is bose.vectors[0, 1, 1]
+        contour, asep = _asep_tables(2)
+        bose = _bose_tables(2)
+        for tables, factors in ((asep, _energy(contour, asep, 1)),
+                                (bose, _momentum(bose, 0))):
+            scaled = tables.scaled(factors)
+            assert scaled.smats is tables.smats
+            unchanged = [key for key in tables.vectors if key not in factors]
+            assert unchanged
+            assert all(scaled.vectors[key] is tables.vectors[key] for key in unchanged)
 
 
 # ---------------------------------------------------------------------------

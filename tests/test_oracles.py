@@ -177,6 +177,37 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             McConfig(10, 1, -1.0)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_time_rejected(self, t, monkeypatch):
+        # an infinite t never ended the chain; the config refuses it before
+        # any trial starts
+        def chain(*args):
+            raise AssertionError("the jump chain started")
+
+        monkeypatch.setattr(oracles._kernels, "gillespie_hits", chain)
+        with pytest.raises(ValueError, match="finite"):
+            mc_estimate((0, 2), (1, 3), McConfig(10, 1, t), PARAMS)
+        window = LatticeWindow(0, 8)
+        for call in (lambda: ctmc_distribution((0, 2), t, PARAMS, window),
+                     lambda: ctmc_prob((0, 2), (1, 3), t, PARAMS),
+                     lambda: ctmc_prob((0, 2), (1, 3), t, PARAMS, window)):
+            with pytest.raises(ValueError, match="finite"):
+                call()
+
+    @pytest.mark.parametrize("bad", [2.7, 2.5, math.nan, math.inf])
+    def test_non_integer_sites_rejected(self, bad):
+        # int() would truncate 2.7 to 2 and give the value at (0, 2)
+        cfg = McConfig(10, 1, 1.0)
+        window = LatticeWindow(0, 8)
+        calls = [lambda: ctmc_prob((0, bad), (1, 3), 1.0, PARAMS),
+                 lambda: ctmc_prob((0, 2), (1, bad), 1.0, PARAMS),
+                 lambda: ctmc_distribution((0, bad), 1.0, PARAMS, window),
+                 lambda: mc_estimate((0, bad), (1, 3), cfg, PARAMS),
+                 lambda: LatticeWindow(0, bad)]
+        for call in calls:
+            with pytest.raises(ValueError, match="integers"):
+                call()
+
     @pytest.mark.parametrize("y", [(2, 1), (1, 1), (-3, 1)])
     def test_impossible_configurations_rejected(self, y):
         # as ctmc_prob rejects them: order, exclusion and the wall
@@ -187,6 +218,8 @@ class TestMonteCarlo:
             mc_estimate((0, 2), y, cfg, PARAMS)
         with pytest.raises(ValueError):
             ctmc_prob(y, y, 1.0, PARAMS)
+        with pytest.raises(ValueError):
+            ctmc_prob((0, 2), y, 1.0, PARAMS)
 
     def test_left_of_origin_allowed_on_full_line(self):
         est, se = mc_estimate((-3, 1), (-3, 1), McConfig(1000, 1, 1.0), PARAMS,

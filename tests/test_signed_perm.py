@@ -26,11 +26,11 @@ def random_sigma(draw_n=st.integers(1, 5)):
 
 def _partner(term):
     """The `negate_first` partner of a term: the sign of the dimension at
-    position 0 and the parity flipped, the same inversions, unfolded."""
+    position 0 flipped, the same inversions, unfolded."""
     d = next(d for d, (_, pos) in enumerate(term.dims) if pos == 0)
     dims = list(term.dims)
     dims[d] = (-dims[d][0], 0)
-    return term._replace(parity=-term.parity, dims=tuple(dims), fold=None)
+    return term._replace(dims=tuple(dims), fold=None)
 
 
 class TestConstruction:
@@ -165,8 +165,8 @@ class TestNegateFirst:
     def test_partners_compile_to_the_same_pair_factors(self, sigma):
         term, flipped = compile_term(sigma), compile_term(negate_first(sigma))
         assert sorted(term.invs) == sorted(flipped.invs)
-        # the flipped term is the folded one with the sign at position 0 and
-        # the parity negated, which is what term_sum's fold assumes
+        # the flipped term is the folded one with the sign at position 0
+        # negated, which is what term_sum's fold assumes
         assert flipped._replace(invs=term.invs) == _partner(term)
 
 
@@ -177,9 +177,8 @@ class TestTermStructure:
         assert 2 * len(terms) == group_order(n, True) == len(enumerate_bn(n))
         assert all(term.dims[term.fold] == (1, 0) for term in terms)
         # the terms and their partners are B_n, each element once
-        covered = [(t.parity, t.dims) for t in terms] + \
-            [(u.parity, u.dims) for u in map(_partner, terms)]
-        assert sorted(covered) == sorted((u.parity, u.dims) for u in
+        covered = [t.dims for t in terms] + [u.dims for u in map(_partner, terms)]
+        assert sorted(covered) == sorted(u.dims for u in
                                          map(compile_term, enumerate_bn(n)))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
