@@ -28,6 +28,11 @@ from .signed_perm import group_order, term_structure
 MIN_DAMPING = 1e-3
 
 
+def _check_tau(tau: float):
+    if not (math.isfinite(tau) and tau > 0):
+        raise ValueError(f"tau must be finite and positive, got {tau}")
+
+
 @dataclass(frozen=True)
 class DampedTime:
     """Complex time with Im(t) <= -delta_min, so |exp(-i t k^2)| decays."""
@@ -47,8 +52,7 @@ class DampedTime:
     @classmethod
     def imaginary(cls, tau: float) -> "DampedTime":
         """Diffusive mode t = -i*tau; any tau > 0 is admissible here."""
-        if tau <= 0:
-            raise ValueError("tau must be positive")
+        _check_tau(tau)
         return cls(-1j * float(tau), delta_min=min(MIN_DAMPING, float(tau)))
 
     @property
@@ -135,6 +139,14 @@ def _line_opts(y, x, time, c, opts: QuadOptions | None):
                                max_points=max(opts.max_points, 8 * m0), tol=opts.tol)
 
 
+def _five_quarters(m: int) -> int:
+    """The level after m: m0 already resolves the integrand to about tol, so
+    the check level needs only 5/4 of it; its error, about err(m0)**1.25,
+    stays well below the difference the stopping rule compares.  The result
+    is even, as LineGrid needs."""
+    return 2 * math.ceil(5 * m / 8)
+
+
 def _propagator(y, x, time: DampedTime, params: BoseParams,
                 opts: QuadOptions | None, halfline: bool,
                 level_sum=lambda tables, terms, k: term_sum(tables, terms)
@@ -151,8 +163,28 @@ def _propagator(y, x, time: DampedTime, params: BoseParams,
         k, w = line_nodes(LineGrid(cutoff, 2.0 * cutoff / m))
         return level_sum(_line_tables(k, w, y, x, time.t, params.c, halfline), terms, k)
 
-    value, err, m = adaptive_eval(level, opts)
-    return BoseEvalReport(value, err, m, group_order(n, halfline))
+    value, err, m = adaptive_eval(level, opts, next_points=_five_quarters)
+    order = group_order(n, halfline)
+    tail = _cutoff_tail(n, order, time.damping, cutoff, 2.0 * cutoff / m)
+    return BoseEvalReport(value, max(err, tail), m, order)
+
+
+def _cutoff_tail(n: int, order: int, delta: float, cutoff: float, spacing: float) -> float:
+    """Bound on the lattice points that no level sees: those beyond
+    +-cutoff, and the half weights the trapezoid gives the end points.
+
+    On real k every |S| = 1 and every phase has modulus 1, so each of the
+    `order` terms is at most prod_d e^(-delta k_d^2)/(2 pi).  A point left
+    out has some |k_d| >= cutoff: N choices of d, the 1-D tail
+    (h + 1/(delta K)) e^(-delta K^2)/(2 pi) over both sides, and the whole
+    1-D lattice sum (h + sqrt(pi/delta))/(2 pi) for each other dimension.
+    This bounds the plain propagator sum, not the derivative sums of
+    bc1_residual, which reports no error estimate.
+    """
+    h, k = spacing, cutoff
+    tail = (h + 1.0 / (delta * k)) * math.exp(-delta * k * k) / (2.0 * math.pi)
+    whole = (h + math.sqrt(math.pi / delta)) / (2.0 * math.pi)
+    return order * n * tail * whole ** (n - 1)
 
 
 def propagator_halfline(y, x, t, params: BoseParams,
@@ -232,8 +264,7 @@ def free_limit_c0(y, x, tau: float) -> float:
     """
     yv = _check_positions(y, positive=True)
     xv = _check_positions(x, positive=True)
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    _check_tau(tau)
     n = len(yv)
     total = 0.0
     for perm in itertools.permutations(range(n)):
@@ -249,8 +280,7 @@ def fermion_limit_cinf(y, x, tau: float) -> float:
     (impenetrable bosons on the ordered sector)."""
     yv = _check_positions(y, positive=True)
     xv = _check_positions(x, positive=True)
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    _check_tau(tau)
     n = len(yv)
     mat = np.empty((n, n))
     for i in range(n):

@@ -4,9 +4,10 @@ Trapezoid rules on circles carry the 1/(2*pi*i) contour normalization and are
 spectrally accurate for integrands analytic in an annulus around the contour;
 truncated trapezoid rules on lines carry the 1/(2*pi) normalization and are
 spectrally accurate for Gaussian-damped analytic integrands.  Adaptive
-refinement doubles the per-dimension resolution of every dimension together,
-and every reduction runs in a fixed order, so repeated runs are bit-for-bit
-reproducible.
+refinement raises the per-dimension resolution of every dimension together,
+by doubling unless the caller passes a finer schedule (the line grids, whose
+first level is sized a priori, step by 5/4), and every reduction runs in a
+fixed order, so repeated runs are bit-for-bit reproducible.
 """
 
 from __future__ import annotations
@@ -123,16 +124,26 @@ def line_nodes(grid: LineGrid):
     return nodes, weights
 
 
-def adaptive_trace(level_eval, opts: QuadOptions | None = None):
-    """Successive estimates [(m, value), ...], doubling m until stable.
+def _doubled(m: int) -> int:
+    return 2 * m
+
+
+def adaptive_trace(level_eval, opts: QuadOptions | None = None, *,
+                   next_points=_doubled):
+    """Successive estimates [(m, value), ...], raising m by `next_points`
+    (doubling by default) until stable.
 
     Stops once two consecutive estimates differ by less than opts.tol.  A
     rounding-floor plateau is also accepted: spectral refinement shrinks the
     successive differences at least geometrically, so two consecutive small
     differences (below 100*tol) that have stopped shrinking indicate the
     cancellation floor of double precision, not an unresolved integrand; the
-    plateau size is then the honest error estimate.  Raises ConvergenceError
-    (carrying the last two estimates) if the resolution cap is reached first.
+    plateau size is then the honest error estimate.  "Stopped shrinking"
+    means the last difference kept more than 0.3 of the one before it per
+    doubling of m: a step from m_a to m_b allows 0.3**((m_b - m_a)/m_a),
+    since an error exp(-a*m) shrinks by exp(-a*(m_b - m_a)).  Raises
+    ConvergenceError (carrying the last two estimates) if the resolution cap
+    is reached first.
     """
     opts = opts or QuadOptions()
     m = opts.initial_points
@@ -145,10 +156,11 @@ def adaptive_trace(level_eval, opts: QuadOptions | None = None):
                 return trace
             if len(trace) >= 3:
                 prev = abs(trace[-2][1] - trace[-3][1])
+                m_a, m_b = trace[-3][0], trace[-2][0]
                 if diff < 100.0 * opts.tol and prev < 100.0 * opts.tol \
-                        and diff > 0.3 * prev:
+                        and diff > 0.3 ** ((m_b - m_a) / m_a) * prev:
                     return trace
-        m *= 2
+        m = next_points(m)
     last = trace[-1][1]
     prev = trace[-2][1] if len(trace) >= 2 else None
     raise ConvergenceError(
@@ -158,13 +170,15 @@ def adaptive_trace(level_eval, opts: QuadOptions | None = None):
     )
 
 
-def adaptive_eval(level_eval, opts: QuadOptions | None = None):
+def adaptive_eval(level_eval, opts: QuadOptions | None = None, *,
+                  next_points=_doubled):
     """Refine a quadrature level function until two levels agree within tol.
 
-    `level_eval(m)` is the estimate at per-dimension resolution m.  Returns
-    (value, error_estimate, m); the error estimate is the last successive
-    difference (no extrapolation, by design).
+    `level_eval(m)` is the estimate at per-dimension resolution m, and
+    `next_points(m)` the resolution after m.  Returns (value,
+    error_estimate, m); the error estimate is the last successive difference
+    (no extrapolation, by design).
     """
-    trace = adaptive_trace(level_eval, opts)
+    trace = adaptive_trace(level_eval, opts, next_points=next_points)
     (m, value), (_, prev) = trace[-1], trace[-2]
     return value, abs(value - prev), m

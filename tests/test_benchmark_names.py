@@ -2,12 +2,13 @@
 unbinds one would leave its per-layer metrics empty without failing a run."""
 
 import importlib.util
+import math
 from collections import OrderedDict
 from pathlib import Path
 
 from halfline_bethe import _kernels, asep_exact, bose_exact
-from halfline_bethe.contour_quad import LineGrid, line_nodes
-from halfline_bethe.scattering import AsepParams
+from halfline_bethe.contour_quad import LineGrid, QuadOptions, line_nodes
+from halfline_bethe.scattering import AsepParams, BoseParams
 from halfline_bethe.signed_perm import term_structure
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -54,3 +55,18 @@ def test_one_level_of_each_model_is_traced(monkeypatch):
     # Bose: S(k_a - k_b) and S(k_a + k_b)
     assert bose_calls["scattering.calls"] == 2
     assert bose_calls["kernels.contract.calls"] == terms
+
+
+def test_a_bose_op_is_traced_through_its_two_levels():
+    # the tracer counts adaptive_trace's levels from its return value, so it
+    # must still see the call that passes the Bose schedule by keyword
+    y, x, time = (0.5, 1.4, 2.6), (0.8, 1.9, 3.1), bose_exact.DampedTime.imaginary(0.5)
+    m0 = bose_exact._line_opts(y, x, time, 1.0, QuadOptions())[1].initial_points
+    tracer = _load_tracing().Tracer()
+    with tracer.installed():
+        rep = bose_exact.propagator_halfline(y, x, time, BoseParams(1.0))
+    assert tracer.missing == []
+    assert tracer.counts["contour_quad.levels"] == 2
+    assert tracer.counts["contour_quad.points"] == rep.points_used \
+        == bose_exact._five_quarters(m0) == 2 * math.ceil(5 * m0 / 8)
+    assert tracer.counts["kernels.contract.calls"] == 2 * len(term_structure(3, True))

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from halfline_bethe.bose_exact import (DampedTime, bc1_residual,
+from halfline_bethe.bose_exact import (DampedTime, _five_quarters,
+                                       _line_opts, bc1_residual,
                                        fermion_limit_cinf, free_limit_c0,
                                        images_kernel,
                                        propagator_fullline,
@@ -205,6 +206,70 @@ class TestClosedFormLimits:
         got = propagator_halfline((0.7, 1.9), (1.2, 2.8),
                                   DampedTime.imaginary(0.5), BoseParams(1000.0))
         assert abs(got.value - fermion_limit_cinf((0.7, 1.9), (1.2, 2.8), 0.5)) < 5e-3
+
+
+class TestNonFiniteTau:
+    @pytest.mark.parametrize("limit", [free_limit_c0, fermion_limit_cinf])
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0])
+    def test_rejected(self, limit, tau):
+        with pytest.raises(ValueError, match="tau"):
+            limit((0.5, 1.0), (1.0, 2.0), tau)
+
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf")])
+    def test_imaginary_time_rejected(self, tau):
+        with pytest.raises(ValueError, match="tau"):
+            DampedTime.imaginary(tau)
+
+
+SWEEP_Y = {1: (0.7,), 2: (0.6, 1.5), 3: (0.5, 1.4, 2.6)}
+SWEEP_X = {1: (1.2,), 2: (0.9, 2.1), 3: (0.8, 1.9, 3.1)}
+SWEEP_TAUS = (0.05, 0.5, 2.0)
+SWEEP_CS = (0.0, 0.5, 4.0)
+SWEEP_TOLS = (1e-3, 1e-4, 1e-6, 1e-10)
+
+
+def _sweep_reference(n, tau, c):
+    """The images kernel (N = 1), the permanent (c = 0), else tol 1e-14."""
+    y, x = SWEEP_Y[n], SWEEP_X[n]
+    if n == 1:
+        return images_kernel(x[0], y[0], tau)
+    if c == 0.0:
+        return free_limit_c0(y, x, tau)
+    return propagator_halfline(y, x, DampedTime.imaginary(tau), BoseParams(c),
+                               QuadOptions(tol=1e-14)).value
+
+
+class TestLevelSchedule:
+    """The first line grid is sized for tol, so one check level 5/4 finer
+    settles every case, and the estimate covers the error."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_sweep(self, n):
+        y, x = SWEEP_Y[n], SWEEP_X[n]
+        for tau in SWEEP_TAUS:
+            time = DampedTime.imaginary(tau)
+            # the 2^N N! terms add up to at most this much in size
+            scale = 2 ** n * math.factorial(n) / (2.0 * math.sqrt(math.pi * tau)) ** n
+            for c in SWEEP_CS:
+                ref = _sweep_reference(n, tau, c)
+                for tol in SWEEP_TOLS:
+                    opts = QuadOptions(tol=tol)
+                    rep = propagator_halfline(y, x, time, BoseParams(c), opts)
+                    m0 = _line_opts(y, x, time, c, opts)[1].initial_points
+                    err = abs(rep.value - ref)
+                    case = (tau, c, tol, m0, rep.points_used, err, rep.error_estimate)
+                    assert err <= tol, case
+                    assert rep.points_used == _five_quarters(m0), case
+                    assert err <= rep.error_estimate + 4 * np.finfo(float).eps * scale, case
+
+    def test_estimate_covers_the_cutoff(self):
+        # at tol 1e-3 both levels share a cutoff whose tail the difference of
+        # the two levels (1.3e-8) does not see; the error is 6.4e-7
+        tau = 0.05
+        rep = propagator_halfline((0.7,), (1.2,), DampedTime.imaginary(tau),
+                                  BoseParams(0.0), QuadOptions(tol=1e-3))
+        err = abs(rep.value - images_kernel(1.2, 0.7, tau))
+        assert 1e-7 < err <= rep.error_estimate < 1e-5
 
 
 class TestSymmetry:

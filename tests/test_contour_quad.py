@@ -179,3 +179,70 @@ class TestAdaptive:
         trace = adaptive_trace(level, QuadOptions(initial_points=8,
                                                   max_points=4096, tol=1e-10))
         assert len(trace) == 4
+
+
+def _five_quarters(m):
+    return 2 * math.ceil(5 * m / 8)
+
+
+class TestSchedule:
+    @staticmethod
+    def _visits(opts, **kwargs):
+        seen = []
+
+        def level(m):
+            seen.append(m)
+            return float(len(seen))  # never stabilizes
+
+        with pytest.raises(ConvergenceError):
+            adaptive_trace(level, opts, **kwargs)
+        return seen
+
+    def test_default_doubles(self):
+        opts = QuadOptions(initial_points=16, max_points=256)
+        assert self._visits(opts) == [16, 32, 64, 128, 256]
+        assert self._visits(opts, next_points=lambda m: 2 * m) == [16, 32, 64, 128, 256]
+
+    def test_five_quarters_visits(self):
+        seen = self._visits(QuadOptions(initial_points=16, max_points=100),
+                            next_points=_five_quarters)
+        assert seen == [16, 20, 26, 34, 44, 56, 70, 88]
+        assert all(m % 2 == 0 for m in seen)
+
+    def test_adaptive_eval_passes_the_schedule(self):
+        value, err, m = adaptive_eval(lambda m: 1.0 + math.exp(-m), QuadOptions(
+            initial_points=40, tol=1e-10), next_points=_five_quarters)
+        assert m == 50
+        assert err == pytest.approx(math.exp(-40) - math.exp(-50))
+
+    @pytest.mark.parametrize("tol", [1e-3, 1e-10])
+    def test_no_false_floor_on_a_spectral_error(self, tol):
+        # error C exp(-a m), falling by a factor r per doubling of m at the
+        # first level m0 = 16.  Every r below 1/20 is swept: the first grid
+        # resolves the integrand, so neither the tol rule nor the plateau
+        # rule may stop at an error above tol.  (From r ~ 0.1 the plateau
+        # rule can stop early at tol 1e-3, as it can under doubling from
+        # r ~ 0.24: such a first grid does not resolve the integrand.)  A
+        # plateau threshold of 0.3 per step, not per doubling, returns errors
+        # of 1.5 tol from r ~ 0.0044.
+        m0 = 16
+        for scale in np.geomspace(1e-3, 1e3, 7):
+            for r in np.geomspace(1e-12, 0.05, 200):
+                a = -math.log(r) / m0
+
+                def level(m):
+                    return 1.0 + scale * math.exp(-a * m)
+
+                trace = adaptive_trace(level, QuadOptions(initial_points=m0, tol=tol),
+                                       next_points=_five_quarters)
+                assert abs(trace[-1][1] - 1.0) <= tol, (scale, r, trace)
+
+    def test_rounding_floor_plateau_accepted_at_five_quarters(self):
+        # the differences 1e-9 -> 5e-10 halve, under the 0.3**(4/16) ~ 0.74
+        # that a floor keeps over the step from 16 to 20, so refinement goes
+        # on; 5e-10 -> 4e-10 keeps 0.8 > 0.3**(6/20) ~ 0.70: a floor
+        seq = [1.0, 1.0 + 1e-9, 1.0 + 1.5e-9, 1.0 + 1.1e-9, 1.0 + 1.2e-9]
+        trace = adaptive_trace(lambda m: seq.pop(0),
+                               QuadOptions(initial_points=16, tol=1e-10),
+                               next_points=_five_quarters)
+        assert [m for m, _ in trace] == [16, 20, 26, 34]
