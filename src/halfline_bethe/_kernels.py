@@ -26,8 +26,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .signed_perm import term_structure
-
 #: largest particle number the evaluators accept: a cap on cost, not on code.
 #: A half-line level runs 2^(N-1) N! contractions; at N = 4 the 60 whose pair
 #: graph is complete cost m^4, every other one m^3 or less.
@@ -188,17 +186,10 @@ class LevelTables(NamedTuple):
                             for key, v in self.vectors.items()}, self.smats)
 
 
-@lru_cache(maxsize=None)
-def _pair_keys(n: int, halfline: bool) -> tuple[tuple[int, int], ...]:
-    """The signed variable pairs (a, b) whose S-matrix the terms use."""
-    return tuple(sorted({(a, b) for term in term_structure(n, halfline)
-                         for _, a, b, _ in term.invs}))
-
-
-def pair_matrices(pos, neg, pair, halfline: bool) -> dict:
-    """The read-only S-matrix of every signed pair (a, b) the terms of B_n
-    (halfline) or S_n use, n = len(pos): pair(x[:, None], y[None, :]) over the
-    node values x of a and y of b, pos[d] for variable d+1, neg[d] for -(d+1).
+def pair_matrices(pos, neg, pair, terms) -> dict:
+    """The read-only S-matrix of every signed pair (a, b) the `terms` use:
+    pair(x[:, None], y[None, :]) over the node values x of a and y of b,
+    pos[d] for variable d+1, neg[d] for -(d+1).
 
     In both models S(-b, -a) = S(a, b)^T, so only the pairs with a + b >= 0
     are computed, the others are transposed views.  Variables on one node
@@ -208,7 +199,7 @@ def pair_matrices(pos, neg, pair, halfline: bool) -> dict:
     grid = [first.setdefault(id(v), d + 1) for d, v in enumerate(pos)]
     built = {}
     smats = {}
-    for a, b in _pair_keys(len(pos), halfline):
+    for a, b in sorted({ab for term in terms for invs in term.mats for ab in invs}):
         ga, gb = (grid[abs(v) - 1] if v > 0 else -grid[abs(v) - 1] for v in (a, b))
         mirrored = ga + gb < 0
         key = (-gb, -ga) if mirrored else (ga, gb)
@@ -224,26 +215,28 @@ def term_sum(tables: LevelTables, terms) -> complex:
     """Sum of the contracted integrands of compiled signed-permutation terms
     (`signed_perm.term_structure`) at one quadrature level.
 
-    A folded term (`Term.fold`) also stands for its partner: the two share
-    every pair matrix, so the folded dimension's vector becomes v+ + v-, the
-    partner's amplitude riding in v-.
+    Each term names its table entries.  A folded vector (sign 0) is v+ + v-,
+    the partner's amplitude riding in v-, formed once per run of terms that
+    fold it (`term_structure` lists them by sigma(1)).  Each S-matrix is
+    oriented with rows over the lower dimension of its pair.
     """
-    n = len(terms[0].dims)
+    vecs = tables.vectors
+    fold_key = folded = None
     total = 0.0 + 0.0j
     for term in terms:
-        vectors = [tables.vectors[d, s, pos] for d, (s, pos) in enumerate(term.dims)]
-        mats = [None] * (n * (n - 1) // 2)
-        for k, a, b, transpose in term.invs:
-            m = tables.smats.get((a, b))
-            if m is None:
-                continue
-            if transpose:
-                m = m.T
-            mats[k] = m if mats[k] is None else mats[k] * m
-        fold = term.fold
-        if fold is not None:
-            vectors[fold] = vectors[fold] + tables.vectors[fold, -1, 0]
-        total += contract(vectors, mats)
+        for d, sign, pos in term.vectors:
+            if sign == 0 and (d, pos) != fold_key:
+                fold_key, folded = (d, pos), vecs[d, 1, pos] + vecs[d, -1, pos]
+        mats = []
+        for invs in term.mats:
+            mat = None
+            for a, b in invs:
+                smat = tables.smats.get((a, b))
+                if smat is not None:
+                    smat = smat.T if abs(a) > abs(b) else smat
+                    mat = smat if mat is None else mat * smat
+            mats.append(mat)
+        total += contract([vecs[key] if key[1] else folded for key in term.vectors], mats)
     return total
 
 

@@ -5,9 +5,9 @@ integrals over one product contour: xi_d runs on the circle of radius R_d
 about the center 1/(2q), with R_1 < ... < R_N.  Nested distinct radii enclose
 the same poles, so every assignment of radii to variables gives the same
 value.  The full-line probability is the ordinary permutation sum over a
-single large circle about zero.  Negative coordinates and unordered tuples
-are supported by `evaluate_extended`, which is what the boundary-condition
-and master-equation residual checks evaluate.
+single large circle about zero.  `evaluate_extended` takes negative and
+unordered tuples X, as the boundary-condition checks need; the
+master-equation residual shifts X on one level's tables instead.
 
 Every per-term integrand factorizes into per-dimension vectors coupled by
 two-variable scattering matrices, so each term reduces to the tensor
@@ -148,7 +148,8 @@ class _ContourTables:
          self.r_neg) = zip(*(per_grid[grids.index(c)] for c in contours))
         # s(tau/y, tau/x) = s(x, y); a lambda, so a wrapper of s_asep here is seen
         self.smats = pair_matrices(self.pos_vals, self.neg_vals,
-                                   lambda x, y: s_asep(x, y, params), halfline)
+                                   lambda x, y: s_asep(x, y, params),
+                                   term_structure(len(contours), halfline))
         owners = {id(s if s.base is None else s.base): s.nbytes for s in self.smats.values()}
         self.nbytes = sum(owners.values()) + sum(a.nbytes for g in per_grid for a in g)
 
@@ -369,13 +370,14 @@ def evaluate_extended(Y, Z, t: float, params: AsepParams,
 
 def master_equation_residual(Y, X, t: float, params: AsepParams,
                              opts: QuadOptions | None = None) -> float:
-    """|du/dt - (master-equation right side)| at configuration X.
+    """|du/dt - (master-equation right side)| at configuration X, each
+    level evaluated on that level's tables (`LevelTables.scaled`).
 
-    The time derivative is exact: the sum over d of the level tables with
-    every vector of dimension d, v- too as eps(tau/xi) = eps(xi), times
-    eps(xi_d) (`LevelTables.scaled`); the right side is assembled from `evaluate_extended` with the wall rule:
-    the inflow-from-the-left and outflow-to-the-left terms of the leftmost
-    particle carry the factor (1 - delta(x_1)).
+    du/dt is the sum over d of the tables with every vector of dimension d,
+    v- too as eps(tau/xi) = eps(xi), times eps(xi_d).  u(X +- e_i) is the
+    tables with every vector at position i times xi^(+-1), tau/xi for a
+    negative entry.  Particle i hops to the left (rate q) or arrives from it
+    (rate p) only when site x_i - 1 is free and not beyond the wall at 0.
     """
     ycfg = _as_config(Y, halfline=True)
     xcfg = _as_config(X, halfline=True)
@@ -384,39 +386,34 @@ def master_equation_residual(Y, X, t: float, params: AsepParams,
         raise ValueError("master-equation residual supports N <= 3")
     if t <= 0:
         raise ValueError("residual check needs t > 0")
-    opts = _default_opts(ycfg.n, opts)
-    radii = tuned_radii(params, ycfg.n)
-    contours = radii.contours()
+    contours = tuned_radii(params, ycfg.n).contours()
     terms = term_structure(ycfg.n, True)
+    x, n, p, q = xcfg.sites, xcfg.n, params.p, params.q
 
-    def du_dt(mm):
+    def residual(mm):
         contour = _contour_tables(params, contours, mm, True)
-        tables = _level_tables(contour, ycfg.sites, t, xcfg.sites)
-        return sum(term_sum(tables.scaled({key: contour.energies[d]
-                                           for key in tables.vectors if key[0] == d}),
-                            terms) for d in range(ycfg.n))
+        tables = _level_tables(contour, ycfg.sites, t, x)
 
-    lhs, _, _ = adaptive_eval(du_dt, opts)
+        def u(factors):
+            return term_sum(tables.scaled(factors), terms)
 
-    def u(zt):
-        return evaluate_extended(ycfg, zt, t, params, opts, radii)
+        def shifted(j, step):
+            return u({(d, s, i): (contour.pos_vals[d] if s > 0 else contour.neg_vals[d])
+                      ** step for d, s, i in tables.vectors if i == j})
 
-    x = xcfg.sites
-    n = xcfg.n
-    p, q = params.p, params.q
-    ux = u(x)
-    rhs = 0.0 + 0.0j
-    for i in range(n):
-        gap_left = 1.0 if (i == 0 or x[i] - x[i - 1] > 1) else 0.0
-        gap_right = 1.0 if (i == n - 1 or x[i + 1] - x[i] > 1) else 0.0
-        wall = (1.0 if x[0] != 0 else 0.0) if i == 0 else 1.0
-        if gap_left * wall:
-            rhs += p * u(x[:i] + (x[i] - 1,) + x[i + 1:]) * gap_left * wall
-        if gap_right:
-            rhs += q * u(x[:i] + (x[i] + 1,) + x[i + 1:]) * gap_right
-        rhs -= p * ux * gap_right
-        rhs -= q * ux * gap_left * wall
-    return abs(lhs - rhs)
+        du_dt = sum(u({key: contour.energies[d] for key in tables.vectors if key[0] == d})
+                    for d in range(n))
+        ux = term_sum(tables, terms)
+        rhs = 0.0 + 0.0j
+        for i in range(n):
+            if x[i] > (x[i - 1] + 1 if i else 0):  # x_i - 1 is free, not past the wall
+                rhs += p * shifted(i, -1) - q * ux
+            if i == n - 1 or x[i + 1] > x[i] + 1:  # the site to the right is free
+                rhs += q * shifted(i, 1) - p * ux
+        return du_dt - rhs
+
+    value, _, _ = adaptive_eval(residual, _default_opts(ycfg.n, opts))
+    return abs(value)
 
 
 def total_mass(Y, t: float, params: AsepParams, window: int,

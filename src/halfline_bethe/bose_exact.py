@@ -125,17 +125,18 @@ def _line_tables(k, w, y, x, t: complex, c: float, halfline: bool) -> LevelTable
     # S(-k_b + k_a) = S(k_a - k_b); a lambda, so a wrapper of s_bose here is seen
     smats = pair_matrices((k,) * len(y), (-k,) * len(y),
                           lambda ka, kb: s_bose(ka - kb, BoseParams(c)),
-                          halfline) if c != 0.0 else {}
+                          term_structure(len(y), halfline)) if c != 0.0 else {}
     return LevelTables(vectors, smats)
 
 
 def _line_opts(y, x, time, c, opts: QuadOptions | None):
-    """Cutoff and refinement schedule; the grid starts no coarser than the
-    damping and the analytic strip need, whatever `opts` asks for."""
+    """Cutoff and refinement schedule; the grid starts even and no coarser
+    than the damping and the analytic strip need, whatever `opts` asks for."""
     opts = opts or QuadOptions()
     cutoff, spacing = _grid_parameters(y, x, time, c, opts.tol)
     m0 = max(16, 2 * math.ceil(cutoff / spacing))
-    return cutoff, QuadOptions(initial_points=max(opts.initial_points, m0),
+    return cutoff, QuadOptions(initial_points=max(opts.initial_points
+                                                  + opts.initial_points % 2, m0),
                                max_points=max(opts.max_points, 8 * m0), tol=opts.tol)
 
 

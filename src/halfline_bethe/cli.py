@@ -229,22 +229,22 @@ def _run_command(args: argparse.Namespace) -> dict:
         y = _parse_int_list(args.Y)
         x = _parse_int_list(args.X)
         rec.update(p=args.p, Y=y, X=x, t=args.t)
+        radii = _parse_float_list(args.radii) if getattr(args, "radii", None) else None
+        if radii is not None and len(radii) != 1 and args.command != "asep-prob":
+            raise ValueError(f"{args.command} takes one radius, got {args.radii!r}")
+        radius = radii[0] if radii else None
 
     if args.command == "asep-prob":
-        radii = None
-        if args.radii:
-            radii = RadiiScheme(1.0 / (2.0 * params.q), tuple(_parse_float_list(args.radii)))
-        rep = prob_halfline(y, x, args.t, params, _quad_opts(args), radii)
+        scheme = None if radii is None else RadiiScheme(1.0 / (2.0 * params.q), radii)
+        rep = prob_halfline(y, x, args.t, params, _quad_opts(args), scheme)
         rec.update(dataclasses.asdict(rep),
-                   radii=list(radii.radii if radii else tuned_radii(params, len(y)).radii))
+                   radii=list(scheme.radii if scheme else tuned_radii(params, len(y)).radii))
     elif args.command == "asep-fullline":
-        radius = _parse_float_list(args.radii)[0] if args.radii else None
         rep = prob_fullline(y, x, args.t, params, _quad_opts(args), radius)
         rec.update(dataclasses.asdict(rep))
     elif args.command == "asep-n1":
         if len(y) != 1 or len(x) != 1:
             raise ValueError("asep-n1 needs single-site Y and X")
-        radius = _parse_float_list(args.radii)[0] if args.radii else None
         rep = prob_n1_closed(y[0], x[0], args.t, params, _quad_opts(args), radius)
         rec.update(dataclasses.asdict(rep))
     elif args.command == "bose-prop":

@@ -12,6 +12,7 @@ fixed order, so repeated runs are bit-for-bit reproducible.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +43,8 @@ class RadiiScheme:
         object.__setattr__(self, "center", complex(self.center))
         radii = tuple(float(r) for r in self.radii)
         object.__setattr__(self, "radii", radii)
-        if any(not np.isfinite(r) or r <= 0 for r in radii):
-            raise ValueError(f"radii must be positive and finite: {radii}")
+        if not radii or any(not np.isfinite(r) or r <= 0 for r in radii):
+            raise ValueError(f"need one or more positive finite radii: {radii}")
         gap = 0.05 * radii[0]
         for lo, hi in zip(radii, radii[1:]):
             if hi - lo < gap:
@@ -92,6 +93,9 @@ class QuadOptions:
     tol: float = 1e-10
 
     def __post_init__(self):
+        if not all(isinstance(v, numbers.Integral) for v in (self.initial_points,
+                                                              self.max_points)):
+            raise ValueError(f"point counts must be integers: {self}")
         if self.initial_points < 8:
             raise ValueError("initial_points must be >= 8")
         if self.max_points < self.initial_points:

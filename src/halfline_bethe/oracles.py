@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
@@ -52,6 +53,8 @@ class McConfig:
     t: float
 
     def __post_init__(self):
+        if not all(isinstance(v, numbers.Integral) for v in (self.trials, self.seed)):
+            raise ValueError(f"trials and seed must be integers: {self}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.seed < 0:

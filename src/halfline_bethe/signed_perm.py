@@ -128,32 +128,29 @@ def neg_count(sigma: SignedPermutation) -> int:
 
 
 class Term(NamedTuple):
-    """One signed permutation, compiled for a factorized integrand."""
+    """One signed permutation, as the keys of the table entries its
+    integrand reads (`_kernels.LevelTables`)."""
 
-    #: dimension d (variable d+1) -> (sign, 0-based position) of its entry
-    dims: tuple[tuple[int, int], ...]
-    #: per inversion (first, second): (index of the dimension pair in
-    #: itertools.combinations(range(n), 2), first, second, whether
-    #: |second| < |first| so the pair matrix is transposed)
-    invs: tuple[tuple[int, int, int, bool], ...]
-    #: the dimension at position 0 when the term stands for itself and its
-    #: `negate_first` partner, whose inversions are the same; None otherwise
-    fold: int | None = None
+    #: per dimension d (variable d+1), the key (d, sign, position) of its
+    #: vector; sign 0 marks the folded entry v+ + v-, whose term also stands
+    #: for its `negate_first` partner (the two share every inversion)
+    vectors: tuple[tuple[int, int, int], ...]
+    #: per dimension pair, in itertools.combinations(range(n), 2) order, the
+    #: signed inversions (a, b) whose S-matrices multiply there, in
+    #: `inversions` order
+    mats: tuple[tuple[tuple[int, int], ...], ...]
 
 
 def compile_term(sigma: SignedPermutation) -> Term:
-    """sigma's dimension placements and inversions, unfolded."""
-    n = sigma.n
-    pair_index = {pair: k for k, pair in
-                  enumerate(itertools.combinations(range(n), 2))}
-    dims = [None] * n
+    """sigma's vector keys and its inversions by dimension pair, unfolded."""
+    vectors = [None] * sigma.n
     for pos, v in enumerate(sigma.values):
-        dims[abs(v) - 1] = (1 if v > 0 else -1, pos)
-    invs = []
+        vectors[abs(v) - 1] = (abs(v) - 1, 1 if v > 0 else -1, pos)
+    mats = {pair: () for pair in itertools.combinations(range(sigma.n), 2)}
     for a, b in inversions(sigma):
         da, db = abs(a) - 1, abs(b) - 1
-        invs.append((pair_index[min(da, db), max(da, db)], a, b, da > db))
-    return Term(tuple(dims), tuple(invs))
+        mats[min(da, db), max(da, db)] += ((a, b),)
+    return Term(tuple(vectors), tuple(mats.values()))
 
 
 @lru_cache(maxsize=32)
@@ -161,14 +158,17 @@ def term_structure(n: int, halfline: bool) -> tuple[Term, ...]:
     """The terms `_kernels.term_sum` contracts for B_n (halfline) or S_n,
     compiled once per (n, group).
 
-    For B_n only the sigma with sigma(1) > 0 are listed, each folded with its
-    `negate_first` partner: the two share every scattering factor, so one
-    contraction covers both.  `group_order` counts the unfolded terms.
+    For B_n only the sigma with sigma(1) > 0 are listed, by sigma(1), each
+    with its entry at position 0 folded (sign 0): a sigma and its
+    `negate_first` partner share every scattering factor, so one contraction
+    covers both.  `group_order` counts the unfolded terms.
     """
     if not halfline:
         return tuple(compile_term(s) for s in enumerate_sn(n))
-    return tuple(compile_term(s)._replace(fold=s.values[0] - 1)
-                 for s in enumerate_bn(n) if s.values[0] > 0)
+    terms = (compile_term(s) for s in enumerate_bn(n) if s.values[0] > 0)
+    return tuple(term._replace(vectors=tuple((d, 0 if pos == 0 else sign, pos)
+                                             for d, sign, pos in term.vectors))
+                 for term in terms)
 
 
 def group_order(n: int, halfline: bool) -> int:

@@ -6,7 +6,6 @@ import pytest
 from scipy.optimize import brentq
 
 from halfline_bethe import asep_exact
-from halfline_bethe._kernels import _pair_keys
 from halfline_bethe.asep_exact import (AsepEvalReport, LatticeConfig,
                                        _ContourTables, _contour_tables,
                                        _image_reach,
@@ -18,6 +17,7 @@ from halfline_bethe.contour_quad import (CircleContour, QuadOptions, RadiiScheme
                                          circle_nodes)
 from halfline_bethe.oracles import ctmc_prob
 from halfline_bethe.scattering import AsepParams, s_asep
+from halfline_bethe.signed_perm import term_structure
 
 P04 = AsepParams.from_p(0.4)
 
@@ -374,6 +374,20 @@ class TestMasterEquation:
         with pytest.raises(ValueError):
             master_equation_residual((0,), (1,), 0.0, P04)
 
+    @pytest.mark.parametrize("y,x", [((0,), (0,)), ((0,), (2,)), ((1, 3), (0, 1)),
+                                     ((0, 2), (1, 4)), ((0, 2, 4), (1, 3, 5)),
+                                     ((0, 1, 3), (0, 1, 2))])
+    @pytest.mark.parametrize("p", [0.3, 0.4, 0.7])
+    def test_holds_at_rounding_on_every_level(self, p, y, x):
+        # the sigma <-> sigma T_i and sigma <-> negate_first(sigma) pairings
+        # cancel node by node, so one level at any m is already at rounding;
+        # x_1 = 0 takes the wall rule, adjacent particles the exclusion
+        params = AsepParams.from_p(p)
+        for m in (16, 32, 64):
+            opts = QuadOptions(initial_points=m, max_points=2 * m, tol=1.0)
+            assert master_equation_residual(y, x, 1.0, params, opts) <= 1e-12, m
+        assert master_equation_residual(y, x, 1.0, params) <= 1e-12
+
 
 @pytest.mark.parametrize("p", [1.5, -0.3])
 def test_p_outside_the_unit_interval_rejected(p):
@@ -457,7 +471,8 @@ class TestContourCache:
         def signed(a):
             return nodes[a - 1] if a > 0 else params.tau / nodes[-a - 1]
 
-        assert set(tables.smats) == set(_pair_keys(n, True))
+        assert set(tables.smats) == {ab for term in term_structure(n, True)
+                                     for invs in term.mats for ab in invs}
         assert len(tables.smats) == 2 * n * (n - 1)
         for (a, b), mat in tables.smats.items():
             direct = s_asep(signed(a)[:, None], signed(b)[None, :], params)

@@ -70,3 +70,14 @@ def test_a_bose_op_is_traced_through_its_two_levels():
     assert tracer.counts["contour_quad.points"] == rep.points_used \
         == bose_exact._five_quarters(m0) == 2 * math.ceil(5 * m0 / 8)
     assert tracer.counts["kernels.contract.calls"] == 2 * len(term_structure(3, True))
+
+
+def test_the_master_equation_check_refines_once():
+    # du/dt and every u(X +- e_i) come from one level's tables, so a call
+    # runs one refinement of two levels
+    tracer = _load_tracing().Tracer()
+    with tracer.installed():
+        asep_exact.master_equation_residual((0, 2, 4), (1, 3, 5), 1.0,
+                                            AsepParams.from_p(0.4))
+    assert tracer.missing == []
+    assert tracer.counts["contour_quad.levels"] == 2

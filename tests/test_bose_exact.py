@@ -271,6 +271,17 @@ class TestLevelSchedule:
         err = abs(rep.value - images_kernel(1.2, 0.7, tau))
         assert 1e-7 < err <= rep.error_estimate < 1e-5
 
+    def test_an_odd_start_is_rounded_up_to_an_even_grid(self):
+        # a line grid spans an even number of spacings: 1001 points once
+        # reached LineGrid as cutoff/spacing = 500.5
+        y, x = (0.7, 1.9), (1.2, 2.8)
+        rep = propagator_halfline(y, x, T, C1, QuadOptions(initial_points=1001,
+                                                           max_points=8192))
+        assert _line_opts(y, x, T, 1.0, QuadOptions(initial_points=1001))[1] \
+            .initial_points == 1002
+        assert rep.value == pytest.approx(propagator_halfline(y, x, T, C1).value,
+                                          abs=1e-10)
+
 
 class TestSymmetry:
     def test_near_coincident_exchange(self):

@@ -92,10 +92,20 @@ class TestExitCodes:
                           "--X", "1,3", "--t", "1")
         assert code == 2
 
-    @pytest.mark.parametrize("radii", ["3.0", "3.0,4.0,5.0"])
-    def test_wrong_number_of_radii_is_2(self, capsys, radii):
-        code, _ = run_cli(capsys, "asep-prob", "--p", "0.4", "--Y", "0,2",
-                          "--X", "1,3", "--t", "1", "--radii", radii)
+    @pytest.mark.parametrize("command,y,x,radii", [
+        pytest.param("asep-prob", "0,2", "1,3", "3.0", id="3.0"),
+        pytest.param("asep-prob", "0,2", "1,3", "3.0,4.0,5.0", id="3.0,4.0,5.0"),
+        # an empty list once raised IndexError (exit 1), and the one-circle
+        # commands silently used the first of several radii
+        pytest.param("asep-prob", "0,2", "1,3", ",", id="asep-prob-none"),
+        pytest.param("asep-n1", "0", "2", ",", id="asep-n1-none"),
+        pytest.param("asep-n1", "0", "2", "3.0,4.0", id="asep-n1-two"),
+        pytest.param("asep-fullline", "0,2", "1,3", ",", id="asep-fullline-none"),
+        pytest.param("asep-fullline", "0,2", "1,3", "3.0,4.0", id="asep-fullline-two"),
+    ])
+    def test_wrong_number_of_radii_is_2(self, capsys, command, y, x, radii):
+        code, _ = run_cli(capsys, command, "--p", "0.4", "--Y", y, "--X", x,
+                          "--t", "1", "--radii", radii)
         assert code == 2
 
     @pytest.mark.parametrize("command,y,x,radii", [

@@ -22,6 +22,8 @@ class TestTypes:
             RadiiScheme(0.0, (2.0, 1.0))
         with pytest.raises(ValueError):
             RadiiScheme(0.0, (2.0, 2.05))  # below the 0.05*R_1 gap default
+        with pytest.raises(ValueError):
+            RadiiScheme(0.5, ())
         scheme = RadiiScheme(1.0, (2.0, 2.2, 2.5))
         assert scheme.n == 3
         assert scheme.scaled(2.0).radii == pytest.approx((4.0, 4.4, 5.0))
@@ -41,6 +43,14 @@ class TestTypes:
             QuadOptions(max_points=8)
         with pytest.raises(ValueError):
             QuadOptions(tol=0.0)
+
+    @pytest.mark.parametrize("field", ["initial_points", "max_points"])
+    def test_point_counts_are_integers(self, field):
+        # 8.5 points would space a circle's nodes 2 pi/8.5 apart, no closed rule
+        for bad in (8.5, 64.0, np.float64(64), "64"):
+            with pytest.raises(ValueError, match="integers"):
+                QuadOptions(**{field: bad})
+        assert getattr(QuadOptions(**{field: np.int64(64)}), field) == 64
 
 
 class TestCircleRule:

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from halfline_bethe import _kernels
-from halfline_bethe._kernels import (LevelTables, _pair_keys, _plan, contract,
-                                    gillespie_hits, term_sum)
+from halfline_bethe._kernels import (LevelTables, _plan, contract, gillespie_hits,
+                                    term_sum)
 from halfline_bethe.asep_exact import _ContourTables, _level_tables, tuned_radii
 from halfline_bethe.bose_exact import _line_tables
 from halfline_bethe.contour_quad import LineGrid, line_nodes
@@ -22,6 +22,12 @@ from halfline_bethe.signed_perm import (enumerate_bn, enumerate_sn, inversions,
 
 def _pairs(n):
     return list(itertools.combinations(range(n), 2))
+
+
+def _used_pairs(n, halfline):
+    """The signed pairs (a, b) whose S-matrices the terms multiply."""
+    return sorted({ab for term in term_structure(n, halfline)
+                   for invs in term.mats for ab in invs})
 
 
 def _random_problem(rng, n, m, present=None):
@@ -82,8 +88,7 @@ def test_only_complete_graphs_run_the_dense_loop(n, complete, dense):
     # terms, those inverting every pair need m^N work only from N = 4 on
     terms = term_structure(n, True)
     assert len(terms) == 2 ** (n - 1) * math.factorial(n)
-    patterns = [tuple(k in {inv[0] for inv in term.invs} for k in range(len(_pairs(n))))
-                for term in terms]
+    patterns = [tuple(bool(invs) for invs in term.mats) for term in terms]
     assert sum(all(p) for p in patterns) == complete
     assert sum(_plan(n, p)[1] is not None for p in patterns) == dense
 
@@ -154,7 +159,7 @@ class TestLevelTables:
 
         vectors = {(d, s, pos): draw(m) for d in range(n) for s in (1, -1)
                    for pos in range(n)}
-        smats = {key: draw(m, m) for k, key in enumerate(_pair_keys(n, halfline))
+        smats = {key: draw(m, m) for k, key in enumerate(_used_pairs(n, halfline))
                  if k % 3 != 2}
         tables = LevelTables(vectors, smats)
         group = enumerate_bn if halfline else enumerate_sn
@@ -204,7 +209,7 @@ class TestPairMatrices:
         if c == 0.0:
             assert smats == {}
             return
-        assert set(smats) == set(_pair_keys(n, halfline))
+        assert set(smats) == set(_used_pairs(n, halfline))
         for (a, b), mat in smats.items():
             direct = s_bose(np.sign(a) * K[:, None] - np.sign(b) * K[None, :],
                             BoseParams(c))

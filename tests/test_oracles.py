@@ -177,6 +177,15 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             McConfig(10, 1, -1.0)
 
+    def test_counts_are_integers(self):
+        # 1000.5 trials ran int(1000.5) = 1000 but divided the hits by 1000.5
+        for trials, seed in ((1000.5, 3), (1000.0, 3), (1000, 3.0), (1000, 2.5)):
+            with pytest.raises(ValueError, match="integers"):
+                McConfig(trials, seed, 0.1)
+        cfg = McConfig(np.int64(1000), np.uint64(3), 0.1)
+        assert mc_estimate((0, 2), (1, 3), cfg, PARAMS) == \
+            mc_estimate((0, 2), (1, 3), McConfig(1000, 3, 0.1), PARAMS)
+
     @pytest.mark.parametrize("t", [math.nan, math.inf])
     def test_non_finite_time_rejected(self, t, monkeypatch):
         # an infinite t never ended the chain; the config refuses it before

@@ -24,13 +24,16 @@ def random_sigma(draw_n=st.integers(1, 5)):
     )
 
 
-def _partner(term):
-    """The `negate_first` partner of a term: the sign of the dimension at
-    position 0 flipped, the same inversions, unfolded."""
-    d = next(d for d, (_, pos) in enumerate(term.dims) if pos == 0)
-    dims = list(term.dims)
-    dims[d] = (-dims[d][0], 0)
-    return term._replace(dims=tuple(dims), fold=None)
+def _at_first(term, sign):
+    """The vector keys of a term with the entry at position 0 given `sign`:
+    1 and -1 unfold a folded term into its sigma and its `negate_first`
+    partner."""
+    return tuple((d, sign if pos == 0 else s, pos) for d, s, pos in term.vectors)
+
+
+def _by_pair(mats):
+    """The inversions of each dimension pair, in a fixed order."""
+    return tuple(tuple(sorted(invs)) for invs in mats)
 
 
 class TestConstruction:
@@ -164,10 +167,10 @@ class TestNegateFirst:
     @given(random_sigma(st.integers(1, 4)))
     def test_partners_compile_to_the_same_pair_factors(self, sigma):
         term, flipped = compile_term(sigma), compile_term(negate_first(sigma))
-        assert sorted(term.invs) == sorted(flipped.invs)
-        # the flipped term is the folded one with the sign at position 0
-        # negated, which is what term_sum's fold assumes
-        assert flipped._replace(invs=term.invs) == _partner(term)
+        assert _by_pair(term.mats) == _by_pair(flipped.mats)
+        # the flipped term reads the vector of the entry at position 0 with
+        # the other sign, which is what term_sum's fold (v+ + v-) assumes
+        assert flipped.vectors == _at_first(term, -1 if sigma.values[0] > 0 else 1)
 
 
 class TestTermStructure:
@@ -175,17 +178,40 @@ class TestTermStructure:
     def test_halfline_folds_each_partner_pair_once(self, n):
         terms = term_structure(n, True)
         assert 2 * len(terms) == group_order(n, True) == len(enumerate_bn(n))
-        assert all(term.dims[term.fold] == (1, 0) for term in terms)
-        # the terms and their partners are B_n, each element once
-        covered = [t.dims for t in terms] + [u.dims for u in map(_partner, terms)]
-        assert sorted(covered) == sorted(u.dims for u in
+        assert all(_at_first(term, 0) == term.vectors for term in terms)
+        # the terms and their partners are B_n, each element once, and each
+        # partner has the term's pair factors
+        covered = [(_at_first(t, s), _by_pair(t.mats)) for t in terms for s in (1, -1)]
+        assert sorted(covered) == sorted((u.vectors, _by_pair(u.mats)) for u in
                                          map(compile_term, enumerate_bn(n)))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_fullline_is_unfolded(self, n):
         terms = term_structure(n, False)
         assert len(terms) == group_order(n, False) == len(enumerate_sn(n))
-        assert all(term.fold is None for term in terms)
+        assert all(s != 0 for term in terms for _, s, _ in term.vectors)
+
+    @pytest.mark.parametrize("halfline", [True, False])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_keys_are_the_placements_and_inversions(self, n, halfline):
+        # each term's mats are inversions(sigma) grouped by dimension pair, in
+        # inversions order, and only a half-line term folds, at position 0
+        pairs = list(itertools.combinations(range(n), 2))
+        sigmas = []
+        for term in term_structure(n, halfline):
+            values = [0] * n
+            for d, s, pos in term.vectors:
+                values[pos] = (s or 1) * (d + 1)
+            sigma = SignedPermutation(tuple(values))
+            sigmas.append(sigma)
+            grouped = [[] for _ in pairs]
+            for a, b in inversions(sigma):
+                grouped[pairs.index(tuple(sorted((abs(a) - 1, abs(b) - 1))))].append((a, b))
+            assert term.mats == tuple(map(tuple, grouped))
+            folded = [(d, pos) for d, s, pos in term.vectors if s == 0]
+            assert folded == ([(sigma.values[0] - 1, 0)] if halfline else [])
+        group = enumerate_bn(n) if halfline else enumerate_sn(n)
+        assert sigmas == [s for s in group if s.values[0] > 0]
 
 
 class TestAbPair:
