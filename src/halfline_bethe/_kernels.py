@@ -6,12 +6,13 @@ Two kernel families live here:
   prod_d v_d[m_d] * prod_{d1<d2} M_{d1 d2}[m_{d1}, m_{d2}], as BLAS-backed
   matrix products.  A pair without a factor is None, and the sum is
   eliminated along the graph of the pairs that have one: a dimension with at
-  most two such pairs costs at most one m^3 product, and only a core whose
-  dimensions all have three or more runs the dense m^N loop.  Every exact
-  evaluator reduces its per-term quadrature to this shape, and ``term_sum``
-  sums it over the signed-permutation terms of both models, one contraction
-  per sign-flip pair of a half-line sum.  The models differ only in their
-  factor tables (`LevelTables`, `pair_matrices`).
+  most two such pairs costs at most one m^3 product.  Up to MAX_N the only
+  core left, where every dimension keeps three or more pairs, is the
+  complete graph K4, which one m^4 step (`_k4`) sums; a larger core raises
+  ValueError.  Every exact evaluator reduces its per-term quadrature to this
+  shape, and ``term_sum`` sums it over the signed-permutation terms of both
+  models, one contraction per sign-flip pair of a half-line sum.  The models
+  differ only in their factor tables (`LevelTables`, `pair_matrices`).
 * ``gillespie_hits``: the jump chain behind the Monte Carlo oracle.  Chunks
   of CHUNK trials step in lockstep numpy, each trial on its own SplitMix64
   substream, so counts are reproducible and independent of trial order and
@@ -26,9 +27,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-#: largest particle number the evaluators accept: a cap on cost, not on code.
-#: A half-line level runs 2^(N-1) N! contractions; at N = 4 the 60 whose pair
-#: graph is complete cost m^4, every other one m^3 or less.
+#: largest particle number the evaluators accept.  A half-line level runs
+#: 2^(N-1) N! contractions; at N = 4 the 60 whose pair graph is complete run
+#: the K4 step (m^4), every other one costs m^3 or less.  From N = 5 on,
+#: some pair graphs leave larger cores, which `contract` refuses.
 MAX_N = 4
 
 
@@ -43,14 +45,14 @@ def _plan(n: int, present: tuple[bool, ...]):
 
     While some dimension has at most two neighbours, the one with the fewest
     (the highest index among ties) is summed out: a step (d, links, closes)
-    where links holds, per neighbour u, (u, pair index, whether that matrix
-    is stored with rows over d), plus for two neighbours u < w the index of
-    the pair (u, w) that receives their new coupling; closes says that the
-    one neighbour has no other, so the step sums out both.  What is left has
-    only dimensions with three or more neighbours; it is returned as the
-    core order, the last dimension one of those with the most neighbours and
-    the one before it one of its neighbours, with per pair (i, j) of core
-    positions present (pair index, transposed).
+    where links holds, per neighbour u, (u, pair index), plus for two
+    neighbours u < w the index of the pair (u, w) that receives their new
+    coupling; closes says that the one neighbour has no other, so the step
+    sums out both.  Every pair matrix has rows over its lower dimension.
+    What is left is nothing or, up to MAX_N, the complete graph K4, returned
+    as its four dimensions in increasing order and its six pair indices in
+    itertools.combinations order.  Any other core (every dimension with three
+    or more neighbours, five or more dimensions) raises ValueError.
     """
     pairs = list(itertools.combinations(range(n), 2))
     index = {pair: k for k, pair in enumerate(pairs)}
@@ -65,7 +67,7 @@ def _plan(n: int, present: tuple[bool, ...]):
         nbrs = sorted(adj[d])
         if len(nbrs) > 2:
             break
-        links = tuple((u, index[min(u, d), max(u, d)], d < u) for u in nbrs)
+        links = tuple((u, index[min(u, d), max(u, d)]) for u in nbrs)
         for u in nbrs:
             adj[u].discard(d)
         if len(nbrs) == 2:
@@ -80,63 +82,42 @@ def _plan(n: int, present: tuple[bool, ...]):
         steps.append((d, links, closes))
     if not adj:
         return tuple(steps), None
-    last = max(adj, key=lambda v: (len(adj[v]), v))
-    before = max(adj[last])
-    order = sorted(set(adj) - {last, before}) + [before, last]
-    core = {}
-    for i, j in itertools.combinations(range(len(order)), 2):
-        a, b = order[i], order[j]
-        if b in adj[a]:
-            core[i, j] = (index[min(a, b), max(a, b)], a > b)
-    return tuple(steps), (tuple(order), core)
+    if len(adj) != 4:
+        raise ValueError(f"contract sums a K4 core at most; this pattern of {n} "
+                         f"dimensions leaves a core of {len(adj)}")
+    dims = tuple(sorted(adj))
+    return tuple(steps), (dims, tuple(index[pair]
+                                      for pair in itertools.combinations(dims, 2)))
 
 
-def _dense(vecs, mats, order, core) -> complex:
-    """The dense m^k loop over the k core dimensions in `order`, skipping
-    absent pairs: positions k-1 down to 2 are summed out in turn, the first
-    by one product with its pair matrix to position k-2 (present by the
-    plan's order), each later one after its pair matrices are multiplied in
-    place; then v0 @ (M01 * F) @ v1.  numpy's complex product is not bitwise
+def _k4(vecs, mats, dims, pairs) -> complex:
+    """The m^4 sum over a complete core on dimensions a < b < c < d: one
+    (m^2, m) x (m, m) product sums out d, the pair matrices of c are
+    multiplied in place, c is summed by a matrix-vector product, and
+    v_a @ (M_ab * F) @ v_b closes.  numpy's complex product is not bitwise
     commutative, so every operand order is part of the result."""
-    def pair(i, j):
-        if (i, j) not in core:
-            return None
-        k, transposed = core[i, j]
-        return mats[k].T if transposed else mats[k]
-
-    v = [vecs[d] for d in order]
-    m = v[0].size
-    f = None  # the eliminated positions, as a tensor over positions 0..j-1
-    for j in range(len(order) - 1, 1, -1):
-        if f is None:
-            w = v[j]
-            for i in range(j - 1):
-                mat = pair(i, j)
-                w = w[..., None, :] if mat is None else w[..., None, :] * mat
-            w = np.broadcast_to(w, (m,) * j).reshape(-1, m)
-            f = (w @ pair(j - 1, j).T).reshape((m,) * j)
-            del w  # so the next allocation can reuse its memory
-            continue
-        for i in range(j - 1, -1, -1):
-            mat = pair(i, j)
-            if mat is not None:
-                axes = [1] * (j + 1)
-                axes[i] = axes[j] = m
-                f *= mat.reshape(axes)
-        f = f @ v[j]
-    mat = pair(0, 1)
-    return complex(v[0] @ (f if mat is None else mat * f) @ v[1])
+    a, b, c, d = dims
+    m_ab, m_ac, m_ad, m_bc, m_bd, m_cd = (mats[k] for k in pairs)
+    m = vecs[a].size
+    w = (vecs[d] * m_ad)[:, None, :] * m_bd  # over (a, b, d)
+    f = (w.reshape(-1, m) @ m_cd.T).reshape(m, m, m)  # over (a, b, c)
+    del w  # so the next allocation can reuse its memory
+    f *= m_bc.reshape(1, m, m)
+    f *= m_ac.reshape(m, 1, m)
+    return complex(vecs[a] @ (m_ab * (f @ vecs[c])) @ vecs[b])
 
 
 def contract(vectors, mats) -> complex:
-    """BLAS-backed contraction for any N; vectors is a list of N 1-d complex
-    arrays and mats the N(N-1)/2 pair matrices in itertools.combinations
-    order, rows over the lower dimension, None for a pair without a factor.
+    """BLAS-backed contraction for N <= MAX_N; vectors is a list of N 1-d
+    complex arrays and mats the N(N-1)/2 pair matrices in
+    itertools.combinations order, rows over the lower dimension, None for a
+    pair without a factor.
 
     Dimensions are summed out along the pair graph (`_plan`): with no
     neighbour by a sum, with one by a matrix-vector product into the
     neighbour's vector, with two by one matrix product into the neighbours'
-    pair matrix; a remaining core runs the dense loop (`_dense`).
+    pair matrix; a remaining K4 core runs `_k4`.  A larger core raises
+    ValueError.
     """
     steps, core = _plan(len(vectors), tuple([m is not None for m in mats]))
     vecs = list(vectors)
@@ -146,23 +127,23 @@ def contract(vectors, mats) -> complex:
         if not links:
             scale *= vecs[d].sum()
         elif len(links) == 1:
-            (u, k, d_rows), = links
+            (u, k), = links
             # ndarray.dot: a third of matmul's call overhead on small operands
-            summed = (mats[k].T if d_rows else mats[k]).dot(vecs[d])
+            summed = (mats[k].T if d < u else mats[k]).dot(vecs[d])
             if closes:
                 scale *= vecs[u].dot(summed)
             else:
                 vecs[u] = vecs[u] * summed
         else:
-            (u, ku, d_rows_u), (w, kw, d_rows_w), kuw = links
-            mu = mats[ku].T if d_rows_u else mats[ku]  # rows over u, columns over d
-            mw = mats[kw] if d_rows_w else mats[kw].T  # rows over d, columns over w
+            (u, ku), (w, kw), kuw = links
+            mu = mats[ku].T if d < u else mats[ku]  # rows over u, columns over d
+            mw = mats[kw] if d < w else mats[kw].T  # rows over d, columns over w
             coupling = (mu * vecs[d]).dot(mw)
             if mats[kuw] is not None:
                 coupling *= mats[kuw]
             mats[kuw] = coupling
     if core is not None:
-        scale *= _dense(vecs, mats, *core)
+        scale *= _k4(vecs, mats, *core)
     return complex(scale)
 
 

@@ -246,18 +246,6 @@ def _report(raw: complex, err: float, m: int, terms: int, opts: QuadOptions) -> 
     return AsepEvalReport(float(raw.real), imag, err, m, terms)
 
 
-def _orientation_cost(y, x, radii: RadiiScheme) -> float:
-    """Log of the estimated integrand magnitude for the (y, x) orientation.
-
-    Positive position exponents see |xi| up to R_N + |center|, the fixed
-    negative initial-site exponents see |xi| down to R_1 - |center|; the
-    double-precision cancellation floor scales with this magnitude.
-    """
-    hi = math.log(radii.radii[-1] + abs(radii.center))
-    lo = math.log(radii.radii[0] - abs(radii.center))
-    return sum(max(xi, 0) * hi for xi in x) - sum((yi + 1) * lo for yi in y)
-
-
 def prob_halfline(Y, X, t: float, params: AsepParams,
                   opts: QuadOptions | None = None,
                   radii: RadiiScheme | None = None) -> AsepEvalReport:
@@ -269,10 +257,15 @@ def prob_halfline(Y, X, t: float, params: AsepParams,
     circles must enclose the poles 0, 1 and tau, or ValueError is raised.
 
     The process is reversible with respect to tau^(sum of sites), so
-    P_Y(X;t) = tau^(sum X - sum Y) * P_X(Y;t) exactly; the evaluator uses
-    whichever orientation keeps the integrand magnitude (and with it the
-    double-precision cancellation floor) smaller.  Deep-tail probabilities
-    (large sites reached against the drift) stay accurate this way.
+    P_Y(X;t) = tau^delta P_X(Y;t) exactly, delta = sum X - sum Y.  The
+    double-precision cancellation floor scales with the integrand magnitude,
+    whose log is sum X log(R_N + |c|) - sum (Y + 1) log(R_1 - |c|) for the
+    direct sum (c the circles' center); the reversed sum's, plus delta log
+    tau, is smaller by delta * gain, gain = log((R_N + |c|)(R_1 - |c|)) -
+    log tau.  So the evaluator reverses when delta * gain > 0 (and tau^delta
+    stays within double range), and at delta = 0 evaluates directly.
+    Deep-tail probabilities (large sites reached against the drift) stay
+    accurate this way.
     """
     ycfg = _as_config(Y, halfline=True)
     xcfg = _as_config(X, halfline=True)
@@ -282,9 +275,10 @@ def prob_halfline(Y, X, t: float, params: AsepParams,
 
     delta = sum(xcfg.sites) - sum(ycfg.sites)
     log_tau = math.log(params.tau)
-    cost_direct = _orientation_cost(ycfg.sites, xcfg.sites, radii)
-    cost_swapped = delta * log_tau + _orientation_cost(xcfg.sites, ycfg.sites, radii)
-    if cost_swapped < cost_direct and abs(delta * log_tau) < 600.0:
+    outer = radii.radii[-1] + abs(radii.center)
+    inner = radii.radii[0] - abs(radii.center)
+    gain = math.log(outer * inner) - log_tau
+    if delta * gain > 0 and abs(delta * log_tau) < 600.0:
         src, dst, prefactor = xcfg, ycfg, params.tau ** delta
     else:
         src, dst, prefactor = ycfg, xcfg, 1.0
@@ -420,11 +414,16 @@ def total_mass(Y, t: float, params: AsepParams, window: int,
                opts: QuadOptions | None = None) -> float:
     """Sum of prob_halfline over every ordered configuration inside {0..window}.
 
-    Converges to 1 as the window grows (probability conservation).
+    Converges to 1 as the window grows (probability conservation).  The
+    window must be an integer that holds at least N sites, or ValueError is
+    raised.
     """
     ycfg = _as_config(Y, halfline=True)
     if ycfg.n > 3:
         raise ValueError("total_mass supports N <= 3")
+    window, = integer_sites((window,))
+    if window + 1 < ycfg.n:
+        raise ValueError(f"window {{0..{window}}} holds fewer than {ycfg.n} sites")
     total = 0.0
     for sites in itertools.combinations(range(window + 1), ycfg.n):
         total += prob_halfline(ycfg, sites, t, params, opts).value

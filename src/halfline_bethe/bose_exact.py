@@ -24,7 +24,8 @@ from .contour_quad import LineGrid, QuadOptions, adaptive_eval, line_nodes
 from .scattering import BoseParams, s_bose
 from .signed_perm import group_order, term_structure
 
-#: minimum damping -Im(t); keeps every integrand Gaussian-integrable
+#: minimum damping -Im(t) of a time with a real part; keeps every integrand
+#: Gaussian-integrable
 MIN_DAMPING = 1e-3
 
 
@@ -35,25 +36,24 @@ def _check_tau(tau: float):
 
 @dataclass(frozen=True)
 class DampedTime:
-    """Complex time with Im(t) <= -delta_min, so |exp(-i t k^2)| decays."""
+    """Complex time with Im(t) <= -MIN_DAMPING, or pure imaginary t = -i tau
+    with tau > 0 (`imaginary`), so |exp(-i t k^2)| decays."""
 
     t: complex
-    delta_min: float = MIN_DAMPING
 
     def __post_init__(self):
         object.__setattr__(self, "t", complex(self.t))
         if not np.isfinite(self.t.real) or not np.isfinite(self.t.imag):
             raise ValueError("time must be finite")
-        if self.t.imag > -self.delta_min:
-            raise ValueError(
-                f"need Im(t) <= -{self.delta_min} for damped evaluation, got {self.t}"
-            )
+        if self.t.imag > -MIN_DAMPING and not (self.t.real == 0.0 and self.t.imag < 0.0):
+            raise ValueError(f"need Im(t) <= -{MIN_DAMPING}, or Re(t) = 0 and Im(t) < 0, "
+                             f"for damped evaluation, got {self.t}")
 
     @classmethod
     def imaginary(cls, tau: float) -> "DampedTime":
         """Diffusive mode t = -i*tau; any tau > 0 is admissible here."""
         _check_tau(tau)
-        return cls(-1j * float(tau), delta_min=min(MIN_DAMPING, float(tau)))
+        return cls(-1j * float(tau))
 
     @property
     def damping(self) -> float:

@@ -232,19 +232,21 @@ def ctmc_prob(y, x, t: float, params: AsepParams,
 
     With window=None the window reaches a drift+diffusion margin past the
     configurations, and the margin doubles until the answer is stable within
-    tol.  y and x must be strictly increasing and, on the half-line,
-    nonnegative, or ValueError is raised.
+    tol; a window the caller gives must hold both y and x.  y and x must be
+    strictly increasing and, on the half-line, nonnegative, or ValueError is
+    raised.
     """
     _require_rates(params)
     y, x = _configs(y, x, halfline)
     require_time(t)
+    if window is not None and any(c[0] < window.lo or c[-1] > window.hi for c in (y, x)):
+        raise ValueError(f"configuration {y} or {x} not inside window")
     if t == 0.0:
         return 1.0 if x == y else 0.0
 
     def prob(window):
         states, dist = ctmc_distribution(y, t, params, window, tol, halfline)
-        gen_index = {s: i for i, s in enumerate(states)}
-        return float(dist[gen_index[x]]) if x in gen_index else 0.0
+        return float(dist[states.index(x)])
 
     if window is not None:
         return prob(window)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -14,7 +15,7 @@ from halfline_bethe.asep_exact import (AsepEvalReport, LatticeConfig,
                                        prob_halfline, prob_n1_closed,
                                        total_mass, tuned_radii)
 from halfline_bethe.contour_quad import (CircleContour, QuadOptions, RadiiScheme,
-                                         circle_nodes)
+                                         adaptive_eval, circle_nodes)
 from halfline_bethe.oracles import ctmc_prob
 from halfline_bethe.scattering import AsepParams, s_asep
 from halfline_bethe.signed_perm import term_structure
@@ -257,6 +258,16 @@ class TestHalfline:
     def test_mass_n2(self):
         assert abs(total_mass((0, 2), 0.5, P04, 16) - 1.0) < 1e-6
 
+    @pytest.mark.parametrize("window", [-5, 0, 2.5, math.nan])
+    def test_mass_needs_an_integer_window_of_n_sites(self, window):
+        # -5 once summed nothing to 0.0, 2.5 raised TypeError from range
+        with pytest.raises(ValueError):
+            total_mass((0, 2), 1.0, P04, window)
+
+    def test_mass_in_the_smallest_window(self):
+        assert total_mass((0, 2), 0.0, P04, 1) == prob_halfline((0, 2), (0, 1), 0.0,
+                                                                P04).value
+
     def test_adaptive_error_estimate_quality(self):
         # refinement history of the two-particle integrand: monotone
         # successive differences, and the reported estimate bounds the true
@@ -314,6 +325,61 @@ class TestHalfline:
         got = prob_halfline(y, x, t, params, QuadOptions(tol=1e-10, max_points=64)).value
         assert abs(got - ctmc_prob(y, x, t, params, tol=1e-16)) < 1e-12
         assert got >= 0.0
+
+
+def _reference_orientation(y, x, radii: RadiiScheme, tau: float) -> bool:
+    """Whether to reverse, by comparing the estimated log integrand
+    magnitudes of the two orientations: positive site exponents see |xi| up
+    to R_N + |center|, the negative initial-site ones down to R_1 - |center|.
+    Their difference is delta * gain, the sign that prob_halfline reads."""
+    hi = math.log(radii.radii[-1] + abs(radii.center))
+    lo = math.log(radii.radii[0] - abs(radii.center))
+
+    def cost(y, x):
+        return sum(max(xi, 0) * hi for xi in x) - sum((yi + 1) * lo for yi in y)
+
+    delta_log_tau = (sum(x) - sum(y)) * math.log(tau)
+    return delta_log_tau + cost(x, y) < cost(y, x) and abs(delta_log_tau) < 600.0
+
+
+class TestOrientation:
+    """prob_halfline reverses by the sign of delta * gain, which is the
+    reference cost comparison wherever sum X != sum Y."""
+
+    def test_sign_rule_equals_the_cost_comparison(self, monkeypatch):
+        sources = []
+        monkeypatch.setattr(asep_exact, "_level_sum",
+                            lambda y, z, *args: sources.append(y) or 1.0)
+        monkeypatch.setattr(asep_exact, "adaptive_eval",
+                            lambda level, opts: (level(16), 0.0, 16))
+        checked = 0
+        for p in np.arange(0.01, 1.0, 0.04):
+            params = AsepParams.from_p(float(p))
+            for n in (1, 2, 3, 4):
+                configs = list(itertools.combinations(range(n + 2), n))
+                for scale in (1.0, 1.1, 2.0):
+                    radii = tuned_radii(params, n).scaled(scale)
+                    for y, x in itertools.product(configs, repeat=2):
+                        prob_halfline(y, x, 1.0, params, radii=radii)
+                        reversed_ = sources.pop() == x != y
+                        if sum(x) == sum(y):
+                            assert not reversed_, (p, y, x, scale)
+                        else:
+                            checked += 1
+                            assert reversed_ == _reference_orientation(
+                                y, x, radii, params.tau), (p, y, x, scale)
+        assert checked > 10_000
+
+    def test_equal_sums_evaluate_directly(self):
+        # the cost comparison reversed this call on a rounding difference
+        y, x, t, params = (1, 3), (0, 4), 1.0, AsepParams.from_p(0.01)
+        contours = tuned_radii(params, 2).contours()
+        direct, _, _ = adaptive_eval(
+            lambda m: asep_exact._level_sum(y, x, t, params, contours, m, True),
+            QuadOptions())
+        got = prob_halfline(y, x, t, params).value
+        assert got == float(direct.real)
+        assert abs(got - ctmc_prob(y, x, t, params, tol=1e-16)) < 1e-15
 
 
 class TestFullline:

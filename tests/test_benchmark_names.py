@@ -57,6 +57,24 @@ def test_one_level_of_each_model_is_traced(monkeypatch):
     assert bose_calls["kernels.contract.calls"] == terms
 
 
+def test_an_n4_level_is_traced_through_the_k4_step(monkeypatch):
+    # only an N = 4 level reaches the K4 step, in 60 of its 192 terms
+    monkeypatch.setattr(asep_exact, "_CONTOUR_CACHE", OrderedDict())
+    k4_calls = []
+    k4 = _kernels._k4
+    monkeypatch.setattr(_kernels, "_k4", lambda *args: k4_calls.append(1) or k4(*args))
+    params = AsepParams.from_p(0.4)
+    contours = asep_exact.tuned_radii(params, 4).contours()
+    tracer = _load_tracing().Tracer()
+    with tracer.installed():
+        asep_exact._level_sum((0, 1, 2, 3), (0, 1, 3, 5), 0.5, params, contours, 8, True)
+    assert tracer.missing == []
+    # eps and r on each of 4 circles, N(N-1) = 12 S-matrices
+    assert tracer.counts["scattering.calls"] == 4 + 4 + 12
+    assert tracer.counts["kernels.contract.calls"] == len(term_structure(4, True)) == 192
+    assert len(k4_calls) == 60
+
+
 def test_a_bose_op_is_traced_through_its_two_levels():
     # the tracer counts adaptive_trace's levels from its return value, so it
     # must still see the call that passes the Bose schedule by keyword

@@ -35,6 +35,23 @@ class TestDampedTime:
         # small tau is fine in diffusive mode
         assert DampedTime.imaginary(1e-5).damping == pytest.approx(1e-5)
 
+    def test_pure_imaginary_time_is_the_diffusive_mode(self):
+        # Re t = 0 admits any damping, as `imaginary` does
+        assert DampedTime(-1e-5j) == DampedTime.imaginary(1e-5)
+        for bad in (0j, -0j, 1e-5j):
+            with pytest.raises(ValueError):
+                DampedTime(bad)
+
+    def test_no_damping_knob(self):
+        # a caller's delta_min of 0 once let a real time through to a
+        # ZeroDivisionError, a negative one a growing time to a math domain
+        # error; without the knob both times are rejected
+        for t, knob in ((1.0, 0.0), (0.5j, -1.0)):
+            with pytest.raises(TypeError):
+                DampedTime(t, delta_min=knob)
+            with pytest.raises(ValueError):
+                DampedTime(t)
+
     def test_damping_bound(self):
         t = DampedTime(0.3 - 0.1j)
         k = np.linspace(-3, 3, 7)

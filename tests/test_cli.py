@@ -118,6 +118,12 @@ class TestExitCodes:
                           "--t", "1", "--radii", radii)
         assert code == 2
 
+    def test_mc_compare_target_outside_the_window_is_2(self, capsys):
+        # the oracle once recorded 0.0 against an exact 7.2e-6 and exited 1
+        code, rec = run_cli(capsys, "mc-compare", "--p", "0.4", "--Y", "0,2",
+                            "--X", "1,7", "--t", "1", "--window", "0,5")
+        assert (code, rec) == (2, {})
+
     @pytest.mark.parametrize("p", ["1.5", "-0.3"])
     @pytest.mark.parametrize("command,y,x", [
         ("asep-prob", "0,2", "1,3"), ("asep-fullline", "0,2", "1,3"),

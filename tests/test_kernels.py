@@ -1,5 +1,6 @@
 """The contraction must match its definition for every pattern of present
-pairs, and the lockstep jump chain its one-trial SplitMix64 reference."""
+pairs up to N = 4 and for K4 cores inside N = 5, and refuse larger cores;
+the lockstep jump chain must match its one-trial SplitMix64 reference."""
 
 import itertools
 import math
@@ -52,25 +53,46 @@ def _brute(vectors, mats):
     return total.sum()
 
 
-@pytest.mark.parametrize("n,m", [(1, 40), (2, 24), (3, 16), (4, 9), (5, 6)])
+@pytest.mark.parametrize("n,m", [(1, 40), (2, 24), (3, 16), (4, 9)])
 def test_contract_paths_agree(rng, n, m):
     vectors, mats = _random_problem(rng, n, m)
     assert contract(vectors, mats) == pytest.approx(_brute(vectors, mats), rel=1e-12)
 
 
-@pytest.mark.parametrize("n,m,absent", [
-    (5, 5, {(0, 1)}),
-    (5, 5, {(0, 4), (1, 3)}),
-    # no dimension meets all the others
-    (6, 4, {(0, 1), (2, 3), (4, 5)}),
+def _k4_plus(n, k4, extra):
+    """The pattern of a complete graph on the dimensions k4 plus the pairs
+    in extra."""
+    on = set(itertools.combinations(k4, 2)) | set(extra)
+    return [pair in on for pair in _pairs(n)]
+
+
+@pytest.mark.parametrize("k4,extra", [
+    ((0, 1, 2, 3), [(3, 4)]),
+    ((1, 2, 3, 4), [(0, 1)]),
+    # dimension 3 is summed into the present pair (2, 4)
+    ((0, 1, 2, 4), [(2, 3), (3, 4)]),
 ])
-def test_contract_incomplete_core(rng, n, m, absent):
-    # every dimension keeps three or more pairs, so the dense loop runs
-    # with absent pairs
-    present = [pair not in absent for pair in _pairs(n)]
-    assert _plan(n, tuple(present))[0] == ()
-    vectors, mats = _random_problem(rng, n, m, present)
+def test_contract_k4_core_inside_five(rng, k4, extra):
+    present = _k4_plus(5, k4, extra)
+    assert _plan(5, tuple(present))[1][0] == k4
+    vectors, mats = _random_problem(rng, 5, 6, present)
     assert contract(vectors, mats) == pytest.approx(_brute(vectors, mats), rel=1e-12)
+
+
+@pytest.mark.parametrize("n,absent", [
+    (5, set()),
+    (5, {(0, 1)}),
+    (5, {(0, 4), (1, 3)}),
+    # no dimension meets all the others
+    (6, {(0, 1), (2, 3), (4, 5)}),
+])
+def test_contract_refuses_a_core_larger_than_k4(rng, n, absent):
+    # every dimension keeps three or more pairs on five or six dimensions, a
+    # core that no term reaches up to MAX_N
+    present = [pair not in absent for pair in _pairs(n)]
+    vectors, mats = _random_problem(rng, n, 3, present)
+    with pytest.raises(ValueError, match="K4"):
+        contract(vectors, mats)
 
 
 @pytest.mark.parametrize("n,m", [(2, 24), (3, 12), (4, 7)])
@@ -85,12 +107,16 @@ def test_contract_every_pair_pattern(rng, n, m):
 @pytest.mark.parametrize("n,complete,dense", [(2, 3, 0), (3, 12, 0), (4, 60, 60)])
 def test_only_complete_graphs_run_the_dense_loop(n, complete, dense):
     # ASEP carries a matrix on every inverted pair; of the 2^(N-1) N! folded
-    # terms, those inverting every pair need m^N work only from N = 4 on
+    # terms, those inverting every pair need m^N work only from N = 4 on,
+    # where they run the K4 step
     terms = term_structure(n, True)
     assert len(terms) == 2 ** (n - 1) * math.factorial(n)
     patterns = [tuple(bool(invs) for invs in term.mats) for term in terms]
     assert sum(all(p) for p in patterns) == complete
     assert sum(_plan(n, p)[1] is not None for p in patterns) == dense
+    # the remaining core is K4 on every dimension, its pairs in order
+    assert {_plan(n, p)[1] for p in patterns} - {None} == (
+        {((0, 1, 2, 3), tuple(range(6)))} if dense else set())
 
 
 def _asep_tables(n, m=8):

@@ -138,6 +138,15 @@ class TestCtmc:
         b = ctmc_prob((0, 2), (1, 4), 1.0, PARAMS, window=win2)
         assert abs(a - b) < 1e-12
 
+    @pytest.mark.parametrize("t", [0.0, 1.0])
+    @pytest.mark.parametrize("y,x", [((30, 31), (0, 2)), ((0, 2), (30, 31)),
+                                     ((0, 2), (1, 11)), ((30, 31), (30, 31))])
+    def test_configurations_outside_the_window_rejected(self, y, x, t):
+        # a final configuration outside the window once gave probability 0.0,
+        # and at t = 0 the window went unchecked
+        with pytest.raises(ValueError, match="not inside window"):
+            ctmc_prob(y, x, t, PARAMS, window=LatticeWindow(0, 10))
+
     def test_fullline_differs_from_halfline(self):
         a = ctmc_prob((0,), (0,), 1.0, PARAMS, halfline=True)
         b = ctmc_prob((0,), (0,), 1.0, PARAMS, halfline=False)
