@@ -4,7 +4,7 @@ validated against independent Markov-chain and Monte Carlo oracles."""
 
 __version__ = "0.1.0"
 
-from .asep_exact import (AsepEvalReport, LatticeConfig, evaluate_extended,
+from .asep_exact import (AsepEvalReport, evaluate_extended,
                          master_equation_residual, prob_fullline,
                          prob_halfline, prob_n1_closed, total_mass,
                          tuned_radii)

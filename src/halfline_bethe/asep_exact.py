@@ -32,28 +32,9 @@ from ._kernels import (MAX_N, LevelTables, contract,  # noqa: F401
 from .contour_quad import (CircleContour, QuadOptions, RadiiScheme,
                            adaptive_eval, circle_nodes)
 from .errors import ConvergenceError
-from .scattering import (AsepParams, eps_asep, integer_sites, r_factor,
-                         require_time, s_asep)
+from .scattering import (AsepParams, eps_asep, integer_sites, lattice_sites,
+                         r_factor, require_time, s_asep)
 from .signed_perm import group_order, term_structure
-
-
-@dataclass(frozen=True)
-class LatticeConfig:
-    """Strictly increasing occupied sites."""
-
-    sites: tuple[int, ...]
-
-    def __post_init__(self):
-        sites = integer_sites(self.sites)
-        object.__setattr__(self, "sites", sites)
-        if len(sites) < 1:
-            raise ValueError("need at least one particle")
-        if any(b <= a for a, b in zip(sites, sites[1:])):
-            raise ValueError(f"sites must strictly increase: {sites}")
-
-    @property
-    def n(self) -> int:
-        return len(self.sites)
 
 
 @dataclass(frozen=True)
@@ -63,13 +44,6 @@ class AsepEvalReport:
     error_estimate: float
     points_used: int
     term_count: int
-
-
-def _as_config(c, halfline: bool) -> LatticeConfig:
-    cfg = c if isinstance(c, LatticeConfig) else LatticeConfig(tuple(c))
-    if halfline and cfg.sites[0] < 0:
-        raise ValueError(f"half-line configurations need sites >= 0: {cfg.sites}")
-    return cfg
 
 
 #: `tuned_radii`: R_d = RADIUS_RATIO^(d-1) R_1, every pole within POLE_SAFETY R_1
@@ -207,11 +181,11 @@ def _default_opts(n: int, opts: QuadOptions | None) -> QuadOptions:
     return QuadOptions()
 
 
-def _check_common(y_cfg: LatticeConfig, n_other: int, t: float, params: AsepParams):
+def _check_common(y: tuple[int, ...], n_other: int, t: float, params: AsepParams):
     params.require_formula_ok()
-    if y_cfg.n != n_other:
+    if len(y) != n_other:
         raise ValueError("X and Y must hold the same number of particles")
-    if y_cfg.n > MAX_N:
+    if len(y) > MAX_N:
         raise ValueError(f"evaluators support N <= {MAX_N}")
     require_time(t)
 
@@ -267,30 +241,28 @@ def prob_halfline(Y, X, t: float, params: AsepParams,
     Deep-tail probabilities (large sites reached against the drift) stay
     accurate this way.
     """
-    ycfg = _as_config(Y, halfline=True)
-    xcfg = _as_config(X, halfline=True)
-    _check_common(ycfg, xcfg.n, t, params)
-    opts = _default_opts(ycfg.n, opts)
-    radii = _halfline_radii(radii, params, ycfg.n)
+    y, x = lattice_sites(Y, halfline=True), lattice_sites(X, halfline=True)
+    _check_common(y, len(x), t, params)
+    opts = _default_opts(len(y), opts)
+    radii = _halfline_radii(radii, params, len(y))
 
-    delta = sum(xcfg.sites) - sum(ycfg.sites)
+    delta = sum(x) - sum(y)
     log_tau = math.log(params.tau)
     outer = radii.radii[-1] + abs(radii.center)
     inner = radii.radii[0] - abs(radii.center)
     gain = math.log(outer * inner) - log_tau
     if delta * gain > 0 and abs(delta * log_tau) < 600.0:
-        src, dst, prefactor = xcfg, ycfg, params.tau ** delta
+        src, dst, prefactor = x, y, params.tau ** delta
     else:
-        src, dst, prefactor = ycfg, xcfg, 1.0
+        src, dst, prefactor = y, x, 1.0
 
     # the reversed sum is scaled by the prefactor, so its own tolerance is
     # tightened for `tol` to bound the returned value
     contours = radii.contours()
     value, err, m = adaptive_eval(
-        lambda mm: _level_sum(src.sites, dst.sites, t, params, contours, mm, True),
+        lambda mm: _level_sum(src, dst, t, params, contours, mm, True),
         dataclasses.replace(opts, tol=opts.tol / max(prefactor, 1.0)))
-    return _report(prefactor * value, prefactor * err, m, group_order(ycfg.n, True),
-                   opts)
+    return _report(prefactor * value, prefactor * err, m, group_order(len(y), True), opts)
 
 
 def prob_fullline(Y, X, t: float, params: AsepParams,
@@ -298,16 +270,14 @@ def prob_fullline(Y, X, t: float, params: AsepParams,
                   radius: float | None = None) -> AsepEvalReport:
     """Transition probability for the process on all of Z (permutation sum
     over a single large circle about zero)."""
-    ycfg = _as_config(Y, halfline=False)
-    xcfg = _as_config(X, halfline=False)
-    _check_common(ycfg, xcfg.n, t, params)
-    opts = _default_opts(ycfg.n, opts)
+    y, x = lattice_sites(Y, halfline=False), lattice_sites(X, halfline=False)
+    _check_common(y, len(x), t, params)
+    opts = _default_opts(len(y), opts)
     radius = radius if radius is not None else max(2.0, 2.0 / abs(params.q))
-    contours = (CircleContour(0.0, radius),) * ycfg.n
+    contours = (CircleContour(0.0, radius),) * len(y)
     value, err, m = adaptive_eval(
-        lambda mm: _level_sum(ycfg.sites, xcfg.sites, t, params, contours, mm, False),
-        opts)
-    return _report(value, err, m, group_order(ycfg.n, False), opts)
+        lambda mm: _level_sum(y, x, t, params, contours, mm, False), opts)
+    return _report(value, err, m, group_order(len(y), False), opts)
 
 
 def prob_n1_closed(y: int, x: int, t: float, params: AsepParams,
@@ -320,9 +290,7 @@ def prob_n1_closed(y: int, x: int, t: float, params: AsepParams,
     cross-check each other.
     """
     params.require_formula_ok()
-    y, x = integer_sites((y, x))
-    if y < 0 or x < 0:
-        raise ValueError("half-line sites must be nonnegative")
+    (y,), (x,) = lattice_sites((y,), halfline=True), lattice_sites((x,), halfline=True)
     require_time(t)
     opts = opts or QuadOptions()
     tau = params.tau
@@ -351,14 +319,13 @@ def evaluate_extended(Y, Z, t: float, params: AsepParams,
     physical master equation hold; on physical ordered tuples it coincides
     with prob_halfline.
     """
-    ycfg = _as_config(Y, halfline=True)
-    z = integer_sites(Z)
-    _check_common(ycfg, len(z), t, params)
-    opts = _default_opts(ycfg.n, opts)
-    radii = _halfline_radii(radii, params, ycfg.n)
+    y, z = lattice_sites(Y, halfline=True), integer_sites(Z)
+    _check_common(y, len(z), t, params)
+    opts = _default_opts(len(y), opts)
+    radii = _halfline_radii(radii, params, len(y))
     contours = radii.contours()
     value, _, _ = adaptive_eval(
-        lambda mm: _level_sum(ycfg.sites, z, t, params, contours, mm, True), opts)
+        lambda mm: _level_sum(y, z, t, params, contours, mm, True), opts)
     return complex(value)
 
 
@@ -373,20 +340,19 @@ def master_equation_residual(Y, X, t: float, params: AsepParams,
     negative entry.  Particle i hops to the left (rate q) or arrives from it
     (rate p) only when site x_i - 1 is free and not beyond the wall at 0.
     """
-    ycfg = _as_config(Y, halfline=True)
-    xcfg = _as_config(X, halfline=True)
-    _check_common(ycfg, xcfg.n, t, params)
-    if ycfg.n > 3:
+    y, x = lattice_sites(Y, halfline=True), lattice_sites(X, halfline=True)
+    _check_common(y, len(x), t, params)
+    n, p, q = len(y), params.p, params.q
+    if n > 3:
         raise ValueError("master-equation residual supports N <= 3")
     if t <= 0:
         raise ValueError("residual check needs t > 0")
-    contours = tuned_radii(params, ycfg.n).contours()
-    terms = term_structure(ycfg.n, True)
-    x, n, p, q = xcfg.sites, xcfg.n, params.p, params.q
+    contours = tuned_radii(params, n).contours()
+    terms = term_structure(n, True)
 
     def residual(mm):
         contour = _contour_tables(params, contours, mm, True)
-        tables = _level_tables(contour, ycfg.sites, t, x)
+        tables = _level_tables(contour, y, t, x)
 
         def u(factors):
             return term_sum(tables.scaled(factors), terms)
@@ -406,7 +372,7 @@ def master_equation_residual(Y, X, t: float, params: AsepParams,
                 rhs += q * shifted(i, 1) - p * ux
         return du_dt - rhs
 
-    value, _, _ = adaptive_eval(residual, _default_opts(ycfg.n, opts))
+    value, _, _ = adaptive_eval(residual, _default_opts(n, opts))
     return abs(value)
 
 
@@ -418,13 +384,13 @@ def total_mass(Y, t: float, params: AsepParams, window: int,
     window must be an integer that holds at least N sites, or ValueError is
     raised.
     """
-    ycfg = _as_config(Y, halfline=True)
-    if ycfg.n > 3:
+    y = lattice_sites(Y, halfline=True)
+    if len(y) > 3:
         raise ValueError("total_mass supports N <= 3")
     window, = integer_sites((window,))
-    if window + 1 < ycfg.n:
-        raise ValueError(f"window {{0..{window}}} holds fewer than {ycfg.n} sites")
+    if window + 1 < len(y):
+        raise ValueError(f"window {{0..{window}}} holds fewer than {len(y)} sites")
     total = 0.0
-    for sites in itertools.combinations(range(window + 1), ycfg.n):
-        total += prob_halfline(ycfg, sites, t, params, opts).value
+    for sites in itertools.combinations(range(window + 1), len(y)):
+        total += prob_halfline(y, sites, t, params, opts).value
     return total

@@ -7,7 +7,8 @@ failure, 2 usage/parameter error, 3 numerical non-convergence.
 
 Set HALFLINE_BETHE_CACHE_DIR to enable result caching: a repeated run with an
 identical spec returns the stored record (marked "cached": true) without
-recomputation.
+recomputation.  An entry is written whole or not at all, and one that does not
+parse as a JSON object is a miss: it is recomputed and overwritten.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 import time
 
 from . import __version__
@@ -55,6 +57,31 @@ def cache_key(spec: dict) -> str:
     identical keys, any field change changes the key."""
     canon = json.dumps(spec, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()
+
+
+def _read_cached(path: str) -> dict | None:
+    """The record stored at path, or None when there is none or it is not a
+    JSON object (a damaged entry)."""
+    try:
+        with open(path) as fh:
+            rec = json.load(fh)
+    except (FileNotFoundError, ValueError):  # a JSONDecodeError is a ValueError
+        return None
+    return rec if isinstance(rec, dict) else None
+
+
+def _write_cached(path: str, rec: dict):
+    """Store rec at path through a temporary file in the same directory, so
+    a run stopped mid-write leaves no partial entry at the key."""
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump(rec, fh, sort_keys=True)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def export(records: list[dict], fmt: str, path: str):
@@ -302,40 +329,29 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args = _apply_config(argv, args, parser, commands)
-    except (OSError, ValueError) as exc:  # a JSONDecodeError is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    spec = _spec_dict(args)
-    key = cache_key(spec)
-    cache_dir = os.environ.get(CACHE_ENV)
-    cache_path = os.path.join(cache_dir, key + ".json") if cache_dir else None
-
-    try:
-        if cache_path and os.path.exists(cache_path):
-            with open(cache_path) as fh:
-                rec = json.load(fh)
+        key = cache_key(_spec_dict(args))
+        cache_dir = os.environ.get(CACHE_ENV)
+        cache_path = os.path.join(cache_dir, key + ".json") if cache_dir else None
+        rec = _read_cached(cache_path) if cache_path else None
+        if rec is not None:
             rec["cached"] = True
         else:
             start = time.perf_counter()
             rec = _run_command(args)
-            rec["wall_clock_s"] = time.perf_counter() - start
-            rec["version"] = __version__
-            rec["cached"] = False
-            rec["spec_key"] = key
+            rec.update(wall_clock_s=time.perf_counter() - start, version=__version__,
+                       cached=False, spec_key=key)
             if cache_path:
-                os.makedirs(cache_dir, exist_ok=True)
-                with open(cache_path, "w") as fh:
-                    json.dump(rec, fh, sort_keys=True)
+                _write_cached(cache_path, rec)
+        print(json.dumps(rec, sort_keys=True))
+        if args.out:
+            export([rec], args.format, args.out)
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # a JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    print(json.dumps(rec, sort_keys=True))
-    if args.out:
-        export([rec], args.format, args.out)
     if args.command in VALIDATE_COMMANDS or args.command == "mc-compare":
         return 0 if rec.get("all_passed", True) else 1
     return 0

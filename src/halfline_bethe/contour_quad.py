@@ -28,13 +28,15 @@ class CircleContour:
     def __post_init__(self):
         object.__setattr__(self, "center", complex(self.center))
         object.__setattr__(self, "radius", float(self.radius))
+        if not np.isfinite(self.center):
+            raise ValueError(f"center must be finite, got {self.center}")
         if not (np.isfinite(self.radius) and self.radius > 0):
             raise ValueError(f"radius must be positive and finite, got {self.radius}")
 
 
 @dataclass(frozen=True)
 class RadiiScheme:
-    """Common center with strictly increasing radii R_1 < ... < R_N."""
+    """Finite common center with strictly increasing radii R_1 < ... < R_N."""
 
     center: complex
     radii: tuple[float, ...]
@@ -43,6 +45,8 @@ class RadiiScheme:
         object.__setattr__(self, "center", complex(self.center))
         radii = tuple(float(r) for r in self.radii)
         object.__setattr__(self, "radii", radii)
+        if not np.isfinite(self.center):
+            raise ValueError(f"center must be finite, got {self.center}")
         if not radii or any(not np.isfinite(r) or r <= 0 for r in radii):
             raise ValueError(f"need one or more positive finite radii: {radii}")
         gap = 0.05 * radii[0]
@@ -69,7 +73,7 @@ class RadiiScheme:
 
 @dataclass(frozen=True)
 class LineGrid:
-    """Uniform grid on [-cutoff, cutoff]; cutoff/spacing must be an integer >= 8."""
+    """Uniform grid on [-cutoff, cutoff]; finite cutoff/spacing an integer >= 8."""
 
     cutoff: float
     spacing: float
@@ -77,10 +81,10 @@ class LineGrid:
     def __post_init__(self):
         object.__setattr__(self, "cutoff", float(self.cutoff))
         object.__setattr__(self, "spacing", float(self.spacing))
-        if not (self.cutoff > 0 and self.spacing > 0):
-            raise ValueError("cutoff and spacing must be positive")
+        if not (0 < self.cutoff < np.inf and 0 < self.spacing < np.inf):
+            raise ValueError("cutoff and spacing must be positive and finite")
         ratio = self.cutoff / self.spacing
-        if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 8:
+        if np.isinf(ratio) or abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 8:
             raise ValueError(
                 f"cutoff/spacing must be an integer >= 8, got {ratio}"
             )

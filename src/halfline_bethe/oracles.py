@@ -3,8 +3,10 @@
 Two generators of reference values live here: a finite-window continuous-time
 Markov chain solved by uniformization (a Poisson mixture of powers of a
 stochastic matrix, with a rigorous truncation bound), and a kinetic Monte
-Carlo simulator.  Neither shares any code with the contour-integral
-evaluators they validate.
+Carlo simulator.  Neither shares any computation with the contour-integral
+evaluators they validate: they share only the input checks of `scattering`
+(`lattice_sites`, `integer_sites`, `require_time`), so no value computed here
+depends on evaluator code.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .scattering import AsepParams, integer_sites, require_time
+from .scattering import AsepParams, integer_sites, lattice_sites, require_time
 
 #: state-count guard for the generator build
 MAX_STATES = 2_000_000
@@ -82,8 +84,6 @@ class GeneratorMatrix:
     states: tuple[tuple[int, ...], ...]
     index: MappingProxyType  # state -> position in `states`
     rates: CooRates
-    window: LatticeWindow
-    halfline: bool
 
 
 def _require_rates(params: AsepParams):
@@ -155,7 +155,7 @@ def build_generator(params: AsepParams, window: LatticeWindow, n: int,
             vals.append(-out_rate)
     rates = CooRates(np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
                      np.array(vals))
-    return GeneratorMatrix(states, MappingProxyType(index), rates, window, halfline)
+    return GeneratorMatrix(states, MappingProxyType(index), rates)
 
 
 def _uniformized_distribution(gen: GeneratorMatrix, y: tuple[int, ...], t: float,
@@ -196,26 +196,27 @@ def _uniformized_distribution(gen: GeneratorMatrix, y: tuple[int, ...], t: float
 
 
 def _configs(y, x, halfline: bool) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """y and x as integer sites; ValueError unless both hold the same number
-    of particles, strictly increasing and, on the half-line, nonnegative."""
-    y, x = integer_sites(y), integer_sites(x)
+    """y and x by `lattice_sites`, holding the same number of particles."""
+    y, x = lattice_sites(y, halfline), lattice_sites(x, halfline)
     if len(x) != len(y):
         raise ValueError("configurations must have equal particle number")
-    if not y:
-        raise ValueError("need at least one particle")
-    for name, config in (("y", y), ("x", x)):
-        if any(b <= a for a, b in zip(config, config[1:])):
-            raise ValueError(f"{name} = {config} must be strictly increasing")
-        if halfline and config[0] < 0:
-            raise ValueError(f"{name} = {config} has a site left of the wall")
     return y, x
+
+
+def _require_tol(tol: float):
+    """A nan or infinite tol ends the Poisson series after one term, and no
+    window growth in `ctmc_prob` meets a nan, zero or negative one."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
 
 
 def ctmc_distribution(y, t: float, params: AsepParams, window: LatticeWindow,
                       tol: float = 1e-12, halfline: bool = True):
-    """All transition probabilities out of y at time t, over window states."""
-    y = integer_sites(y)
+    """All transition probabilities out of y at time t, over window states;
+    ValueError unless y follows `lattice_sites` and t >= 0 and tol > 0 are finite."""
+    y = lattice_sites(y, halfline)
     require_time(t)
+    _require_tol(tol)
     gen = build_generator(params, window, len(y), halfline)
     if y not in gen.index:
         raise ValueError(f"initial configuration {y} not inside window")
@@ -232,13 +233,14 @@ def ctmc_prob(y, x, t: float, params: AsepParams,
 
     With window=None the window reaches a drift+diffusion margin past the
     configurations, and the margin doubles until the answer is stable within
-    tol; a window the caller gives must hold both y and x.  y and x must be
-    strictly increasing and, on the half-line, nonnegative, or ValueError is
-    raised.
+    tol; a window the caller gives must hold both y and x.  y and x follow
+    `lattice_sites` with as many particles each, and t >= 0 and tol > 0 must
+    be finite, or ValueError is raised.
     """
     _require_rates(params)
     y, x = _configs(y, x, halfline)
     require_time(t)
+    _require_tol(tol)
     if window is not None and any(c[0] < window.lo or c[-1] > window.hi for c in (y, x)):
         raise ValueError(f"configuration {y} or {x} not inside window")
     if t == 0.0:
@@ -269,8 +271,8 @@ def mc_estimate(y, x, cfg: McConfig, params: AsepParams,
     Returns (hit frequency of x at time t, binomial standard error).  Trials
     use independent SplitMix64 substreams derived from cfg.seed, so identical
     seeds reproduce identical estimates.  Like `ctmc_prob`, it raises
-    ValueError unless y and x are strictly increasing and, on the half-line,
-    nonnegative, and unless both hop rates are nonnegative.
+    ValueError unless y and x follow `lattice_sites`, and unless both hop
+    rates are nonnegative.
     """
     _require_rates(params)
     y, x = (np.asarray(c, dtype=np.int64) for c in _configs(y, x, halfline))

@@ -38,42 +38,37 @@ class BoseParams:
 class AsepParams:
     """Hop probabilities of the exclusion process: right p, left q = 1 - p.
 
-    q must be nonzero.  p = 0 is accepted at construction (the jump-chain
-    oracles can simulate it) but the exact integral formulas require p != 0
-    because the reflection substitution xi -> tau/xi degenerates at tau = 0.
-    A p outside [0, 1] constructs too, but the evaluators and the oracles
-    reject it: one of its hop rates is negative.
+    p is the one field and q a property, so p = 1 (q = 0) raises.  p = 0
+    constructs (the jump-chain oracles simulate it), but the exact formulas
+    need p != 0: the reflection xi -> tau/xi degenerates at tau = 0.  A p
+    outside [0, 1] constructs too, but the evaluators and the oracles reject
+    it: one of its hop rates is negative.
     """
 
     p: float
-    q: float
 
     def __post_init__(self):
         object.__setattr__(self, "p", float(self.p))
-        object.__setattr__(self, "q", float(self.q))
-        if not (np.isfinite(self.p) and np.isfinite(self.q)):
-            raise ValueError("p, q must be finite")
-        if abs(self.p + self.q - 1.0) > 1e-14:
-            raise ValueError(f"p + q must equal 1, got {self.p + self.q}")
-        if self.q == 0.0:
-            raise ValueError("q must be nonzero")
+        if not np.isfinite(self.p):
+            raise ValueError(f"p must be finite, got {self.p}")
+        if self.p == 1.0:
+            raise ValueError("p = 1 leaves q = 1 - p zero")
 
     @classmethod
     def from_p(cls, p: float) -> "AsepParams":
-        return cls(float(p), 1.0 - float(p))
+        return cls(p)
+
+    @property
+    def q(self) -> float:
+        return 1.0 - self.p
 
     @property
     def tau(self) -> float:
         return self.p / self.q
 
     def require_formula_ok(self):
-        """The exact formulas need 0 < p < 1: at p = 0 tau degenerates, and
-        outside [0, 1] one hop rate is negative."""
-        if self.p == 0.0:
-            raise ValueError(
-                "p = 0 is outside the exact-formula domain (tau degenerates); "
-                "use the oracle modules for p = 0 dynamics"
-            )
+        """The exact formulas need 0 < p < 1: at p = 0 tau degenerates (the
+        oracles simulate p = 0), and outside [0, 1] one hop rate is negative."""
         if not 0.0 < self.p < 1.0:
             raise ValueError(f"the exact formulas need 0 < p < 1, got p = {self.p}")
 
@@ -86,6 +81,20 @@ def integer_sites(values) -> tuple[int, ...]:
     if bad:
         raise ValueError(f"sites must be integers, got {bad[0]!r}")
     return tuple(int(v) for v in values)
+
+
+def lattice_sites(config, halfline: bool) -> tuple[int, ...]:
+    """The one rule for an exclusion-process configuration, which evaluators
+    and oracles share: integer sites (`integer_sites`), at least one, strictly
+    increasing and, on the half-line, none below 0; ValueError names the rule."""
+    sites = integer_sites(config)
+    if not sites:
+        raise ValueError("need at least one particle")
+    if any(b <= a for a, b in zip(sites, sites[1:])):
+        raise ValueError(f"sites must strictly increase: {sites}")
+    if halfline and sites[0] < 0:
+        raise ValueError(f"half-line sites must be >= 0 (the wall is at 0): {sites}")
+    return sites
 
 
 def require_time(t: float):

@@ -7,8 +7,8 @@ import pytest
 from scipy.optimize import brentq
 
 from halfline_bethe import asep_exact
-from halfline_bethe.asep_exact import (AsepEvalReport, LatticeConfig,
-                                       _ContourTables, _contour_tables,
+from halfline_bethe.asep_exact import (AsepEvalReport, _ContourTables,
+                                       _contour_tables,
                                        _image_reach,
                                        evaluate_extended,
                                        master_equation_residual, prob_fullline,
@@ -17,7 +17,7 @@ from halfline_bethe.asep_exact import (AsepEvalReport, LatticeConfig,
 from halfline_bethe.contour_quad import (CircleContour, QuadOptions, RadiiScheme,
                                          adaptive_eval, circle_nodes)
 from halfline_bethe.oracles import ctmc_prob
-from halfline_bethe.scattering import AsepParams, s_asep
+from halfline_bethe.scattering import AsepParams, lattice_sites, s_asep
 from halfline_bethe.signed_perm import term_structure
 
 P04 = AsepParams.from_p(0.4)
@@ -26,9 +26,9 @@ P04 = AsepParams.from_p(0.4)
 class TestConfigs:
     def test_ordering_enforced(self):
         with pytest.raises(ValueError):
-            LatticeConfig((2, 2))
+            lattice_sites((2, 2), halfline=False)
         with pytest.raises(ValueError):
-            LatticeConfig((3, 1))
+            lattice_sites((3, 1), halfline=False)
 
     def test_halfline_nonnegative(self):
         with pytest.raises(ValueError):
@@ -41,7 +41,7 @@ class TestConfigs:
     @pytest.mark.parametrize("bad", [2.7, 2.5, math.nan, math.inf])
     def test_non_integer_sites_rejected(self, bad):
         # int() would truncate 2.7 to 2 and give the value at (0, 2)
-        calls = [lambda: LatticeConfig((0, bad)),
+        calls = [lambda: lattice_sites((0, bad), halfline=False),
                  lambda: prob_halfline((0, bad), (1, 3), 1.0, P04),
                  lambda: prob_halfline((0, 2), (1, bad), 1.0, P04),
                  lambda: prob_fullline((0, bad), (1, 3), 1.0, P04),
@@ -50,6 +50,25 @@ class TestConfigs:
                  lambda: prob_n1_closed(bad, 1, 1.0, P04)]
         for call in calls:
             with pytest.raises(ValueError, match="integers"):
+                call()
+
+    def test_every_evaluator_names_the_broken_rule(self):
+        # the evaluators and the oracles share one rule, `lattice_sites`
+        unordered, wall = "strictly increase", "must be >= 0"
+        cases = [(lambda: prob_halfline((2, 0), (1, 3), 1.0, P04), unordered),
+                 (lambda: prob_halfline((0, 2), (-1, 3), 1.0, P04), wall),
+                 (lambda: prob_fullline((0, 2), (3, 3), 1.0, P04), unordered),
+                 (lambda: evaluate_extended((2, 2), (3, 3), 1.0, P04), unordered),
+                 (lambda: evaluate_extended((-1, 2), (3, 3), 1.0, P04), wall),
+                 (lambda: master_equation_residual((0, 2), (2, 1), 1.0, P04), unordered),
+                 (lambda: master_equation_residual((-2, 0), (0, 1), 1.0, P04), wall),
+                 (lambda: total_mass((3, 1), 1.0, P04, 8), unordered),
+                 (lambda: total_mass((-1,), 1.0, P04, 8), wall),
+                 (lambda: prob_n1_closed(-1, 2, 1.0, P04), wall),
+                 (lambda: prob_n1_closed(0, -2, 1.0, P04), wall),
+                 (lambda: prob_halfline((), (), 1.0, P04), "at least one")]
+        for call, rule in cases:
+            with pytest.raises(ValueError, match=rule):
                 call()
 
     def test_integral_floats_still_accepted(self):

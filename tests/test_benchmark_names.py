@@ -3,9 +3,11 @@ unbinds one would leave its per-layer metrics empty without failing a run."""
 
 import importlib.util
 import math
+import re
 from collections import OrderedDict
 from pathlib import Path
 
+import halfline_bethe as hb
 from halfline_bethe import _kernels, asep_exact, bose_exact
 from halfline_bethe.contour_quad import LineGrid, QuadOptions, line_nodes
 from halfline_bethe.scattering import AsepParams, BoseParams
@@ -19,6 +21,20 @@ def _load_tracing():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_every_name_the_benchmark_calls_resolves():
+    # the benchmark calls the package as `hb`; a renamed or removed export
+    # would fail its runs, not these tests
+    names = set()
+    for path in TRACING.parent.glob("*.py"):
+        names.update(re.findall(r"\bhb\.(\w+(?:\.\w+)?)", path.read_text()))
+    assert {"AsepParams.from_p", "DampedTime.imaginary", "ctmc_distribution"} <= names
+    for name in sorted(names):
+        obj = hb
+        for attr in name.split("."):
+            assert hasattr(obj, attr), name
+            obj = getattr(obj, attr)
 
 
 def test_every_traced_name_is_bound():

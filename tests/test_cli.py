@@ -219,6 +219,39 @@ class TestCacheKey:
         assert rec2["value"] == rec1["value"]
 
 
+class TestCacheEntries:
+    ARGS = ("asep-prob", "--p", "0.4", "--Y", "0,2", "--X", "1,3", "--t", "1")
+
+    @pytest.mark.parametrize("damage", [lambda text: text[:40], lambda text: "[1, 2]"],
+                             ids=["truncated", "list"])
+    def test_a_damaged_entry_is_a_miss(self, capsys, tmp_path, monkeypatch, damage):
+        # a truncated entry once failed every later run with exit 2, a JSON
+        # list with a TypeError traceback
+        monkeypatch.setenv("HALFLINE_BETHE_CACHE_DIR", str(tmp_path))
+        _, first = run_cli(capsys, *self.ARGS)
+        entry = tmp_path / (first["spec_key"] + ".json")
+        entry.write_text(damage(entry.read_text()))
+        code, rec = run_cli(capsys, *self.ARGS)
+        assert code == 0 and rec["cached"] is False
+        assert rec["value"] == first["value"]
+        assert json.loads(entry.read_text()) == rec
+        code, rec = run_cli(capsys, *self.ARGS)
+        assert code == 0 and rec["cached"] is True
+
+    def test_a_failed_write_leaves_no_entry(self, capsys, tmp_path, monkeypatch):
+        # the entry was written in place, so a run stopped mid-write left a
+        # partial one at the key
+        def dump(obj, fh, **kwargs):
+            fh.write('{"value": ')
+            raise OSError("no space left on device")
+
+        monkeypatch.setenv("HALFLINE_BETHE_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(json, "dump", dump)
+        code, _ = run_cli(capsys, *self.ARGS)
+        assert code == 2
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestExport:
     RECORDS = [
         {"command": "asep-prob", "p": 0.4, "Y": [0, 2], "X": [1, 3],
@@ -255,6 +288,13 @@ class TestExport:
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             export(self.RECORDS, "xml", str(tmp_path / "x"))
+
+    def test_unwritable_out_is_2(self, capsys, tmp_path):
+        # the export ran outside main's error handling: a traceback, exit 1
+        code = main(["asep-prob", "--p", "0.4", "--Y", "0,2", "--X", "1,3",
+                     "--t", "1", "--out", str(tmp_path / "missing" / "x.json")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_out_flag_writes_file(self, capsys, tmp_path):
         out = tmp_path / "run.jsonl"

@@ -29,6 +29,24 @@ class TestTypes:
         assert scheme.scaled(2.0).radii == pytest.approx((4.0, 4.4, 5.0))
         assert scheme.gaps_doubled().radii == pytest.approx((2.0, 2.4, 3.0))
 
+    @pytest.mark.parametrize("center", [complex("nan"), complex(math.inf, 0.0),
+                                        complex(0.5, math.nan)])
+    def test_center_must_be_finite(self, center):
+        # a NaN center passed the evaluators' pole check, whose distances
+        # compare false, and refined NaN levels up to max_points
+        with pytest.raises(ValueError, match="center"):
+            CircleContour(center, 1.0)
+        with pytest.raises(ValueError, match="center"):
+            RadiiScheme(center, (3.0, 4.0))
+
+    @pytest.mark.parametrize("cutoff,spacing", [(math.inf, 0.5), (4.0, math.inf),
+                                                (math.nan, 0.5), (math.inf, math.inf),
+                                                (1.0, 1e-320)])
+    def test_line_grid_must_be_finite(self, cutoff, spacing):
+        # an infinite cutoff/spacing raised OverflowError from round
+        with pytest.raises(ValueError):
+            LineGrid(cutoff, spacing)
+
     def test_line_grid_ratio(self):
         with pytest.raises(ValueError):
             LineGrid(1.0, 0.3)

@@ -226,6 +226,18 @@ class TestMonteCarlo:
             with pytest.raises(ValueError, match="integers"):
                 call()
 
+    @pytest.mark.parametrize("y,rule", [((2, 0), "strictly increase"),
+                                        ((-1, 2), "must be >= 0")])
+    def test_the_broken_rule_is_named(self, y, rule):
+        # ctmc_distribution reported both as "not inside window"
+        calls = [lambda: ctmc_distribution(y, 1.0, PARAMS, LatticeWindow(0, 10)),
+                 lambda: ctmc_prob(y, (1, 3), 1.0, PARAMS),
+                 lambda: ctmc_prob((1, 3), y, 1.0, PARAMS),
+                 lambda: mc_estimate(y, (1, 3), McConfig(10, 1, 1.0), PARAMS)]
+        for call in calls:
+            with pytest.raises(ValueError, match=rule):
+                call()
+
     @pytest.mark.parametrize("y", [(2, 1), (1, 1), (-3, 1)])
     def test_impossible_configurations_rejected(self, y):
         # as ctmc_prob rejects them: order, exclusion and the wall
@@ -264,6 +276,21 @@ def test_negative_rates_rejected(p):
              lambda: mc_estimate((1, 3), (2, 4), McConfig(10, 1, 1.0), params)]
     for call in calls:
         with pytest.raises(ValueError, match="nonnegative"):
+            call()
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+def test_tolerance_must_be_finite_and_positive(tol):
+    # nan and inf stopped the Poisson series after one term: a distribution
+    # of mass 0.135, and ctmc_prob 0.0 for 0.0413; with nan, 0 or -1 the
+    # window grew until its span guard named the wrong input
+    window = LatticeWindow(0, 10)
+    calls = [lambda: ctmc_distribution((0, 2), 1.0, PARAMS, window, tol=tol),
+             lambda: ctmc_prob((0, 2), (1, 3), 1.0, PARAMS, tol=tol),
+             lambda: ctmc_prob((0, 2), (1, 3), 1.0, PARAMS, window, tol=tol),
+             lambda: ctmc_prob((0, 2), (0, 2), 0.0, PARAMS, tol=tol)]
+    for call in calls:
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
             call()
 
 

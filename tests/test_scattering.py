@@ -17,9 +17,7 @@ finite_reals = st.floats(-50.0, 50.0)
 class TestParams:
     def test_asep_invariants(self):
         with pytest.raises(ValueError):
-            AsepParams(0.5, 0.6)
-        with pytest.raises(ValueError):
-            AsepParams(1.0, 0.0)
+            AsepParams(1.0)
         p = AsepParams.from_p(0.4)
         assert p.tau == pytest.approx(2.0 / 3.0)
 
