@@ -174,7 +174,10 @@ def pair_matrices(pos, neg, pair, terms) -> dict:
 
     In both models S(-b, -a) = S(a, b)^T, so only the pairs with a + b >= 0
     are computed, the others are transposed views.  Variables on one node
-    array share their matrices: each counts as the first variable on it.
+    array share their matrices: each counts as the first variable on it
+    (the exclusion process on the full line, one circle for every variable).
+    Variables on distinct arrays (the Bose gas on its staggered lines) get
+    one matrix per signed pair with a + b >= 0.
     """
     first = {}
     grid = [first.setdefault(id(v), d + 1) for d, v in enumerate(pos)]

@@ -7,6 +7,11 @@ carries Gaussian damping exp(Im(t) k^2); pure imaginary t = -i*tau is the
 standard mode and turns the N = 1 half-line case into the method of images
 for the heat kernel, which several tests use as ground truth.
 
+Variable d is integrated on its own line, Im k_d = -(d+1) h (`_staggered`):
+every scattering factor S(k_a - k_b) of an inversion a > b then sits below
+the real axis, away from its pole at ic, so the poles no longer narrow the
+strip of analyticity that sets the trapezoid grid.
+
 Closed-form limits (free bosons at c = 0, impenetrable bosons at c = inf)
 are derived independently and double as oracles for the full sum.
 """
@@ -93,51 +98,100 @@ def _check_positions(xs, *, positive: bool, allow_equal_pair: int | None = None,
     return xs
 
 
-def _grid_parameters(y, x, time: DampedTime, c: float, tol: float):
+#: how far the staggered lines may raise the peak of |integrand| above its
+#: real-line peak; `_stagger` takes the largest shift that fits
+GROWTH_BUDGET = 1e3
+
+
+def _growth(y, x, delta: float) -> tuple[float, float]:
+    """(A, B) with A h^2 + B h the log of prod_d e^(delta eta_d^2 + eta_d
+    (max x - y_d)), eta_d = (d+1) h: on Im k_d = -eta_d at t = -i delta the
+    damping, the y-phase and the largest x-phase of variable d peak at that,
+    at Re k_d = 0, while every |S| stays at most 1."""
+    a = delta * sum((d + 1) ** 2 for d in range(len(y)))
+    b = sum((d + 1) * (max(x) - yd) for d, yd in enumerate(y))
+    return a, b
+
+
+def _log_tol(tol: float) -> float:
+    return max(math.log(1.0 / tol), 1.0)
+
+
+def _stagger(y, x, time: DampedTime, c: float, tol: float) -> float:
+    """The shift h of the staggered lines (`_staggered`): just enough that
+    the S-poles stop capping the strip below sqrt(log(1/tol)/delta), the
+    width at which `_grid_parameters` spaces the grid coarsest, at most 0.5,
+    and at most the root of A h^2 + B h = log(GROWTH_BUDGET) (`_growth`).
+    0 where no pair carries an S-matrix (c = 0 or N = 1), where the poles
+    cap nothing, and at Re t != 0, where the shift would move each Gaussian
+    off the real axis and lengthen the cutoff."""
+    h = min(0.5, math.sqrt(_log_tol(tol) / time.damping) / 0.9 - c)
+    if c == 0.0 or len(y) < 2 or h <= 0.0 or time.t.real != 0.0:
+        return 0.0
+    a, b = _growth(y, x, time.damping)
+    return min(h, (math.sqrt(b * b + 4.0 * a * math.log(GROWTH_BUDGET)) - b) / (2.0 * a))
+
+
+def _staggered(k, n: int, h: float) -> list:
+    """Variable d's nodes, on the line Im k = -(d+1) h; at h = 0 every
+    variable shares the real grid k."""
+    return [k - 1j * ((d + 1) * h) if h else k for d in range(n)]
+
+
+def _grid_parameters(y, x, time: DampedTime, c: float, h: float, tol: float):
     """Cutoff and target spacing from the Gaussian decay and the strip of
-    analyticity of the scattering factors (poles at k = +-i c)."""
+    analyticity of the scattering factors.
+
+    S(k_a - k_b) has its pole at k_a - k_b = ic.  On the staggered lines an
+    inversion (a, b), a > b, has Im(k_a - k_b) = -(a - b) h, so every pole
+    lies at least c + h from the contour and the strip is capped at
+    0.9 (c + h); N = 1 has no S-matrix and no cap."""
     delta = time.damping
-    logt = max(math.log(1.0 / tol), 1.0)
+    logt = _log_tol(tol)
     cutoff = 1.25 * math.sqrt(logt / delta) + 1.0
     z = max(abs(v) for v in x) + max(abs(v) for v in y)
     beta = math.sqrt(logt / delta)
-    if c > 0:
-        beta = min(0.9 * c, beta)
+    if c > 0 and len(y) > 1:
+        beta = min(0.9 * (c + h), beta)
     denom = z + (delta + abs(time.t.real)) * beta + logt / beta + 5.0
     spacing = min(0.35, 2.0 * math.pi / denom)
     return cutoff, spacing
 
 
-def _line_tables(k, w, y, x, t: complex, c: float, halfline: bool) -> LevelTables:
-    """Factor tables on one line grid, shared by every dimension: the vector
-    of variable d at position j with sign s is w e^(-i k y_d - i t k^2 + i s k
-    x_j), negated for s = -1 (the amplitude of a negative entry), and the
-    matrices S(k_a - k_b), none at c = 0.  The full line uses no reflected
-    vectors."""
+def _line_tables(nodes, w, y, x, t: complex, c: float, halfline: bool) -> LevelTables:
+    """Factor tables on the nodes of each variable (`_staggered`): the
+    vector of variable d at position j with sign s is w e^(-i k_d y_d - i t
+    k_d^2 + i s k_d x_j), negated for s = -1 (the amplitude of a negative
+    entry), and the matrices S(k_a - k_b) with k_-a = -k_a, none at c = 0.
+    On distinct node arrays every signed pair with a + b >= 0 has its own
+    matrix; variables on one shared array share theirs (`pair_matrices`).
+    The full line uses no reflected vectors."""
     signs = (1, -1) if halfline else (1,)
-    damp = np.exp(-1j * t * k * k)
-    expx = {(s, j): np.exp(1j * s * k * xj) for j, xj in enumerate(x) for s in signs}
     vectors = {}
-    for d, yd in enumerate(y):
-        base = w * np.exp(-1j * k * yd) * damp
-        for (s, j), e in expx.items():
-            vectors[d, s, j] = base * e if s > 0 else -(base * e)
+    for d, (kd, yd) in enumerate(zip(nodes, y)):
+        base = w * np.exp(-1j * kd * yd) * np.exp(-1j * t * kd * kd)
+        for j, xj in enumerate(x):
+            for s in signs:
+                e = np.exp(1j * s * kd * xj)
+                vectors[d, s, j] = base * e if s > 0 else -(base * e)
     # S(-k_b + k_a) = S(k_a - k_b); a lambda, so a wrapper of s_bose here is seen
-    smats = pair_matrices((k,) * len(y), (-k,) * len(y),
+    smats = pair_matrices(nodes, [-kd for kd in nodes],
                           lambda ka, kb: s_bose(ka - kb, BoseParams(c)),
                           term_structure(len(y), halfline)) if c != 0.0 else {}
     return LevelTables(vectors, smats)
 
 
 def _line_opts(y, x, time, c, opts: QuadOptions | None):
-    """Cutoff and refinement schedule; the grid starts even and no coarser
-    than the damping and the analytic strip need, whatever `opts` asks for."""
+    """Cutoff, refinement schedule and line shift h (`_stagger`); the grid
+    starts even and no coarser than the damping and the analytic strip
+    need, whatever `opts` asks for."""
     opts = opts or QuadOptions()
-    cutoff, spacing = _grid_parameters(y, x, time, c, opts.tol)
+    h = _stagger(y, x, time, c, opts.tol)
+    cutoff, spacing = _grid_parameters(y, x, time, c, h, opts.tol)
     m0 = max(16, 2 * math.ceil(cutoff / spacing))
     return cutoff, QuadOptions(initial_points=max(opts.initial_points
                                                   + opts.initial_points % 2, m0),
-                               max_points=max(opts.max_points, 8 * m0), tol=opts.tol)
+                               max_points=max(opts.max_points, 8 * m0), tol=opts.tol), h
 
 
 def _five_quarters(m: int) -> int:
@@ -150,7 +204,7 @@ def _five_quarters(m: int) -> int:
 
 def _propagator(y, x, time: DampedTime, params: BoseParams,
                 opts: QuadOptions | None, halfline: bool,
-                level_sum=lambda tables, terms, k: term_sum(tables, terms)
+                level_sum=lambda tables, terms, nodes: term_sum(tables, terms)
                 ) -> BoseEvalReport:
     n = len(y)
     if n > MAX_N:
@@ -158,34 +212,39 @@ def _propagator(y, x, time: DampedTime, params: BoseParams,
     if len(x) != n:
         raise ValueError("x and y must hold the same number of particles")
     terms = term_structure(n, halfline)
-    cutoff, opts = _line_opts(y, x, time, params.c, opts)
+    cutoff, opts, h = _line_opts(y, x, time, params.c, opts)
 
     def level(m):
         k, w = line_nodes(LineGrid(cutoff, 2.0 * cutoff / m))
-        return level_sum(_line_tables(k, w, y, x, time.t, params.c, halfline), terms, k)
+        nodes = _staggered(k, n, h)
+        return level_sum(_line_tables(nodes, w, y, x, time.t, params.c, halfline),
+                         terms, nodes)
 
     value, err, m = adaptive_eval(level, opts, next_points=_five_quarters)
     order = group_order(n, halfline)
-    tail = _cutoff_tail(n, order, time.damping, cutoff, 2.0 * cutoff / m)
+    tail = _cutoff_tail(y, x, time, h, order, cutoff, 2.0 * cutoff / m)
     return BoseEvalReport(value, max(err, tail), m, order)
 
 
-def _cutoff_tail(n: int, order: int, delta: float, cutoff: float, spacing: float) -> float:
+def _cutoff_tail(y, x, time: DampedTime, h: float, order: int, cutoff: float,
+                 spacing: float) -> float:
     """Bound on the lattice points that no level sees: those beyond
     +-cutoff, and the half weights the trapezoid gives the end points.
 
-    On real k every |S| = 1 and every phase has modulus 1, so each of the
-    `order` terms is at most prod_d e^(-delta k_d^2)/(2 pi).  A point left
-    out has some |k_d| >= cutoff: N choices of d, the 1-D tail
-    (h + 1/(delta K)) e^(-delta K^2)/(2 pi) over both sides, and the whole
-    1-D lattice sum (h + sqrt(pi/delta))/(2 pi) for each other dimension.
+    On the line of variable d every |S| <= 1, so each of the `order` terms
+    is at most the growth e^(A h^2 + B h) (`_growth`; 1 on the real line,
+    h = 0) times prod_d e^(-delta (Re k_d)^2)/(2 pi).  A point left out has
+    some |Re k_d| >= cutoff = K: N choices of d, the 1-D tail (spacing +
+    1/(delta K)) e^(-delta K^2)/(2 pi) over both sides, and the whole 1-D
+    lattice sum (spacing + sqrt(pi/delta))/(2 pi) for each other dimension.
     This bounds the plain propagator sum, not the derivative sums of
     bc1_residual, which reports no error estimate.
     """
-    h, k = spacing, cutoff
-    tail = (h + 1.0 / (delta * k)) * math.exp(-delta * k * k) / (2.0 * math.pi)
-    whole = (h + math.sqrt(math.pi / delta)) / (2.0 * math.pi)
-    return order * n * tail * whole ** (n - 1)
+    n, delta, k = len(y), time.damping, cutoff
+    a, b = _growth(y, x, delta)
+    tail = (spacing + 1.0 / (delta * k)) * math.exp(-delta * k * k) / (2.0 * math.pi)
+    whole = (spacing + math.sqrt(math.pi / delta)) / (2.0 * math.pi)
+    return order * n * math.exp((a * h + b) * h) * tail * whole ** (n - 1)
 
 
 def propagator_halfline(y, x, t, params: BoseParams,
@@ -236,9 +295,9 @@ def bc1_residual(y, x, j: int, t, params: BoseParams,
     yv = _check_positions(y, positive=True)
     xv = _check_positions(x, positive=True, allow_equal_pair=j - 1)
 
-    def level_sum(tables, terms, k):
+    def level_sum(tables, terms, nodes):
         def d_dx(i):
-            return term_sum(tables.scaled({key: 1j * key[1] * k
+            return term_sum(tables.scaled({key: 1j * key[1] * nodes[key[0]]
                                            for key in tables.vectors if key[2] == i}),
                             terms)
 

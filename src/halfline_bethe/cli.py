@@ -7,8 +7,9 @@ failure, 2 usage/parameter error, 3 numerical non-convergence.
 
 Set HALFLINE_BETHE_CACHE_DIR to enable result caching: a repeated run with an
 identical spec returns the stored record (marked "cached": true) without
-recomputation.  An entry is written whole or not at all, and one that does not
-parse as a JSON object is a miss: it is recomputed and overwritten.
+recomputation.  An entry is written whole or not at all.  One that does not
+parse as a JSON object, names another spec key or lacks a field its command
+records is a miss: it is recomputed and overwritten.
 """
 
 from __future__ import annotations
@@ -59,15 +60,32 @@ def cache_key(spec: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _read_cached(path: str) -> dict | None:
-    """The record stored at path, or None when there is none or it is not a
-    JSON object (a damaged entry)."""
+#: the fields every record holds (`main`), and the result fields of each
+#: command (`_run_command`): a cached entry that lacks one is damaged
+RECORD_FIELDS = ("command", "spec_key", "version", "wall_clock_s", "tol", "max_points")
+RESULT_FIELDS = {
+    **dict.fromkeys(("asep-prob", "asep-fullline", "asep-n1", "bose-prop"),
+                    ("value", "error_estimate", "points_used", "term_count")),
+    "mc-compare": ("value", "oracle_value", "mc_estimate", "mc_std_error", "all_passed"),
+    **dict.fromkeys(VALIDATE_COMMANDS, ("checks", "all_passed")),
+}
+
+
+def _read_cached(path: str, key: str, command: str) -> dict | None:
+    """The record of `command` stored at path under `key`, or None when there
+    is none or it is damaged: not a JSON object, stored under another key,
+    or without a field the command records.  A command with no entry in
+    RESULT_FIELDS always misses, so it runs uncached rather than failing."""
+    fields = RESULT_FIELDS.get(command)
     try:
         with open(path) as fh:
             rec = json.load(fh)
     except (FileNotFoundError, ValueError):  # a JSONDecodeError is a ValueError
         return None
-    return rec if isinstance(rec, dict) else None
+    if (fields is None or not isinstance(rec, dict) or rec.get("spec_key") != key
+            or not {*RECORD_FIELDS, *fields} <= rec.keys()):
+        return None
+    return rec
 
 
 def _write_cached(path: str, rec: dict):
@@ -332,7 +350,7 @@ def main(argv=None) -> int:
         key = cache_key(_spec_dict(args))
         cache_dir = os.environ.get(CACHE_ENV)
         cache_path = os.path.join(cache_dir, key + ".json") if cache_dir else None
-        rec = _read_cached(cache_path) if cache_path else None
+        rec = _read_cached(cache_path, key, args.command) if cache_path else None
         if rec is not None:
             rec["cached"] = True
         else:

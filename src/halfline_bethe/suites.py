@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bose_exact, oracles
+from ._kernels import MAX_N
 from .asep_exact import (evaluate_extended, master_equation_residual,
                          prob_fullline, prob_halfline, prob_n1_closed, total_mass,
                          tuned_radii)
@@ -24,7 +25,7 @@ from .contour_quad import QuadOptions
 from .scattering import (AsepParams, BoseParams, amplitude_asep, amplitude_bose,
                          s_bose, s_asep, s_product, xi_signed, k_signed)
 from .signed_perm import (SignedPermutation, ab_pair, apply_adjacent_transposition,
-                          enumerate_bn, negate_first)
+                          enumerate_bn, group_order, negate_first)
 
 DEFAULT_SEED = 20120517
 
@@ -114,12 +115,27 @@ def draw_asep_vars(rng, n: int, draws: int, params: AsepParams,
 # identity suite (scattering-level algebra)
 # ---------------------------------------------------------------------------
 
+#: bytes of amplitudes the identity suite may hold: two tables of |B_n_max|
+#: complex values per draw.  N = 4 at the default 200 draws needs 2.5 MB.
+MAX_IDENTITY_BYTES = 2 ** 28
+
+
 def run_identity_suite(n_max: int = 4, draws: int = 200,
                        seed: int = DEFAULT_SEED, p: float = 0.4,
                        c: float = 1.0) -> SuiteReport:
-    """All scattering identities over every signed permutation up to n_max."""
-    if n_max < 1:
-        raise ValueError(f"n_max must be at least 1, got {n_max}")
+    """All scattering identities over every signed permutation up to n_max.
+
+    n_max runs to MAX_N, as the evaluators do (N = 5 took 40 s), and the
+    amplitude tables of n_max must fit in MAX_IDENTITY_BYTES; a larger
+    request raises ValueError before any work."""
+    if not 1 <= n_max <= MAX_N:
+        raise ValueError(f"n_max must lie in 1..{MAX_N}, got {n_max}")
+    if draws < 1:
+        raise ValueError(f"draws must be at least 1, got {draws}")
+    need = 2 * draws * group_order(n_max, True) * 16
+    if need > MAX_IDENTITY_BYTES:
+        raise ValueError(f"{draws} draws at N = {n_max} need {need / 2**20:.0f} MiB of "
+                         f"amplitudes, over the {MAX_IDENTITY_BYTES // 2**20} MiB cap")
     rng = np.random.default_rng(seed)
     asep = AsepParams.from_p(p)
     bose = BoseParams(c)

@@ -60,16 +60,17 @@ def test_one_level_of_each_model_is_traced(monkeypatch):
         asep_exact._level_sum((0, 2, 4), (1, 2, 5), 0.5, params, contours, 8, True)
         asep_calls = dict(tracer.counts)
         tracer.reset()
-        tables = bose_exact._line_tables(k, w, (0.5, 1.4, 2.6), (0.8, 1.7, 2.9),
-                                         -0.5j, 1.0, True)
+        tables = bose_exact._line_tables(bose_exact._staggered(k, 3, 0.5), w,
+                                         (0.5, 1.4, 2.6), (0.8, 1.7, 2.9), -0.5j, 1.0, True)
         _kernels.term_sum(tables, term_structure(3, True))
         bose_calls = dict(tracer.counts)
     terms = len(term_structure(3, True))
     # ASEP: eps and r on each of 3 circles, N(N-1) = 6 S-matrices
     assert asep_calls["scattering.calls"] == 3 + 3 + 6
     assert asep_calls["kernels.contract.calls"] == terms
-    # Bose: S(k_a - k_b) and S(k_a + k_b)
-    assert bose_calls["scattering.calls"] == 2
+    # Bose: each variable on its own line, so one S(k_a - k_b) per signed
+    # pair with a + b >= 0: (2, 1), (3, 1), (3, 2), (2, -1), (3, -1), (3, -2)
+    assert bose_calls["scattering.calls"] == 6
     assert bose_calls["kernels.contract.calls"] == terms
 
 

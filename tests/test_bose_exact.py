@@ -2,15 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import erfcx
 
-from halfline_bethe.bose_exact import (DampedTime, _five_quarters,
-                                       _line_opts, bc1_residual,
-                                       fermion_limit_cinf, free_limit_c0,
-                                       images_kernel,
+from halfline_bethe import bose_exact
+from halfline_bethe._kernels import term_sum
+from halfline_bethe.bose_exact import (GROWTH_BUDGET, DampedTime, _cutoff_tail,
+                                       _five_quarters, _growth, _line_opts,
+                                       _line_tables, _stagger, _staggered,
+                                       bc1_residual, fermion_limit_cinf,
+                                       free_limit_c0, images_kernel,
                                        propagator_fullline,
                                        propagator_halfline, wall_residual)
-from halfline_bethe.contour_quad import QuadOptions
+from halfline_bethe.contour_quad import LineGrid, QuadOptions, line_nodes
 from halfline_bethe.scattering import BoseParams
+from halfline_bethe.signed_perm import group_order, term_structure
 
 TAU = 0.5
 T = DampedTime.imaginary(TAU)
@@ -110,9 +115,19 @@ class TestSingleParticle:
         assert abs(got - images_kernel(3.5, 3.0, 0.002)) < 1e-12
 
     def test_coupling_independent_for_one_particle(self):
-        a = propagator_halfline((1.0,), (2.0,), T, BoseParams(0.3)).value
-        b = propagator_halfline((1.0,), (2.0,), T, BoseParams(30.0)).value
-        assert a == pytest.approx(b, abs=1e-12)
+        # one particle has no S-matrix, so c sets neither value nor grid
+        a = propagator_halfline((1.0,), (2.0,), T, BoseParams(0.3))
+        b = propagator_halfline((1.0,), (2.0,), T, BoseParams(30.0))
+        assert a.points_used == b.points_used
+        assert a.value == b.value
+
+    def test_one_particle_grid_ignores_the_coupling(self):
+        # the S-poles once capped the strip at 0.9c here too: at tau = 0.2,
+        # 336 points at c = 0.5 against 106 at c = 0
+        for time in (T, DampedTime.imaginary(0.2), DampedTime(1.0 - 0.5j)):
+            assert _line_opts((1.0,), (2.0,), time, 0.3, None) \
+                == _line_opts((1.0,), (2.0,), time, 30.0, None) \
+                == _line_opts((1.0,), (2.0,), time, 0.0, None)
 
 
 class TestWall:
@@ -223,6 +238,154 @@ class TestClosedFormLimits:
         got = propagator_halfline((0.7, 1.9), (1.2, 2.8),
                                   DampedTime.imaginary(0.5), BoseParams(1000.0))
         assert abs(got.value - fermion_limit_cinf((0.7, 1.9), (1.2, 2.8), 0.5)) < 5e-3
+
+
+def _fullline_n2(y, x, tau, c):
+    """The N = 2 full-line propagator at t = -i tau in closed form, sharing
+    no code with the evaluator.  The centre of mass R = (x1 + x2)/2 diffuses
+    with coefficient 1/2; r = x2 - x1 > 0 with coefficient 2 and the Robin
+    condition d_r u = (c/2) u at r = 0, whose kernel is g(r - r') + g(r + r')
+    - c int_0^inf e^(-cs/2) g(r + r' + s) ds (Carslaw & Jaeger, Conduction of
+    Heat in Solids, 1959), the integral written with erfcx so that it does
+    not overflow at large c."""
+    (y1, y2), (x1, x2) = y, x
+    shift = (x1 + x2 - y1 - y2) / 2
+    centre = math.exp(-shift * shift / (2 * tau)) / math.sqrt(2 * math.pi * tau)
+    r, rp = x2 - x1, y2 - y1
+
+    def g(z):
+        return math.exp(-z * z / (8 * tau)) / math.sqrt(8 * math.pi * tau)
+
+    w = (r + rp + 2 * c * tau) / math.sqrt(8 * tau)
+    robin = 0.5 * c * erfcx(w) * math.exp(-(r + rp) ** 2 / (8 * tau))
+    return centre * (g(r - rp) + g(r + rp) - robin)
+
+
+class TestFiniteCouplingFullLine:
+    """The only finite-c oracle that shares no code with the evaluator."""
+
+    @pytest.mark.parametrize("y,x", [((0.3, 1.1), (0.6, 1.9)),
+                                     ((-0.8, 0.4), (-1.2, 0.9))])
+    @pytest.mark.parametrize("tau", [0.05, 0.2, 0.5, 2.0])
+    def test_n2_closed_form(self, y, x, tau):
+        for c in (0.5, 1.0, 4.0, 50.0):
+            rep = propagator_fullline(y, x, DampedTime.imaginary(tau), BoseParams(c))
+            want = _fullline_n2(y, x, tau, c)
+            assert abs(rep.value - want) <= 1e-15, (c, rep.value, want)
+
+    def test_closed_form_limits(self):
+        # c = 0 gives the free permanent, large c the free determinant
+        y, x, tau = (-0.8, 0.4), (-1.2, 0.9), 0.5
+        g = [[heat_kernel(xi - yj, tau) for yj in y] for xi in x]
+        perm = g[0][0] * g[1][1] + g[0][1] * g[1][0]
+        det = g[0][0] * g[1][1] - g[0][1] * g[1][0]
+        assert _fullline_n2(y, x, tau, 0.0) == pytest.approx(perm, rel=1e-14)
+        assert _fullline_n2(y, x, tau, 1e9) == pytest.approx(det, rel=1e-6)
+
+
+class TestStaggeredLines:
+    """Variable d runs on Im k = -(d+1) h, so the S-poles stop setting the
+    grid; the shift changes the contour, not the integral."""
+
+    def test_the_poles_no_longer_set_the_grid(self, monkeypatch):
+        y, x, time = SWEEP_Y[3], SWEEP_X[3], DampedTime.imaginary(0.2)
+        cutoff, opts, h = _line_opts(y, x, time, 0.5, None)
+        assert h > 0
+        monkeypatch.setattr(bose_exact, "_stagger", lambda *args: 0.0)
+        flat = _line_opts(y, x, time, 0.5, None)
+        assert flat[2] == 0.0
+        assert opts.initial_points < 0.7 * flat[1].initial_points
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("tau", [0.05, 0.2, 1.0, 2.0])
+    @pytest.mark.parametrize("c", [0.5, 1.0, 4.0])
+    def test_no_grid_is_finer_than_the_real_line(self, monkeypatch, n, tau, c):
+        # the cutoff does not depend on h, and the strip only widens toward
+        # sqrt(log(1/tol)/tau), where the spacing is coarsest
+        y, x, time = SWEEP_Y[n], SWEEP_X[n], DampedTime.imaginary(tau)
+        staggered = _line_opts(y, x, time, c, None)
+        monkeypatch.setattr(bose_exact, "_stagger", lambda *args: 0.0)
+        flat = _line_opts(y, x, time, c, None)
+        assert staggered[0] == flat[0]
+        assert staggered[1].initial_points <= flat[1].initial_points
+
+    def test_the_shift_is_what_the_strip_needs(self):
+        # the strip need not pass sqrt(log(1/tol)/tau) at t = -i tau; a
+        # larger h would only raise the integrand's peak
+        y, x, tau = SWEEP_Y[3], SWEEP_X[3], 2.0
+        want = math.sqrt(math.log(1e10) / tau) / 0.9 - 3.5
+        assert 0 < want < 0.5
+        assert _stagger(y, x, DampedTime.imaginary(tau), 3.5, 1e-10) \
+            == pytest.approx(want, rel=1e-12)
+        assert _stagger(y, x, DampedTime.imaginary(tau), 4.0, 1e-10) == 0.0
+
+    def test_the_budget_sets_the_largest_shift(self):
+        # at tau = 1 the strip would take h = 0.5, which raises the peak
+        # past the budget: h is the root of A h^2 + B h = log(GROWTH_BUDGET)
+        y, x = SWEEP_Y[3], SWEEP_X[3]
+        h = _stagger(y, x, DampedTime.imaginary(1.0), 0.5, 1e-10)
+        a, b = _growth(y, x, 1.0)
+        assert 0 < h < 0.5
+        assert (a * h + b) * h == pytest.approx(math.log(GROWTH_BUDGET), rel=1e-12)
+
+    @pytest.mark.parametrize("t", [1 - 0.5j, 0.3 - 0.05j, 2 - 1j])
+    def test_complex_times_stay_on_the_real_line(self, monkeypatch, t):
+        y, x, time = SWEEP_Y[3], SWEEP_X[3], DampedTime(t)
+        assert _stagger(y, x, time, 0.5, 1e-10) == 0.0
+        got = _line_opts(y, x, time, 0.5, None)
+        monkeypatch.setattr(bose_exact, "_stagger", lambda *args: 0.0)
+        assert got == _line_opts(y, x, time, 0.5, None)
+
+    @pytest.mark.parametrize("tau", [0.05, 0.2, 1.0, 2.0])
+    def test_the_budget_bounds_the_peak(self, tau):
+        # prod_d max |v_d| / w on the shifted nodes, the largest factor the
+        # lines put on a term, is the growth e^(A h^2 + B h) <= GROWTH_BUDGET
+        y, x, time = SWEEP_Y[3], SWEEP_X[3], DampedTime.imaginary(tau)
+        h = _stagger(y, x, time, 0.5, 1e-10)
+        assert h > 0
+        k, w = line_nodes(LineGrid(40.0, 0.005))
+        # c = 0: the vectors alone, without 16001^2 S-matrices
+        tables = _line_tables(_staggered(k, 3, h), w, y, x, time.t, 0.0, True)
+        peak = math.prod(max(np.abs(v).max() for key, v in tables.vectors.items()
+                             if key[0] == d) / w.max() for d in range(3))
+        a, b = _growth(y, x, tau)
+        growth = math.exp((a * h + b) * h)
+        assert peak == pytest.approx(growth, rel=1e-12)
+        assert growth <= GROWTH_BUDGET * (1 + 1e-12)
+
+    @pytest.mark.parametrize("n,tau", [(2, 0.05), (2, 0.5), (2, 2.0),
+                                       (3, 0.05), (3, 0.2), (3, 2.0)])
+    def test_agrees_with_the_real_line(self, monkeypatch, n, tau):
+        y, x, t = SWEEP_Y[n], SWEEP_X[n], DampedTime.imaginary(tau)
+        opts = QuadOptions(tol=1e-13)
+        staggered = [propagator_halfline(y, x, t, BoseParams(c), opts)
+                     for c in (0.5, 1.0, 4.0)]
+        monkeypatch.setattr(bose_exact, "_stagger", lambda *args: 0.0)
+        for c, rep in zip((0.5, 1.0, 4.0), staggered):
+            flat = propagator_halfline(y, x, t, BoseParams(c), opts).value
+            assert abs(rep.value - flat) <= opts.tol, (c, rep.value, flat)
+            assert rep.error_estimate <= opts.tol, (c, rep.error_estimate)
+
+    @pytest.mark.parametrize("tau,cutoff", [(0.2, 6.0), (0.2, 8.0), (0.05, 15.0),
+                                            (1.0, 4.0)])
+    def test_the_tail_bound_covers_a_short_cutoff(self, tau, cutoff):
+        # one level on a cutoff far too short, at the spacing of tol 1e-14:
+        # what it misses is the tail, which _cutoff_tail must bound on the
+        # shifted lines, growth included
+        y, x, time, c = SWEEP_Y[2], SWEEP_X[2], DampedTime.imaginary(tau), 0.5
+        ref = propagator_halfline(y, x, time, BoseParams(c), QuadOptions(tol=1e-14)).value
+        fine, opts, h = _line_opts(y, x, time, c, QuadOptions(tol=1e-14))
+        assert h > 0
+        m = 2 * round(cutoff * opts.initial_points / (2 * fine))
+        k, w = line_nodes(LineGrid(cutoff, 2 * cutoff / m))
+        value = term_sum(_line_tables(_staggered(k, 2, h), w, y, x, time.t, c, True),
+                         term_structure(2, True))
+        bound = _cutoff_tail(y, x, time, h, group_order(2, True), cutoff, 2 * cutoff / m)
+        assert abs(value - ref) <= bound, (abs(value - ref), bound)
+
+    def test_wall_residual_stays_exactly_zero(self):
+        for t in (-0.2j, -2j):
+            assert wall_residual((0.5, 1.4, 2.6), (0.0, 1.2, 2.3), t, BoseParams(0.5)) == 0
 
 
 class TestNonFiniteTau:

@@ -3,11 +3,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import halfline_bethe
+from halfline_bethe import cli
 from halfline_bethe.asep_exact import prob_halfline
 from halfline_bethe.bose_exact import images_kernel
 from halfline_bethe.cli import cache_key, export, main
@@ -150,6 +152,17 @@ class TestExitCodes:
             assert main(argv + (["--fullline"] if fullline else [])) == 2
             assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("size", [("--N", "5"), ("--N", "8"),
+                                      ("--N", "4", "--draws", "10000000")],
+                             ids=["N5", "N8", "draws"])
+    def test_oversized_identity_suite_is_2(self, capsys, size):
+        # N = 5 ran 40 s; N = 8, or 10^7 draws at N = 4, would need tens of GB
+        start = time.perf_counter()
+        code = main(["validate-identities", *size])
+        assert time.perf_counter() - start < 1.0
+        out = capsys.readouterr()
+        assert code == 2 and out.out == "" and "error:" in out.err
+
     @pytest.mark.parametrize("argv", [
         ("asep-prob", "--p", "0.4", "--Y", "0,2", "--X", "1,3", "--t", "1",
          "--seed", "3"),
@@ -222,11 +235,15 @@ class TestCacheKey:
 class TestCacheEntries:
     ARGS = ("asep-prob", "--p", "0.4", "--Y", "0,2", "--X", "1,3", "--t", "1")
 
-    @pytest.mark.parametrize("damage", [lambda text: text[:40], lambda text: "[1, 2]"],
-                             ids=["truncated", "list"])
+    @pytest.mark.parametrize("damage", [
+        lambda text: text[:40], lambda text: "[1, 2]", lambda text: "{}",
+        lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "value"}),
+        lambda text: json.dumps({**json.loads(text), "spec_key": "0" * 64}),
+    ], ids=["truncated", "list", "empty", "no-value", "other-key"])
     def test_a_damaged_entry_is_a_miss(self, capsys, tmp_path, monkeypatch, damage):
         # a truncated entry once failed every later run with exit 2, a JSON
-        # list with a TypeError traceback
+        # list with a TypeError traceback; an empty object, or one without a
+        # value, was served as a hit with no value and exit 0
         monkeypatch.setenv("HALFLINE_BETHE_CACHE_DIR", str(tmp_path))
         _, first = run_cli(capsys, *self.ARGS)
         entry = tmp_path / (first["spec_key"] + ".json")
@@ -237,6 +254,34 @@ class TestCacheEntries:
         assert json.loads(entry.read_text()) == rec
         code, rec = run_cli(capsys, *self.ARGS)
         assert code == 0 and rec["cached"] is True
+
+    @pytest.mark.parametrize("argv", [
+        ("asep-prob", "--p", "0.4", "--Y", "0", "--X", "1", "--t", "1"),
+        ("asep-fullline", "--p", "0.4", "--Y", "0", "--X", "1", "--t", "1"),
+        ("asep-n1", "--p", "0.4", "--Y", "0", "--X", "1", "--t", "1"),
+        ("bose-prop", "--c", "1", "--Y", "1.0", "--X", "2.0", "--tau", "0.5"),
+        ("mc-compare", "--p", "0.4", "--Y", "0", "--X", "1", "--t", "1",
+         "--trials", "100"),
+        ("validate-identities", "--N", "1", "--draws", "5"),
+    ], ids=lambda argv: argv[0])
+    def test_every_command_record_is_a_hit(self, capsys, tmp_path, monkeypatch, argv):
+        # the fields a cached entry must hold are those its command records
+        monkeypatch.setenv("HALFLINE_BETHE_CACHE_DIR", str(tmp_path))
+        _, first = run_cli(capsys, *argv)
+        _, again = run_cli(capsys, *argv)
+        assert first["cached"] is False and again["cached"] is True
+
+    def test_a_command_without_fields_is_a_miss(self, capsys, tmp_path, monkeypatch):
+        # a command missing from RESULT_FIELDS runs uncached instead of
+        # ending every cached run in a KeyError
+        monkeypatch.setenv("HALFLINE_BETHE_CACHE_DIR", str(tmp_path))
+        _, first = run_cli(capsys, *self.ARGS)
+        entry = str(tmp_path / (first["spec_key"] + ".json"))
+        assert cli._read_cached(entry, first["spec_key"], "asep-prob") is not None
+        monkeypatch.delitem(cli.RESULT_FIELDS, "asep-prob")
+        assert cli._read_cached(entry, first["spec_key"], "asep-prob") is None
+        code, rec = run_cli(capsys, *self.ARGS)
+        assert code == 0 and rec["cached"] is False
 
     def test_a_failed_write_leaves_no_entry(self, capsys, tmp_path, monkeypatch):
         # the entry was written in place, so a run stopped mid-write left a

@@ -13,7 +13,7 @@ from halfline_bethe import _kernels
 from halfline_bethe._kernels import (LevelTables, _plan, contract, gillespie_hits,
                                     term_sum)
 from halfline_bethe.asep_exact import _ContourTables, _level_tables, tuned_radii
-from halfline_bethe.bose_exact import _line_tables
+from halfline_bethe.bose_exact import _line_tables, _staggered
 from halfline_bethe.contour_quad import LineGrid, line_nodes
 from halfline_bethe.scattering import (AsepParams, BoseParams, eps_asep, r_factor,
                                        s_bose)
@@ -128,10 +128,12 @@ def _asep_tables(n, m=8):
 
 K, W = line_nodes(LineGrid(4.0, 0.5))
 BOSE_Y, BOSE_X, BOSE_T = (0.5, 1.4, 2.6), (0.8, 1.7, 1.7), -0.5j
+#: the Bose tables below put variable d on the line Im k = -(d+1)/2
+NODES = _staggered(K, 3, 0.5)
 
 
 def _bose_tables(n, c=1.0, halfline=True):
-    return _line_tables(K, W, BOSE_Y[:n], BOSE_X[:n], BOSE_T, c, halfline)
+    return _line_tables(NODES[:n], W, BOSE_Y[:n], BOSE_X[:n], BOSE_T, c, halfline)
 
 
 def _unfolded_sum(tables, n, factors=None, group=enumerate_bn):
@@ -163,8 +165,9 @@ def _energy(contour, tables, d):
 
 
 def _momentum(tables, j):
-    """The factors of d/dx_j: i s k on the vector at position j with sign s."""
-    return {(d, s, pos): 1j * s * K for d, s, pos in tables.vectors if pos == j}
+    """The factors of d/dx_j: i s k_d on the vector of variable d at position
+    j with sign s."""
+    return {(d, s, pos): 1j * s * NODES[d] for d, s, pos in tables.vectors if pos == j}
 
 
 class TestLevelTables:
@@ -200,8 +203,9 @@ class TestLevelTables:
         bose = _bose_tables(n)
         for d, j in itertools.product(range(n), repeat=2):
             for s in (1, -1):
-                plain = W * np.exp(-1j * K * BOSE_Y[d] - 1j * BOSE_T * K * K
-                                   + 1j * s * K * BOSE_X[j])
+                k = NODES[d]
+                plain = W * np.exp(-1j * k * BOSE_Y[d] - 1j * BOSE_T * k * k
+                                   + 1j * s * k * BOSE_X[j])
                 np.testing.assert_allclose(bose.vectors[d, s, j], s * plain,
                                            rtol=1e-13)
         contour, asep = _asep_tables(n)
@@ -221,15 +225,16 @@ class TestLevelTables:
 class TestPairMatrices:
     """Bose: S(sa k - sb k) on one shared grid, so two distinct matrices on
     the half-line (++ and +-; -- is the transpose of ++), one on the full line
-    and none at c = 0.  ASEP's counts are in test_asep_exact."""
+    and none at c = 0; on the staggered lines one per signed pair with
+    a + b >= 0.  ASEP's counts are in test_asep_exact."""
 
     @pytest.mark.parametrize("n,halfline,c,distinct", [
         (2, True, 1.0, 2), (3, True, 0.5, 2), (4, True, 4.0, 2),
         (3, False, 1.0, 1), (3, True, 0.0, 0), (2, False, 0.0, 0),
     ])
     def test_bose(self, n, halfline, c, distinct):
-        smats = _line_tables(K, W, (0.5, 1.4, 2.6, 3.1)[:n], (0.8, 1.7, 2.0, 2.2)[:n],
-                             BOSE_T, c, halfline).smats
+        smats = _line_tables((K,) * n, W, (0.5, 1.4, 2.6, 3.1)[:n],
+                             (0.8, 1.7, 2.0, 2.2)[:n], BOSE_T, c, halfline).smats
         owners = {id(m if m.base is None else m.base) for m in smats.values()}
         assert len(owners) == distinct
         if c == 0.0:
@@ -241,6 +246,29 @@ class TestPairMatrices:
                             BoseParams(c))
             np.testing.assert_array_equal(mat, direct)
             assert not mat.flags.writeable
+
+    @pytest.mark.parametrize("n,halfline,distinct", [
+        (2, True, 2), (3, True, 6), (4, True, 12), (3, False, 3),
+    ])
+    def test_bose_staggered(self, n, halfline, distinct):
+        # variable d on Im k = -(d+1) h: one matrix per signed pair with
+        # a + b >= 0, each inversion (a, b), a > b, at Im(k_a - k_b) =
+        # -(a - b) h, below the pole at ic, so every |S| <= 1
+        h = 0.5
+        nodes = _staggered(K, n, h)
+        smats = _line_tables(nodes, W, (0.5, 1.4, 2.6, 3.1)[:n],
+                             (0.8, 1.7, 2.0, 2.2)[:n], BOSE_T, 0.5, halfline).smats
+        owners = {id(m if m.base is None else m.base) for m in smats.values()}
+        assert len(owners) == distinct
+        assert set(smats) == set(_used_pairs(n, halfline))
+        for (a, b), mat in smats.items():
+            ka, kb = (np.sign(v) * nodes[abs(v) - 1] for v in (a, b))
+            assert a > b
+            np.testing.assert_allclose((ka[:, None] - kb[None, :]).imag, -(a - b) * h,
+                                       rtol=1e-15)
+            np.testing.assert_array_equal(mat, s_bose(ka[:, None] - kb[None, :],
+                                                      BoseParams(0.5)))
+            assert np.abs(mat).max() <= 1.0 + 1e-15
 
 
 class TestFolding:
