@@ -12,7 +12,7 @@ Two kernel families live here:
   ValueError.  Every exact evaluator reduces its per-term quadrature to this
   shape, and ``term_sum`` sums it over the signed-permutation terms of both
   models, one contraction per sign-flip pair of a half-line sum.  The models
-  differ only in their factor tables (`LevelTables`, `pair_matrices`).
+  differ only in their `ContourTables`, which ``evaluate`` refines.
 * ``gillespie_hits``: the jump chain behind the Monte Carlo oracle.  Chunks
   of CHUNK trials step in lockstep numpy, each trial on its own SplitMix64
   substream, so counts are reproducible and independent of trial order and
@@ -26,6 +26,9 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
+
+from .contour_quad import _doubled, adaptive_eval
+from .signed_perm import term_structure
 
 #: largest particle number the evaluators accept.  A half-line level runs
 #: 2^(N-1) N! contractions; at N = 4 the 60 whose pair graph is complete run
@@ -151,10 +154,9 @@ class LevelTables(NamedTuple):
     """The factor tables of one quadrature level, for either model.
 
     `vectors[d, s, pos]` is the factor of variable d placed at position pos
-    with sign s, a negative entry's amplitude included: r(tau/xi) for the
-    exclusion process, -1 for the Bose gas.  `smats[a, b]` is the scattering
-    matrix of the signed variables a and b, rows over |a|; a pair it lacks
-    is identically 1.
+    with sign s, a negative entry's amplitude included (`ContourTables`).
+    `smats[a, b]` is the scattering matrix of the signed variables a and b,
+    rows over |a|; a pair it lacks is identically 1.
     """
 
     vectors: dict
@@ -167,10 +169,10 @@ class LevelTables(NamedTuple):
                             for key, v in self.vectors.items()}, self.smats)
 
 
-def pair_matrices(pos, neg, pair, terms) -> dict:
-    """The read-only S-matrix of every signed pair (a, b) the `terms` use:
-    pair(x[:, None], y[None, :]) over the node values x of a and y of b,
-    pos[d] for variable d+1, neg[d] for -(d+1).
+def pair_matrices(pos, neg, pair) -> dict:
+    """The read-only S-matrix of every signed pair (a, b) the half-line terms
+    (full-line for neg None) use: pair(x[:, None], y[None, :]) over the node
+    values x of a and y of b, pos[d] for variable d+1, neg[d] for -(d+1).
 
     In both models S(-b, -a) = S(a, b)^T, so only the pairs with a + b >= 0
     are computed, the others are transposed views.  Variables on one node
@@ -183,6 +185,7 @@ def pair_matrices(pos, neg, pair, terms) -> dict:
     grid = [first.setdefault(id(v), d + 1) for d, v in enumerate(pos)]
     built = {}
     smats = {}
+    terms = term_structure(len(pos), neg is not None)
     for a, b in sorted({ab for term in terms for invs in term.mats for ab in invs}):
         ga, gb = (grid[abs(v) - 1] if v > 0 else -grid[abs(v) - 1] for v in (a, b))
         mirrored = ga + gb < 0
@@ -222,6 +225,76 @@ def term_sum(tables: LevelTables, terms) -> complex:
             mats.append(mat)
         total += contract([vecs[key] if key[1] else folded for key in term.vectors], mats)
     return total
+
+
+class ContourTables:
+    """The factor tables of one quadrature level that do not depend on Y, X
+    or t, for either model, on the node arrays pos[d] and, on the half line,
+    neg[d] (None on the full line), with the S-matrices of `pair`, if any.
+
+    Per variable d: `nodes[d, s]`, s = -1 the reflected node (tau/xi or -k),
+    on the half line only; `weights[d]`, for the exclusion process times the
+    1/xi of xi^(x-y-1); `energies[d]`, the e of e^(e t) (eps(xi) or -i k^2)
+    for both signs; `amplitudes[d]`, a negative entry's amplitude (r(tau/xi)
+    or -1).  `smats` holds the S-matrices (`pair_matrices`) and `wave(nodes,
+    x)` is the plane wave, xi^x or e^(ikx).
+    """
+
+    def __init__(self, pos, neg, weights, energies, amplitudes, wave, pair=None):
+        self.nodes = {(d, 1): v for d, v in enumerate(pos)}
+        if neg is not None:
+            self.nodes.update({(d, -1): v for d, v in enumerate(neg)})
+        self.weights, self.energies, self.amplitudes = weights, energies, amplitudes
+        self.smats = {} if pair is None else pair_matrices(pos, neg, pair)
+        self.wave = wave
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the distinct arrays held, a view counted as its base."""
+        arrays = (*self.nodes.values(), *self.weights, *self.energies,
+                  *self.amplitudes, *self.smats.values())
+        return sum({id(a if a.base is None else a.base): a.nbytes
+                    for a in arrays if isinstance(a, np.ndarray)}.values())
+
+    def level(self, y, x, t) -> LevelTables:
+        """The level tables of one call: vector (d, s, j) is w_d wave(xi_d,
+        -y_d) e^(e_d t) wave(nodes[d, s], x_j), times the amplitude at s = -1."""
+        signs = (1, -1) if (0, -1) in self.nodes else (1,)
+        vectors = {}
+        for d, yd in enumerate(y):
+            base = (self.weights[d] * self.wave(self.nodes[d, 1], -yd)
+                    * np.exp(self.energies[d] * t))
+            for s in signs:
+                for j, xj in enumerate(x):
+                    v = base * self.wave(self.nodes[d, s], xj)
+                    vectors[d, s, j] = v * self.amplitudes[d] if s < 0 else v
+        return LevelTables(vectors, self.smats)
+
+
+def evaluate(contour_at, y, x, t, halfline: bool, opts, next_points=_doubled,
+             functional=None):
+    """(value, error_estimate, m) of one sum of either model, refined by
+    `adaptive_eval` on the model's schedule `next_points` after the one
+    N <= MAX_N and |X| = |Y| check of every entry point.  `contour_at(m)`
+    gives the `ContourTables` of resolution m.  A level is the sum on the
+    tables of (Y, X, t) or, given `functional(contour, tables)`, sum coef *
+    term_sum(tables.scaled(factors)) over the (coef, factors) it lists.
+    """
+    if len(y) > MAX_N:
+        raise ValueError(f"evaluators support N <= {MAX_N}")
+    if len(x) != len(y):
+        raise ValueError("X and Y must hold the same number of particles")
+    terms = term_structure(len(y), halfline)
+
+    def level(m):
+        contour = contour_at(m)
+        tables = contour.level(y, x, t)
+        if functional is None:
+            return term_sum(tables, terms)
+        return sum(coef * term_sum(tables.scaled(factors), terms)
+                   for coef, factors in functional(contour, tables))
+
+    return adaptive_eval(level, opts, next_points=next_points)
 
 
 # ---------------------------------------------------------------------------

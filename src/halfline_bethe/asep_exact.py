@@ -11,9 +11,9 @@ master-equation residual shifts X on one level's tables instead.
 
 Every per-term integrand factorizes into per-dimension vectors coupled by
 two-variable scattering matrices, so each term reduces to the tensor
-contraction in `_kernels`.  The matrices and the per-node factors depend only
-on p, the contours and the resolution, so a bounded cache shares them between
-calls (`_contour_tables`).
+contraction in `_kernels`, refined by `_kernels.evaluate` except in
+`prob_n1_closed`.  The contour tables depend only on p, the contours and the
+resolution, so a bounded cache shares them between calls (`_contour_tables`).
 """
 
 from __future__ import annotations
@@ -27,14 +27,13 @@ from dataclasses import dataclass
 import numpy as np
 
 # contract is bound here as well because perfbench/tracing.py patches it here
-from ._kernels import (MAX_N, LevelTables, contract,  # noqa: F401
-                       pair_matrices, term_sum)
+from ._kernels import ContourTables, contract, evaluate  # noqa: F401
 from .contour_quad import (CircleContour, QuadOptions, RadiiScheme,
                            adaptive_eval, circle_nodes)
 from .errors import ConvergenceError
 from .scattering import (AsepParams, eps_asep, integer_sites, lattice_sites,
                          r_factor, require_time, s_asep)
-from .signed_perm import group_order, term_structure
+from .signed_perm import group_order
 
 
 @dataclass(frozen=True)
@@ -98,47 +97,39 @@ def tuned_radii(params: AsepParams, n: int) -> RadiiScheme:
 MAX_CACHED_BYTES = 32 * 2**20
 
 
-class _ContourTables:
-    """The factor tables of one quadrature level that depend only on the
-    parameters, the contour of each dimension and the resolution m: nodes and
-    weights, tau/xi, eps(xi), r(tau/xi) and the S-matrices (`pair_matrices`).
-    `_contour_tables` shares them between calls, so every array is
-    read-only.  Dimensions on one contour (the full line) share their arrays
-    and matrices.
-    """
-
-    def __init__(self, params: AsepParams, contours, m: int, halfline: bool):
-        self.halfline = halfline
-        grids = tuple(dict.fromkeys(contours))  # the distinct contours, in order
-        per_grid = []
-        for contour in grids:
-            nodes, weights = circle_nodes(contour, m)
-            neg = params.tau / nodes
-            per_grid.append((nodes, weights, neg, eps_asep(nodes, params),
-                             r_factor(neg, params)))
-            for a in per_grid[-1]:
-                a.flags.writeable = False
-        (self.pos_vals, self.weights, self.neg_vals, self.energies,
-         self.r_neg) = zip(*(per_grid[grids.index(c)] for c in contours))
-        # s(tau/y, tau/x) = s(x, y); a lambda, so a wrapper of s_asep here is seen
-        self.smats = pair_matrices(self.pos_vals, self.neg_vals,
-                                   lambda x, y: s_asep(x, y, params),
-                                   term_structure(len(contours), halfline))
-        owners = {id(s if s.base is None else s.base): s.nbytes for s in self.smats.values()}
-        self.nbytes = sum(owners.values()) + sum(a.nbytes for g in per_grid for a in g)
+def _circle_contour(params: AsepParams, contours, m: int,
+                    halfline: bool) -> ContourTables:
+    """The contour tables of one level, variable d on contours[d]; every array
+    is read-only, as `_contour_tables` shares them between calls.
+    Dimensions on one contour (the full line) share arrays and matrices."""
+    columns = {}
+    for contour in dict.fromkeys(contours):  # the distinct contours, in order
+        xi, w = circle_nodes(contour, m)
+        arrays = [xi, w / xi, eps_asep(xi, params)]
+        if halfline:
+            arrays.append(params.tau / xi)
+            arrays.append(r_factor(arrays[-1], params))
+        for a in arrays:
+            a.flags.writeable = False
+        columns[contour] = arrays
+    pos, weights, energies, *reflected = zip(*(columns[c] for c in contours))
+    neg, amplitudes = reflected or (None, ())
+    # s(tau/y, tau/x) = s(x, y); a lambda, so a wrapper of s_asep here is seen
+    return ContourTables(pos, neg, weights, energies, amplitudes, np.power,
+                         lambda x, y: s_asep(x, y, params))
 
 
 _CONTOUR_CACHE: OrderedDict = OrderedDict()
 
 
 def _contour_tables(params: AsepParams, contours, m: int,
-                    halfline: bool) -> _ContourTables:
+                    halfline: bool) -> ContourTables:
     """The contour tables of one level, from a least-recently-used cache of
     at most MAX_CACHED_BYTES; tables larger than that serve one call only."""
     key = (params, tuple(contours), m, halfline)
     tables = _CONTOUR_CACHE.pop(key, None)
     if tables is None:
-        tables = _ContourTables(params, contours, m, halfline)
+        tables = _circle_contour(params, contours, m, halfline)
         if tables.nbytes > MAX_CACHED_BYTES:
             return tables
         held = tables.nbytes + sum(t.nbytes for t in _CONTOUR_CACHE.values())
@@ -148,46 +139,16 @@ def _contour_tables(params: AsepParams, contours, m: int,
     return tables
 
 
-def _level_tables(contour: _ContourTables, y, t, z_exponents) -> LevelTables:
-    """One call's level tables: the vectors of (Y, Z, t), v- times the wall
-    factor r(tau/xi) and absent on the full line, and the contour's matrices."""
-    signs = (1, -1) if contour.halfline else (1,)
-    vectors = {}
-    for d, yi in enumerate(y):
-        nd = contour.pos_vals[d]
-        base = (contour.weights[d] * nd ** (-int(yi) - 1)
-                * np.exp(contour.energies[d] * t))
-        for s in signs:
-            vals = nd if s > 0 else contour.neg_vals[d]
-            for i, zi in enumerate(z_exponents):
-                v = base * vals ** int(zi)
-                vectors[d, s, i] = v * contour.r_neg[d] if s < 0 else v
-    return LevelTables(vectors, contour.smats)
-
-
-def _level_sum(y, z, t, params, contours, m, halfline: bool) -> complex:
-    """One quadrature level at per-dimension resolution m, with variable d on
-    contours[d]: the half-line sum over B_N or the full-line sum over S_N."""
-    tables = _level_tables(_contour_tables(params, contours, m, halfline), y, t, z)
-    return term_sum(tables, term_structure(len(y), halfline))
-
-
-def _default_opts(n: int, opts: QuadOptions | None) -> QuadOptions:
+def _checked_opts(t: float, params: AsepParams, n: int,
+                  opts: QuadOptions | None) -> QuadOptions:
+    params.require_formula_ok()
+    require_time(t)
     if opts is not None:
         return opts
     if n >= 4:
         # documented reduced budget at N = 4
         return QuadOptions(initial_points=16, max_points=96, tol=1e-6)
     return QuadOptions()
-
-
-def _check_common(y: tuple[int, ...], n_other: int, t: float, params: AsepParams):
-    params.require_formula_ok()
-    if len(y) != n_other:
-        raise ValueError("X and Y must hold the same number of particles")
-    if len(y) > MAX_N:
-        raise ValueError(f"evaluators support N <= {MAX_N}")
-    require_time(t)
 
 
 def _require_fixed_poles_inside(center: complex, r_min: float, tau: float):
@@ -242,8 +203,7 @@ def prob_halfline(Y, X, t: float, params: AsepParams,
     accurate this way.
     """
     y, x = lattice_sites(Y, halfline=True), lattice_sites(X, halfline=True)
-    _check_common(y, len(x), t, params)
-    opts = _default_opts(len(y), opts)
+    opts = _checked_opts(t, params, len(y), opts)
     radii = _halfline_radii(radii, params, len(y))
 
     delta = sum(x) - sum(y)
@@ -259,8 +219,8 @@ def prob_halfline(Y, X, t: float, params: AsepParams,
     # the reversed sum is scaled by the prefactor, so its own tolerance is
     # tightened for `tol` to bound the returned value
     contours = radii.contours()
-    value, err, m = adaptive_eval(
-        lambda mm: _level_sum(src, dst, t, params, contours, mm, True),
+    value, err, m = evaluate(
+        lambda mm: _contour_tables(params, contours, mm, True), src, dst, t, True,
         dataclasses.replace(opts, tol=opts.tol / max(prefactor, 1.0)))
     return _report(prefactor * value, prefactor * err, m, group_order(len(y), True), opts)
 
@@ -271,12 +231,11 @@ def prob_fullline(Y, X, t: float, params: AsepParams,
     """Transition probability for the process on all of Z (permutation sum
     over a single large circle about zero)."""
     y, x = lattice_sites(Y, halfline=False), lattice_sites(X, halfline=False)
-    _check_common(y, len(x), t, params)
-    opts = _default_opts(len(y), opts)
+    opts = _checked_opts(t, params, len(y), opts)
     radius = radius if radius is not None else max(2.0, 2.0 / abs(params.q))
     contours = (CircleContour(0.0, radius),) * len(y)
-    value, err, m = adaptive_eval(
-        lambda mm: _level_sum(y, x, t, params, contours, mm, False), opts)
+    value, err, m = evaluate(
+        lambda mm: _contour_tables(params, contours, mm, False), y, x, t, False, opts)
     return _report(value, err, m, group_order(len(y), False), opts)
 
 
@@ -320,19 +279,18 @@ def evaluate_extended(Y, Z, t: float, params: AsepParams,
     with prob_halfline.
     """
     y, z = lattice_sites(Y, halfline=True), integer_sites(Z)
-    _check_common(y, len(z), t, params)
-    opts = _default_opts(len(y), opts)
+    opts = _checked_opts(t, params, len(y), opts)
     radii = _halfline_radii(radii, params, len(y))
     contours = radii.contours()
-    value, _, _ = adaptive_eval(
-        lambda mm: _level_sum(y, z, t, params, contours, mm, True), opts)
+    value, _, _ = evaluate(
+        lambda mm: _contour_tables(params, contours, mm, True), y, z, t, True, opts)
     return complex(value)
 
 
 def master_equation_residual(Y, X, t: float, params: AsepParams,
                              opts: QuadOptions | None = None) -> float:
     """|du/dt - (master-equation right side)| at configuration X, each
-    level evaluated on that level's tables (`LevelTables.scaled`).
+    level a functional of that level's tables (`_kernels.evaluate`).
 
     du/dt is the sum over d of the tables with every vector of dimension d,
     v- too as eps(tau/xi) = eps(xi), times eps(xi_d).  u(X +- e_i) is the
@@ -341,39 +299,39 @@ def master_equation_residual(Y, X, t: float, params: AsepParams,
     (rate p) only when site x_i - 1 is free and not beyond the wall at 0.
     """
     y, x = lattice_sites(Y, halfline=True), lattice_sites(X, halfline=True)
-    _check_common(y, len(x), t, params)
+    opts = _checked_opts(t, params, len(y), opts)
     n, p, q = len(y), params.p, params.q
     if n > 3:
         raise ValueError("master-equation residual supports N <= 3")
     if t <= 0:
         raise ValueError("residual check needs t > 0")
     contours = tuned_radii(params, n).contours()
-    terms = term_structure(n, True)
 
-    def residual(mm):
-        contour = _contour_tables(params, contours, mm, True)
-        tables = _level_tables(contour, y, t, x)
-
-        def u(factors):
-            return term_sum(tables.scaled(factors), terms)
-
+    def residual(contour, tables):
         def shifted(j, step):
-            return u({(d, s, i): (contour.pos_vals[d] if s > 0 else contour.neg_vals[d])
-                      ** step for d, s, i in tables.vectors if i == j})
+            return {(d, s, i): contour.nodes[d, s] ** step
+                    for d, s, i in tables.vectors if i == j}
 
-        du_dt = sum(u({key: contour.energies[d] for key in tables.vectors if key[0] == d})
-                    for d in range(n))
-        ux = term_sum(tables, terms)
-        rhs = 0.0 + 0.0j
+        pairs = [(1, {key: contour.energies[d] for key in tables.vectors if key[0] == d})
+                 for d in range(n)]  # du/dt
+        stay = 0.0  # the rate of leaving X, on u(X) itself
         for i in range(n):
             if x[i] > (x[i - 1] + 1 if i else 0):  # x_i - 1 is free, not past the wall
-                rhs += p * shifted(i, -1) - q * ux
+                pairs.append((-p, shifted(i, -1)))
+                stay += q
             if i == n - 1 or x[i + 1] > x[i] + 1:  # the site to the right is free
-                rhs += q * shifted(i, 1) - p * ux
-        return du_dt - rhs
+                pairs.append((-q, shifted(i, 1)))
+                stay += p
+        return pairs + [(stay, {})]
 
-    value, _, _ = adaptive_eval(residual, _default_opts(n, opts))
+    value, _, _ = evaluate(lambda mm: _contour_tables(params, contours, mm, True),
+                           y, x, t, True, opts, functional=residual)
     return abs(value)
+
+
+#: most prob_halfline calls one `total_mass` makes; the tests and the
+#: validate-asep suite make at most 325 (N = 2 in {0..25})
+MAX_MASS_CALLS = 10_000
 
 
 def total_mass(Y, t: float, params: AsepParams, window: int,
@@ -381,8 +339,9 @@ def total_mass(Y, t: float, params: AsepParams, window: int,
     """Sum of prob_halfline over every ordered configuration inside {0..window}.
 
     Converges to 1 as the window grows (probability conservation).  The
-    window must be an integer that holds at least N sites, or ValueError is
-    raised.
+    window must be an integer that holds at least N sites, and hold at most
+    MAX_MASS_CALLS configurations, or ValueError is raised before any
+    evaluation.
     """
     y = lattice_sites(Y, halfline=True)
     if len(y) > 3:
@@ -390,6 +349,10 @@ def total_mass(Y, t: float, params: AsepParams, window: int,
     window, = integer_sites((window,))
     if window + 1 < len(y):
         raise ValueError(f"window {{0..{window}}} holds fewer than {len(y)} sites")
+    calls = math.comb(window + 1, len(y))
+    if calls > MAX_MASS_CALLS:
+        raise ValueError(f"window {{0..{window}}} holds {calls} configurations of "
+                         f"{len(y)} particles, more than {MAX_MASS_CALLS}")
     total = 0.0
     for sites in itertools.combinations(range(window + 1), len(y)):
         total += prob_halfline(y, sites, t, params, opts).value

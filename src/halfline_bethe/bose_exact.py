@@ -10,7 +10,8 @@ for the heat kernel, which several tests use as ground truth.
 Variable d is integrated on its own line, Im k_d = -(d+1) h (`_staggered`):
 every scattering factor S(k_a - k_b) of an inversion a > b then sits below
 the real axis, away from its pole at ic, so the poles no longer narrow the
-strip of analyticity that sets the trapezoid grid.
+strip of analyticity that sets the trapezoid grid.  Every propagator and
+residual refines through `_kernels.evaluate` on these lines' tables.
 
 Closed-form limits (free bosons at c = 0, impenetrable bosons at c = inf)
 are derived independently and double as oracles for the full sum.
@@ -24,10 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import MAX_N, LevelTables, pair_matrices, term_sum
-from .contour_quad import LineGrid, QuadOptions, adaptive_eval, line_nodes
+from ._kernels import ContourTables, evaluate
+from .contour_quad import LineGrid, QuadOptions, line_nodes
 from .scattering import BoseParams, s_bose
-from .signed_perm import group_order, term_structure
+from .signed_perm import group_order
 
 #: minimum damping -Im(t) of a time with a real part; keeps every integrand
 #: Gaussian-integrable
@@ -71,10 +72,6 @@ class BoseEvalReport:
     error_estimate: float
     points_used: int
     term_count: int
-
-
-def _as_time(t) -> DampedTime:
-    return t if isinstance(t, DampedTime) else DampedTime(t)
 
 
 def _check_positions(xs, *, positive: bool, allow_equal_pair: int | None = None,
@@ -158,27 +155,16 @@ def _grid_parameters(y, x, time: DampedTime, c: float, h: float, tol: float):
     return cutoff, spacing
 
 
-def _line_tables(nodes, w, y, x, t: complex, c: float, halfline: bool) -> LevelTables:
-    """Factor tables on the nodes of each variable (`_staggered`): the
-    vector of variable d at position j with sign s is w e^(-i k_d y_d - i t
-    k_d^2 + i s k_d x_j), negated for s = -1 (the amplitude of a negative
-    entry), and the matrices S(k_a - k_b) with k_-a = -k_a, none at c = 0.
-    On distinct node arrays every signed pair with a + b >= 0 has its own
-    matrix; variables on one shared array share theirs (`pair_matrices`).
-    The full line uses no reflected vectors."""
-    signs = (1, -1) if halfline else (1,)
-    vectors = {}
-    for d, (kd, yd) in enumerate(zip(nodes, y)):
-        base = w * np.exp(-1j * kd * yd) * np.exp(-1j * t * kd * kd)
-        for j, xj in enumerate(x):
-            for s in signs:
-                e = np.exp(1j * s * kd * xj)
-                vectors[d, s, j] = base * e if s > 0 else -(base * e)
+def _line_contour(nodes, w, c: float, halfline: bool) -> ContourTables:
+    """The contour tables on the nodes of each variable (`_staggered`), with
+    S(k_a - k_b), k_-a = -k_a, but none at c = 0.  Variables on one shared
+    node array share their matrices (`pair_matrices`)."""
+    n = len(nodes)
     # S(-k_b + k_a) = S(k_a - k_b); a lambda, so a wrapper of s_bose here is seen
-    smats = pair_matrices(nodes, [-kd for kd in nodes],
-                          lambda ka, kb: s_bose(ka - kb, BoseParams(c)),
-                          term_structure(len(y), halfline)) if c != 0.0 else {}
-    return LevelTables(vectors, smats)
+    return ContourTables(
+        nodes, [-kd for kd in nodes] if halfline else None, (w,) * n,
+        [-1j * kd * kd for kd in nodes], (-1.0,) * n, lambda k, x: np.exp(1j * k * x),
+        (lambda ka, kb: s_bose(ka - kb, BoseParams(c))) if c != 0.0 else None)
 
 
 def _line_opts(y, x, time, c, opts: QuadOptions | None):
@@ -202,26 +188,18 @@ def _five_quarters(m: int) -> int:
     return 2 * math.ceil(5 * m / 8)
 
 
-def _propagator(y, x, time: DampedTime, params: BoseParams,
-                opts: QuadOptions | None, halfline: bool,
-                level_sum=lambda tables, terms, nodes: term_sum(tables, terms)
-                ) -> BoseEvalReport:
-    n = len(y)
-    if n > MAX_N:
-        raise ValueError(f"evaluators support N <= {MAX_N}")
-    if len(x) != n:
-        raise ValueError("x and y must hold the same number of particles")
-    terms = term_structure(n, halfline)
+def _propagator(y, x, t, params: BoseParams, opts: QuadOptions | None,
+                halfline: bool, functional=None) -> BoseEvalReport:
+    time = t if isinstance(t, DampedTime) else DampedTime(t)
     cutoff, opts, h = _line_opts(y, x, time, params.c, opts)
 
-    def level(m):
+    def contour_at(m):
         k, w = line_nodes(LineGrid(cutoff, 2.0 * cutoff / m))
-        nodes = _staggered(k, n, h)
-        return level_sum(_line_tables(nodes, w, y, x, time.t, params.c, halfline),
-                         terms, nodes)
+        return _line_contour(_staggered(k, len(y), h), w, params.c, halfline)
 
-    value, err, m = adaptive_eval(level, opts, next_points=_five_quarters)
-    order = group_order(n, halfline)
+    value, err, m = evaluate(contour_at, y, x, time.t, halfline, opts,
+                             _five_quarters, functional)
+    order = group_order(len(y), halfline)
     tail = _cutoff_tail(y, x, time, h, order, cutoff, 2.0 * cutoff / m)
     return BoseEvalReport(value, max(err, tail), m, order)
 
@@ -254,28 +232,25 @@ def propagator_halfline(y, x, t, params: BoseParams,
     Positions are strictly increasing and positive; t may be a DampedTime or
     a complex number with Im(t) <= -1e-3 (t = -i*tau for diffusive mode).
     """
-    time = _as_time(t)
     yv = _check_positions(y, positive=True)
     xv = _check_positions(x, positive=True)
-    return _propagator(yv, xv, time, params, opts, halfline=True)
+    return _propagator(yv, xv, t, params, opts, halfline=True)
 
 
 def propagator_fullline(y, x, t, params: BoseParams,
                         opts: QuadOptions | None = None) -> BoseEvalReport:
     """Free-boundary propagator (permutation sum only, no reflections)."""
-    time = _as_time(t)
     yv = _check_positions(y, positive=False)
     xv = _check_positions(x, positive=False)
-    return _propagator(yv, xv, time, params, opts, halfline=False)
+    return _propagator(yv, xv, t, params, opts, halfline=False)
 
 
 def wall_residual(y, x, t, params: BoseParams,
                   opts: QuadOptions | None = None) -> complex:
     """Propagator evaluated at x_1 = 0; exactly zero by the reflection pairing."""
-    time = _as_time(t)
     yv = _check_positions(y, positive=True)
     xv = _check_positions(x, positive=True, allow_zero_first=True)
-    return complex(_propagator(yv, xv, time, params, opts, halfline=True).value)
+    return complex(_propagator(yv, xv, t, params, opts, halfline=True).value)
 
 
 def bc1_residual(y, x, j: int, t, params: BoseParams,
@@ -283,10 +258,9 @@ def bc1_residual(y, x, j: int, t, params: BoseParams,
     """(d/dx_{j+1} - d/dx_j - c) applied to the propagator at x_{j+1} = x_j.
 
     The derivatives are exact (no finite differences): d/dx_i multiplies
-    every vector placed at position i with sign s by i s k
-    (`LevelTables.scaled`).  j is 1-based; x must carry x_{j+1} = x_j.
+    every vector placed at position i with sign s by i s k_d = i nodes[d, s]
+    (`_kernels.evaluate`).  j is 1-based; x must carry x_{j+1} = x_j.
     """
-    time = _as_time(t)
     n = len(tuple(y))
     if n < 2:
         raise ValueError("boundary matching needs N >= 2")
@@ -295,15 +269,14 @@ def bc1_residual(y, x, j: int, t, params: BoseParams,
     yv = _check_positions(y, positive=True)
     xv = _check_positions(x, positive=True, allow_equal_pair=j - 1)
 
-    def level_sum(tables, terms, nodes):
+    def boundary(contour, tables):
         def d_dx(i):
-            return term_sum(tables.scaled({key: 1j * key[1] * nodes[key[0]]
-                                           for key in tables.vectors if key[2] == i}),
-                            terms)
+            return {(d, s, pos): 1j * contour.nodes[d, s]
+                    for d, s, pos in tables.vectors if pos == i}
 
-        return d_dx(j) - d_dx(j - 1) - params.c * term_sum(tables, terms)
+        return (1, d_dx(j)), (-1, d_dx(j - 1)), (-params.c, {})
 
-    rep = _propagator(yv, xv, time, params, opts, halfline=True, level_sum=level_sum)
+    rep = _propagator(yv, xv, t, params, opts, halfline=True, functional=boundary)
     return complex(rep.value)
 
 

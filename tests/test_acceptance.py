@@ -11,7 +11,8 @@ import time
 import numpy as np
 import pytest
 
-from halfline_bethe.asep_exact import (_level_sum, evaluate_extended,
+from halfline_bethe._kernels import evaluate
+from halfline_bethe.asep_exact import (_contour_tables, evaluate_extended,
                                        master_equation_residual, prob_fullline,
                                        prob_halfline, prob_n1_closed,
                                        total_mass, tuned_radii)
@@ -19,7 +20,7 @@ from halfline_bethe.bose_exact import (DampedTime, bc1_residual,
                                        fermion_limit_cinf, free_limit_c0,
                                        images_kernel, propagator_fullline,
                                        propagator_halfline, wall_residual)
-from halfline_bethe.contour_quad import QuadOptions, adaptive_eval
+from halfline_bethe.contour_quad import QuadOptions
 from halfline_bethe.oracles import (LatticeWindow, McConfig, ctmc_distribution,
                                     ctmc_prob, mc_estimate)
 from halfline_bethe.scattering import AsepParams, BoseParams
@@ -146,8 +147,8 @@ def test_radii_assignment_invariance():
             ref = ctmc_prob(y, x, 1.0, params)
             contours = tuned_radii(params, len(y)).contours()
             for perm in itertools.permutations(contours):
-                value, _, _ = adaptive_eval(
-                    lambda m: _level_sum(y, x, 1.0, params, perm, m, True))
+                value, _, _ = evaluate(lambda m: _contour_tables(params, perm, m, True),
+                                       y, x, 1.0, True, QuadOptions())
                 assert abs(value - ref) < 1e-11, (p, y, x, perm)
 
 

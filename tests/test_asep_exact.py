@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 from scipy.optimize import brentq
 
 from halfline_bethe import asep_exact
-from halfline_bethe.asep_exact import (AsepEvalReport, _ContourTables,
+from halfline_bethe._kernels import term_sum
+from halfline_bethe.asep_exact import (AsepEvalReport, _circle_contour,
                                        _contour_tables,
                                        _image_reach,
                                        evaluate_extended,
@@ -21,6 +23,12 @@ from halfline_bethe.scattering import AsepParams, lattice_sites, s_asep
 from halfline_bethe.signed_perm import term_structure
 
 P04 = AsepParams.from_p(0.4)
+
+
+def _level_value(y, x, t, params, contours, m):
+    """One half-line quadrature level, summed straight from the contour tables."""
+    return term_sum(_contour_tables(params, contours, m, True).level(y, x, t),
+                    term_structure(len(y), True))
 
 
 class TestConfigs:
@@ -283,6 +291,17 @@ class TestHalfline:
         with pytest.raises(ValueError):
             total_mass((0, 2), 1.0, P04, window)
 
+    def test_mass_refuses_a_window_past_its_cap(self):
+        # C(10^6 + 1, 2), about 5e11 prob_halfline calls, refused before any
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="configurations"):
+            total_mass((0, 2), 1.0, P04, 10**6)
+        assert time.perf_counter() - start < 1.0
+        window = 140  # C(141, 2) = 9870 configurations, just within the cap
+        assert math.comb(window + 1, 2) <= asep_exact.MAX_MASS_CALLS < math.comb(window + 2, 2)
+        with pytest.raises(ValueError, match="configurations"):
+            total_mass((0, 2), 1.0, P04, window + 1)
+
     def test_mass_in_the_smallest_window(self):
         assert total_mass((0, 2), 0.0, P04, 1) == prob_halfline((0, 2), (0, 1), 0.0,
                                                                 P04).value
@@ -291,13 +310,12 @@ class TestHalfline:
         # refinement history of the two-particle integrand: monotone
         # successive differences, and the reported estimate bounds the true
         # error within a factor of 10 (deep refinement as reference)
-        from halfline_bethe.asep_exact import _level_sum
         from halfline_bethe.contour_quad import adaptive_trace
 
         contours = tuned_radii(P04, 2).contours()
 
         def level(m):
-            return _level_sum((0, 2), (1, 3), 1.0, P04, contours, m, True)
+            return _level_value((0, 2), (1, 3), 1.0, P04, contours, m)
 
         trace = adaptive_trace(level, QuadOptions(initial_points=16,
                                                   max_points=4096, tol=1e-5))
@@ -367,10 +385,8 @@ class TestOrientation:
 
     def test_sign_rule_equals_the_cost_comparison(self, monkeypatch):
         sources = []
-        monkeypatch.setattr(asep_exact, "_level_sum",
-                            lambda y, z, *args: sources.append(y) or 1.0)
-        monkeypatch.setattr(asep_exact, "adaptive_eval",
-                            lambda level, opts: (level(16), 0.0, 16))
+        monkeypatch.setattr(asep_exact, "evaluate",
+                            lambda contour_at, y, *args: sources.append(y) or (1.0, 0.0, 16))
         checked = 0
         for p in np.arange(0.01, 1.0, 0.04):
             params = AsepParams.from_p(float(p))
@@ -394,8 +410,7 @@ class TestOrientation:
         y, x, t, params = (1, 3), (0, 4), 1.0, AsepParams.from_p(0.01)
         contours = tuned_radii(params, 2).contours()
         direct, _, _ = adaptive_eval(
-            lambda m: asep_exact._level_sum(y, x, t, params, contours, m, True),
-            QuadOptions())
+            lambda m: _level_value(y, x, t, params, contours, m), QuadOptions())
         got = prob_halfline(y, x, t, params).value
         assert got == float(direct.real)
         assert abs(got - ctmc_prob(y, x, t, params, tol=1e-16)) < 1e-15
@@ -536,9 +551,10 @@ class TestContourCache:
         prob_halfline((0, 2, 4), (1, 2, 5), 0.5, P04, TWO_LEVELS)
         prob_fullline((0, 2), (1, 3), 0.5, P04, TWO_LEVELS)
         arrays = [a for tables in empty_cache.values()
-                  for a in (*tables.pos_vals, *tables.weights, *tables.neg_vals,
-                            *tables.energies, *tables.r_neg, *tables.smats.values())]
-        assert len(arrays) == 2 * (5 * 3 + 12) + 2 * (5 * 2 + 1)
+                  for a in (*tables.nodes.values(), *tables.weights, *tables.energies,
+                            *tables.amplitudes, *tables.smats.values())]
+        # the full line holds no reflected nodes and no wall factors
+        assert len(arrays) == 2 * (5 * 3 + 12) + 2 * (3 * 2 + 1)
         for a in arrays:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
@@ -550,7 +566,7 @@ class TestContourCache:
         # half of the matrices are transposes, S(-b, -a) = S(a, b)^T
         params = AsepParams.from_p(p)
         contours = tuned_radii(params, n).contours()
-        tables = _ContourTables(params, contours, 16, True)
+        tables = _circle_contour(params, contours, 16, True)
         nodes = [circle_nodes(c, 16)[0] for c in contours]
 
         def signed(a):
@@ -568,7 +584,7 @@ class TestContourCache:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_full_line_dimensions_share_one_matrix(self, n):
         contours = (CircleContour(0.0, 2.0 / P04.q),) * n
-        tables = _ContourTables(P04, contours, 16, False)
+        tables = _circle_contour(P04, contours, 16, False)
         nodes = circle_nodes(contours[0], 16)[0]
         direct = s_asep(nodes[:, None], nodes[None, :], P04)
         assert len(tables.smats) == n * (n - 1) // 2
@@ -583,7 +599,7 @@ class TestContourCache:
         def get(p):
             return _contour_tables(params[p], contours[p], 64, True)
 
-        size = _ContourTables(params[0.3], contours[0.3], 64, True).nbytes
+        size = _circle_contour(params[0.3], contours[0.3], 64, True).nbytes
         monkeypatch.setattr(asep_exact, "MAX_CACHED_BYTES", 2 * size)
         first = get(0.3)
         get(0.4)

@@ -57,12 +57,13 @@ def test_one_level_of_each_model_is_traced(monkeypatch):
     k, w = line_nodes(LineGrid(4.0, 0.5))
     tracer = _load_tracing().Tracer()
     with tracer.installed():
-        asep_exact._level_sum((0, 2, 4), (1, 2, 5), 0.5, params, contours, 8, True)
+        tables = asep_exact._contour_tables(params, contours, 8, True)
+        _kernels.term_sum(tables.level((0, 2, 4), (1, 2, 5), 0.5), term_structure(3, True))
         asep_calls = dict(tracer.counts)
         tracer.reset()
-        tables = bose_exact._line_tables(bose_exact._staggered(k, 3, 0.5), w,
-                                         (0.5, 1.4, 2.6), (0.8, 1.7, 2.9), -0.5j, 1.0, True)
-        _kernels.term_sum(tables, term_structure(3, True))
+        tables = bose_exact._line_contour(bose_exact._staggered(k, 3, 0.5), w, 1.0, True)
+        _kernels.term_sum(tables.level((0.5, 1.4, 2.6), (0.8, 1.7, 2.9), -0.5j),
+                          term_structure(3, True))
         bose_calls = dict(tracer.counts)
     terms = len(term_structure(3, True))
     # ASEP: eps and r on each of 3 circles, N(N-1) = 6 S-matrices
@@ -84,7 +85,8 @@ def test_an_n4_level_is_traced_through_the_k4_step(monkeypatch):
     contours = asep_exact.tuned_radii(params, 4).contours()
     tracer = _load_tracing().Tracer()
     with tracer.installed():
-        asep_exact._level_sum((0, 1, 2, 3), (0, 1, 3, 5), 0.5, params, contours, 8, True)
+        tables = asep_exact._contour_tables(params, contours, 8, True)
+        _kernels.term_sum(tables.level((0, 1, 2, 3), (0, 1, 3, 5), 0.5), term_structure(4, True))
     assert tracer.missing == []
     # eps and r on each of 4 circles, N(N-1) = 12 S-matrices
     assert tracer.counts["scattering.calls"] == 4 + 4 + 12

@@ -7,8 +7,8 @@ from scipy.special import erfcx
 from halfline_bethe import bose_exact
 from halfline_bethe._kernels import term_sum
 from halfline_bethe.bose_exact import (GROWTH_BUDGET, DampedTime, _cutoff_tail,
-                                       _five_quarters, _growth, _line_opts,
-                                       _line_tables, _stagger, _staggered,
+                                       _five_quarters, _growth, _line_contour,
+                                       _line_opts, _stagger, _staggered,
                                        bc1_residual, fermion_limit_cinf,
                                        free_limit_c0, images_kernel,
                                        propagator_fullline,
@@ -345,7 +345,7 @@ class TestStaggeredLines:
         assert h > 0
         k, w = line_nodes(LineGrid(40.0, 0.005))
         # c = 0: the vectors alone, without 16001^2 S-matrices
-        tables = _line_tables(_staggered(k, 3, h), w, y, x, time.t, 0.0, True)
+        tables = _line_contour(_staggered(k, 3, h), w, 0.0, True).level(y, x, time.t)
         peak = math.prod(max(np.abs(v).max() for key, v in tables.vectors.items()
                              if key[0] == d) / w.max() for d in range(3))
         a, b = _growth(y, x, tau)
@@ -378,7 +378,7 @@ class TestStaggeredLines:
         assert h > 0
         m = 2 * round(cutoff * opts.initial_points / (2 * fine))
         k, w = line_nodes(LineGrid(cutoff, 2 * cutoff / m))
-        value = term_sum(_line_tables(_staggered(k, 2, h), w, y, x, time.t, c, True),
+        value = term_sum(_line_contour(_staggered(k, 2, h), w, c, True).level(y, x, time.t),
                          term_structure(2, True))
         bound = _cutoff_tail(y, x, time, h, group_order(2, True), cutoff, 2 * cutoff / m)
         assert abs(value - ref) <= bound, (abs(value - ref), bound)

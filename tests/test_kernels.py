@@ -9,13 +9,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from halfline_bethe import _kernels
+from halfline_bethe import _kernels, asep_exact, bose_exact
 from halfline_bethe._kernels import (LevelTables, _plan, contract, gillespie_hits,
                                     term_sum)
-from halfline_bethe.asep_exact import _ContourTables, _level_tables, tuned_radii
-from halfline_bethe.bose_exact import _line_tables, _staggered
-from halfline_bethe.contour_quad import LineGrid, line_nodes
-from halfline_bethe.scattering import (AsepParams, BoseParams, eps_asep, r_factor,
+from halfline_bethe.asep_exact import _circle_contour, tuned_radii
+from halfline_bethe.bose_exact import _line_contour, _staggered
+from halfline_bethe.contour_quad import (CircleContour, LineGrid, circle_nodes,
+                                         line_nodes)
+from halfline_bethe.scattering import (AsepParams, BoseParams, amplitude_asep,
+                                       amplitude_bose, eps_asep, k_signed, r_factor,
+                                       xi_signed,
                                        s_bose)
 from halfline_bethe.signed_perm import (enumerate_bn, enumerate_sn, inversions,
                                         term_structure)
@@ -122,8 +125,8 @@ def test_only_complete_graphs_run_the_dense_loop(n, complete, dense):
 def _asep_tables(n, m=8):
     """The contour tables and the level tables of one half-line level."""
     params = AsepParams.from_p(0.3)
-    contour = _ContourTables(params, tuned_radii(params, n).contours(), m, True)
-    return contour, _level_tables(contour, (0, 2, 4, 6)[:n], 0.5, (1, 2, 5, 7)[:n])
+    contour = _circle_contour(params, tuned_radii(params, n).contours(), m, True)
+    return contour, contour.level((0, 2, 4, 6)[:n], (1, 2, 5, 7)[:n], 0.5)
 
 
 K, W = line_nodes(LineGrid(4.0, 0.5))
@@ -133,7 +136,7 @@ NODES = _staggered(K, 3, 0.5)
 
 
 def _bose_tables(n, c=1.0, halfline=True):
-    return _line_tables(NODES[:n], W, BOSE_Y[:n], BOSE_X[:n], BOSE_T, c, halfline)
+    return _line_contour(NODES[:n], W, c, halfline).level(BOSE_Y[:n], BOSE_X[:n], BOSE_T)
 
 
 def _unfolded_sum(tables, n, factors=None, group=enumerate_bn):
@@ -208,12 +211,11 @@ class TestLevelTables:
                                    + 1j * s * k * BOSE_X[j])
                 np.testing.assert_allclose(bose.vectors[d, s, j], s * plain,
                                            rtol=1e-13)
-        contour, asep = _asep_tables(n)
+        _, asep = _asep_tables(n)
         params = AsepParams.from_p(0.3)
         for d, i in itertools.product(range(n), repeat=2):
-            xi = contour.pos_vals[d]
-            base = (contour.weights[d] * xi ** (-(0, 2, 4)[d] - 1)
-                    * np.exp(eps_asep(xi, params) * 0.5))
+            xi, w = circle_nodes(tuned_radii(params, n).contours()[d], 8)
+            base = w * xi ** (-(0, 2, 4)[d] - 1) * np.exp(eps_asep(xi, params) * 0.5)
             z = (1, 2, 5)[i]
             np.testing.assert_allclose(asep.vectors[d, 1, i], base * xi ** z,
                                        rtol=1e-13)
@@ -221,6 +223,72 @@ class TestLevelTables:
             np.testing.assert_allclose(
                 asep.vectors[d, -1, i],
                 base * reflected ** z * r_factor(reflected, params), rtol=1e-13)
+
+def _grid_sum(nodes, weights, integrand):
+    """sum over the product grid of the nodes of every variable: the weights
+    times integrand(vars), vars[..., d] the node of variable d."""
+    grids = np.meshgrid(*(np.arange(v.size) for v in nodes), indexing="ij")
+    variables = np.stack([v[g] for v, g in zip(nodes, grids)], axis=-1)
+    w = math.prod(wd[g] for wd, g in zip(weights, grids))
+    return (w * integrand(variables)).sum()
+
+
+class TestScalarPath:
+    """A level's tables against the integrand straight from the paper's
+    formula: sum over sigma of the amplitude (`amplitude_asep`,
+    `amplitude_bose`) times the closed-form plane waves, summed over the
+    product grid, with no factor table in between."""
+
+    @pytest.mark.parametrize("n,halfline", [
+        pytest.param(n, halfline, id=f"N{n}-{'half' if halfline else 'full'}")
+        for n in (1, 2, 3) for halfline in (True, False)
+    ])
+    def test_asep(self, n, halfline):
+        params, m, t = AsepParams.from_p(0.3), 8, 0.5
+        y, x = (0, 2, 4)[:n], (1, 2, 5)[:n]
+        contours = (tuned_radii(params, n).contours() if halfline
+                    else (CircleContour(0.0, 2.0 / params.q),) * n)
+        got = term_sum(_circle_contour(params, contours, m, halfline).level(y, x, t),
+                       term_structure(n, halfline))
+        xi, w = zip(*(circle_nodes(c, m) for c in contours))
+
+        def integrand(v):
+            total = 0.0
+            for sigma in (enumerate_bn if halfline else enumerate_sn)(n):
+                term = amplitude_asep(sigma, v, params)
+                for j, a in enumerate(sigma.values):
+                    term = term * xi_signed(a, v, params) ** x[j]
+                total = total + term
+            return total * math.prod(v[..., d] ** (-y[d] - 1)
+                                     * np.exp(eps_asep(v[..., d], params) * t)
+                                     for d in range(n))
+
+        assert got == pytest.approx(_grid_sum(xi, w, integrand), rel=1e-12)
+
+    @pytest.mark.parametrize("n,halfline", [
+        pytest.param(n, halfline, id=f"N{n}-{'half' if halfline else 'full'}")
+        for n in (1, 2, 3) for halfline in (True, False)
+    ])
+    def test_bose(self, n, halfline):
+        params, t, h = BoseParams(1.0), -0.5j, 0.5
+        y, x = BOSE_Y[:n], (0.8, 1.7, 2.9)[:n]
+        # m = 16, the coarsest LineGrid: 17 nodes on [-4, 4]
+        nodes = [K - 1j * (d + 1) * h for d in range(n)]
+        got = term_sum(_line_contour(nodes, W, params.c, halfline).level(y, x, t),
+                       term_structure(n, halfline))
+
+        def integrand(v):
+            total = 0.0
+            for sigma in (enumerate_bn if halfline else enumerate_sn)(n):
+                term = amplitude_bose(sigma, v, params)
+                for j, a in enumerate(sigma.values):
+                    term = term * np.exp(1j * k_signed(a, v) * x[j])
+                total = total + term
+            return total * math.prod(np.exp(-1j * v[..., d] * y[d] - 1j * t * v[..., d] ** 2)
+                                     for d in range(n))
+
+        assert got == pytest.approx(_grid_sum(nodes, (W,) * n, integrand), rel=1e-12)
+
 
 class TestPairMatrices:
     """Bose: S(sa k - sb k) on one shared grid, so two distinct matrices on
@@ -233,8 +301,7 @@ class TestPairMatrices:
         (3, False, 1.0, 1), (3, True, 0.0, 0), (2, False, 0.0, 0),
     ])
     def test_bose(self, n, halfline, c, distinct):
-        smats = _line_tables((K,) * n, W, (0.5, 1.4, 2.6, 3.1)[:n],
-                             (0.8, 1.7, 2.0, 2.2)[:n], BOSE_T, c, halfline).smats
+        smats = _line_contour((K,) * n, W, c, halfline).smats
         owners = {id(m if m.base is None else m.base) for m in smats.values()}
         assert len(owners) == distinct
         if c == 0.0:
@@ -256,8 +323,7 @@ class TestPairMatrices:
         # -(a - b) h, below the pole at ic, so every |S| <= 1
         h = 0.5
         nodes = _staggered(K, n, h)
-        smats = _line_tables(nodes, W, (0.5, 1.4, 2.6, 3.1)[:n],
-                             (0.8, 1.7, 2.0, 2.2)[:n], BOSE_T, 0.5, halfline).smats
+        smats = _line_contour(nodes, W, 0.5, halfline).smats
         owners = {id(m if m.base is None else m.base) for m in smats.values()}
         assert len(owners) == distinct
         assert set(smats) == set(_used_pairs(n, halfline))
@@ -338,6 +404,71 @@ class TestFolding:
             unchanged = [key for key in tables.vectors if key not in factors]
             assert unchanged
             assert all(scaled.vectors[key] is tables.vectors[key] for key in unchanged)
+
+
+P04 = AsepParams.from_p(0.4)
+TAU = bose_exact.DampedTime.imaginary(0.5)
+#: every entry point of both models, each of which refines through evaluate
+ENTRY_POINTS = {
+    "prob_halfline": lambda: asep_exact.prob_halfline((0, 2), (1, 3), 1.0, P04),
+    "prob_fullline": lambda: asep_exact.prob_fullline((0, 2), (1, 3), 1.0, P04),
+    "evaluate_extended": lambda: asep_exact.evaluate_extended((0, 2), (-1, 4), 1.0, P04),
+    "master_equation_residual":
+        lambda: asep_exact.master_equation_residual((0, 2), (1, 4), 1.0, P04),
+    "propagator_halfline":
+        lambda: bose_exact.propagator_halfline((0.7, 1.9), (1.2, 2.8), TAU, BoseParams(1.0)),
+    "propagator_fullline":
+        lambda: bose_exact.propagator_fullline((0.7, 1.9), (1.2, 2.8), TAU, BoseParams(1.0)),
+    "wall_residual":
+        lambda: bose_exact.wall_residual((0.7, 1.9), (0.0, 2.8), TAU, BoseParams(1.0)),
+    "bc1_residual":
+        lambda: bose_exact.bc1_residual((0.7, 1.9), (1.3, 1.3), 1, TAU, BoseParams(1.0)),
+}
+
+
+#: the entry points with |X| != |Y|, which only the check in evaluate refuses
+UNEQUAL_COUNTS = {
+    "prob_halfline": lambda: asep_exact.prob_halfline((0, 2), (1,), 1.0, P04),
+    "prob_fullline": lambda: asep_exact.prob_fullline((0, 2), (1, 3, 5), 1.0, P04),
+    "evaluate_extended": lambda: asep_exact.evaluate_extended((0, 2), (-1,), 1.0, P04),
+    "master_equation_residual":
+        lambda: asep_exact.master_equation_residual((0, 2), (1,), 1.0, P04),
+    "propagator_halfline":
+        lambda: bose_exact.propagator_halfline((0.7, 1.9), (1.2,), TAU, BoseParams(1.0)),
+    "propagator_fullline":
+        lambda: bose_exact.propagator_fullline((0.7,), (1.2, 2.8), TAU, BoseParams(1.0)),
+    "wall_residual": lambda: bose_exact.wall_residual((0.7, 1.9), (0.0,), TAU, BoseParams(1.0)),
+    "bc1_residual":
+        lambda: bose_exact.bc1_residual((0.7, 1.9), (1.3,), 1, TAU, BoseParams(1.0)),
+}
+
+
+class TestOnePath:
+    """Every evaluator of both models refines through `_kernels.evaluate`,
+    once per call; the closed-form N = 1 reference never does."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        for module in (asep_exact, bose_exact):
+            monkeypatch.setattr(module, "evaluate", lambda *args, **kwargs: calls.append(1)
+                                or _kernels.evaluate(*args, **kwargs))
+        return calls
+
+    @pytest.mark.parametrize("name", ENTRY_POINTS)
+    def test_each_entry_point_reaches_evaluate_once(self, calls, name):
+        ENTRY_POINTS[name]()
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("name", UNEQUAL_COUNTS)
+    def test_unequal_particle_counts_are_refused(self, calls, name):
+        with pytest.raises(ValueError, match="same number of particles"):
+            UNEQUAL_COUNTS[name]()
+        assert len(calls) == 1
+
+    def test_the_closed_form_reference_stays_apart(self, calls):
+        asep_exact.prob_n1_closed(0, 2, 1.0, P04)
+        assert calls == []
 
 
 # ---------------------------------------------------------------------------
