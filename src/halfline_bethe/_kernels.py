@@ -11,8 +11,11 @@ Two kernel families live here:
   complete graph K4, which one m^4 step (`_k4`) sums; a larger core raises
   ValueError.  Every exact evaluator reduces its per-term quadrature to this
   shape, and ``term_sum`` sums it over the signed-permutation terms of both
-  models, one contraction per sign-flip pair of a half-line sum.  The models
-  differ only in their `ContourTables`, which ``evaluate`` refines.
+  models, one contraction per sign-flip pair of a half-line sum, as a
+  `LevelProgram` compiled once per (N, half/full line) orders them: terms
+  whose costly first step reads the same operands run one after another and
+  build that step once.  The models differ only in their `ContourTables`,
+  which ``evaluate`` refines.
 * ``gillespie_hits``: the jump chain behind the Monte Carlo oracle.  Chunks
   of CHUNK trials step in lockstep numpy, each trial on its own SplitMix64
   substream, so counts are reproducible and independent of trial order and
@@ -32,7 +35,8 @@ from .signed_perm import term_structure
 
 #: largest particle number the evaluators accept.  A half-line level runs
 #: 2^(N-1) N! contractions; at N = 4 the 60 whose pair graph is complete run
-#: the K4 step (m^4), every other one costs m^3 or less.  From N = 5 on,
+#: the K4 step, and 15 m^4 inner tensors serve them all (`LevelProgram`);
+#: every other one costs m^3 or less.  From N = 5 on,
 #: some pair graphs leave larger cores, which `contract` refuses.
 MAX_N = 4
 
@@ -42,20 +46,22 @@ MAX_N = 4
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=1024)
-def _plan(n: int, present: tuple[bool, ...]):
+def _plan(n: int, present: tuple[bool, ...], first: int | None = None):
     """Elimination steps for n dimensions whose pairs (in
     itertools.combinations order) carry a matrix where `present` is true.
 
     While some dimension has at most two neighbours, the one with the fewest
-    (the highest index among ties) is summed out: a step (d, links, closes)
-    where links holds, per neighbour u, (u, pair index), plus for two
-    neighbours u < w the index of the pair (u, w) that receives their new
-    coupling; closes says that the one neighbour has no other, so the step
-    sums out both.  Every pair matrix has rows over its lower dimension.
-    What is left is nothing or, up to MAX_N, the complete graph K4, returned
-    as its four dimensions in increasing order and its six pair indices in
-    itertools.combinations order.  Any other core (every dimension with three
-    or more neighbours, five or more dimensions) raises ValueError.
+    is summed out, ties going to `first`, then to the highest index: a step
+    (d, links, closes) where links holds, per neighbour u, (u, pair index),
+    plus for two neighbours u < w the index of the pair (u, w) that receives
+    their new coupling; closes says that the one neighbour has no other, so
+    the step sums out both.  Every pair matrix has rows over its lower
+    dimension.  What is left is nothing or, up to MAX_N, the complete graph
+    K4, returned as its four dimensions, the one summed out first leading
+    (by the same tie rule) and the other three increasing, and its six pair
+    indices in itertools.combinations order of those four.  Any other core
+    (every dimension with three or more neighbours, five or more dimensions)
+    raises ValueError.
     """
     pairs = list(itertools.combinations(range(n), 2))
     index = {pair: k for k, pair in enumerate(pairs)}
@@ -66,7 +72,7 @@ def _plan(n: int, present: tuple[bool, ...]):
             adj[j].add(i)
     steps = []
     while adj:
-        d = min(adj, key=lambda v: (len(adj[v]), -v))
+        d = min(adj, key=lambda v: (len(adj[v]), v != first, -v))
         nbrs = sorted(adj[d])
         if len(nbrs) > 2:
             break
@@ -88,41 +94,61 @@ def _plan(n: int, present: tuple[bool, ...]):
     if len(adj) != 4:
         raise ValueError(f"contract sums a K4 core at most; this pattern of {n} "
                          f"dimensions leaves a core of {len(adj)}")
-    dims = tuple(sorted(adj))
-    return tuple(steps), (dims, tuple(index[pair]
+    dims = (d,) + tuple(sorted(v for v in adj if v != d))
+    return tuple(steps), (dims, tuple(index[min(pair), max(pair)]
                                       for pair in itertools.combinations(dims, 2)))
 
 
-def _k4(vecs, mats, dims, pairs) -> complex:
-    """The m^4 sum over a complete core on dimensions a < b < c < d: one
-    (m^2, m) x (m, m) product sums out d, the pair matrices of c are
-    multiplied in place, c is summed by a matrix-vector product, and
-    v_a @ (M_ab * F) @ v_b closes.  numpy's complex product is not bitwise
+def _once(shared, build):
+    """build(), or for a run of terms the result that the run's first call
+    built and left in the list `shared` (`contract`)."""
+    if shared is None:
+        return build()
+    if not shared:
+        shared.append(build())
+    return shared[0]
+
+
+def _k4(vecs, mats, dims, pairs, shared) -> complex:
+    """The m^4 sum over a complete core on dimensions a, then b < c < d: one
+    (m^2, m) x (m, m) product sums out a into T[b, c, d] = sum_a v_a M_ab
+    M_ac M_ad (kept in `shared`, see `contract`), the pair matrices of d
+    multiply a copy, d is summed by a matrix-vector product, and
+    v_b @ (M_bc * F) @ v_c closes.  numpy's complex product is not bitwise
     commutative, so every operand order is part of the result."""
     a, b, c, d = dims
     m_ab, m_ac, m_ad, m_bc, m_bd, m_cd = (mats[k] for k in pairs)
     m = vecs[a].size
-    w = (vecs[d] * m_ad)[:, None, :] * m_bd  # over (a, b, d)
-    f = (w.reshape(-1, m) @ m_cd.T).reshape(m, m, m)  # over (a, b, c)
-    del w  # so the next allocation can reuse its memory
-    f *= m_bc.reshape(1, m, m)
-    f *= m_ac.reshape(m, 1, m)
-    return complex(vecs[a] @ (m_ab * (f @ vecs[c])) @ vecs[b])
+
+    def inner():
+        ab, ac, ad = (mat if a < u else mat.T
+                      for mat, u in ((m_ab, b), (m_ac, c), (m_ad, d)))  # rows over a
+        w = (vecs[a][:, None] * ab)[:, :, None] * ac[:, None, :]  # over (a, b, c)
+        return (w.reshape(m, m * m).T @ ad).reshape(m, m, m)  # over (b, c, d)
+
+    f = _once(shared, inner) * m_cd  # a copy: the shared tensor stays as built
+    f *= m_bd.reshape(m, 1, m)
+    return complex(vecs[b] @ (m_bc * (f @ vecs[d])) @ vecs[c])
 
 
-def contract(vectors, mats) -> complex:
+def contract(vectors, mats, plan=None, shared=None) -> complex:
     """BLAS-backed contraction for N <= MAX_N; vectors is a list of N 1-d
     complex arrays and mats the N(N-1)/2 pair matrices in
     itertools.combinations order, rows over the lower dimension, None for a
     pair without a factor.
 
-    Dimensions are summed out along the pair graph (`_plan`): with no
-    neighbour by a sum, with one by a matrix-vector product into the
-    neighbour's vector, with two by one matrix product into the neighbours'
-    pair matrix; a remaining K4 core runs `_k4`.  A larger core raises
-    ValueError.
+    Dimensions are summed out along the pair graph (`_plan`, looked up from
+    the pattern of present pairs unless `plan` gives it): with no neighbour
+    by a sum, with one by a matrix-vector product into the neighbour's
+    vector, with two by one matrix product into the neighbours' pair matrix;
+    a remaining K4 core runs `_k4`.  A larger core raises ValueError.
+
+    `shared` is None, or a list that carries the first step's result (a
+    two-neighbour coupling or the K4's inner tensor) across a run of calls
+    whose first step reads the same vector and pair matrices
+    (`LevelProgram`): the run's first call builds it, the others reuse it.
     """
-    steps, core = _plan(len(vectors), tuple([m is not None for m in mats]))
+    steps, core = plan or _plan(len(vectors), tuple([m is not None for m in mats]))
     vecs = list(vectors)
     mats = list(mats)
     scale = 1.0 + 0.0j
@@ -141,12 +167,11 @@ def contract(vectors, mats) -> complex:
             (u, ku), (w, kw), kuw = links
             mu = mats[ku].T if d < u else mats[ku]  # rows over u, columns over d
             mw = mats[kw] if d < w else mats[kw].T  # rows over d, columns over w
-            coupling = (mu * vecs[d]).dot(mw)
-            if mats[kuw] is not None:
-                coupling *= mats[kuw]
-            mats[kuw] = coupling
+            coupling = _once(shared, lambda: (mu * vecs[d]).dot(mw))
+            mats[kuw] = coupling if mats[kuw] is None else coupling * mats[kuw]
+        shared = None  # only the first step is shared
     if core is not None:
-        scale *= _k4(vecs, mats, *core)
+        scale *= _k4(vecs, mats, *core, shared)
     return complex(scale)
 
 
@@ -198,32 +223,95 @@ def pair_matrices(pos, neg, pair) -> dict:
     return smats
 
 
-def term_sum(tables: LevelTables, terms) -> complex:
-    """Sum of the contracted integrands of compiled signed-permutation terms
-    (`signed_perm.term_structure`) at one quadrature level.
+class LevelProgram:
+    """The terms of one sum (`signed_perm.term_structure`) compiled for
+    `term_sum`, once per (N, half/full line) by `level_program`.
+
+    `folds` lists the (d, pos) of every folded vector v+ + v-, which a
+    level forms once.  `schedule(pairs)` gives, for tables carrying the
+    S-matrices of the signed pairs in `pairs`, each term's operand keys and
+    `_plan` in run order.  The first step of a term whose present pairs form
+    the complete graph on N >= 3 dimensions costs m^3 (the triangle's
+    coupling) or m^4 (the K4's inner tensor) and reads only the vector of
+    the dimension it sums out and that dimension's pair matrices.  Terms
+    whose first steps read the same operands form a run: they follow one
+    another, and the run's first contraction builds the step for all of
+    them (`contract`).  Every complete term sums out the same dimension
+    first, the one that gives the fewest runs, ties to the highest index: on
+    the half line dimension 0, with 15 runs for the 60 complete terms at
+    N = 4 and 7 for 12 at N = 3.
+    """
+
+    def __init__(self, n: int, halfline: bool):
+        self.n = n
+        self.terms = term_structure(n, halfline)
+        self.folds = tuple(sorted({(d, pos) for term in self.terms
+                                   for d, sign, pos in term.vectors if sign == 0}))
+
+    # one schedule per program and pattern of S-matrices: every pair or none
+    # in both models; the programs live for the whole process anyway
+    # (`level_program`)
+    @lru_cache(maxsize=64)
+    def schedule(self, pairs: frozenset) -> tuple:
+        """(vector keys, per dimension pair the signed inversions whose
+        S-matrices are in `pairs`, plan, run) per term, in run order; run is
+        the key of the term's shared first step, None for a term that shares
+        nothing."""
+        dim_pairs = list(itertools.combinations(range(self.n), 2))
+        terms = [(term.vectors, tuple(tuple(ab for ab in invs if ab in pairs)
+                                      for invs in term.mats)) for term in self.terms]
+        complete = [i for i, (_, invs) in enumerate(terms) if self.n >= 3 and all(invs)]
+
+        def step(i, first):
+            keys, invs = terms[i]
+            return first, keys[first], tuple(m for pair, m in zip(dim_pairs, invs)
+                                              if first in pair)
+
+        first = min(range(self.n),
+                    key=lambda f: (len({step(i, f) for i in complete}), -f))
+        runs = {i: step(i, first) for i in complete}
+        lead = {}
+        for i in complete:
+            lead.setdefault(runs[i], i)
+        order = sorted(range(len(terms)), key=lambda i: (lead.get(runs.get(i), i), i))
+        return tuple((*terms[i], _plan(self.n, tuple(bool(m) for m in terms[i][1]),
+                                       first if i in runs else None), runs.get(i))
+                     for i in order)
+
+
+@lru_cache(maxsize=16)
+def level_program(n: int, halfline: bool) -> LevelProgram:
+    """The `LevelProgram` of the (N, half/full line) sum, compiled once."""
+    return LevelProgram(n, halfline)
+
+
+def term_sum(tables: LevelTables, program: LevelProgram) -> complex:
+    """Sum of the contracted integrands of a compiled signed-permutation sum
+    (`level_program`) at one quadrature level.
 
     Each term names its table entries.  A folded vector (sign 0) is v+ + v-,
-    the partner's amplitude riding in v-, formed once per run of terms that
-    fold it (`term_structure` lists them by sigma(1)).  Each S-matrix is
-    oriented with rows over the lower dimension of its pair.
+    the partner's amplitude riding in v-, formed once per level.  Each
+    S-matrix is oriented with rows over the lower dimension of its pair.  A
+    run of terms that share their first step passes one list to `contract`,
+    so the step is built once and freed before the next run builds its own.
     """
-    vecs = tables.vectors
-    fold_key = folded = None
+    vecs = dict(tables.vectors)
+    for d, pos in program.folds:
+        vecs[d, 0, pos] = vecs[d, 1, pos] + vecs[d, -1, pos]
+    smats = tables.smats
     total = 0.0 + 0.0j
-    for term in terms:
-        for d, sign, pos in term.vectors:
-            if sign == 0 and (d, pos) != fold_key:
-                fold_key, folded = (d, pos), vecs[d, 1, pos] + vecs[d, -1, pos]
+    run = shared = None
+    for keys, invs, plan, step in program.schedule(frozenset(smats)):
+        if step != run:
+            run, shared = step, None if step is None else []
         mats = []
-        for invs in term.mats:
+        for pair in invs:
             mat = None
-            for a, b in invs:
-                smat = tables.smats.get((a, b))
-                if smat is not None:
-                    smat = smat.T if abs(a) > abs(b) else smat
-                    mat = smat if mat is None else mat * smat
+            for a, b in pair:
+                smat = smats[a, b].T if abs(a) > abs(b) else smats[a, b]
+                mat = smat if mat is None else mat * smat
             mats.append(mat)
-        total += contract([vecs[key] if key[1] else folded for key in term.vectors], mats)
+        total += contract([vecs[key] for key in keys], mats, plan, shared)
     return total
 
 
@@ -276,22 +364,23 @@ def evaluate(contour_at, y, x, t, halfline: bool, opts, next_points=_doubled,
     """(value, error_estimate, m) of one sum of either model, refined by
     `adaptive_eval` on the model's schedule `next_points` after the one
     N <= MAX_N and |X| = |Y| check of every entry point.  `contour_at(m)`
-    gives the `ContourTables` of resolution m.  A level is the sum on the
-    tables of (Y, X, t) or, given `functional(contour, tables)`, sum coef *
-    term_sum(tables.scaled(factors)) over the (coef, factors) it lists.
+    gives the `ContourTables` of resolution m.  A level runs the sum's
+    `level_program` on the tables of (Y, X, t) or, given
+    `functional(contour, tables)`, sums coef * term_sum(tables.scaled(factors))
+    over the (coef, factors) it lists.
     """
     if len(y) > MAX_N:
         raise ValueError(f"evaluators support N <= {MAX_N}")
     if len(x) != len(y):
         raise ValueError("X and Y must hold the same number of particles")
-    terms = term_structure(len(y), halfline)
+    program = level_program(len(y), halfline)
 
     def level(m):
         contour = contour_at(m)
         tables = contour.level(y, x, t)
         if functional is None:
-            return term_sum(tables, terms)
-        return sum(coef * term_sum(tables.scaled(factors), terms)
+            return term_sum(tables, program)
+        return sum(coef * term_sum(tables.scaled(factors), program)
                    for coef, factors in functional(contour, tables))
 
     return adaptive_eval(level, opts, next_points=next_points)

@@ -136,8 +136,9 @@ def _staggered(k, n: int, h: float) -> list:
 
 
 def _grid_parameters(y, x, time: DampedTime, c: float, h: float, tol: float):
-    """Cutoff and target spacing from the Gaussian decay and the strip of
-    analyticity of the scattering factors.
+    """Cutoff and the points of the first even grid, from the Gaussian decay
+    and the strip of analyticity of the scattering factors; the cutoff does
+    not depend on h.
 
     S(k_a - k_b) has its pole at k_a - k_b = ic.  On the staggered lines an
     inversion (a, b), a > b, has Im(k_a - k_b) = -(a - b) h, so every pole
@@ -152,7 +153,7 @@ def _grid_parameters(y, x, time: DampedTime, c: float, h: float, tol: float):
         beta = min(0.9 * (c + h), beta)
     denom = z + (delta + abs(time.t.real)) * beta + logt / beta + 5.0
     spacing = min(0.35, 2.0 * math.pi / denom)
-    return cutoff, spacing
+    return cutoff, max(16, 2 * math.ceil(cutoff / spacing))
 
 
 def _line_contour(nodes, w, c: float, halfline: bool) -> ContourTables:
@@ -170,11 +171,14 @@ def _line_contour(nodes, w, c: float, halfline: bool) -> ContourTables:
 def _line_opts(y, x, time, c, opts: QuadOptions | None):
     """Cutoff, refinement schedule and line shift h (`_stagger`); the grid
     starts even and no coarser than the damping and the analytic strip
-    need, whatever `opts` asks for."""
+    need, whatever `opts` asks for.  A shift that buys no coarser first grid
+    is dropped: on the real line every variable shares one grid and one set
+    of S-matrices."""
     opts = opts or QuadOptions()
+    cutoff, m0 = _grid_parameters(y, x, time, c, 0.0, opts.tol)
     h = _stagger(y, x, time, c, opts.tol)
-    cutoff, spacing = _grid_parameters(y, x, time, c, h, opts.tol)
-    m0 = max(16, 2 * math.ceil(cutoff / spacing))
+    shifted = _grid_parameters(y, x, time, c, h, opts.tol)[1]
+    h, m0 = (h, shifted) if shifted < m0 else (0.0, m0)
     return cutoff, QuadOptions(initial_points=max(opts.initial_points
                                                   + opts.initial_points % 2, m0),
                                max_points=max(opts.max_points, 8 * m0), tol=opts.tol), h
@@ -274,7 +278,9 @@ def bc1_residual(y, x, j: int, t, params: BoseParams,
             return {(d, s, pos): 1j * contour.nodes[d, s]
                     for d, s, pos in tables.vectors if pos == i}
 
-        return (1, d_dx(j)), (-1, d_dx(j - 1)), (-params.c, {})
+        # u itself enters with coefficient -c, so not at all at c = 0
+        pairs = [(1, d_dx(j)), (-1, d_dx(j - 1))]
+        return pairs + [(-params.c, {})] if params.c else pairs
 
     rep = _propagator(yv, xv, t, params, opts, halfline=True, functional=boundary)
     return complex(rep.value)

@@ -8,7 +8,7 @@ import pytest
 from scipy.optimize import brentq
 
 from halfline_bethe import asep_exact
-from halfline_bethe._kernels import term_sum
+from halfline_bethe._kernels import level_program, term_sum
 from halfline_bethe.asep_exact import (AsepEvalReport, _circle_contour,
                                        _contour_tables,
                                        _image_reach,
@@ -28,7 +28,7 @@ P04 = AsepParams.from_p(0.4)
 def _level_value(y, x, t, params, contours, m):
     """One half-line quadrature level, summed straight from the contour tables."""
     return term_sum(_contour_tables(params, contours, m, True).level(y, x, t),
-                    term_structure(len(y), True))
+                    level_program(len(y), True))
 
 
 class TestConfigs:

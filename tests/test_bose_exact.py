@@ -4,18 +4,18 @@ import numpy as np
 import pytest
 from scipy.special import erfcx
 
-from halfline_bethe import bose_exact
-from halfline_bethe._kernels import term_sum
+from halfline_bethe import _kernels, bose_exact
+from halfline_bethe._kernels import level_program, term_sum
 from halfline_bethe.bose_exact import (GROWTH_BUDGET, DampedTime, _cutoff_tail,
-                                       _five_quarters, _growth, _line_contour,
-                                       _line_opts, _stagger, _staggered,
+                                       _five_quarters, _grid_parameters, _growth,
+                                       _line_contour, _line_opts, _stagger, _staggered,
                                        bc1_residual, fermion_limit_cinf,
                                        free_limit_c0, images_kernel,
                                        propagator_fullline,
                                        propagator_halfline, wall_residual)
 from halfline_bethe.contour_quad import LineGrid, QuadOptions, line_nodes
 from halfline_bethe.scattering import BoseParams
-from halfline_bethe.signed_perm import group_order, term_structure
+from halfline_bethe.signed_perm import group_order
 
 TAU = 0.5
 T = DampedTime.imaginary(TAU)
@@ -165,6 +165,32 @@ class TestBoundaryMatching:
         scale = abs(propagator_halfline(y, (0.8, 1.7, 1.70000001), T, C1).value)
         assert abs(res) < 1e-7 * scale
 
+    @pytest.mark.parametrize("c,per_level", [(0.0, 2), (0.5, 3)])
+    def test_u_is_contracted_only_at_finite_coupling(self, monkeypatch, c, per_level):
+        # u(X) enters each level with coefficient -c, so at c = 0 a level
+        # sums the two derivative tables alone, to the same value
+        y, x, params = (0.7, 1.9), (1.3, 1.3), BoseParams(c)
+        want = bc1_residual(y, x, 1, T, params)
+        sums, levels = [], []
+        monkeypatch.setattr(_kernels, "term_sum",
+                            lambda *args: sums.append(1) or term_sum(*args))
+        line_contour = bose_exact._line_contour
+        monkeypatch.setattr(bose_exact, "_line_contour",
+                            lambda *args: levels.append(1) or line_contour(*args))
+        assert bc1_residual(y, x, 1, T, params) == want
+        assert len(sums) == per_level * len(levels) > 0
+        if c == 0.0:
+            # the entry left out, 0 u(X), adds nothing
+            evaluate = bose_exact.evaluate
+
+            def with_u(*args):
+                *head, functional = args
+                return evaluate(*head, lambda contour, tables: [*functional(contour, tables),
+                                                                (-0.0, {})])
+
+            monkeypatch.setattr(bose_exact, "evaluate", with_u)
+            assert bc1_residual(y, x, 1, T, params) == want
+
     def test_pair_index_validated(self):
         with pytest.raises(ValueError):
             bc1_residual((0.7, 1.9), (1.3, 1.3), 2, T, C1)
@@ -309,6 +335,23 @@ class TestStaggeredLines:
         assert staggered[0] == flat[0]
         assert staggered[1].initial_points <= flat[1].initial_points
 
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("tau", [0.05, 0.2, 0.5, 1.0])
+    @pytest.mark.parametrize("c", [0.5, 1.0, 4.0])
+    def test_a_shift_that_buys_no_grid_point_is_dropped(self, n, tau, c):
+        # at c = 4 the real line's strip is nearly wide enough: for tau <=
+        # 0.2, and at N = 2 up to tau = 1, the shifted grid needs as many
+        # points, so every variable stays on the one real grid
+        y, x, time = SWEEP_Y[n], SWEEP_X[n], DampedTime.imaginary(tau)
+        shift = _stagger(y, x, time, c, 1e-10)
+        real = _grid_parameters(y, x, time, c, 0.0, 1e-10)[1]
+        cutoff, opts, h = _line_opts(y, x, time, c, None)
+        dropped = c == 4.0 and (tau <= 0.2 or n == 2 and tau <= 1.0)
+        assert shift > 0
+        assert h == (0.0 if dropped else shift)
+        assert opts.initial_points == _grid_parameters(y, x, time, c, h, 1e-10)[1]
+        assert opts.initial_points < real or h == 0.0 and opts.initial_points == real
+
     def test_the_shift_is_what_the_strip_needs(self):
         # the strip need not pass sqrt(log(1/tol)/tau) at t = -i tau; a
         # larger h would only raise the integrand's peak
@@ -379,7 +422,7 @@ class TestStaggeredLines:
         m = 2 * round(cutoff * opts.initial_points / (2 * fine))
         k, w = line_nodes(LineGrid(cutoff, 2 * cutoff / m))
         value = term_sum(_line_contour(_staggered(k, 2, h), w, c, True).level(y, x, time.t),
-                         term_structure(2, True))
+                         level_program(2, True))
         bound = _cutoff_tail(y, x, time, h, group_order(2, True), cutoff, 2 * cutoff / m)
         assert abs(value - ref) <= bound, (abs(value - ref), bound)
 

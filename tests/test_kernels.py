@@ -11,7 +11,7 @@ import pytest
 
 from halfline_bethe import _kernels, asep_exact, bose_exact
 from halfline_bethe._kernels import (LevelTables, _plan, contract, gillespie_hits,
-                                    term_sum)
+                                    level_program, term_sum)
 from halfline_bethe.asep_exact import _circle_contour, tuned_radii
 from halfline_bethe.bose_exact import _line_contour, _staggered
 from halfline_bethe.contour_quad import (CircleContour, LineGrid, circle_nodes,
@@ -77,7 +77,9 @@ def _k4_plus(n, k4, extra):
 ])
 def test_contract_k4_core_inside_five(rng, k4, extra):
     present = _k4_plus(5, k4, extra)
-    assert _plan(5, tuple(present))[1][0] == k4
+    # the core's highest dimension is summed out first, unless `first` names another
+    assert _plan(5, tuple(present))[1][0] == k4[3:] + k4[:3]
+    assert _plan(5, tuple(present), k4[1])[1][0] == (k4[1], k4[0], *k4[2:])
     vectors, mats = _random_problem(rng, 5, 6, present)
     assert contract(vectors, mats) == pytest.approx(_brute(vectors, mats), rel=1e-12)
 
@@ -117,9 +119,10 @@ def test_only_complete_graphs_run_the_dense_loop(n, complete, dense):
     patterns = [tuple(bool(invs) for invs in term.mats) for term in terms]
     assert sum(all(p) for p in patterns) == complete
     assert sum(_plan(n, p)[1] is not None for p in patterns) == dense
-    # the remaining core is K4 on every dimension, its pairs in order
+    # the remaining core is K4 on every dimension, the one summed out first
+    # leading, its pairs in itertools.combinations order of those four
     assert {_plan(n, p)[1] for p in patterns} - {None} == (
-        {((0, 1, 2, 3), tuple(range(6)))} if dense else set())
+        {((3, 0, 1, 2), (2, 4, 5, 0, 1, 3))} if dense else set())
 
 
 def _asep_tables(n, m=8):
@@ -196,7 +199,7 @@ class TestLevelTables:
         tables = LevelTables(vectors, smats)
         group = enumerate_bn if halfline else enumerate_sn
         want = _unfolded_sum(tables, n, group=group)
-        assert term_sum(tables, term_structure(n, halfline)) == pytest.approx(
+        assert term_sum(tables, level_program(n, halfline)) == pytest.approx(
             want, rel=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -249,7 +252,7 @@ class TestScalarPath:
         contours = (tuned_radii(params, n).contours() if halfline
                     else (CircleContour(0.0, 2.0 / params.q),) * n)
         got = term_sum(_circle_contour(params, contours, m, halfline).level(y, x, t),
-                       term_structure(n, halfline))
+                       level_program(n, halfline))
         xi, w = zip(*(circle_nodes(c, m) for c in contours))
 
         def integrand(v):
@@ -275,7 +278,7 @@ class TestScalarPath:
         # m = 16, the coarsest LineGrid: 17 nodes on [-4, 4]
         nodes = [K - 1j * (d + 1) * h for d in range(n)]
         got = term_sum(_line_contour(nodes, W, params.c, halfline).level(y, x, t),
-                       term_structure(n, halfline))
+                       level_program(n, halfline))
 
         def integrand(v):
             total = 0.0
@@ -347,15 +350,15 @@ class TestFolding:
     ])
     def test_asep(self, n, derivative):
         contour, tables = _asep_tables(n)
-        terms = term_structure(n, True)
+        program = level_program(n, True)
         if derivative == "plain":
-            assert term_sum(tables, terms) == pytest.approx(_unfolded_sum(tables, n),
+            assert term_sum(tables, program) == pytest.approx(_unfolded_sum(tables, n),
                                                             rel=1e-13)
             return
         # d/dt through each variable in turn, the folded one (d = 0) included
         for d in range(n):
             factors = _energy(contour, tables, d)
-            got = term_sum(tables.scaled(factors), terms)
+            got = term_sum(tables.scaled(factors), program)
             assert got == pytest.approx(_unfolded_sum(tables, n, factors), rel=1e-13), d
 
     @pytest.mark.parametrize("n,c,j", [
@@ -370,15 +373,15 @@ class TestFolding:
     ])
     def test_bose(self, n, c, j):
         tables = _bose_tables(n, c)
-        terms = term_structure(n, True)
+        program = level_program(n, True)
         if j is None:
-            assert term_sum(tables, terms) == pytest.approx(_unfolded_sum(tables, n),
+            assert term_sum(tables, program) == pytest.approx(_unfolded_sum(tables, n),
                                                             rel=1e-13)
             return
         # the bc1_residual level: (d/dx_{j+1} - d/dx_j - c) u, j 1-based
         upper, lower = _momentum(tables, j), _momentum(tables, j - 1)
-        got = (term_sum(tables.scaled(upper), terms) - term_sum(tables.scaled(lower), terms)
-               - c * term_sum(tables, terms))
+        got = (term_sum(tables.scaled(upper), program) - term_sum(tables.scaled(lower), program)
+               - c * term_sum(tables, program))
         want = (_unfolded_sum(tables, n, upper) - _unfolded_sum(tables, n, lower)
                 - c * _unfolded_sum(tables, n))
         assert got == pytest.approx(want, rel=1e-13)
@@ -391,7 +394,7 @@ class TestFolding:
         # j = 0 is the folded dimension: its partner's factor is -i k
         tables = _bose_tables(n, c)
         factors = _momentum(tables, j)
-        got = term_sum(tables.scaled(factors), term_structure(n, True))
+        got = term_sum(tables.scaled(factors), level_program(n, True))
         assert got == pytest.approx(_unfolded_sum(tables, n, factors), rel=1e-13)
 
     def test_derivative_tables_share_the_scattering_cache(self):
@@ -404,6 +407,123 @@ class TestFolding:
             unchanged = [key for key in tables.vectors if key not in factors]
             assert unchanged
             assert all(scaled.vectors[key] is tables.vectors[key] for key in unchanged)
+
+
+def _reference_term_sum(tables, terms):
+    """The per-term loop that `term_sum` replaced: every term contracted on
+    its own (`contract` with neither a plan nor a shared step) in
+    `term_structure` order, a folded vector formed once per run of terms
+    that fold it."""
+    vecs = tables.vectors
+    fold_key = folded = None
+    total = 0.0 + 0.0j
+    for term in terms:
+        for d, sign, pos in term.vectors:
+            if sign == 0 and (d, pos) != fold_key:
+                fold_key, folded = (d, pos), vecs[d, 1, pos] + vecs[d, -1, pos]
+        mats = []
+        for invs in term.mats:
+            mat = None
+            for a, b in invs:
+                smat = tables.smats.get((a, b))
+                if smat is not None:
+                    smat = smat.T if abs(a) > abs(b) else smat
+                    mat = smat if mat is None else mat * smat
+            mats.append(mat)
+        total += contract([vecs[key] if key[1] else folded for key in term.vectors], mats)
+    return total
+
+
+def _model_level(model, n, halfline):
+    """(contour, level tables) of one level of `model` on N variables:
+    "asep" on its circles, "bose" at c = 1 and "bose-c0", without
+    S-matrices, on staggered lines."""
+    if model == "asep":
+        params = AsepParams.from_p(0.3)
+        contours = (tuned_radii(params, n).contours() if halfline
+                    else (CircleContour(0.0, 2.0 / params.q),) * n)
+        contour = _circle_contour(params, contours, 8, halfline)
+        return contour, contour.level((0, 2, 4, 6)[:n], (1, 2, 5, 7)[:n], 0.5)
+    contour = _line_contour(_staggered(K, n, 0.5), W, 1.0 if model == "bose" else 0.0,
+                            halfline)
+    return contour, contour.level((0.5, 1.4, 2.6, 3.5)[:n], (0.8, 1.7, 2.9, 3.6)[:n],
+                                  BOSE_T)
+
+
+class TestLevelProgram:
+    """`term_sum` runs the compiled program: complete terms that share their
+    first step run one after another and build it once.  The per-term loop
+    it replaced is the reference."""
+
+    @pytest.mark.parametrize("model,n,halfline", [
+        pytest.param(model, n, halfline, id=f"{model}-N{n}-{'half' if halfline else 'full'}")
+        for model in ("asep", "bose", "bose-c0") for n in (1, 2, 3, 4)
+        for halfline in (True, False)
+    ])
+    def test_agrees_with_the_per_term_loop(self, model, n, halfline):
+        # the plain level, d/dt through the folded dimension 0, and the
+        # last position's vectors times their nodes (u(X + e_N) for the
+        # exclusion process, d/dx_N up to i for the Bose gas)
+        contour, tables = _model_level(model, n, halfline)
+        program = level_program(n, halfline)
+        shift = {(d, s, pos): contour.nodes[d, s] for d, s, pos in tables.vectors
+                 if pos == n - 1}
+        for level in (tables, tables.scaled(_energy(contour, tables, 0)),
+                      tables.scaled(shift)):
+            got = term_sum(level, program)
+            want = _reference_term_sum(level, term_structure(n, halfline))
+            if n <= 2:
+                # no step is shared: the same terms and operands in the same order
+                assert repr(got) == repr(want)
+            else:
+                assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("n,halfline,first,complete,runs", [
+        # summing out the highest dimension first would give 10 and 34 runs
+        (3, True, 0, 12, 7),
+        (4, True, 0, 60, 15),
+        # one complete term: every dimension ties, the highest goes first
+        (3, False, 2, 1, 1),
+        (4, False, 3, 1, 1),
+    ])
+    def test_complete_terms_share_their_first_step(self, n, halfline, first, complete,
+                                                   runs):
+        schedule = level_program(n, halfline).schedule(frozenset(_used_pairs(n, halfline)))
+        steps = [step for *_, step in schedule if step is not None]
+        assert len(schedule) == len(term_structure(n, halfline))
+        assert len(steps) == complete
+        assert len(set(steps)) == runs
+        assert {step[0] for step in steps} == {first}
+        # each run's terms follow one another
+        assert len([key for key, _ in itertools.groupby(steps)]) == runs
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_a_level_without_s_matrices_shares_nothing(self, n):
+        # the Bose gas at c = 0: no pair carries a factor, so no term is
+        # complete whatever its inversions, and each term sums its vectors
+        _, tables = _model_level("bose-c0", n, True)
+        assert tables.smats == {}
+        program = level_program(n, True)
+        assert all(step is None for *_, step in program.schedule(frozenset()))
+        assert term_sum(tables, program) == pytest.approx(
+            _reference_term_sum(tables, program.terms), rel=1e-12)
+
+    def test_an_n4_level_holds_one_shared_step_at_a_time(self):
+        # each K4 inner tensor (m^3, 0.5 MiB at m = 32) is freed before the
+        # next run builds its own: the level's peak stays within 1.25 times
+        # the 1.10 MiB of the per-term loop; all 15 kept would take 8 MiB
+        params = AsepParams.from_p(0.4)
+        contour = _circle_contour(params, tuned_radii(params, 4).contours(), 32, True)
+        tables = contour.level((0, 1, 2, 3), (0, 1, 3, 5), 0.5)
+        program = level_program(4, True)
+        term_sum(tables, program)  # compiles the schedule outside the count
+        tracemalloc.start()
+        try:
+            term_sum(tables, program)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 1.10 * 2 ** 20
 
 
 P04 = AsepParams.from_p(0.4)
