@@ -3,10 +3,13 @@
 Two generators of reference values live here: a finite-window continuous-time
 Markov chain solved by uniformization (a Poisson mixture of powers of a
 stochastic matrix, with a rigorous truncation bound), and a kinetic Monte
-Carlo simulator.  Neither shares any computation with the contour-integral
-evaluators they validate: they share only the input checks of `scattering`
-(`lattice_sites`, `integer_sites`, `require_time`), so no value computed here
-depends on evaluator code.
+Carlo simulator.  The chain's states are a window's n-subsets in lex order;
+their positions come from the combinatorial number system (`StateIndex`), so
+the rate matrix is built by array arithmetic over all states at once and no
+per-state dictionary is kept.  Neither oracle shares any computation with
+the contour-integral evaluators they validate: they share only the input
+checks of `scattering` (`lattice_sites`, `integer_sites`, `require_time`), so
+no value computed here depends on evaluator code.
 """
 
 from __future__ import annotations
@@ -14,9 +17,10 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import operator
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
-from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -73,16 +77,63 @@ class CooRates(NamedTuple):
     vals: np.ndarray
 
 
+class StateIndex(Mapping):
+    """Read-only map from a window's states to their positions in lex order.
+
+    The position is computed, not stored: in the combinatorial number system
+    (Knuth, TAOCP 4A, 7.2.1.3) the lex rank of the n-subset u_0 < ... < u_{n-1}
+    of {0, ..., span - 1} is C(span, n) - 1 - sum_k C(span - 1 - u_k, n - k),
+    with u = site - lo.  A key that is not a tuple of n integer sites strictly
+    increasing inside the window is missing (KeyError), as a float or a list
+    is; numpy integers are sites like ints.
+    """
+
+    def __init__(self, states: tuple[tuple[int, ...], ...], n: int, lo: int, hi: int):
+        self._states, self._lo = states, lo
+        span = hi - lo + 1
+        #: terms[k, u + 1] = C(span - 1 - u, n - k), so a hop of particle k
+        #: by +-1 changes the rank by one table difference.  Particle k sits
+        #: at k <= u <= span - n + k; one step past that the term is at most
+        #: C(span, n), and the table holds 0 further out, where the binomials
+        #: could pass int64 when n is close to span.
+        self.terms = np.array([[math.comb(span - j, n - k)
+                                if k <= j <= span - n + k + 1 else 0
+                                for j in range(span + 2)] for k in range(n)],
+                              dtype=np.intp)
+        self.terms.flags.writeable = False
+
+    def __getitem__(self, state) -> int:
+        n, span = self.terms.shape[0], self.terms.shape[1] - 2
+        if not isinstance(state, tuple) or len(state) != n:
+            raise KeyError(state)
+        try:
+            u = [operator.index(site) - self._lo for site in state]
+        except TypeError:
+            raise KeyError(state) from None
+        if not (0 <= u[0] and u[-1] < span and all(a < b for a, b in zip(u, u[1:]))):
+            raise KeyError(state)
+        return len(self._states) - 1 - sum(int(self.terms[k, v + 1])
+                                           for k, v in enumerate(u))
+
+    def __iter__(self):
+        return iter(self._states)
+
+    def __len__(self) -> int:
+        return len(self._states)
+
+
 @dataclass
 class GeneratorMatrix:
     """Sparse rate matrix over ordered particle configurations in a window.
 
-    `states` and `index` may be shared with every other generator on the
-    same window and particle number, so they are read-only.
+    `states` lists the window's n-subsets in lex order, and `index` maps each
+    to its position by rank arithmetic (`StateIndex`).  Both may be shared
+    with every other generator on the same window and particle number, so
+    they are read-only.
     """
 
     states: tuple[tuple[int, ...], ...]
-    index: MappingProxyType  # state -> position in `states`
+    index: StateIndex
     rates: CooRates
 
 
@@ -94,9 +145,9 @@ def _require_rates(params: AsepParams):
 
 
 def _enumerate(n: int, lo: int, hi: int):
-    """The ordered n-subsets of sites lo..hi and the position of each."""
+    """The ordered n-subsets of sites lo..hi, in lex order, and their index."""
     states = tuple(itertools.combinations(range(lo, hi + 1), n))
-    return states, {s: i for i, s in enumerate(states)}
+    return states, StateIndex(states, n, lo, hi)
 
 
 #: four windows of at most MAX_CACHED_STATES states each
@@ -112,6 +163,14 @@ def build_generator(params: AsepParams, window: LatticeWindow, n: int,
     half-line a particle at site 0 additionally never hops left.  The states
     and their index come from a cache of the last four windows of at most
     MAX_CACHED_STATES states, so generators on one window share them.
+
+    The build is array arithmetic over the (states, n) sites: the hop masks
+    compare neighbouring particles, and a hop's target position is the
+    source's position plus one difference of `StateIndex.terms`.  Entries
+    come row by row, each row's hops in particle order (right, then left)
+    and its diagonal last, and each exit rate is summed in that order, so
+    the arrays equal those of a loop over the states element for element
+    (the tests keep that loop as the reference).
     """
     _require_rates(params)
     span = window.size
@@ -129,33 +188,41 @@ def build_generator(params: AsepParams, window: LatticeWindow, n: int,
     enumerate_window = (_enumerate_cached if math.comb(span, n) <= MAX_CACHED_STATES
                         else _enumerate)
     states, index = enumerate_window(n, window.lo, window.hi)
-    rows, cols, vals = [], [], []
-    p, q = params.p, params.q
-    for i, s in enumerate(states):
-        out_rate = 0.0
-        for k in range(n):
-            site = s[k]
-            if (k == n - 1 or s[k + 1] > site + 1) and site + 1 <= window.hi:
-                target = s[:k] + (site + 1,) + s[k + 1:]
-                rows.append(i)
-                cols.append(index[target])
-                vals.append(p)
-                out_rate += p
-            blocked_by_wall = halfline and site == 0
-            if (not blocked_by_wall and site - 1 >= window.lo
-                    and (k == 0 or s[k - 1] < site - 1)):
-                target = s[:k] + (site - 1,) + s[k + 1:]
-                rows.append(i)
-                cols.append(index[target])
-                vals.append(q)
-                out_rate += q
-        if out_rate:
-            rows.append(i)
-            cols.append(i)
-            vals.append(-out_rate)
-    rates = CooRates(np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
-                     np.array(vals))
-    return GeneratorMatrix(states, MappingProxyType(index), rates)
+    count = len(states)
+    u = np.fromiter(itertools.chain.from_iterable(states), np.intp,
+                    count * n).reshape(count, n) - window.lo
+    # slot 2k (2k + 1) of row i is the right (left) hop of particle k, and
+    # slot 2n the diagonal, in the order the entries are emitted; hops and
+    # targets below are views of the hop slots
+    mask = np.empty((count, 2 * n + 1), dtype=bool)
+    slot_cols = np.empty((count, 2 * n + 1), dtype=np.intp)
+    slot_vals = np.empty((count, 2 * n + 1))
+    hops = mask[:, :-1].reshape(count, n, 2)
+    # the half-line window starts at 0, so u > 0 is also the wall
+    free = u[:, 1:] - u[:, :-1] > 1
+    hops[:, :-1, 0], hops[:, -1, 0] = free, u[:, -1] < span - 1
+    hops[:, 1:, 1], hops[:, 0, 1] = free, u[:, 0] > 0
+    # a hop of particle k changes only term k of the rank: at is the flat
+    # position of terms[k, u_k + 1], and its neighbours hold u_k +- 1
+    terms = index.terms
+    at = u + np.arange(1, terms.size, terms.shape[1])
+    position = np.arange(count)
+    here = position[:, None] + terms.take(at)
+    targets = slot_cols[:, :-1].reshape(count, n, 2)
+    targets[..., 0] = here - terms.take(at + 1)
+    targets[..., 1] = here - terms.take(at - 1)
+    slot_cols[:, -1] = position
+    del u, at, here  # the selection below holds the peak: free them first
+    hop_rates = np.tile([params.p, params.q], n)
+    slot_vals[:, :-1] = hop_rates
+    exit_rate = np.zeros(count)
+    for slot in range(2 * n):  # slot by slot: np.sum may add in another order
+        exit_rate += np.where(mask[:, slot], hop_rates[slot], 0.0)
+    mask[:, -1] = exit_rate != 0.0
+    slot_vals[:, -1] = -exit_rate
+    rows = np.repeat(position, np.count_nonzero(mask, axis=1))
+    rates = CooRates(rows, slot_cols[mask], slot_vals[mask])
+    return GeneratorMatrix(states, index, rates)
 
 
 def _uniformized_distribution(gen: GeneratorMatrix, y: tuple[int, ...], t: float,

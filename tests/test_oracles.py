@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -72,6 +73,144 @@ class TestGenerator:
             build_generator(PARAMS, LatticeWindow(0, 200), 1, halfline=True)
 
 
+def _reference_generator(params, window, n, halfline):
+    """The per-state loop `build_generator` replaced: the reference its COO
+    arrays must equal element for element and in dtype."""
+    states = list(itertools.combinations(range(window.lo, window.hi + 1), n))
+    index = {s: i for i, s in enumerate(states)}
+    rows, cols, vals = [], [], []
+    p, q = params.p, params.q
+    for i, s in enumerate(states):
+        out_rate = 0.0
+        for k in range(n):
+            site = s[k]
+            if (k == n - 1 or s[k + 1] > site + 1) and site + 1 <= window.hi:
+                target = s[:k] + (site + 1,) + s[k + 1:]
+                rows.append(i)
+                cols.append(index[target])
+                vals.append(p)
+                out_rate += p
+            blocked_by_wall = halfline and site == 0
+            if (not blocked_by_wall and site - 1 >= window.lo
+                    and (k == 0 or s[k - 1] < site - 1)):
+                target = s[:k] + (site - 1,) + s[k + 1:]
+                rows.append(i)
+                cols.append(index[target])
+                vals.append(q)
+                out_rate += q
+        if out_rate:
+            rows.append(i)
+            cols.append(i)
+            vals.append(-out_rate)
+    return (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
+            np.array(vals))
+
+
+def _spans(n, max_states=10_000):
+    """Window spans (hi - lo) from the smallest, n, up to the 64*N guard or
+    the largest whose state count the reference loop builds quickly."""
+    top = max(s for s in range(n, 64 * n + 1) if math.comb(s + 1, n) <= max_states)
+    return sorted({n, n + 1, 3 * n, top})
+
+
+class TestGeneratorMatchesLoop:
+    """The array build emits the loop's entries in the loop's order, and sums
+    each exit rate in that order, so the arrays are equal, not close."""
+
+    @pytest.mark.parametrize("p", [0.0, 0.37, 0.5, 0.9])
+    @pytest.mark.parametrize("lo,halfline", [(0, True), (-5, False), (3, False)])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_rows_cols_vals_equal(self, n, lo, halfline, p):
+        params = AsepParams.from_p(p)
+        for span in _spans(n):
+            window = LatticeWindow(lo, lo + span)
+            got = build_generator(params, window, n, halfline).rates
+            for a, b in zip(got, _reference_generator(params, window, n, halfline)):
+                assert a.dtype == b.dtype
+                assert np.array_equal(a, b), (span, a, b)
+
+
+    @pytest.mark.parametrize("lo,halfline", [(0, True), (-40, False)])
+    def test_many_particles_in_a_tight_window(self, lo, halfline):
+        # C(68, 34) passes int64, while every rank here is below C(68, 66)
+        params = AsepParams.from_p(0.37)
+        for span in (66, 67):
+            window = LatticeWindow(lo, lo + span)
+            got = build_generator(params, window, 66, halfline)
+            for a, b in zip(got.rates, _reference_generator(params, window, 66, halfline)):
+                assert a.dtype == b.dtype
+                assert np.array_equal(a, b)
+            assert [got.index[s] for s in got.states] == list(range(len(got.states)))
+
+
+class TestStateIndex:
+    """`GeneratorMatrix.index` computes each state's lex rank."""
+
+    @pytest.mark.parametrize("n,lo,hi,halfline", [(1, 0, 9, True), (3, -4, 8, False),
+                                                  (4, 2, 15, False)])
+    def test_rank_is_position(self, n, lo, hi, halfline):
+        gen = build_generator(PARAMS, LatticeWindow(lo, hi), n, halfline)
+        for i, s in enumerate(gen.states):
+            assert gen.index[s] == i
+            assert s in gen.index
+        assert list(gen.index) == list(gen.states)
+        assert len(gen.index) == len(gen.states) == math.comb(hi - lo + 1, n)
+
+    @pytest.mark.parametrize("key", [
+        (0, 9), (-1, 3), (2, 10), (3, 1), (2, 2), (4,), (1, 3, 5), [1, 3], "ab", 5,
+        (1.5, 3), (1.0, 3.0), (None, 3), np.array([1, 3])])
+    def test_missing_keys(self, key):
+        # outside the window [1, 9], unsorted, repeated, wrong length, not a
+        # tuple, or not integer sites
+        gen = build_generator(PARAMS, LatticeWindow(1, 9), 2, halfline=False)
+        assert key not in gen.index
+        with pytest.raises(KeyError):
+            gen.index[key]
+        assert gen.index.get(key) is None
+
+    def test_numpy_integer_sites(self):
+        gen = build_generator(PARAMS, LatticeWindow(0, 9), 2, halfline=True)
+        for key in ((np.int64(1), np.int64(3)), (np.int32(1), 3), (np.uint8(1), np.intp(3))):
+            assert key in gen.index
+            assert gen.index[key] == gen.index[(1, 3)] == gen.states.index((1, 3))
+
+    @pytest.mark.parametrize("y,window,halfline", [
+        ((8, 11), LatticeWindow(0, 10), True), ((0, 2), LatticeWindow(1, 10), False),
+        ((-6, 0), LatticeWindow(-5, 5), False)])
+    def test_distribution_rejects_start_outside_window(self, y, window, halfline):
+        with pytest.raises(ValueError, match="not inside window"):
+            ctmc_distribution(y, 1.0, PARAMS, window, halfline=halfline)
+
+
+class TestGeneratorMemory:
+    """The index is arithmetic, not a dict: a cached window keeps its states
+    alone, and a build holds no per-state Python objects of its own."""
+
+    MIB = 2 ** 20
+
+    def test_build_peak(self):
+        window = LatticeWindow(0, 30)  # 31 465 states at N = 4
+        build_generator(PARAMS, window, 4, True)  # the states are cached
+        tracemalloc.start()
+        try:
+            gen = build_generator(PARAMS, window, 4, True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(gen.states) == 31_465
+        assert peak <= 12 * self.MIB  # 13.2 MiB with the per-state loop
+
+    def test_enumeration_keeps_the_tuples_alone(self):
+        tracemalloc.start()
+        try:
+            kept = oracles._enumerate(4, 0, 30)
+            size = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(kept[0]) == 31_465
+        assert size <= 3 * self.MIB  # 2.4 MiB of tuples; a dict index adds 2.1
+
+
 class TestSharedEnumeration:
     """Generators on one window share a read-only state enumeration."""
 
@@ -88,6 +227,8 @@ class TestSharedEnumeration:
         assert gen.index[gen.states[5]] == 5
         with pytest.raises(TypeError):
             gen.index[(0, 1)] = 3
+        with pytest.raises(TypeError):
+            del gen.index[(0, 1)]
 
     def test_large_window_not_cached(self, monkeypatch):
         monkeypatch.setattr(oracles, "MAX_CACHED_STATES", 20)
@@ -151,6 +292,22 @@ class TestCtmc:
         a = ctmc_prob((0,), (0,), 1.0, PARAMS, halfline=True)
         b = ctmc_prob((0,), (0,), 1.0, PARAMS, halfline=False)
         assert abs(a - b) > 1e-3  # the wall matters at the origin
+
+    @pytest.mark.parametrize("n,p,t,hi", [(1, 0.1, 600, 50), (1, 0.3, 600, 50),
+                                          (2, 0.1, 340, 60), (2, 0.3, 340, 60),
+                                          (3, 0.1, 230, 60)])
+    def test_long_time_stationary_law(self, n, p, t, hi):
+        # for tau < 1 the half-line law relaxes to
+        # pi(X) = tau^(sum X) prod_{k=1}^{N} (1 - tau^k) / tau^(N(N-1)/2);
+        # every case stays under the lambda*t <= 700 guard (p = 0.45 has not
+        # relaxed by then)
+        params = AsepParams.from_p(p)
+        tau = params.tau
+        norm = math.prod(1.0 - tau ** k for k in range(1, n + 1)) / tau ** (n * (n - 1) / 2)
+        states, dist = ctmc_distribution(tuple(range(n)), t, params,
+                                         LatticeWindow(0, hi))
+        law = np.array([tau ** sum(s) * norm for s in states])
+        assert np.max(np.abs(dist - law)) <= 1e-12
 
     def test_reversibility(self):
         # detailed balance with respect to tau^(sum of sites)
