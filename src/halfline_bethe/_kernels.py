@@ -14,12 +14,14 @@ Two kernel families live here:
   models, one contraction per sign-flip pair of a half-line sum, as a
   `LevelProgram` compiled once per (N, half/full line) orders them: terms
   whose costly first step reads the same operands run one after another and
-  build that step once.  The models differ only in their `ContourTables`,
+  build that step once, and the K4 steps of a level write their m^3 tensors
+  into one `Workspace`.  The models differ only in their `ContourTables`,
   which ``evaluate`` refines.
 * ``gillespie_hits``: the jump chain behind the Monte Carlo oracle.  Chunks
   of CHUNK trials step in lockstep numpy, each trial on its own SplitMix64
-  substream, so counts are reproducible and independent of trial order and
-  chunking, and memory follows the chunk, not the trial count.
+  substream, started at one output of the generator seeded with the seed,
+  so counts are reproducible and independent of trial order and chunking,
+  and memory follows the chunk, not the trial count.
 """
 
 from __future__ import annotations
@@ -109,29 +111,58 @@ def _once(shared, build):
     return shared[0]
 
 
-def _k4(vecs, mats, dims, pairs, shared) -> complex:
+class Workspace:
+    """Scratch arrays that the contractions of one level reuse (`term_sum`):
+    `array(slot, shape)` returns the slot's complex array, allocated anew
+    only when the slot is empty or held another shape, so a level's K4 steps
+    write their m^3 tensors into two arrays instead of allocating one per
+    step.  `allocations` counts the arrays made."""
+
+    def __init__(self):
+        self.arrays = {}
+        self.allocations = 0
+
+    def array(self, slot, shape) -> np.ndarray:
+        out = self.arrays.get(slot)
+        if out is None or out.shape != shape:
+            out = self.arrays[slot] = np.empty(shape, complex)
+            self.allocations += 1
+        return out
+
+
+def _k4(vecs, mats, dims, pairs, shared, work) -> complex:
     """The m^4 sum over a complete core on dimensions a, then b < c < d: one
     (m^2, m) x (m, m) product sums out a into T[b, c, d] = sum_a v_a M_ab
     M_ac M_ad (kept in `shared`, see `contract`), the pair matrices of d
     multiply a copy, d is summed by a matrix-vector product, and
     v_b @ (M_bc * F) @ v_c closes.  numpy's complex product is not bitwise
-    commutative, so every operand order is part of the result."""
+    commutative, so every operand order is part of the result.
+
+    T goes into the workspace's "inner" array, and both the outer product
+    that builds it and the copy F into its "outer" array, so a level that
+    passes one `Workspace` to all its terms allocates two m^3 arrays."""
     a, b, c, d = dims
     m_ab, m_ac, m_ad, m_bc, m_bd, m_cd = (mats[k] for k in pairs)
     m = vecs[a].size
+    work = Workspace() if work is None else work
 
     def inner():
         ab, ac, ad = (mat if a < u else mat.T
                       for mat, u in ((m_ab, b), (m_ac, c), (m_ad, d)))  # rows over a
-        w = (vecs[a][:, None] * ab)[:, :, None] * ac[:, None, :]  # over (a, b, c)
-        return (w.reshape(m, m * m).T @ ad).reshape(m, m, m)  # over (b, c, d)
+        w = work.array("outer", (m, m, m))
+        np.multiply((vecs[a][:, None] * ab)[:, :, None], ac[:, None, :],
+                    out=w)  # over (a, b, c)
+        t = work.array("inner", (m, m, m))
+        np.matmul(w.reshape(m, m * m).T, ad, out=t.reshape(m * m, m))
+        return t  # over (b, c, d)
 
-    f = _once(shared, inner) * m_cd  # a copy: the shared tensor stays as built
+    # a copy: the shared tensor stays as built
+    f = np.multiply(_once(shared, inner), m_cd, out=work.array("outer", (m, m, m)))
     f *= m_bd.reshape(m, 1, m)
     return complex(vecs[b] @ (m_bc * (f @ vecs[d])) @ vecs[c])
 
 
-def contract(vectors, mats, plan=None, shared=None) -> complex:
+def contract(vectors, mats, plan=None, shared=None, work=None) -> complex:
     """BLAS-backed contraction for N <= MAX_N; vectors is a list of N 1-d
     complex arrays and mats the N(N-1)/2 pair matrices in
     itertools.combinations order, rows over the lower dimension, None for a
@@ -147,6 +178,8 @@ def contract(vectors, mats, plan=None, shared=None) -> complex:
     two-neighbour coupling or the K4's inner tensor) across a run of calls
     whose first step reads the same vector and pair matrices
     (`LevelProgram`): the run's first call builds it, the others reuse it.
+    `work` is None or the `Workspace` whose arrays a K4 core writes into; a
+    shared K4 tensor lives there, so a run's calls pass the same one.
     """
     steps, core = plan or _plan(len(vectors), tuple([m is not None for m in mats]))
     vecs = list(vectors)
@@ -171,7 +204,7 @@ def contract(vectors, mats, plan=None, shared=None) -> complex:
             mats[kuw] = coupling if mats[kuw] is None else coupling * mats[kuw]
         shared = None  # only the first step is shared
     if core is not None:
-        scale *= _k4(vecs, mats, *core, shared)
+        scale *= _k4(vecs, mats, *core, shared, work)
     return complex(scale)
 
 
@@ -293,7 +326,9 @@ def term_sum(tables: LevelTables, program: LevelProgram) -> complex:
     the partner's amplitude riding in v-, formed once per level.  Each
     S-matrix is oriented with rows over the lower dimension of its pair.  A
     run of terms that share their first step passes one list to `contract`,
-    so the step is built once and freed before the next run builds its own.
+    so the step is built once and dropped before the next run builds its
+    own.  Every term gets the level's one `Workspace`, whose two m^3 arrays
+    hold the K4 steps' tensors, so the next run overwrites them in place.
     """
     vecs = dict(tables.vectors)
     for d, pos in program.folds:
@@ -301,6 +336,7 @@ def term_sum(tables: LevelTables, program: LevelProgram) -> complex:
     smats = tables.smats
     total = 0.0 + 0.0j
     run = shared = None
+    work = Workspace()
     for keys, invs, plan, step in program.schedule(frozenset(smats)):
         if step != run:
             run, shared = step, None if step is None else []
@@ -311,7 +347,7 @@ def term_sum(tables: LevelTables, program: LevelProgram) -> complex:
                 smat = smats[a, b].T if abs(a) > abs(b) else smats[a, b]
                 mat = smat if mat is None else mat * smat
             mats.append(mat)
-        total += contract([vecs[key] for key in keys], mats, plan, shared)
+        total += contract([vecs[key] for key in keys], mats, plan, shared, work)
     return total
 
 
@@ -398,14 +434,28 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
 
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's output function of each uint64 in z; uint64 array
+    arithmetic wraps modulo 2^64."""
+    z = (z ^ (z >> np.uint64(30))) * _MIX1
+    z = (z ^ (z >> np.uint64(27))) * _MIX2
+    return z ^ (z >> np.uint64(31))
+
+
 def _next_units(state: np.ndarray) -> np.ndarray:
     """Advance each SplitMix64 state in place and return its next draw in
-    [0, 1); uint64 array arithmetic wraps modulo 2^64."""
+    [0, 1)."""
     state += _GOLDEN
-    z = (state ^ (state >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    z ^= z >> np.uint64(31)
-    return (z >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+    return (_mix64(state) >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+
+
+def _trial_states(seed: int, first: int, count: int) -> np.ndarray:
+    """The start states of trials first .. first+count-1: trial i starts at
+    the (i+1)-th output of the SplitMix64 generator seeded with `seed`,
+    mix64(seed + (i+1) * golden ratio), so no trial's stream is another's
+    shifted by a few draws."""
+    return _mix64(np.uint64(seed) + np.arange(first + 1, first + count + 1,
+                                              dtype=np.uint64) * _GOLDEN)
 
 
 def _chunk_hits(y, x, t, p, q, halfline, first, count, seed) -> int:
@@ -421,7 +471,7 @@ def _chunk_hits(y, x, t, p, q, halfline, first, count, seed) -> int:
     slot_rates = np.tile(np.array([p, q]), n)
     pos = np.tile(y, (count, 1))
     live = np.arange(count)
-    state = np.uint64(seed) + (live + first + 1).astype(np.uint64) * _GOLDEN
+    state = _trial_states(seed, first, count)
     clock = np.zeros(count)
     while live.size:
         s = pos[live]
@@ -451,9 +501,12 @@ def _chunk_hits(y, x, t, p, q, halfline, first, count, seed) -> int:
 def gillespie_hits(y, x, t, p, q, halfline, trials, seed) -> int:
     """Count trials whose configuration at time t equals x.
 
-    Trial i runs on its own SplitMix64 substream, started at
-    seed + (i+1) * golden ratio mod 2^64, so two runs with the same seed
-    give identical counts whatever the chunking.
+    Trial i runs on its own SplitMix64 substream, started at the (i+1)-th
+    output of the generator seeded with `seed`, mix64(seed + (i+1) * golden
+    ratio mod 2^64) (`_trial_states`), so two runs with the same seed give
+    identical counts whatever the chunking.  A start at seed + (i+1) *
+    golden ratio itself would make trial i+1's draws trial i's shifted by
+    one, and the hit indicators of nearby trials correlated.
     """
     y = np.asarray(y, dtype=np.int64)
     x = np.asarray(x, dtype=np.int64)

@@ -122,14 +122,18 @@ def _circle_contour(params: AsepParams, contours, m: int,
 _CONTOUR_CACHE: OrderedDict = OrderedDict()
 
 
-def _contour_tables(params: AsepParams, contours, m: int,
+def _contour_tables(p: float, center: complex, radii: tuple, m: int,
                     halfline: bool) -> ContourTables:
-    """The contour tables of one level, from a least-recently-used cache of
-    at most MAX_CACHED_BYTES; tables larger than that serve one call only."""
-    key = (params, tuple(contours), m, halfline)
+    """The contour tables of one level at hop probability p, variable d on
+    the circle of radius radii[d] about center, from a least-recently-used
+    cache of at most MAX_CACHED_BYTES; tables larger than that serve one
+    call only.  The cache is keyed on these plain values, which hash and
+    compare in C, not on `AsepParams` and `CircleContour` objects."""
+    key = (p, center, radii, m, halfline)
     tables = _CONTOUR_CACHE.pop(key, None)
     if tables is None:
-        tables = _circle_contour(params, contours, m, halfline)
+        tables = _circle_contour(AsepParams(p), tuple(CircleContour(center, r) for r in radii),
+                                 m, halfline)
         if tables.nbytes > MAX_CACHED_BYTES:
             return tables
         held = tables.nbytes + sum(t.nbytes for t in _CONTOUR_CACHE.values())
@@ -218,9 +222,9 @@ def prob_halfline(Y, X, t: float, params: AsepParams,
 
     # the reversed sum is scaled by the prefactor, so its own tolerance is
     # tightened for `tol` to bound the returned value
-    contours = radii.contours()
     value, err, m = evaluate(
-        lambda mm: _contour_tables(params, contours, mm, True), src, dst, t, True,
+        lambda mm: _contour_tables(params.p, radii.center, radii.radii, mm, True),
+        src, dst, t, True,
         dataclasses.replace(opts, tol=opts.tol / max(prefactor, 1.0)))
     return _report(prefactor * value, prefactor * err, m, group_order(len(y), True), opts)
 
@@ -233,9 +237,11 @@ def prob_fullline(Y, X, t: float, params: AsepParams,
     y, x = lattice_sites(Y, halfline=False), lattice_sites(X, halfline=False)
     opts = _checked_opts(t, params, len(y), opts)
     radius = radius if radius is not None else max(2.0, 2.0 / abs(params.q))
-    contours = (CircleContour(0.0, radius),) * len(y)
+    circle = CircleContour(0.0, radius)
+    radii = (circle.radius,) * len(y)
     value, err, m = evaluate(
-        lambda mm: _contour_tables(params, contours, mm, False), y, x, t, False, opts)
+        lambda mm: _contour_tables(params.p, circle.center, radii, mm, False),
+        y, x, t, False, opts)
     return _report(value, err, m, group_order(len(y), False), opts)
 
 
@@ -281,9 +287,9 @@ def evaluate_extended(Y, Z, t: float, params: AsepParams,
     y, z = lattice_sites(Y, halfline=True), integer_sites(Z)
     opts = _checked_opts(t, params, len(y), opts)
     radii = _halfline_radii(radii, params, len(y))
-    contours = radii.contours()
     value, _, _ = evaluate(
-        lambda mm: _contour_tables(params, contours, mm, True), y, z, t, True, opts)
+        lambda mm: _contour_tables(params.p, radii.center, radii.radii, mm, True),
+        y, z, t, True, opts)
     return complex(value)
 
 
@@ -305,7 +311,7 @@ def master_equation_residual(Y, X, t: float, params: AsepParams,
         raise ValueError("master-equation residual supports N <= 3")
     if t <= 0:
         raise ValueError("residual check needs t > 0")
-    contours = tuned_radii(params, n).contours()
+    radii = tuned_radii(params, n)
 
     def residual(contour, tables):
         def shifted(j, step):
@@ -324,8 +330,9 @@ def master_equation_residual(Y, X, t: float, params: AsepParams,
                 stay += p
         return pairs + [(stay, {})]
 
-    value, _, _ = evaluate(lambda mm: _contour_tables(params, contours, mm, True),
-                           y, x, t, True, opts, functional=residual)
+    value, _, _ = evaluate(
+        lambda mm: _contour_tables(params.p, radii.center, radii.radii, mm, True),
+        y, x, t, True, opts, functional=residual)
     return abs(value)
 
 

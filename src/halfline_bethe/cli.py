@@ -306,14 +306,15 @@ def _run_command(args: argparse.Namespace) -> dict:
         rec.update(dataclasses.asdict(rep), c=args.c, Y=y, X=x, tau=args.tau,
                    t=str(t.t), value=rep.value.real, value_imag=rep.value.imag)
     elif args.command == "mc-compare":
+        # the Monte Carlo guard refuses too many jumps before anything runs
+        est, se = mc_estimate(y, x, McConfig(args.trials, args.seed, args.t),
+                              params)
         rep = prob_halfline(y, x, args.t, params, _quad_opts(args))
         window = None
         if args.window:
             lo, hi = _parse_int_list(args.window)
             window = LatticeWindow(lo, hi)
         oracle = ctmc_prob(y, x, args.t, params, window)
-        est, se = mc_estimate(y, x, McConfig(args.trials, args.seed, args.t),
-                              params)
         rec.update(trials=args.trials, seed=args.seed, value=rep.value,
                    window=[window.lo, window.hi] if window else None,
                    oracle_value=oracle, oracle_delta=rep.value - oracle,

@@ -32,6 +32,13 @@ from .scattering import AsepParams, integer_sites, lattice_sites, require_time
 MAX_STATES = 2_000_000
 #: windows with more states are enumerated on every call, not cached
 MAX_CACHED_STATES = 50_000
+#: jump-count guard for `mc_estimate`: trials * N * t bounds the expected
+#: jumps, as no particle hops at a rate above p + q = 1.  A full chunk costs
+#: 0.21-0.34 us per trial and unit of N * t, so 4e8 is about 2 minutes (2-vCPU
+#: VM, one thread); a lockstep step costs about 60 us however few trials it
+#: moves, so fewer than MC_MIN_TRIALS trials are charged as that many.
+MAX_MC_JUMPS = 4 * 10**8
+MC_MIN_TRIALS = 256
 
 
 @dataclass(frozen=True)
@@ -335,14 +342,22 @@ def mc_estimate(y, x, cfg: McConfig, params: AsepParams,
                 halfline: bool = True) -> tuple[float, float]:
     """Kinetic Monte Carlo estimate of the transition probability.
 
-    Returns (hit frequency of x at time t, binomial standard error).  Trials
-    use independent SplitMix64 substreams derived from cfg.seed, so identical
-    seeds reproduce identical estimates.  Like `ctmc_prob`, it raises
-    ValueError unless y and x follow `lattice_sites`, and unless both hop
-    rates are nonnegative.
+    Returns (hit frequency of x at time t, binomial standard error).  Trial
+    i runs on the SplitMix64 substream that starts at the (i+1)-th output of
+    the generator seeded with cfg.seed (`_kernels.gillespie_hits`), so no
+    trial's draws repeat another's and identical seeds reproduce identical
+    estimates.  Like `ctmc_prob`, it raises ValueError unless y and x follow
+    `lattice_sites`, and unless both hop rates are nonnegative.  It also
+    raises ValueError, before any trial runs, when max(trials,
+    MC_MIN_TRIALS) * N * t exceeds MAX_MC_JUMPS.
     """
     _require_rates(params)
     y, x = (np.asarray(c, dtype=np.int64) for c in _configs(y, x, halfline))
+    jumps = max(cfg.trials, MC_MIN_TRIALS) * y.size * cfg.t
+    if jumps > MAX_MC_JUMPS:
+        raise ValueError(f"{cfg.trials} trials of {y.size} particles up to t = {cfg.t} "
+                         f"expect up to {jumps:.3g} jumps, over the MAX_MC_JUMPS guard "
+                         f"of {MAX_MC_JUMPS:.3g}")
     hits = _kernels.gillespie_hits(y, x, cfg.t, params.p, params.q,
                                    halfline, cfg.trials, cfg.seed)
     est = hits / cfg.trials

@@ -145,10 +145,11 @@ def test_radii_assignment_invariance():
         params = AsepParams.from_p(p)
         for (y, x) in (((0, 2), (1, 3)), ((0, 2, 4), (1, 2, 5))):
             ref = ctmc_prob(y, x, 1.0, params)
-            contours = tuned_radii(params, len(y)).contours()
-            for perm in itertools.permutations(contours):
-                value, _, _ = evaluate(lambda m: _contour_tables(params, perm, m, True),
-                                       y, x, 1.0, True, QuadOptions())
+            scheme = tuned_radii(params, len(y))
+            for perm in itertools.permutations(scheme.radii):
+                value, _, _ = evaluate(
+                    lambda m: _contour_tables(params.p, scheme.center, perm, m, True),
+                    y, x, 1.0, True, QuadOptions())
                 assert abs(value - ref) < 1e-11, (p, y, x, perm)
 
 

@@ -27,7 +27,7 @@ P04 = AsepParams.from_p(0.4)
 
 def _level_value(y, x, t, params, contours, m):
     """One half-line quadrature level, summed straight from the contour tables."""
-    return term_sum(_contour_tables(params, contours, m, True).level(y, x, t),
+    return term_sum(_circle_contour(params, contours, m, True).level(y, x, t),
                     level_program(len(y), True))
 
 
@@ -594,25 +594,25 @@ class TestContourCache:
 
     def test_least_recently_used_goes_first(self, empty_cache, monkeypatch):
         params = {p: AsepParams.from_p(p) for p in (0.3, 0.4, 0.5)}
-        contours = {p: tuned_radii(params[p], 2).contours() for p in params}
+        radii = {p: tuned_radii(params[p], 2) for p in params}
 
         def get(p):
-            return _contour_tables(params[p], contours[p], 64, True)
+            return _contour_tables(p, radii[p].center, radii[p].radii, 64, True)
 
-        size = _circle_contour(params[0.3], contours[0.3], 64, True).nbytes
+        size = _circle_contour(params[0.3], radii[0.3].contours(), 64, True).nbytes
         monkeypatch.setattr(asep_exact, "MAX_CACHED_BYTES", 2 * size)
         first = get(0.3)
         get(0.4)
         assert get(0.3) is first
         get(0.5)
-        assert [key[0].p for key in empty_cache] == [0.3, 0.5]
+        assert [key[0] for key in empty_cache] == [0.3, 0.5]
 
     def test_tables_over_the_budget_are_not_kept(self, empty_cache, monkeypatch):
         # at N = 2, m = 64 holds about 140 kB, m = 128 about 540 kB
         monkeypatch.setattr(asep_exact, "MAX_CACHED_BYTES", 300_000)
         prob_halfline((0, 2), (1, 3), 0.5, P04,
                       QuadOptions(initial_points=64, max_points=128, tol=1.0))
-        assert [key[2] for key in empty_cache] == [64]
+        assert [key[3] for key in empty_cache] == [64]
 
     def test_memory_stays_within_the_budget(self, empty_cache, monkeypatch):
         budget = 2**20

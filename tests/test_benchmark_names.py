@@ -53,11 +53,11 @@ def test_one_level_of_each_model_is_traced(monkeypatch):
     # empty contour cache makes the ASEP level build its tables
     monkeypatch.setattr(asep_exact, "_CONTOUR_CACHE", OrderedDict())
     params = AsepParams.from_p(0.4)
-    contours = asep_exact.tuned_radii(params, 3).contours()
+    radii = asep_exact.tuned_radii(params, 3)
     k, w = line_nodes(LineGrid(4.0, 0.5))
     tracer = _load_tracing().Tracer()
     with tracer.installed():
-        tables = asep_exact._contour_tables(params, contours, 8, True)
+        tables = asep_exact._contour_tables(params.p, radii.center, radii.radii, 8, True)
         _kernels.term_sum(tables.level((0, 2, 4), (1, 2, 5), 0.5),
                           _kernels.level_program(3, True))
         asep_calls = dict(tracer.counts)
@@ -83,10 +83,10 @@ def test_an_n4_level_is_traced_through_the_k4_step(monkeypatch):
     k4 = _kernels._k4
     monkeypatch.setattr(_kernels, "_k4", lambda *args: k4_calls.append(1) or k4(*args))
     params = AsepParams.from_p(0.4)
-    contours = asep_exact.tuned_radii(params, 4).contours()
+    radii = asep_exact.tuned_radii(params, 4)
     tracer = _load_tracing().Tracer()
     with tracer.installed():
-        tables = asep_exact._contour_tables(params, contours, 8, True)
+        tables = asep_exact._contour_tables(params.p, radii.center, radii.radii, 8, True)
         _kernels.term_sum(tables.level((0, 1, 2, 3), (0, 1, 3, 5), 0.5),
                           _kernels.level_program(4, True))
     assert tracer.missing == []

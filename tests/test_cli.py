@@ -163,6 +163,22 @@ class TestExitCodes:
         out = capsys.readouterr()
         assert code == 2 and out.out == "" and "error:" in out.err
 
+    @pytest.mark.parametrize("trials,t", [("1000000000", "1"), ("1", "1000000")],
+                             ids=["trials", "time"])
+    def test_oversized_monte_carlo_is_2(self, capsys, monkeypatch, trials, t):
+        # 10^9 trials would run about 10 minutes, one trial to t = 10^6 about
+        # 2 (60 us per lockstep step); the guard refuses both before anything runs
+        def never(*args, **kwargs):
+            raise AssertionError("the evaluation started")
+
+        for name in ("prob_halfline", "ctmc_prob"):
+            monkeypatch.setattr(cli, name, never)
+        monkeypatch.setattr(halfline_bethe._kernels, "gillespie_hits", never)
+        code = main(["mc-compare", "--p", "0.4", "--Y", "0,2", "--X", "1,3",
+                     "--t", t, "--trials", trials])
+        out = capsys.readouterr()
+        assert code == 2 and out.out == "" and "MAX_MC_JUMPS" in out.err
+
     @pytest.mark.parametrize("argv", [
         ("asep-prob", "--p", "0.4", "--Y", "0,2", "--X", "1,3", "--t", "1",
          "--seed", "3"),

@@ -450,6 +450,13 @@ def _model_level(model, n, halfline):
                                   BOSE_T)
 
 
+def _n4_level(m):
+    """The tables of one half-line N=4 exclusion-process level at m points."""
+    params = AsepParams.from_p(0.4)
+    contour = _circle_contour(params, tuned_radii(params, 4).contours(), m, True)
+    return contour.level((0, 1, 2, 3), (0, 1, 3, 5), 0.5)
+
+
 class TestLevelProgram:
     """`term_sum` runs the compiled program: complete terms that share their
     first step run one after another and build it once.  The per-term loop
@@ -508,13 +515,43 @@ class TestLevelProgram:
         assert term_sum(tables, program) == pytest.approx(
             _reference_term_sum(tables, program.terms), rel=1e-12)
 
+    @pytest.mark.parametrize("m", [16, 32])
+    def test_the_workspace_leaves_every_term_unchanged(self, m, monkeypatch):
+        # each term contracted in the level's workspace, its step shared,
+        # against the same term on its own, every array freshly allocated
+        values = []
+
+        def both(vectors, mats, plan, shared, work):
+            got = contract(vectors, mats, plan, shared, work)
+            values.append((repr(got), repr(contract(vectors, mats, plan))))
+            return got
+
+        monkeypatch.setattr(_kernels, "contract", both)
+        term_sum(_n4_level(m), level_program(4, True))
+        assert len(values) == 192
+        assert all(got == alone for got, alone in values)
+
+    def test_an_n4_level_allocates_two_m3_arrays(self, monkeypatch):
+        # 15 K4 inner tensors, 15 outer products and 60 finishes, all in
+        # one workspace: 2 arrays of m^3 where every step used to make one
+        made = []
+
+        class Counted(_kernels.Workspace):
+            def __init__(self):
+                super().__init__()
+                made.append(self)
+
+        monkeypatch.setattr(_kernels, "Workspace", Counted)
+        term_sum(_n4_level(32), level_program(4, True))
+        work, = made
+        assert work.allocations <= 2
+        assert {a.shape for a in work.arrays.values()} == {(32, 32, 32)}
+
     def test_an_n4_level_holds_one_shared_step_at_a_time(self):
-        # each K4 inner tensor (m^3, 0.5 MiB at m = 32) is freed before the
-        # next run builds its own: the level's peak stays within 1.25 times
-        # the 1.10 MiB of the per-term loop; all 15 kept would take 8 MiB
-        params = AsepParams.from_p(0.4)
-        contour = _circle_contour(params, tuned_radii(params, 4).contours(), 32, True)
-        tables = contour.level((0, 1, 2, 3), (0, 1, 3, 5), 0.5)
+        # each K4 inner tensor (m^3, 0.5 MiB at m = 32) is rebuilt in place
+        # by the next run: the level's peak stays within 1.25 times the
+        # 1.10 MiB of the per-term loop; all 15 kept would take 8 MiB
+        tables = _n4_level(32)
         program = level_program(4, True)
         term_sum(tables, program)  # compiles the schedule outside the count
         tracemalloc.start()
@@ -609,7 +646,8 @@ def _mix64_py(z: int) -> int:
 
 
 def _trial_state_py(seed: int, trial: int) -> int:
-    return (seed + (trial + 1) * _GOLDEN) & _MASK
+    """The (trial+1)-th output of the SplitMix64 generator seeded with seed."""
+    return _mix64_py((seed + (trial + 1) * _GOLDEN) & _MASK)
 
 
 def _next_unit_py(state: int) -> tuple[int, float]:
@@ -677,6 +715,18 @@ class TestSplitMix:
         s0 = _trial_state_py(42, 0)
         s1 = _trial_state_py(42, 1)
         assert s0 != s1
+
+    @pytest.mark.parametrize("seed", [0, 99, 2 ** 64 - 1])
+    def test_no_two_trials_share_a_state(self, seed):
+        # started at seed + (i+1) * golden ratio, trial i+1 drew trial i's
+        # numbers shifted by one; mixed starts share none over 64 draws
+        state = _kernels._trial_states(seed, 0, 4096)
+        assert state.tolist() == [_trial_state_py(seed, i) for i in range(4096)]
+        seen = []
+        for _ in range(64):
+            _kernels._next_units(state)
+            seen.append(state.copy())
+        assert np.unique(np.concatenate(seen)).size == 64 * 4096
 
     def test_lockstep_draws_match_reference(self):
         # uint64 arrays wrap where the reference masks

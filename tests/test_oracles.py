@@ -369,6 +369,31 @@ class TestMonteCarlo:
             with pytest.raises(ValueError, match="finite"):
                 call()
 
+    @pytest.mark.parametrize("n,trials,t,refused", [
+        # trials * N * t at the guard runs, one jump over is refused
+        (2, oracles.MAX_MC_JUMPS // 2, 1.0, False),
+        (2, oracles.MAX_MC_JUMPS // 2 + 1, 1.0, True),
+        (4, 10 ** 9, 0.1, False),
+        (4, 10 ** 9, 0.2, True),
+        # fewer than MC_MIN_TRIALS trials are charged as that many
+        (1, 1, oracles.MAX_MC_JUMPS / oracles.MC_MIN_TRIALS, False),
+        (1, 1, 2 * oracles.MAX_MC_JUMPS / oracles.MC_MIN_TRIALS, True),
+    ])
+    def test_the_jump_guard(self, monkeypatch, n, trials, t, refused):
+        # the guard is checked on the inputs alone: the chain never starts
+        ran = []
+        monkeypatch.setattr(oracles._kernels, "gillespie_hits",
+                            lambda *args: ran.append(args) or 0)
+        y = tuple(range(0, 2 * n, 2))
+        cfg = McConfig(trials, 1, t)
+        if refused:
+            with pytest.raises(ValueError, match="MAX_MC_JUMPS"):
+                mc_estimate(y, y, cfg, PARAMS)
+            assert ran == []
+        else:
+            assert mc_estimate(y, y, cfg, PARAMS) == (0.0, 0.0)
+            assert len(ran) == 1
+
     @pytest.mark.parametrize("bad", [2.7, 2.5, math.nan, math.inf])
     def test_non_integer_sites_rejected(self, bad):
         # int() would truncate 2.7 to 2 and give the value at (0, 2)
