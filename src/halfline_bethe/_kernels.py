@@ -12,11 +12,13 @@ Two kernel families live here:
   ValueError.  Every exact evaluator reduces its per-term quadrature to this
   shape, and ``term_sum`` sums it over the signed-permutation terms of both
   models, one contraction per sign-flip pair of a half-line sum, as a
-  `LevelProgram` compiled once per (N, half/full line) orders them: terms
-  whose costly first step reads the same operands run one after another and
-  build that step once, and the K4 steps of a level write their m^3 tensors
-  into one `Workspace`.  The models differ only in their `ContourTables`,
-  which ``evaluate`` refines.
+  `LevelProgram` compiled once per (N, half/full line) orders them.  Each
+  step of a term is keyed by its operands, and the terms that build one
+  value run one after another in nested runs: the run's first term builds
+  it (a pair product, a coupling, a K4 inner tensor or finish) and the
+  others load it.  The K4 steps of a level write their m^3 tensors into one
+  `Workspace`.  The models differ only in their `ContourTables`, which
+  ``evaluate`` refines.
 * ``gillespie_hits``: the jump chain behind the Monte Carlo oracle.  Chunks
   of CHUNK trials step in lockstep numpy, each trial on its own SplitMix64
   substream, started at one output of the generator seeded with the seed,
@@ -26,6 +28,7 @@ Two kernel families live here:
 
 from __future__ import annotations
 
+import collections
 import itertools
 from functools import lru_cache
 from typing import NamedTuple
@@ -101,16 +104,6 @@ def _plan(n: int, present: tuple[bool, ...], first: int | None = None):
                                       for pair in itertools.combinations(dims, 2)))
 
 
-def _once(shared, build):
-    """build(), or for a run of terms the result that the run's first call
-    built and left in the list `shared` (`contract`)."""
-    if shared is None:
-        return build()
-    if not shared:
-        shared.append(build())
-    return shared[0]
-
-
 class Workspace:
     """Scratch arrays that the contractions of one level reuse (`term_sum`):
     `array(slot, shape)` returns the slot's complex array, allocated anew
@@ -130,81 +123,226 @@ class Workspace:
         return out
 
 
-def _k4(vecs, mats, dims, pairs, shared, work) -> complex:
-    """The m^4 sum over a complete core on dimensions a, then b < c < d: one
-    (m^2, m) x (m, m) product sums out a into T[b, c, d] = sum_a v_a M_ab
-    M_ac M_ad (kept in `shared`, see `contract`), the pair matrices of d
-    multiply a copy, d is summed by a matrix-vector product, and
-    v_b @ (M_bc * F) @ v_c closes.  numpy's complex product is not bitwise
+#: instruction codes of a compiled contraction (`_compile`, `contract`)
+PAIR, SUM, MATVEC, COUPLE, MUL, K4, LOAD, KEEP, DROP = range(9)
+
+
+class Node(NamedTuple):
+    """One step of a contraction's value graph (`_compile`)."""
+
+    #: what `contract` runs; None for the K4 tensors, which the term's K4
+    #: instruction builds
+    instruction: tuple | None
+    #: id of the value the step makes; None for a step that only multiplies
+    #: the term's scalar
+    value: int | None
+    #: ids of the values it reads
+    reads: tuple
+    #: one of `STEP_KINDS`
+    kind: str
+    #: register that holds the value
+    register: int | None
+
+
+#: the steps a contraction runs, costliest first: at resolution m a K4 inner
+#: tensor costs m^4, a K4 finish and a coupling m^3, the others m^2 or less
+STEP_KINDS = ("k4 inner", "k4 finish", "coupling", "product", "pair", "matvec",
+              "k4 close", "sum")
+
+
+def _interner():
+    """A function that numbers hashable keys in the order it first sees
+    them."""
+    ids = {}
+    return lambda key: ids.setdefault(key, len(ids))
+
+
+def _compile(plan, vectors, slots, intern, z=None) -> tuple[Node, ...]:
+    """The value graph of the contraction that `plan` (`_plan`) sums, in the
+    order `contract` runs it.
+
+    `vectors` names each dimension's vector and `slots` each pair's factors
+    in itertools.combinations order: () for a pair without one, and two or
+    more factors make a "pair" step that multiplies them in order on first
+    read.  Registers hold the N vectors, then the pair slots, then the
+    coupling of a pair that has its own matrix and the K4 inner tensor and
+    finish.  A value's id is intern(key), its key made of what the step does
+    and the ids it reads, so equal steps of two terms get equal ids.  A K4
+    core (a, b, c, d) sums a into T over its other three dimensions, x < y
+    then z, z being `z` or else d; its finish sums z and its close x and y.
+    """
+    steps, core = plan
+    n = len(vectors)
+    coupling, inner, finish = (n + len(slots) + i for i in range(3))
+    vec = [intern(("vector", key)) for key in vectors]
+    mat = [intern(("slot", slot)) if slot else None for slot in slots]
+    unformed = {k for k, slot in enumerate(slots) if len(slot) > 1}
+    nodes = []
+
+    def read(k):
+        if k in unformed:
+            unformed.discard(k)
+            nodes.append(Node((PAIR, n + k), mat[k], (), "pair", n + k))
+        return mat[k]
+
+    for d, links, closes in steps:
+        if not links:
+            nodes.append(Node((SUM, d), None, (vec[d],), "sum", None))
+        elif len(links) == 1:
+            (u, k), = links
+            reads = (read(k), vec[d], vec[u])
+            instruction = (MATVEC, d, u, n + k, d < u, closes)
+            if closes:
+                nodes.append(Node(instruction, None, reads, "matvec", None))
+            else:
+                vec[u] = intern(("matvec", d < u) + reads)
+                nodes.append(Node(instruction, vec[u], reads, "matvec", u))
+        else:
+            (u, ku), (w, kw), kuw = links
+            reads = (read(ku), vec[d], read(kw))
+            value = intern(("coupling", d < u, d > w) + reads)
+            out = n + kuw if mat[kuw] is None else coupling
+            nodes.append(Node((COUPLE, out, d, n + ku, d < u, n + kw, d > w), value, reads,
+                              "coupling", out))
+            if out == coupling:
+                reads = (value, read(kuw))
+                value = intern(("product",) + reads)
+                nodes.append(Node((MUL, n + kuw, coupling, n + kuw), value, reads, "product",
+                                  n + kuw))
+            mat[kuw] = value
+    if core is not None:
+        dims, pairs = core
+        a = dims[0]
+        z = dims[3] if z is None else z
+        x, y = (v for v in dims[1:] if v != z)
+        slot = dict(zip(itertools.combinations(dims, 2), pairs))
+
+        def rows_over(u, v):  # (register, transposed) of the (u, v) matrix, rows over u
+            k = slot.get((u, v), slot.get((v, u)))
+            return n + k, u > v, read(k)
+
+        ax, ay, az, xy, xz, yz = (rows_over(u, v) for u, v in
+                                  ((a, x), (a, y), (a, z), (x, y), (x, z), (y, z)))
+        reads = (vec[a], ax[2], ay[2], az[2])
+        t = intern(("k4 inner", x, y, z) + reads)
+        nodes.append(Node(None, t, reads, "k4 inner", inner))
+        reads = (t, vec[z], yz[2], xz[2])
+        g = intern(("k4 finish",) + reads)
+        nodes.append(Node(None, g, reads, "k4 finish", finish))
+        spec = (a, x, y, z) + tuple(p[:2] for p in (ax, ay, az, xy, xz, yz)) + (inner, finish)
+        nodes.append(Node((K4, spec), None, (g, vec[x], vec[y], xy[2]), "k4 close", None))
+    return tuple(nodes)
+
+
+def _k4(r, core, work) -> complex:
+    """The m^4 sum over a complete core (`_compile`) on the registers r:
+    one (m^2, m) x (m, m) product sums out a into the inner tensor
+    T[x, y, z] = sum_a v_a M_ax M_ay M_az, one m^3 product
+    F = T * (M_yz v_z) and one batched matrix-vector product
+    G[x, y] = sum_z F[x, y, z] M_xz finish it, and v_x @ (M_xy * G) @ v_y
+    closes.  T or G already in its register (a run of terms that share it,
+    `contract`) is read, not built.  numpy's complex product is not bitwise
     commutative, so every operand order is part of the result.
 
     T goes into the workspace's "inner" array, and both the outer product
-    that builds it and the copy F into its "outer" array, so a level that
-    passes one `Workspace` to all its terms allocates two m^3 arrays."""
-    a, b, c, d = dims
-    m_ab, m_ac, m_ad, m_bc, m_bd, m_cd = (mats[k] for k in pairs)
-    m = vecs[a].size
-    work = Workspace() if work is None else work
+    that builds it and F into its "outer" array, so a level that passes one
+    `Workspace` to all its terms allocates two m^3 arrays."""
+    a, x, y, z, ax, ay, az, xy, xz, yz, inner, finish = core
 
-    def inner():
-        ab, ac, ad = (mat if a < u else mat.T
-                      for mat, u in ((m_ab, b), (m_ac, c), (m_ad, d)))  # rows over a
-        w = work.array("outer", (m, m, m))
-        np.multiply((vecs[a][:, None] * ab)[:, :, None], ac[:, None, :],
-                    out=w)  # over (a, b, c)
-        t = work.array("inner", (m, m, m))
-        np.matmul(w.reshape(m, m * m).T, ad, out=t.reshape(m * m, m))
-        return t  # over (b, c, d)
+    def mat(pair):
+        k, transposed = pair
+        return r[k].T if transposed else r[k]
 
-    # a copy: the shared tensor stays as built
-    f = np.multiply(_once(shared, inner), m_cd, out=work.array("outer", (m, m, m)))
-    f *= m_bd.reshape(m, 1, m)
-    return complex(vecs[b] @ (m_bc * (f @ vecs[d])) @ vecs[c])
+    g = r[finish]
+    if g is None:
+        m = r[a].size
+        work = Workspace() if work is None else work
+        t = r[inner]
+        if t is None:
+            w = work.array("outer", (m, m, m))
+            np.multiply((r[a][:, None] * mat(ax))[:, :, None], mat(ay)[:, None, :],
+                        out=w)  # over (a, x, y)
+            t = r[inner] = work.array("inner", (m, m, m))
+            np.matmul(w.reshape(m, m * m).T, mat(az), out=t.reshape(m * m, m))
+        f = np.multiply(t, mat(yz) * r[z], out=work.array("outer", (m, m, m)))
+        g = r[finish] = np.matmul(f, mat(xz)[:, :, None]).reshape(m, m)
+    return complex(r[x] @ (mat(xy) * g) @ r[y])
+
+
+class TermPlan(NamedTuple):
+    """The instructions of one contraction: `alone` builds every step,
+    `shared` also loads the steps that earlier terms of a level keep in
+    `contract`'s `shared` dict, keeps those that later terms read, and drops
+    each after its last reader (`LevelProgram.schedule`)."""
+
+    alone: tuple
+    shared: tuple
+
+
+@lru_cache(maxsize=1024)
+def _standalone(n: int, present: tuple[bool, ...]) -> TermPlan:
+    """The plan of n dimensions whose present pairs carry one matrix each."""
+    nodes = _compile(_plan(n, present), range(n),
+                     tuple((k,) if on else () for k, on in enumerate(present)), _interner())
+    instructions = tuple(node.instruction for node in nodes if node.instruction is not None)
+    return TermPlan(instructions, instructions)
 
 
 def contract(vectors, mats, plan=None, shared=None, work=None) -> complex:
     """BLAS-backed contraction for N <= MAX_N; vectors is a list of N 1-d
     complex arrays and mats the N(N-1)/2 pair matrices in
     itertools.combinations order, rows over the lower dimension, None for a
-    pair without a factor.
+    pair without a factor, or a tuple of factors that `plan` multiplies.
 
-    Dimensions are summed out along the pair graph (`_plan`, looked up from
-    the pattern of present pairs unless `plan` gives it): with no neighbour
-    by a sum, with one by a matrix-vector product into the neighbour's
-    vector, with two by one matrix product into the neighbours' pair matrix;
-    a remaining K4 core runs `_k4`.  A larger core raises ValueError.
+    Dimensions are summed out along the pair graph (`_plan`, compiled from
+    the pattern of present pairs unless `plan` gives a `TermPlan`): with no
+    neighbour by a sum, with one by a matrix-vector product into the
+    neighbour's vector, with two by one matrix product into the neighbours'
+    pair matrix; a remaining K4 core runs `_k4`.  A larger core raises
+    ValueError.
 
-    `shared` is None, or a list that carries the first step's result (a
-    two-neighbour coupling or the K4's inner tensor) across a run of calls
-    whose first step reads the same vector and pair matrices
-    (`LevelProgram`): the run's first call builds it, the others reuse it.
+    `shared` is None, to build every step, or the dict in which the terms of
+    a level (`term_sum`) pass on the steps they share, keyed by value id:
+    the plan's `shared` instructions load those an earlier term kept,
+    skip the steps that only fed them, and keep or drop what later terms
+    read.  A loaded step has the bits the term would build on its own.
     `work` is None or the `Workspace` whose arrays a K4 core writes into; a
-    shared K4 tensor lives there, so a run's calls pass the same one.
+    kept K4 tensor lives there, so a level's calls pass the same one.
     """
-    steps, core = plan or _plan(len(vectors), tuple([m is not None for m in mats]))
-    vecs = list(vectors)
-    mats = list(mats)
+    if plan is None:
+        plan = _standalone(len(vectors), tuple([m is not None for m in mats]))
+    r = [*vectors, *mats, None, None, None]
     scale = 1.0 + 0.0j
-    for d, links, closes in steps:
-        if not links:
-            scale *= vecs[d].sum()
-        elif len(links) == 1:
-            (u, k), = links
+    for step in plan.alone if shared is None else plan.shared:
+        code = step[0]
+        if code == MATVEC:
+            _, d, u, k, transposed, closes = step
             # ndarray.dot: a third of matmul's call overhead on small operands
-            summed = (mats[k].T if d < u else mats[k]).dot(vecs[d])
+            summed = (r[k].T if transposed else r[k]).dot(r[d])
             if closes:
-                scale *= vecs[u].dot(summed)
+                scale *= r[u].dot(summed)
             else:
-                vecs[u] = vecs[u] * summed
+                r[u] = r[u] * summed
+        elif code == PAIR:
+            mat, *factors = r[step[1]]
+            for factor in factors:
+                mat = mat * factor
+            r[step[1]] = mat
+        elif code == SUM:
+            scale *= r[step[1]].sum()
+        elif code == COUPLE:
+            _, out, d, ku, tu, kw, tw = step
+            r[out] = ((r[ku].T if tu else r[ku]) * r[d]).dot(r[kw].T if tw else r[kw])
+        elif code == MUL:
+            r[step[1]] = r[step[2]] * r[step[3]]
+        elif code == K4:
+            scale *= _k4(r, step[1], work)
+        elif code == LOAD:
+            r[step[1]] = shared[step[2]]
+        elif code == KEEP:
+            shared[step[2]] = r[step[1]]
         else:
-            (u, ku), (w, kw), kuw = links
-            mu = mats[ku].T if d < u else mats[ku]  # rows over u, columns over d
-            mw = mats[kw] if d < w else mats[kw].T  # rows over d, columns over w
-            coupling = _once(shared, lambda: (mu * vecs[d]).dot(mw))
-            mats[kuw] = coupling if mats[kuw] is None else coupling * mats[kuw]
-        shared = None  # only the first step is shared
-    if core is not None:
-        scale *= _k4(vecs, mats, *core, shared, work)
+            del shared[step[1]]
     return complex(scale)
 
 
@@ -256,60 +394,179 @@ def pair_matrices(pos, neg, pair) -> dict:
     return smats
 
 
+class Schedule(NamedTuple):
+    """A `LevelProgram` compiled for one pattern of S-matrices."""
+
+    #: the distinct vector keys (d, sign, pos) the terms read, sign +-1
+    vectors: tuple
+    #: the (d, pos) of the folded vectors v+ + v- they read, sign 0
+    folds: tuple
+    #: per distinct pair of the terms, its inversions' S-matrix keys, each
+    #: with whether it is transposed to rows over the lower dimension
+    slots: tuple
+    #: (indices into `vectors` + `folds` per dimension, indices into `slots`
+    #: per pair, `TermPlan`) per term, in run order
+    terms: tuple
+    #: per kind of `STEP_KINDS`, (steps a level computes, steps its terms read)
+    steps: dict
+
+
 class LevelProgram:
     """The terms of one sum (`signed_perm.term_structure`) compiled for
     `term_sum`, once per (N, half/full line) by `level_program`.
 
-    `folds` lists the (d, pos) of every folded vector v+ + v-, which a
-    level forms once.  `schedule(pairs)` gives, for tables carrying the
-    S-matrices of the signed pairs in `pairs`, each term's operand keys and
-    `_plan` in run order.  The first step of a term whose present pairs form
-    the complete graph on N >= 3 dimensions costs m^3 (the triangle's
-    coupling) or m^4 (the K4's inner tensor) and reads only the vector of
-    the dimension it sums out and that dimension's pair matrices.  Terms
-    whose first steps read the same operands form a run: they follow one
-    another, and the run's first contraction builds the step for all of
-    them (`contract`).  Every complete term sums out the same dimension
-    first, the one that gives the fewest runs, ties to the highest index: on
-    the half line dimension 0, with 15 runs for the 60 complete terms at
-    N = 4 and 7 for 12 at N = 3.
+    `schedule(pairs)` compiles the terms for tables that carry the
+    S-matrices of the signed pairs in `pairs` (`Schedule`).  Each step of a
+    term (`_compile`) is keyed by its operands, so equal steps of two terms
+    are one value.  The terms are ordered by the values they share with
+    other terms, costliest first, so that the terms that build one value
+    follow one another; these runs nest, a K4 inner tensor's run holding the
+    runs of its finishes, and those of the couplings and pair products
+    within.  A value is built by the first term of its run that needs it,
+    kept while a later term of the run reads it and dropped after the last
+    (`_share`); a step that only fed loaded values is skipped.  Terms that
+    share nothing keep their order and run their steps as built.
+
+    Every complete term (all pairs present, N >= 3) sums out the same
+    dimension first, the one that gives the fewest distinct first steps,
+    ties to the highest index: on the half line dimension 0, with 15 K4
+    inner tensors for the 60 complete terms at N = 4 and 7 couplings for 12
+    at N = 3.  The terms of one K4 inner tensor sum in their finish the
+    dimension that leaves the fewest distinct finishes (`_finish_dims`).
     """
 
     def __init__(self, n: int, halfline: bool):
         self.n = n
         self.terms = term_structure(n, halfline)
-        self.folds = tuple(sorted({(d, pos) for term in self.terms
-                                   for d, sign, pos in term.vectors if sign == 0}))
 
     # one schedule per program and pattern of S-matrices: every pair or none
     # in both models; the programs live for the whole process anyway
     # (`level_program`)
     @lru_cache(maxsize=64)
-    def schedule(self, pairs: frozenset) -> tuple:
-        """(vector keys, per dimension pair the signed inversions whose
-        S-matrices are in `pairs`, plan, run) per term, in run order; run is
-        the key of the term's shared first step, None for a term that shares
-        nothing."""
-        dim_pairs = list(itertools.combinations(range(self.n), 2))
+    def schedule(self, pairs: frozenset) -> Schedule:
+        n = self.n
+        dim_pairs = list(itertools.combinations(range(n), 2))
         terms = [(term.vectors, tuple(tuple(ab for ab in invs if ab in pairs)
                                       for invs in term.mats)) for term in self.terms]
-        complete = [i for i, (_, invs) in enumerate(terms) if self.n >= 3 and all(invs)]
+        complete = [i for i, (_, slots) in enumerate(terms) if n >= 3 and all(slots)]
 
-        def step(i, first):
-            keys, invs = terms[i]
-            return first, keys[first], tuple(m for pair, m in zip(dim_pairs, invs)
-                                              if first in pair)
+        def first_step(i, first):
+            keys, slots = terms[i]
+            return keys[first], tuple(s for pair, s in zip(dim_pairs, slots) if first in pair)
 
-        first = min(range(self.n),
-                    key=lambda f: (len({step(i, f) for i in complete}), -f))
-        runs = {i: step(i, first) for i in complete}
-        lead = {}
-        for i in complete:
-            lead.setdefault(runs[i], i)
-        order = sorted(range(len(terms)), key=lambda i: (lead.get(runs.get(i), i), i))
-        return tuple((*terms[i], _plan(self.n, tuple(bool(m) for m in terms[i][1]),
-                                       first if i in runs else None), runs.get(i))
-                     for i in order)
+        first = min(range(n), key=lambda f: (len({first_step(i, f) for i in complete}), -f))
+        plans = [_plan(n, tuple(map(bool, slots)), first if i in complete else None)
+                 for i, (_, slots) in enumerate(terms)]
+        finish = _finish_dims(terms, plans)
+        intern = _interner()
+        graphs = [_compile(plan, keys, slots, intern, finish.get(i))
+                  for i, (plan, (keys, slots)) in enumerate(zip(plans, terms))]
+        order = _run_order(graphs)
+        # the plain vectors first, then the folded ones
+        vectors = sorted({key for term_keys, _ in terms for key in term_keys},
+                         key=lambda key: (not key[1], key))
+        slots = sorted({slot for _, term_slots in terms for slot in term_slots})
+        steps = {kind: [0, 0] for kind in STEP_KINDS}
+        scheduled = []
+        for i, (acts, keep, drop) in zip(order, _share(graphs, order)):
+            alone, shared, kept = [], [], []
+            for node, builds in zip(graphs[i], acts):
+                steps[node.kind][1] += 1
+                if node.instruction is not None:
+                    alone.append(node.instruction)
+                if builds is None:
+                    continue
+                if not builds:
+                    shared.append((LOAD, node.register, node.value))
+                    continue
+                steps[node.kind][0] += 1
+                if node.value in keep:
+                    kept.append((KEEP, node.register, node.value))
+                if node.instruction is not None:
+                    # the K4 instruction builds its tensors, kept after it
+                    shared += [node.instruction] + kept
+                    kept = []
+            shared += [(DROP, value) for value in sorted(drop)]
+            term_keys, term_slots = terms[i]
+            scheduled.append((tuple(map(vectors.index, term_keys)),
+                              tuple(map(slots.index, term_slots)),
+                              TermPlan(tuple(alone), tuple(shared))))
+        return Schedule(tuple(key for key in vectors if key[1]),
+                        tuple((d, pos) for d, sign, pos in vectors if not sign),
+                        tuple(tuple((ab, abs(ab[0]) > abs(ab[1])) for ab in slot)
+                              for slot in slots),
+                        tuple(scheduled), {kind: tuple(counts) for kind, counts in steps.items()})
+
+
+def _finish_dims(terms, plans) -> dict:
+    """Per term with a K4 core, the dimension z its finish sums: for all the
+    terms of one inner tensor, the one of its three dimensions whose vector
+    and pair matrices take the fewest distinct values, ties to the highest."""
+    runs = collections.defaultdict(list)
+    for i, ((keys, slots), (_, core)) in enumerate(zip(terms, plans)):
+        if core is not None:
+            (a, *rest), pairs = core
+            slot = dict(zip(itertools.combinations(core[0], 2), (slots[k] for k in pairs)))
+            runs[(keys[a],) + tuple(slot[a, v] for v in rest)].append(
+                (i, {z: (keys[z],) + tuple(slot[p] for p in itertools.combinations(rest, 2)
+                                           if z in p) for z in rest}))
+    finish = {}
+    for members in runs.values():
+        z = min(members[0][1], key=lambda v: (len({ops[v] for _, ops in members}), -v))
+        finish.update((i, z) for i, _ in members)
+    return finish
+
+
+def _run_order(graphs) -> list:
+    """The terms ordered by the ids of the values each shares with other
+    terms, costliest kind first (`STEP_KINDS`), then in step order: terms
+    that build a value follow one another, and terms that share nothing
+    keep their order."""
+    builders = collections.Counter(v for nodes in graphs for v in {node.value for node in nodes})
+    rank = {kind: r for r, kind in enumerate(STEP_KINDS)}
+
+    def shared_values(i):
+        return [v for *_, v in sorted((rank[node.kind], j, node.value)
+                                      for j, node in enumerate(graphs[i])
+                                      if node.value is not None and builders[node.value] > 1)]
+
+    return sorted(range(len(graphs)), key=shared_values)
+
+
+def _share(graphs, order) -> list:
+    """Per term in `order`: per step whether the term builds it (True),
+    loads it (False) or skips it (None), the values it keeps for a later
+    term and those it drops after its last reader.
+
+    A value's run is the consecutive terms whose graphs contain it.  A term
+    needs the steps that multiply its scalar and, from the last step back,
+    what the steps it builds read.  It loads a needed value that an earlier
+    term of the run built, and builds the others."""
+    built = set()
+    acts, history = [], collections.defaultdict(list)
+    for at, i in enumerate(order):
+        nodes = graphs[i]
+        built &= {node.value for node in nodes}
+        wanted, act = set(), [None] * len(nodes)
+        for j in reversed(range(len(nodes))):
+            value = nodes[j].value
+            if value is None or value in wanted:
+                act[j] = value not in built
+                if act[j]:
+                    wanted.update(nodes[j].reads)
+                if value is not None:
+                    history[value].append((at, act[j]))
+        built.update(node.value for node, builds in zip(nodes, act)
+                     if builds and node.value is not None)
+        acts.append(act)
+    keep, drop = ([set() for _ in order] for _ in range(2))
+    for value, events in history.items():
+        for (at, builds), (_, builds_next) in zip(events, events[1:] + [(None, True)]):
+            if builds and not builds_next:
+                keep[at].add(value)
+            elif not builds and builds_next:
+                drop[at].add(value)
+    return list(zip(acts, keep, drop))
 
 
 @lru_cache(maxsize=16)
@@ -318,36 +575,37 @@ def level_program(n: int, halfline: bool) -> LevelProgram:
     return LevelProgram(n, halfline)
 
 
+def _factors(smats, slot):
+    """The S-matrices of one pair's inversions (`Schedule.slots`), rows over
+    the lower dimension: None for none, the matrix for one, else their
+    tuple."""
+    factors = [smats[key].T if transposed else smats[key] for key, transposed in slot]
+    return factors[0] if len(factors) == 1 else tuple(factors) or None
+
+
 def term_sum(tables: LevelTables, program: LevelProgram) -> complex:
     """Sum of the contracted integrands of a compiled signed-permutation sum
     (`level_program`) at one quadrature level.
 
     Each term names its table entries.  A folded vector (sign 0) is v+ + v-,
-    the partner's amplitude riding in v-, formed once per level.  Each
-    S-matrix is oriented with rows over the lower dimension of its pair.  A
-    run of terms that share their first step passes one list to `contract`,
-    so the step is built once and dropped before the next run builds its
-    own.  Every term gets the level's one `Workspace`, whose two m^3 arrays
-    hold the K4 steps' tensors, so the next run overwrites them in place.
+    the partner's amplitude riding in v-, formed once per level, as is each
+    pair's tuple of S-matrices, oriented with rows over the lower dimension.
+    The terms run in the schedule's order and pass one dict to `contract`,
+    through which each shared step goes from the term that builds it to the
+    later terms of its run; it is empty again when the level ends.  Every
+    term gets the level's one `Workspace`, whose two m^3 arrays hold the K4
+    steps' tensors, so the next run overwrites them in place.
     """
-    vecs = dict(tables.vectors)
-    for d, pos in program.folds:
-        vecs[d, 0, pos] = vecs[d, 1, pos] + vecs[d, -1, pos]
-    smats = tables.smats
+    schedule = program.schedule(frozenset(tables.smats))
+    given = tables.vectors
+    vecs = [given[key] for key in schedule.vectors]
+    vecs += [given[d, 1, pos] + given[d, -1, pos] for d, pos in schedule.folds]
+    mats = [_factors(tables.smats, slot) for slot in schedule.slots]
+    shared, work = {}, Workspace()
     total = 0.0 + 0.0j
-    run = shared = None
-    work = Workspace()
-    for keys, invs, plan, step in program.schedule(frozenset(smats)):
-        if step != run:
-            run, shared = step, None if step is None else []
-        mats = []
-        for pair in invs:
-            mat = None
-            for a, b in pair:
-                smat = smats[a, b].T if abs(a) > abs(b) else smats[a, b]
-                mat = smat if mat is None else mat * smat
-            mats.append(mat)
-        total += contract([vecs[key] for key in keys], mats, plan, shared, work)
+    for vector_ids, slot_ids, plan in schedule.terms:
+        total += contract([vecs[k] for k in vector_ids], [mats[k] for k in slot_ids], plan,
+                          shared, work)
     return total
 
 

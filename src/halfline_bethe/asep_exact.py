@@ -23,6 +23,7 @@ import itertools
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -76,11 +77,19 @@ def tuned_radii(params: AsepParams, n: int) -> RadiiScheme:
     never touch a contour.  R_1 is the first radius on the ladder 1.3, 1.3 *
     1.12, 1.3 * 1.12^2, ... times the farthest fixed pole that meets this:
     small radii keep the dynamic range of exp(eps(xi) t) low, which is what
-    limits the absolute accuracy in double precision at larger times.
+    limits the absolute accuracy in double precision at larger times.  p is
+    checked on every call; the ladder runs once per (p, n) (`_tuned_radii`).
     """
     if n < 1:
         raise ValueError("need n >= 1")
     params.require_formula_ok()
+    return _tuned_radii(params.p, n)
+
+
+@lru_cache(maxsize=1024)
+def _tuned_radii(p: float, n: int) -> RadiiScheme:
+    """`tuned_radii` of a checked p, keyed on plain values."""
+    params = AsepParams(p)
     center = 1.0 / (2.0 * params.q)
     fixed = _fixed_reach(center, params.tau)
     base = 1.3 * fixed
@@ -203,8 +212,10 @@ def prob_halfline(Y, X, t: float, params: AsepParams,
     tau, is smaller by delta * gain, gain = log((R_N + |c|)(R_1 - |c|)) -
     log tau.  So the evaluator reverses when delta * gain > 0 (and tau^delta
     stays within double range), and at delta = 0 evaluates directly.
-    Deep-tail probabilities (large sites reached against the drift) stay
-    accurate this way.
+    This lowers the cancellation floor of deep-tail probabilities, but the
+    refinement can still accept two levels that agree on an aliased value
+    when the sites are not small: at p = 0.5, t = 0.5, (20,) -> (20,) is off
+    by 3.2e-10 with an error estimate of 4.3e-13 (ROADMAP item 1).
     """
     y, x = lattice_sites(Y, halfline=True), lattice_sites(X, halfline=True)
     opts = _checked_opts(t, params, len(y), opts)
@@ -225,7 +236,7 @@ def prob_halfline(Y, X, t: float, params: AsepParams,
     value, err, m = evaluate(
         lambda mm: _contour_tables(params.p, radii.center, radii.radii, mm, True),
         src, dst, t, True,
-        dataclasses.replace(opts, tol=opts.tol / max(prefactor, 1.0)))
+        dataclasses.replace(opts, tol=opts.tol / prefactor) if prefactor > 1.0 else opts)
     return _report(prefactor * value, prefactor * err, m, group_order(len(y), True), opts)
 
 

@@ -180,6 +180,24 @@ class TestRadii:
         with pytest.raises(ValueError):
             tuned_radii(AsepParams.from_p(0.0), 1)
 
+    def test_cached_radii_equal_the_ladder(self):
+        # the ladder runs once per (p, n); every call returns its scheme
+        asep_exact._tuned_radii.cache_clear()
+        for p in np.linspace(0.005, 0.995, 199):
+            for n in range(1, 5):
+                params = AsepParams.from_p(float(p))
+                ladder = asep_exact._tuned_radii.__wrapped__(float(p), n)
+                assert repr(tuned_radii(params, n)) == repr(ladder)
+                assert repr(tuned_radii(params, n)) == repr(ladder)
+        assert asep_exact._tuned_radii.cache_info().hits == 199 * 4
+
+    @pytest.mark.parametrize("p", [0.0, -0.3, 1.5])
+    def test_a_bad_p_raises_on_every_call(self, p):
+        tuned_radii(AsepParams.from_p(0.4), 2)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="0 < p < 1"):
+                tuned_radii(AsepParams.from_p(p), 2)
+
     @pytest.mark.parametrize("p", [0.2, 0.4, 0.7])
     def test_caller_radii_must_enclose_the_fixed_poles(self, p):
         params = AsepParams.from_p(p)

@@ -458,9 +458,9 @@ def _n4_level(m):
 
 
 class TestLevelProgram:
-    """`term_sum` runs the compiled program: complete terms that share their
-    first step run one after another and build it once.  The per-term loop
-    it replaced is the reference."""
+    """`term_sum` runs the compiled program: the terms that build one step
+    run one after another, the first builds it and the others load it.  The
+    per-term loop it replaced is the reference."""
 
     @pytest.mark.parametrize("model,n,halfline", [
         pytest.param(model, n, halfline, id=f"{model}-N{n}-{'half' if halfline else 'full'}")
@@ -495,41 +495,91 @@ class TestLevelProgram:
     ])
     def test_complete_terms_share_their_first_step(self, n, halfline, first, complete,
                                                    runs):
+        # the first step of a complete term is the triangle's coupling (N = 3)
+        # or the K4 inner tensor (N = 4); each is built once per run
         schedule = level_program(n, halfline).schedule(frozenset(_used_pairs(n, halfline)))
-        steps = [step for *_, step in schedule if step is not None]
-        assert len(schedule) == len(term_structure(n, halfline))
-        assert len(steps) == complete
-        assert len(set(steps)) == runs
-        assert {step[0] for step in steps} == {first}
-        # each run's terms follow one another
-        assert len([key for key, _ in itertools.groupby(steps)]) == runs
+        assert len(schedule.terms) == len(term_structure(n, halfline))
+        full = [plan for _, slots, plan in schedule.terms
+                if all(schedule.slots[k] for k in slots)]
+        assert len(full) == complete
+        assert schedule.steps["k4 inner" if n == 4 else "coupling"] == (runs, complete)
+        assert {step[1][0] if step[0] == _kernels.K4 else step[2] for plan in full
+                for step in plan.alone if step[0] in (_kernels.K4, _kernels.COUPLE)} == {first}
+
+    @pytest.mark.parametrize("n,halfline,counts", [
+        # (steps a level computes, steps its terms read) per kind
+        pytest.param(3, True, {"coupling": (7, 12), "product": (12, 12), "pair": (11, 18),
+                               "matvec": (29, 30), "sum": (7, 7)}, id="N3-half"),
+        pytest.param(3, False, {"coupling": (1, 1), "product": (1, 1), "matvec": (7, 7),
+                                "sum": (5, 5)}, id="N3-full"),
+        pytest.param(4, True, {"k4 inner": (15, 60), "k4 finish": (36, 60),
+                               "coupling": (96, 148), "product": (121, 146),
+                               "pair": (138, 288), "matvec": (190, 210),
+                               "k4 close": (60, 60), "sum": (36, 36)}, id="N4-half"),
+        pytest.param(4, False, {"k4 inner": (1, 1), "k4 finish": (1, 1), "coupling": (10, 14),
+                                "product": (12, 13), "matvec": (36, 39), "k4 close": (1, 1),
+                                "sum": (16, 16)}, id="N4-full"),
+    ])
+    def test_step_counts(self, n, halfline, counts):
+        steps = level_program(n, halfline).schedule(frozenset(_used_pairs(n, halfline))).steps
+        assert {kind: c for kind, c in steps.items() if c != (0, 0)} == counts
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_a_level_without_s_matrices_shares_nothing(self, n):
-        # the Bose gas at c = 0: no pair carries a factor, so no term is
-        # complete whatever its inversions, and each term sums its vectors
+        # the Bose gas at c = 0: no pair carries a factor, so each term sums
+        # its vectors, in the order of the per-term loop
         _, tables = _model_level("bose-c0", n, True)
         assert tables.smats == {}
         program = level_program(n, True)
-        assert all(step is None for *_, step in program.schedule(frozenset()))
-        assert term_sum(tables, program) == pytest.approx(
-            _reference_term_sum(tables, program.terms), rel=1e-12)
+        schedule = program.schedule(frozenset())
+        assert schedule.steps["sum"] == (n * len(program.terms),) * 2
+        assert all(plan.shared == plan.alone for *_, plan in schedule.terms)
+        assert repr(term_sum(tables, program)) == repr(
+            _reference_term_sum(tables, program.terms))
 
-    @pytest.mark.parametrize("m", [16, 32])
-    def test_the_workspace_leaves_every_term_unchanged(self, m, monkeypatch):
-        # each term contracted in the level's workspace, its step shared,
-        # against the same term on its own, every array freshly allocated
-        values = []
+    @pytest.mark.parametrize("n,halfline,level", [
+        pytest.param(4, True, lambda: _n4_level(16), id="16"),
+        pytest.param(4, True, lambda: _n4_level(32), id="32"),
+        pytest.param(3, True, lambda: _model_level("asep", 3, True)[1], id="asep-N3"),
+        pytest.param(3, True, lambda: _model_level("bose", 3, True)[1], id="bose-N3"),
+        # the full line shares nothing at N = 3
+        pytest.param(4, False, lambda: _model_level("asep", 4, False)[1], id="asep-N4-full"),
+    ])
+    def test_the_workspace_leaves_every_term_unchanged(self, n, halfline, level, monkeypatch):
+        # each term contracted in the level's workspace, its shared steps
+        # loaded, against the same term on its own, every array freshly
+        # allocated and every step built
+        values, dicts = [], []
 
         def both(vectors, mats, plan, shared, work):
             got = contract(vectors, mats, plan, shared, work)
             values.append((repr(got), repr(contract(vectors, mats, plan))))
+            dicts.append(shared)
             return got
 
         monkeypatch.setattr(_kernels, "contract", both)
-        term_sum(_n4_level(m), level_program(4, True))
-        assert len(values) == 192
+        tables = level()
+        program = level_program(n, halfline)
+        term_sum(tables, program)
+        assert len(values) == len(program.terms)
         assert all(got == alone for got, alone in values)
+        # some term loaded a step, and every kept step was dropped again
+        assert any(step[0] == _kernels.LOAD for *_, plan in
+                   program.schedule(frozenset(tables.smats)).terms for step in plan.shared)
+        assert dicts[-1] == {}
+
+    @pytest.mark.parametrize("x,p", [
+        pytest.param(x, p, id=f"{''.join(map(str, x))}-p{p}")
+        for p in (0.4, 0.6) for x in ((0, 1, 2, 3), (0, 1, 2, 4))
+    ])
+    def test_the_benchmark_n4_inputs_agree_with_the_per_term_loop(self, x, p):
+        # the asep-n4 pool at its last level, m = 32, in both orientations
+        params = AsepParams.from_p(p)
+        contour = _circle_contour(params, tuned_radii(params, 4).contours(), 32, True)
+        for y, target in (((0, 1, 2, 3), x), (x, (0, 1, 2, 3))):
+            tables = contour.level(y, target, 0.1)
+            assert term_sum(tables, level_program(4, True)) == pytest.approx(
+                _reference_term_sum(tables, term_structure(4, True)), rel=1e-12)
 
     def test_an_n4_level_allocates_two_m3_arrays(self, monkeypatch):
         # 15 K4 inner tensors, 15 outer products and 60 finishes, all in
