@@ -18,7 +18,9 @@ Two kernel families live here:
   it (a pair product, a coupling, a K4 inner tensor or finish) and the
   others load it.  The K4 steps of a level write their m^3 tensors into one
   `Workspace`.  The models differ only in their `ContourTables`, which
-  ``evaluate`` refines.
+  ``evaluate`` refines.  A level whose every factor is conjugate-symmetric
+  is folded: its last variable runs over the self-mirror half of its nodes,
+  with doubled weights, and the level keeps its real part.
 * ``gillespie_hits``: the jump chain behind the Monte Carlo oracle.  Chunks
   of CHUNK trials step in lockstep numpy, each trial on its own SplitMix64
   substream, started at one output of the generator seeded with the seed,
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import collections
 import itertools
+import math
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -234,6 +237,11 @@ def _compile(plan, vectors, slots, intern, z=None) -> tuple[Node, ...]:
     return tuple(nodes)
 
 
+def _head(array: np.ndarray, shape) -> np.ndarray:
+    """The first prod(shape) entries of a contiguous array, viewed in shape."""
+    return array.reshape(-1)[:math.prod(shape)].reshape(shape)
+
+
 def _k4(r, core, work) -> complex:
     """The m^4 sum over a complete core (`_compile`) on the registers r:
     one (m^2, m) x (m, m) product sums out a into the inner tensor
@@ -244,9 +252,12 @@ def _k4(r, core, work) -> complex:
     `contract`) is read, not built.  numpy's complex product is not bitwise
     commutative, so every operand order is part of the result.
 
-    T goes into the workspace's "inner" array, and both the outer product
-    that builds it and F into its "outer" array, so a level that passes one
-    `Workspace` to all its terms allocates two m^3 arrays."""
+    Each dimension has its own size, since a folded level halves one
+    (`ContourTables`).  T goes into the head of the workspace's "inner"
+    array, and both the outer product over (a, x, y) that builds it and F
+    into the head of its "outer" array; both arrays are m^3 at the largest
+    size m, so a level that passes one `Workspace` to all its terms
+    allocates two m^3 arrays whichever dimension is halved."""
     a, x, y, z, ax, ay, az, xy, xz, yz, inner, finish = core
 
     def mat(pair):
@@ -255,17 +266,18 @@ def _k4(r, core, work) -> complex:
 
     g = r[finish]
     if g is None:
-        m = r[a].size
+        ma, mx, my, mz = sizes = tuple(r[d].size for d in (a, x, y, z))
         work = Workspace() if work is None else work
+        outer = work.array("outer", (max(sizes),) * 3)
         t = r[inner]
         if t is None:
-            w = work.array("outer", (m, m, m))
+            w = _head(outer, (ma, mx, my))
             np.multiply((r[a][:, None] * mat(ax))[:, :, None], mat(ay)[:, None, :],
                         out=w)  # over (a, x, y)
-            t = r[inner] = work.array("inner", (m, m, m))
-            np.matmul(w.reshape(m, m * m).T, mat(az), out=t.reshape(m * m, m))
-        f = np.multiply(t, mat(yz) * r[z], out=work.array("outer", (m, m, m)))
-        g = r[finish] = np.matmul(f, mat(xz)[:, :, None]).reshape(m, m)
+            t = r[inner] = _head(work.array("inner", (max(sizes),) * 3), (mx, my, mz))
+            np.matmul(w.reshape(ma, mx * my).T, mat(az), out=t.reshape(mx * my, mz))
+        f = np.multiply(t, mat(yz) * r[z], out=_head(outer, (mx, my, mz)))
+        g = r[finish] = np.matmul(f, mat(xz)[:, :, None]).reshape(mx, my)
     return complex(r[x] @ (mat(xy) * g) @ r[y])
 
 
@@ -365,7 +377,7 @@ class LevelTables(NamedTuple):
                             for key, v in self.vectors.items()}, self.smats)
 
 
-def pair_matrices(pos, neg, pair) -> dict:
+def pair_matrices(pos, neg, pair, fold=None) -> dict:
     """The read-only S-matrix of every signed pair (a, b) the half-line terms
     (full-line for neg None) use: pair(x[:, None], y[None, :]) over the node
     values x of a and y of b, pos[d] for variable d+1, neg[d] for -(d+1).
@@ -376,9 +388,23 @@ def pair_matrices(pos, neg, pair) -> dict:
     (the exclusion process on the full line, one circle for every variable).
     Variables on distinct arrays (the Bose gas on its staggered lines) get
     one matrix per signed pair with a + b >= 0.
+
+    `fold` is None or (f, keep) on a folded level (`ContourTables`): the
+    matrices of variable f+1 run over its nodes pos[f][keep] and
+    neg[f][keep] alone.  If it has a node array of its own, they are built
+    on those nodes, (m/2 + 1) x m; if it shares one, they are row or column
+    views of the shared matrices, so a shared array still builds each
+    matrix once.
     """
     first = {}
     grid = [first.setdefault(id(v), d + 1) for d, v in enumerate(pos)]
+    f, keep = fold or (None, None)
+    alone = fold is not None and grid.count(grid[f]) == 1
+
+    def nodes(g):
+        x = pos[g - 1] if g > 0 else neg[-g - 1]
+        return x[keep] if alone and abs(g) == f + 1 else x
+
     built = {}
     smats = {}
     terms = term_structure(len(pos), neg is not None)
@@ -387,10 +413,12 @@ def pair_matrices(pos, neg, pair) -> dict:
         mirrored = ga + gb < 0
         key = (-gb, -ga) if mirrored else (ga, gb)
         if key not in built:
-            x, y = (pos[g - 1] if g > 0 else neg[-g - 1] for g in key)
-            built[key] = pair(x[:, None], y[None, :])
+            built[key] = pair(nodes(key[0])[:, None], nodes(key[1])[None, :])
             built[key].flags.writeable = False
-        smats[a, b] = built[key].T if mirrored else built[key]
+        mat = built[key].T if mirrored else built[key]
+        if fold is not None and not alone:
+            mat = mat[keep] if abs(a) == f + 1 else mat[:, keep] if abs(b) == f + 1 else mat
+        smats[a, b] = mat
     return smats
 
 
@@ -620,14 +648,42 @@ class ContourTables:
     for both signs; `amplitudes[d]`, a negative entry's amplitude (r(tau/xi)
     or -1).  `smats` holds the S-matrices (`pair_matrices`) and `wave(nodes,
     x)` is the plane wave, xi^x or e^(ikx).
+
+    `half` is None, or (slice of the kept nodes, weight factor per kept
+    node) for a level whose every factor is conjugate-symmetric: at the
+    mirror image of a node (`contour_quad.circle_half`, `line_half`) each
+    factor takes its complex conjugate, so the terms at two mirror grid
+    points are conjugates, and the level is the real part of the sum in
+    which one variable runs over its kept nodes only, each weight times its
+    factor (2, or 1 at a node that is its own mirror image).  That variable,
+    `fold`, is the last one, N - 1, and all its tables hold its kept nodes
+    only; `fold` is None on an unfolded level.  `evaluate` keeps the real
+    part.  Every contraction step that reads the last variable is halved.
+    The half-line terms sum out dimension 0 first (`LevelProgram`), so
+    N - 1 halves that first step too, the N = 3 couplings and the N = 4 K4
+    inner tensor, and then stays in what they leave: the K4 finishes and
+    the matrix-vector products that follow; on the full line N - 1 is the
+    dimension summed out first.
     """
 
-    def __init__(self, pos, neg, weights, energies, amplitudes, wave, pair=None):
-        self.nodes = {(d, 1): v for d, v in enumerate(pos)}
+    def __init__(self, pos, neg, weights, energies, amplitudes, wave, pair=None, half=None):
+        self.fold = None if half is None else len(pos) - 1
+        keep, factor = half or (None, None)
+
+        def kept(d, table):  # variable d's table on its kept nodes
+            return table[keep] if d == self.fold and isinstance(table, np.ndarray) else table
+
+        self.nodes = {(d, 1): kept(d, v) for d, v in enumerate(pos)}
         if neg is not None:
-            self.nodes.update({(d, -1): v for d, v in enumerate(neg)})
-        self.weights, self.energies, self.amplitudes = weights, energies, amplitudes
-        self.smats = {} if pair is None else pair_matrices(pos, neg, pair)
+            self.nodes.update({(d, -1): kept(d, v) for d, v in enumerate(neg)})
+        self.weights = [kept(d, w) for d, w in enumerate(weights)]
+        if half is not None:
+            self.weights[self.fold] = self.weights[self.fold] * factor
+            self.weights[self.fold].flags.writeable = False
+        self.energies = [kept(d, e) for d, e in enumerate(energies)]
+        self.amplitudes = [kept(d, a) for d, a in enumerate(amplitudes)]
+        self.smats = {} if pair is None else pair_matrices(
+            pos, neg, pair, None if half is None else (self.fold, keep))
         self.wave = wave
 
     @property
@@ -661,7 +717,9 @@ def evaluate(contour_at, y, x, t, halfline: bool, opts, next_points=_doubled,
     gives the `ContourTables` of resolution m.  A level runs the sum's
     `level_program` on the tables of (Y, X, t) or, given
     `functional(contour, tables)`, sums coef * term_sum(tables.scaled(factors))
-    over the (coef, factors) it lists.
+    over the (coef, factors) it lists.  On folded tables the level is the
+    real part of that sum, taken once: the coefficients are then real and
+    each factor conjugate-symmetric, as the fold needs.
     """
     if len(y) > MAX_N:
         raise ValueError(f"evaluators support N <= {MAX_N}")
@@ -673,9 +731,11 @@ def evaluate(contour_at, y, x, t, halfline: bool, opts, next_points=_doubled,
         contour = contour_at(m)
         tables = contour.level(y, x, t)
         if functional is None:
-            return term_sum(tables, program)
-        return sum(coef * term_sum(tables.scaled(factors), program)
-                   for coef, factors in functional(contour, tables))
+            value = term_sum(tables, program)
+        else:
+            value = sum(coef * term_sum(tables.scaled(factors), program)
+                        for coef, factors in functional(contour, tables))
+        return value if contour.fold is None else value.real
 
     return adaptive_eval(level, opts, next_points=next_points)
 

@@ -14,6 +14,9 @@ two-variable scattering matrices, so each term reduces to the tensor
 contraction in `_kernels`, refined by `_kernels.evaluate` except in
 `prob_n1_closed`.  The contour tables depend only on p, the contours and the
 resolution, so a bounded cache shares them between calls (`_contour_tables`).
+On circles about a real centre every level is folded: one variable runs
+over the upper half of its circle and the level keeps its real part
+(`_circle_contour`).
 """
 
 from __future__ import annotations
@@ -28,9 +31,10 @@ from functools import lru_cache
 import numpy as np
 
 # contract is bound here as well because perfbench/tracing.py patches it here
-from ._kernels import ContourTables, contract, evaluate  # noqa: F401
+from ._kernels import (ContourTables, contract, evaluate, level_program,  # noqa: F401
+                       term_sum)
 from .contour_quad import (CircleContour, QuadOptions, RadiiScheme,
-                           adaptive_eval, circle_nodes)
+                           adaptive_eval, circle_half, circle_nodes)
 from .errors import ConvergenceError
 from .scattering import (AsepParams, eps_asep, integer_sites, lattice_sites,
                          r_factor, require_time, s_asep)
@@ -39,6 +43,15 @@ from .signed_perm import group_order
 
 @dataclass(frozen=True)
 class AsepEvalReport:
+    """A transition probability and how it was computed.
+
+    `imag_residual` is |Im| of the refined sum, which is real in exact
+    arithmetic.  It is 0.0 by construction on circles about a real centre
+    (the tuned radii and the full line): those levels are folded and keep
+    only their real part (`_kernels.ContourTables`).  With a complex centre
+    it is the rounding the quadrature leaves; `unfolded_imag_residual` reads
+    it for a real centre."""
+
     value: float
     imag_residual: float
     error_estimate: float
@@ -106,11 +119,19 @@ def _tuned_radii(p: float, n: int) -> RadiiScheme:
 MAX_CACHED_BYTES = 32 * 2**20
 
 
-def _circle_contour(params: AsepParams, contours, m: int,
-                    halfline: bool) -> ContourTables:
+def _circle_contour(params: AsepParams, contours, m: int, halfline: bool,
+                    fold: bool = False) -> ContourTables:
     """The contour tables of one level, variable d on contours[d]; every array
     is read-only, as `_contour_tables` shares them between calls.
-    Dimensions on one contour (the full line) share arrays and matrices."""
+    Dimensions on one contour (the full line) share arrays and matrices.
+
+    `fold` folds the level (`ContourTables`, `circle_half`), which needs
+    circles about a real centre: every factor has real coefficients and
+    conjugation maps each such circle onto itself, so the terms at mirror
+    grid points are complex conjugates.  A complex centre raises ValueError.
+    """
+    if fold and contours[0].center.imag != 0.0:
+        raise ValueError(f"only circles about a real centre fold, not {contours[0].center}")
     columns = {}
     for contour in dict.fromkeys(contours):  # the distinct contours, in order
         xi, w = circle_nodes(contour, m)
@@ -125,7 +146,7 @@ def _circle_contour(params: AsepParams, contours, m: int,
     neg, amplitudes = reflected or (None, ())
     # s(tau/y, tau/x) = s(x, y); a lambda, so a wrapper of s_asep here is seen
     return ContourTables(pos, neg, weights, energies, amplitudes, np.power,
-                         lambda x, y: s_asep(x, y, params))
+                         lambda x, y: s_asep(x, y, params), circle_half(m) if fold else None)
 
 
 _CONTOUR_CACHE: OrderedDict = OrderedDict()
@@ -137,12 +158,13 @@ def _contour_tables(p: float, center: complex, radii: tuple, m: int,
     the circle of radius radii[d] about center, from a least-recently-used
     cache of at most MAX_CACHED_BYTES; tables larger than that serve one
     call only.  The cache is keyed on these plain values, which hash and
-    compare in C, not on `AsepParams` and `CircleContour` objects."""
+    compare in C, not on `AsepParams` and `CircleContour` objects.  A real
+    centre folds the level (`_circle_contour`)."""
     key = (p, center, radii, m, halfline)
     tables = _CONTOUR_CACHE.pop(key, None)
     if tables is None:
         tables = _circle_contour(AsepParams(p), tuple(CircleContour(center, r) for r in radii),
-                                 m, halfline)
+                                 m, halfline, complex(center).imag == 0.0)
         if tables.nbytes > MAX_CACHED_BYTES:
             return tables
         held = tables.nbytes + sum(t.nbytes for t in _CONTOUR_CACHE.values())
@@ -194,6 +216,19 @@ def _report(raw: complex, err: float, m: int, terms: int, opts: QuadOptions) -> 
     return AsepEvalReport(float(raw.real), imag, err, m, terms)
 
 
+def _orientation(y, x, radii: RadiiScheme, tau: float):
+    """(source, target, prefactor) of the sum `prob_halfline` evaluates: the
+    reversed one, X -> Y times tau^delta, where delta * gain > 0."""
+    delta = sum(x) - sum(y)
+    log_tau = math.log(tau)
+    outer = radii.radii[-1] + abs(radii.center)
+    inner = radii.radii[0] - abs(radii.center)
+    gain = math.log(outer * inner) - log_tau
+    if delta * gain > 0 and abs(delta * log_tau) < 600.0:
+        return x, y, tau ** delta
+    return y, x, 1.0
+
+
 def prob_halfline(Y, X, t: float, params: AsepParams,
                   opts: QuadOptions | None = None,
                   radii: RadiiScheme | None = None) -> AsepEvalReport:
@@ -220,16 +255,7 @@ def prob_halfline(Y, X, t: float, params: AsepParams,
     y, x = lattice_sites(Y, halfline=True), lattice_sites(X, halfline=True)
     opts = _checked_opts(t, params, len(y), opts)
     radii = _halfline_radii(radii, params, len(y))
-
-    delta = sum(x) - sum(y)
-    log_tau = math.log(params.tau)
-    outer = radii.radii[-1] + abs(radii.center)
-    inner = radii.radii[0] - abs(radii.center)
-    gain = math.log(outer * inner) - log_tau
-    if delta * gain > 0 and abs(delta * log_tau) < 600.0:
-        src, dst, prefactor = x, y, params.tau ** delta
-    else:
-        src, dst, prefactor = y, x, 1.0
+    src, dst, prefactor = _orientation(y, x, radii, params.tau)
 
     # the reversed sum is scaled by the prefactor, so its own tolerance is
     # tightened for `tol` to bound the returned value
@@ -238,6 +264,20 @@ def prob_halfline(Y, X, t: float, params: AsepParams,
         src, dst, t, True,
         dataclasses.replace(opts, tol=opts.tol / prefactor) if prefactor > 1.0 else opts)
     return _report(prefactor * value, prefactor * err, m, group_order(len(y), True), opts)
+
+
+def unfolded_imag_residual(Y, X, t: float, params: AsepParams, m: int) -> float:
+    """|Im| of the level of resolution m that `prob_halfline` sums on its
+    tuned circles, in the orientation it picks and times its prefactor, but
+    unfolded: over every node of every circle.  The integrand's conjugate
+    symmetry makes it pure rounding.  A folded evaluation reports an
+    `imag_residual` of 0.0, so the realness diagnostics read this instead."""
+    y, x = lattice_sites(Y, halfline=True), lattice_sites(X, halfline=True)
+    require_time(t)
+    radii = tuned_radii(params, len(y))
+    src, dst, prefactor = _orientation(y, x, radii, params.tau)
+    tables = _circle_contour(params, radii.contours(), m, True).level(src, dst, t)
+    return abs(prefactor * term_sum(tables, level_program(len(y), True)).imag)
 
 
 def prob_fullline(Y, X, t: float, params: AsepParams,

@@ -11,7 +11,10 @@ Variable d is integrated on its own line, Im k_d = -(d+1) h (`_staggered`):
 every scattering factor S(k_a - k_b) of an inversion a > b then sits below
 the real axis, away from its pole at ic, so the poles no longer narrow the
 strip of analyticity that sets the trapezoid grid.  Every propagator and
-residual refines through `_kernels.evaluate` on these lines' tables.
+residual refines through `_kernels.evaluate` on these lines' tables.  At
+pure imaginary time k -> -conj(k) conjugates every factor, so each level is
+folded: one variable runs over Re k >= 0 only and the level keeps its real
+part (`_line_contour`).
 
 Closed-form limits (free bosons at c = 0, impenetrable bosons at c = inf)
 are derived independently and double as oracles for the full sum.
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import ContourTables, evaluate
-from .contour_quad import LineGrid, QuadOptions, line_nodes
+from .contour_quad import LineGrid, QuadOptions, line_half, line_nodes
 from .scattering import BoseParams, s_bose
 from .signed_perm import group_order
 
@@ -156,16 +159,21 @@ def _grid_parameters(y, x, time: DampedTime, c: float, h: float, tol: float):
     return cutoff, max(16, 2 * math.ceil(cutoff / spacing))
 
 
-def _line_contour(nodes, w, c: float, halfline: bool) -> ContourTables:
+def _line_contour(nodes, w, c: float, halfline: bool, fold: bool = False) -> ContourTables:
     """The contour tables on the nodes of each variable (`_staggered`), with
     S(k_a - k_b), k_-a = -k_a, but none at c = 0.  Variables on one shared
-    node array share their matrices (`pair_matrices`)."""
+    node array share their matrices (`pair_matrices`).
+
+    `fold` folds the level (`ContourTables`, `line_half`), which needs an
+    imaginary time: k -> -conj(k) maps each line onto itself and conjugates
+    every factor, e^(-i k^2 t) only when Re t = 0."""
     n = len(nodes)
     # S(-k_b + k_a) = S(k_a - k_b); a lambda, so a wrapper of s_bose here is seen
     return ContourTables(
         nodes, [-kd for kd in nodes] if halfline else None, (w,) * n,
         [-1j * kd * kd for kd in nodes], (-1.0,) * n, lambda k, x: np.exp(1j * k * x),
-        (lambda ka, kb: s_bose(ka - kb, BoseParams(c))) if c != 0.0 else None)
+        (lambda ka, kb: s_bose(ka - kb, BoseParams(c))) if c != 0.0 else None,
+        line_half(w.size) if fold else None)
 
 
 def _line_opts(y, x, time, c, opts: QuadOptions | None):
@@ -196,10 +204,11 @@ def _propagator(y, x, t, params: BoseParams, opts: QuadOptions | None,
                 halfline: bool, functional=None) -> BoseEvalReport:
     time = t if isinstance(t, DampedTime) else DampedTime(t)
     cutoff, opts, h = _line_opts(y, x, time, params.c, opts)
+    folded = time.t.real == 0.0
 
     def contour_at(m):
         k, w = line_nodes(LineGrid(cutoff, 2.0 * cutoff / m))
-        return _line_contour(_staggered(k, len(y), h), w, params.c, halfline)
+        return _line_contour(_staggered(k, len(y), h), w, params.c, halfline, folded)
 
     value, err, m = evaluate(contour_at, y, x, time.t, halfline, opts,
                              _five_quarters, functional)

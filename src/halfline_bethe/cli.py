@@ -43,7 +43,9 @@ VALIDATE_COMMANDS = {
     "validate-bose": run_bose_suite,
 }
 
-#: flat CSV column order (list-valued fields are ';'-joined)
+#: flat CSV column order (list-valued fields are ';'-joined).  `imag_residual`
+#: and `value_imag` read 0.0 by construction where the level is folded: a
+#: real circle centre or an imaginary Bose time (`asep_exact.AsepEvalReport`)
 CSV_COLUMNS = [
     "command", "p", "c", "Y", "X", "t", "tau", "tol", "max_points", "radii",
     "seed", "trials", "window", "N", "draws", "value",

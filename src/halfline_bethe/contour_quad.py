@@ -132,6 +132,36 @@ def line_nodes(grid: LineGrid):
     return nodes, weights
 
 
+def circle_half(m: int) -> tuple[slice, np.ndarray]:
+    """The self-mirror half of `circle_nodes`' m nodes on a circle about a
+    real centre, as (slice of the kept nodes, weight factor per kept node).
+
+    Conjugation maps node j to node m - j, and its weight to that node's, so
+    the nodes j = 0 .. m // 2 keep one node of every mirror pair.  The real
+    nodes, j = 0 and, for even m, j = m / 2, are their own mirror images and
+    keep their weight; every other kept node doubles it.
+    """
+    factor = np.full(m // 2 + 1, 2.0)
+    factor[0] = 1.0
+    if m % 2 == 0:
+        factor[-1] = 1.0
+    return slice(0, factor.size), factor
+
+
+def line_half(size: int) -> tuple[slice, np.ndarray]:
+    """The self-mirror half of the `size` nodes of `line_nodes`, as
+    `circle_half` gives it.
+
+    The nodes s * spacing, s = -half .. half, lie on a line Im k = const
+    mapped onto itself by k -> -conj(k), which sends s to -s; the nodes
+    s >= 0 are kept, and every one but s = 0 doubles its weight.
+    """
+    half = size // 2
+    factor = np.full(half + 1, 2.0)
+    factor[0] = 1.0
+    return slice(half, None), factor
+
+
 def _doubled(m: int) -> int:
     return 2 * m
 

@@ -132,12 +132,21 @@ def xi_signed(a: int, xivals, params: AsepParams) -> np.ndarray | complex:
 
 
 def s_bose(k, params: BoseParams) -> np.ndarray | complex:
-    """Two-particle factor -(c - ik)/(c + ik); unimodular for real k."""
+    """Two-particle factor -(c - ik)/(c + ik); unimodular for real k.
+
+    Computed as (k + ic)/(k - ic), numerator and denominator times -i, for
+    which numpy's complex division returns the quotient above bit for bit,
+    but for the sign of a zero part where |Re(k - ic)| = |Im(k - ic)|.  The
+    pole guard takes |k - ic| only where |Re(k - ic)| is below the floor,
+    as it is wherever |k - ic| is."""
     k = np.asarray(k, dtype=complex)
-    den = params.c + 1j * k
-    if np.any(np.abs(den) < DENOM_FLOOR):
+    ic = 1j * params.c
+    den = k - ic
+    near = np.abs(den.real) < DENOM_FLOOR
+    if near.any() and np.any(np.abs(den[near]) < DENOM_FLOOR):
         raise SingularityError(f"s_bose pole: |c + ik| < {DENOM_FLOOR}")
-    out = -(params.c - 1j * k) / den
+    out = k + ic
+    out /= den
     return complex(out) if out.ndim == 0 else out
 
 

@@ -17,7 +17,7 @@ from . import bose_exact, oracles
 from ._kernels import MAX_N
 from .asep_exact import (evaluate_extended, master_equation_residual,
                          prob_fullline, prob_halfline, prob_n1_closed, total_mass,
-                         tuned_radii)
+                         tuned_radii, unfolded_imag_residual)
 from .bose_exact import (DampedTime, fermion_limit_cinf, free_limit_c0,
                          images_kernel, propagator_fullline, propagator_halfline,
                          wall_residual)
@@ -246,7 +246,10 @@ def run_asep_suite(p: float = 0.4) -> SuiteReport:
             continue
         r = prob_halfline((0, 2), st, t, params)
         worst_d = max(worst_d, abs(r.value - mass))
-        worst_imag = max(worst_imag, r.imag_residual)
+        # the folded sum reports 0.0; its unfolded last level measures the
+        # conjugate symmetry that the fold relies on
+        worst_imag = max(worst_imag,
+                         unfolded_imag_residual((0, 2), st, t, params, r.points_used))
         most_neg = min(most_neg, r.value)
     rep.add("n2-oracle-equivalence", worst_d, 1e-6, "t=0.5, Y=(0,2)")
     rep.add("realness", worst_imag, 1e-8)

@@ -26,9 +26,10 @@ P04 = AsepParams.from_p(0.4)
 
 
 def _level_value(y, x, t, params, contours, m):
-    """One half-line quadrature level, summed straight from the contour tables."""
-    return term_sum(_circle_contour(params, contours, m, True).level(y, x, t),
-                    level_program(len(y), True))
+    """One folded half-line quadrature level, summed straight from the
+    contour tables, its real part kept as `evaluate` keeps it."""
+    return term_sum(_circle_contour(params, contours, m, True, True).level(y, x, t),
+                    level_program(len(y), True)).real
 
 
 class TestConfigs:
@@ -581,23 +582,27 @@ class TestContourCache:
     @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_every_matrix_is_s_asep(self, n, p):
-        # half of the matrices are transposes, S(-b, -a) = S(a, b)^T
+        # half of the matrices are transposes, S(-b, -a) = S(a, b)^T; folded,
+        # the last variable runs over its 9 kept nodes of 16
         params = AsepParams.from_p(p)
         contours = tuned_radii(params, n).contours()
-        tables = _circle_contour(params, contours, 16, True)
-        nodes = [circle_nodes(c, 16)[0] for c in contours]
+        for fold in (False, True):
+            tables = _circle_contour(params, contours, 16, True, fold)
+            nodes = [circle_nodes(c, 16)[0] for c in contours]
+            if fold:
+                nodes[-1] = nodes[-1][:9]
 
-        def signed(a):
-            return nodes[a - 1] if a > 0 else params.tau / nodes[-a - 1]
+            def signed(a):
+                return nodes[a - 1] if a > 0 else params.tau / nodes[-a - 1]
 
-        assert set(tables.smats) == {ab for term in term_structure(n, True)
-                                     for invs in term.mats for ab in invs}
-        assert len(tables.smats) == 2 * n * (n - 1)
-        for (a, b), mat in tables.smats.items():
-            direct = s_asep(signed(a)[:, None], signed(b)[None, :], params)
-            assert np.max(np.abs(mat - direct) / np.abs(direct)) <= 1e-14, (a, b)
-        owners = {id(m if m.base is None else m.base) for m in tables.smats.values()}
-        assert len(owners) == n * (n - 1)
+            assert set(tables.smats) == {ab for term in term_structure(n, True)
+                                         for invs in term.mats for ab in invs}
+            assert len(tables.smats) == 2 * n * (n - 1)
+            for (a, b), mat in tables.smats.items():
+                direct = s_asep(signed(a)[:, None], signed(b)[None, :], params)
+                assert np.max(np.abs(mat - direct) / np.abs(direct)) <= 1e-14, (a, b, fold)
+            owners = {id(m if m.base is None else m.base) for m in tables.smats.values()}
+            assert len(owners) == n * (n - 1)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_full_line_dimensions_share_one_matrix(self, n):
@@ -609,6 +614,14 @@ class TestContourCache:
         for mat in tables.smats.values():
             assert mat is tables.smats[2, 1]
         np.testing.assert_array_equal(tables.smats[2, 1], direct)
+        # folded, the last variable takes its 9 kept nodes as rows or
+        # columns of the same one matrix
+        folded = _circle_contour(P04, contours, 16, False, True)
+        assert folded.fold == n - 1
+        assert len({id(m if m.base is None else m.base) for m in folded.smats.values()}) == 1
+        for (a, b), mat in folded.smats.items():
+            want = direct[:9] if a == n else direct[:, :9] if b == n else direct
+            np.testing.assert_array_equal(mat, want)
 
     def test_least_recently_used_goes_first(self, empty_cache, monkeypatch):
         params = {p: AsepParams.from_p(p) for p in (0.3, 0.4, 0.5)}
@@ -617,7 +630,7 @@ class TestContourCache:
         def get(p):
             return _contour_tables(p, radii[p].center, radii[p].radii, 64, True)
 
-        size = _circle_contour(params[0.3], radii[0.3].contours(), 64, True).nbytes
+        size = _circle_contour(params[0.3], radii[0.3].contours(), 64, True, True).nbytes
         monkeypatch.setattr(asep_exact, "MAX_CACHED_BYTES", 2 * size)
         first = get(0.3)
         get(0.4)
@@ -626,8 +639,9 @@ class TestContourCache:
         assert [key[0] for key in empty_cache] == [0.3, 0.5]
 
     def test_tables_over_the_budget_are_not_kept(self, empty_cache, monkeypatch):
-        # at N = 2, m = 64 holds about 140 kB, m = 128 about 540 kB
-        monkeypatch.setattr(asep_exact, "MAX_CACHED_BYTES", 300_000)
+        # at N = 2 the folded tables of m = 64 hold about 75 kB, m = 128
+        # about 280 kB
+        monkeypatch.setattr(asep_exact, "MAX_CACHED_BYTES", 150_000)
         prob_halfline((0, 2), (1, 3), 0.5, P04,
                       QuadOptions(initial_points=64, max_points=128, tol=1.0))
         assert [key[3] for key in empty_cache] == [64]

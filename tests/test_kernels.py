@@ -236,11 +236,17 @@ def _grid_sum(nodes, weights, integrand):
     return (w * integrand(variables)).sum()
 
 
+def _real_if(fold, value):
+    """The level as `evaluate` keeps it: its real part when folded."""
+    return value.real if fold else value
+
+
 class TestScalarPath:
     """A level's tables against the integrand straight from the paper's
     formula: sum over sigma of the amplitude (`amplitude_asep`,
     `amplitude_bose`) times the closed-form plane waves, summed over the
-    product grid, with no factor table in between."""
+    product grid, with no factor table in between.  A folded level is the
+    real part of that sum."""
 
     @pytest.mark.parametrize("n,halfline", [
         pytest.param(n, halfline, id=f"N{n}-{'half' if halfline else 'full'}")
@@ -251,8 +257,6 @@ class TestScalarPath:
         y, x = (0, 2, 4)[:n], (1, 2, 5)[:n]
         contours = (tuned_radii(params, n).contours() if halfline
                     else (CircleContour(0.0, 2.0 / params.q),) * n)
-        got = term_sum(_circle_contour(params, contours, m, halfline).level(y, x, t),
-                       level_program(n, halfline))
         xi, w = zip(*(circle_nodes(c, m) for c in contours))
 
         def integrand(v):
@@ -266,7 +270,11 @@ class TestScalarPath:
                                      * np.exp(eps_asep(v[..., d], params) * t)
                                      for d in range(n))
 
-        assert got == pytest.approx(_grid_sum(xi, w, integrand), rel=1e-12)
+        want = _grid_sum(xi, w, integrand)
+        for fold in (False, True):
+            got = term_sum(_circle_contour(params, contours, m, halfline, fold).level(y, x, t),
+                           level_program(n, halfline))
+            assert _real_if(fold, got) == pytest.approx(_real_if(fold, want), rel=1e-12)
 
     @pytest.mark.parametrize("n,halfline", [
         pytest.param(n, halfline, id=f"N{n}-{'half' if halfline else 'full'}")
@@ -277,8 +285,6 @@ class TestScalarPath:
         y, x = BOSE_Y[:n], (0.8, 1.7, 2.9)[:n]
         # m = 16, the coarsest LineGrid: 17 nodes on [-4, 4]
         nodes = [K - 1j * (d + 1) * h for d in range(n)]
-        got = term_sum(_line_contour(nodes, W, params.c, halfline).level(y, x, t),
-                       level_program(n, halfline))
 
         def integrand(v):
             total = 0.0
@@ -290,7 +296,11 @@ class TestScalarPath:
             return total * math.prod(np.exp(-1j * v[..., d] * y[d] - 1j * t * v[..., d] ** 2)
                                      for d in range(n))
 
-        assert got == pytest.approx(_grid_sum(nodes, (W,) * n, integrand), rel=1e-12)
+        want = _grid_sum(nodes, (W,) * n, integrand)
+        for fold in (False, True):
+            got = term_sum(_line_contour(nodes, W, params.c, halfline, fold).level(y, x, t),
+                           level_program(n, halfline))
+            assert _real_if(fold, got) == pytest.approx(_real_if(fold, want), rel=1e-12)
 
 
 class TestPairMatrices:
@@ -304,18 +314,25 @@ class TestPairMatrices:
         (3, False, 1.0, 1), (3, True, 0.0, 0), (2, False, 0.0, 0),
     ])
     def test_bose(self, n, halfline, c, distinct):
-        smats = _line_contour((K,) * n, W, c, halfline).smats
-        owners = {id(m if m.base is None else m.base) for m in smats.values()}
-        assert len(owners) == distinct
-        if c == 0.0:
-            assert smats == {}
-            return
-        assert set(smats) == set(_used_pairs(n, halfline))
-        for (a, b), mat in smats.items():
-            direct = s_bose(np.sign(a) * K[:, None] - np.sign(b) * K[None, :],
-                            BoseParams(c))
-            np.testing.assert_array_equal(mat, direct)
-            assert not mat.flags.writeable
+        # folded, the last variable takes the nodes k >= 0 as
+        # rows or columns of the same matrices
+        for fold in (False, True):
+            tables = _line_contour((K,) * n, W, c, halfline, fold)
+            smats = tables.smats
+            owners = {id(m if m.base is None else m.base) for m in smats.values()}
+            assert len(owners) == distinct
+            if c == 0.0:
+                assert smats == {}
+                continue
+            assert set(smats) == set(_used_pairs(n, halfline))
+            nodes = [K] * n
+            if fold:
+                nodes[tables.fold] = K[K.size // 2:]
+            for (a, b), mat in smats.items():
+                ka, kb = (np.sign(v) * nodes[abs(v) - 1] for v in (a, b))
+                direct = s_bose(ka[:, None] - kb[None, :], BoseParams(c))
+                np.testing.assert_array_equal(mat, direct)
+                assert not mat.flags.writeable
 
     @pytest.mark.parametrize("n,halfline,distinct", [
         (2, True, 2), (3, True, 6), (4, True, 12), (3, False, 3),
@@ -323,21 +340,27 @@ class TestPairMatrices:
     def test_bose_staggered(self, n, halfline, distinct):
         # variable d on Im k = -(d+1) h: one matrix per signed pair with
         # a + b >= 0, each inversion (a, b), a > b, at Im(k_a - k_b) =
-        # -(a - b) h, below the pole at ic, so every |S| <= 1
+        # -(a - b) h, below the pole at ic, so every |S| <= 1; folded, the
+        # matrices of the last variable are built on its nodes
+        # Re k >= 0 alone
         h = 0.5
-        nodes = _staggered(K, n, h)
-        smats = _line_contour(nodes, W, 0.5, halfline).smats
-        owners = {id(m if m.base is None else m.base) for m in smats.values()}
-        assert len(owners) == distinct
-        assert set(smats) == set(_used_pairs(n, halfline))
-        for (a, b), mat in smats.items():
-            ka, kb = (np.sign(v) * nodes[abs(v) - 1] for v in (a, b))
-            assert a > b
-            np.testing.assert_allclose((ka[:, None] - kb[None, :]).imag, -(a - b) * h,
-                                       rtol=1e-15)
-            np.testing.assert_array_equal(mat, s_bose(ka[:, None] - kb[None, :],
-                                                      BoseParams(0.5)))
-            assert np.abs(mat).max() <= 1.0 + 1e-15
+        for fold in (False, True):
+            nodes = _staggered(K, n, h)
+            tables = _line_contour(nodes, W, 0.5, halfline, fold)
+            smats = tables.smats
+            if fold:
+                nodes[tables.fold] = nodes[tables.fold][K.size // 2:]
+            owners = {id(m if m.base is None else m.base) for m in smats.values()}
+            assert len(owners) == distinct
+            assert set(smats) == set(_used_pairs(n, halfline))
+            for (a, b), mat in smats.items():
+                ka, kb = (np.sign(v) * nodes[abs(v) - 1] for v in (a, b))
+                assert a > b
+                np.testing.assert_allclose((ka[:, None] - kb[None, :]).imag, -(a - b) * h,
+                                           rtol=1e-15)
+                np.testing.assert_array_equal(mat, s_bose(ka[:, None] - kb[None, :],
+                                                          BoseParams(0.5)))
+                assert np.abs(mat).max() <= 1.0 + 1e-15
 
 
 class TestFolding:
@@ -451,9 +474,10 @@ def _model_level(model, n, halfline):
 
 
 def _n4_level(m):
-    """The tables of one half-line N=4 exclusion-process level at m points."""
+    """The tables of one half-line N=4 exclusion-process level at m points,
+    folded as the evaluators fold it: dimension 0 on m // 2 + 1 nodes."""
     params = AsepParams.from_p(0.4)
-    contour = _circle_contour(params, tuned_radii(params, 4).contours(), m, True)
+    contour = _circle_contour(params, tuned_radii(params, 4).contours(), m, True, True)
     return contour.level((0, 1, 2, 3), (0, 1, 3, 5), 0.5)
 
 
@@ -573,9 +597,10 @@ class TestLevelProgram:
         for p in (0.4, 0.6) for x in ((0, 1, 2, 3), (0, 1, 2, 4))
     ])
     def test_the_benchmark_n4_inputs_agree_with_the_per_term_loop(self, x, p):
-        # the asep-n4 pool at its last level, m = 32, in both orientations
+        # the asep-n4 pool at its last level, m = 32, folded, in both
+        # orientations
         params = AsepParams.from_p(p)
-        contour = _circle_contour(params, tuned_radii(params, 4).contours(), 32, True)
+        contour = _circle_contour(params, tuned_radii(params, 4).contours(), 32, True, True)
         for y, target in (((0, 1, 2, 3), x), (x, (0, 1, 2, 3))):
             tables = contour.level(y, target, 0.1)
             assert term_sum(tables, level_program(4, True)) == pytest.approx(
@@ -583,7 +608,9 @@ class TestLevelProgram:
 
     def test_an_n4_level_allocates_two_m3_arrays(self, monkeypatch):
         # 15 K4 inner tensors, 15 outer products and 60 finishes, all in
-        # one workspace: 2 arrays of m^3 where every step used to make one
+        # one workspace: 2 arrays of m^3 where every step used to make one.
+        # The outer products over the folded dimension 0, (m/2 + 1) m^2, and
+        # the finishes, m^3, share the head of one array
         made = []
 
         class Counted(_kernels.Workspace):
