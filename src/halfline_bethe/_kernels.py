@@ -11,8 +11,8 @@ Two kernel families live here:
   complete graph K4, which one m^4 step (`_k4`) sums; a larger core raises
   ValueError.  Every exact evaluator reduces its per-term quadrature to this
   shape, and ``term_sum`` sums it over the signed-permutation terms of both
-  models, one contraction per sign-flip pair of a half-line sum, as a
-  `LevelProgram` compiled once per (N, half/full line) orders them.  Each
+  models, one contraction per sign-flip pair of a half-line sum, in the
+  order of the `Schedule` its tables carry (`compile_schedule`).  Each
   step of a term is keyed by its operands, and the terms that build one
   value run one after another in nested runs: the run's first term builds
   it (a pair product, a coupling, a K4 inner tensor or finish) and the
@@ -43,7 +43,7 @@ from .signed_perm import term_structure
 
 #: largest particle number the evaluators accept.  A half-line level runs
 #: 2^(N-1) N! contractions; at N = 4 the 60 whose pair graph is complete run
-#: the K4 step, and 15 m^4 inner tensors serve them all (`LevelProgram`);
+#: the K4 step, and 15 m^4 inner tensors serve them all (`compile_schedule`);
 #: every other one costs m^3 or less.  From N = 5 on,
 #: some pair graphs leave larger cores, which `contract` refuses.
 MAX_N = 4
@@ -285,7 +285,7 @@ class TermPlan(NamedTuple):
     """The instructions of one contraction: `alone` builds every step,
     `shared` also loads the steps that earlier terms of a level keep in
     `contract`'s `shared` dict, keeps those that later terms read, and drops
-    each after its last reader (`LevelProgram.schedule`)."""
+    each after its last reader (`compile_schedule`)."""
 
     alone: tuple
     shared: tuple
@@ -364,17 +364,19 @@ class LevelTables(NamedTuple):
     `vectors[d, s, pos]` is the factor of variable d placed at position pos
     with sign s, a negative entry's amplitude included (`ContourTables`).
     `smats[a, b]` is the scattering matrix of the signed variables a and b,
-    rows over |a|; a pair it lacks is identically 1.
+    rows over |a|; a pair it lacks is identically 1.  `schedule` is the
+    compiled sum that `term_sum` runs on them (`compile_schedule`).
     """
 
     vectors: dict
     smats: dict
+    schedule: Schedule
 
     def scaled(self, factors: dict) -> "LevelTables":
         """The tables with each vector times its key's entry in `factors`,
-        sharing the matrices: the tables of a derivative."""
-        return LevelTables({key: v * factors[key] if key in factors else v
-                            for key, v in self.vectors.items()}, self.smats)
+        sharing the matrices and the schedule: the tables of a derivative."""
+        return self._replace(vectors={key: v * factors[key] if key in factors else v
+                                      for key, v in self.vectors.items()})
 
 
 def pair_matrices(pos, neg, pair, fold=None) -> dict:
@@ -423,7 +425,8 @@ def pair_matrices(pos, neg, pair, fold=None) -> dict:
 
 
 class Schedule(NamedTuple):
-    """A `LevelProgram` compiled for one pattern of S-matrices."""
+    """The terms of one sum compiled for one pattern of S-matrices
+    (`compile_schedule`)."""
 
     #: the distinct vector keys (d, sign, pos) the terms read, sign +-1
     vectors: tuple
@@ -439,21 +442,22 @@ class Schedule(NamedTuple):
     steps: dict
 
 
-class LevelProgram:
-    """The terms of one sum (`signed_perm.term_structure`) compiled for
-    `term_sum`, once per (N, half/full line) by `level_program`.
+@lru_cache(maxsize=64)
+def compile_schedule(n: int, halfline: bool, pairs: frozenset) -> Schedule:
+    """The terms of the (N, half/full line) sum
+    (`signed_perm.term_structure`) compiled for `term_sum` on tables that
+    carry the S-matrices of the signed pairs in `pairs`, once per pattern:
+    `ContourTables` looks its schedule up when it is built.
 
-    `schedule(pairs)` compiles the terms for tables that carry the
-    S-matrices of the signed pairs in `pairs` (`Schedule`).  Each step of a
-    term (`_compile`) is keyed by its operands, so equal steps of two terms
-    are one value.  The terms are ordered by the values they share with
-    other terms, costliest first, so that the terms that build one value
-    follow one another; these runs nest, a K4 inner tensor's run holding the
-    runs of its finishes, and those of the couplings and pair products
-    within.  A value is built by the first term of its run that needs it,
-    kept while a later term of the run reads it and dropped after the last
-    (`_share`); a step that only fed loaded values is skipped.  Terms that
-    share nothing keep their order and run their steps as built.
+    Each step of a term (`_compile`) is keyed by its operands, so equal steps
+    of two terms are one value.  The terms are ordered by the values they
+    share with other terms, costliest first, so that the terms that build
+    one value follow one another; these runs nest, a K4 inner tensor's run
+    holding the runs of its finishes, and those of the couplings and pair
+    products within.  A value is built by the first term of its run that
+    needs it, kept while a later term of the run reads it and dropped after
+    the last (`_share`); a step that only fed loaded values is skipped.
+    Terms that share nothing keep their order and run their steps as built.
 
     Every complete term (all pairs present, N >= 3) sums out the same
     dimension first, the one that gives the fewest distinct first steps,
@@ -462,68 +466,57 @@ class LevelProgram:
     at N = 3.  The terms of one K4 inner tensor sum in their finish the
     dimension that leaves the fewest distinct finishes (`_finish_dims`).
     """
+    dim_pairs = list(itertools.combinations(range(n), 2))
+    terms = [(term.vectors, tuple(tuple(ab for ab in invs if ab in pairs)
+                                  for invs in term.mats)) for term in term_structure(n, halfline)]
+    complete = [i for i, (_, slots) in enumerate(terms) if n >= 3 and all(slots)]
 
-    def __init__(self, n: int, halfline: bool):
-        self.n = n
-        self.terms = term_structure(n, halfline)
+    def first_step(i, first):
+        keys, slots = terms[i]
+        return keys[first], tuple(s for pair, s in zip(dim_pairs, slots) if first in pair)
 
-    # one schedule per program and pattern of S-matrices: every pair or none
-    # in both models; the programs live for the whole process anyway
-    # (`level_program`)
-    @lru_cache(maxsize=64)
-    def schedule(self, pairs: frozenset) -> Schedule:
-        n = self.n
-        dim_pairs = list(itertools.combinations(range(n), 2))
-        terms = [(term.vectors, tuple(tuple(ab for ab in invs if ab in pairs)
-                                      for invs in term.mats)) for term in self.terms]
-        complete = [i for i, (_, slots) in enumerate(terms) if n >= 3 and all(slots)]
-
-        def first_step(i, first):
-            keys, slots = terms[i]
-            return keys[first], tuple(s for pair, s in zip(dim_pairs, slots) if first in pair)
-
-        first = min(range(n), key=lambda f: (len({first_step(i, f) for i in complete}), -f))
-        plans = [_plan(n, tuple(map(bool, slots)), first if i in complete else None)
-                 for i, (_, slots) in enumerate(terms)]
-        finish = _finish_dims(terms, plans)
-        intern = _interner()
-        graphs = [_compile(plan, keys, slots, intern, finish.get(i))
-                  for i, (plan, (keys, slots)) in enumerate(zip(plans, terms))]
-        order = _run_order(graphs)
-        # the plain vectors first, then the folded ones
-        vectors = sorted({key for term_keys, _ in terms for key in term_keys},
-                         key=lambda key: (not key[1], key))
-        slots = sorted({slot for _, term_slots in terms for slot in term_slots})
-        steps = {kind: [0, 0] for kind in STEP_KINDS}
-        scheduled = []
-        for i, (acts, keep, drop) in zip(order, _share(graphs, order)):
-            alone, shared, kept = [], [], []
-            for node, builds in zip(graphs[i], acts):
-                steps[node.kind][1] += 1
-                if node.instruction is not None:
-                    alone.append(node.instruction)
-                if builds is None:
-                    continue
-                if not builds:
-                    shared.append((LOAD, node.register, node.value))
-                    continue
-                steps[node.kind][0] += 1
-                if node.value in keep:
-                    kept.append((KEEP, node.register, node.value))
-                if node.instruction is not None:
-                    # the K4 instruction builds its tensors, kept after it
-                    shared += [node.instruction] + kept
-                    kept = []
-            shared += [(DROP, value) for value in sorted(drop)]
-            term_keys, term_slots = terms[i]
-            scheduled.append((tuple(map(vectors.index, term_keys)),
-                              tuple(map(slots.index, term_slots)),
-                              TermPlan(tuple(alone), tuple(shared))))
-        return Schedule(tuple(key for key in vectors if key[1]),
-                        tuple((d, pos) for d, sign, pos in vectors if not sign),
-                        tuple(tuple((ab, abs(ab[0]) > abs(ab[1])) for ab in slot)
-                              for slot in slots),
-                        tuple(scheduled), {kind: tuple(counts) for kind, counts in steps.items()})
+    first = min(range(n), key=lambda f: (len({first_step(i, f) for i in complete}), -f))
+    plans = [_plan(n, tuple(map(bool, slots)), first if i in complete else None)
+             for i, (_, slots) in enumerate(terms)]
+    finish = _finish_dims(terms, plans)
+    intern = _interner()
+    graphs = [_compile(plan, keys, slots, intern, finish.get(i))
+              for i, (plan, (keys, slots)) in enumerate(zip(plans, terms))]
+    order = _run_order(graphs)
+    # the plain vectors first, then the folded ones
+    vectors = sorted({key for term_keys, _ in terms for key in term_keys},
+                     key=lambda key: (not key[1], key))
+    slots = sorted({slot for _, term_slots in terms for slot in term_slots})
+    steps = {kind: [0, 0] for kind in STEP_KINDS}
+    scheduled = []
+    for i, (acts, keep, drop) in zip(order, _share(graphs, order)):
+        alone, shared, kept = [], [], []
+        for node, builds in zip(graphs[i], acts):
+            steps[node.kind][1] += 1
+            if node.instruction is not None:
+                alone.append(node.instruction)
+            if builds is None:
+                continue
+            if not builds:
+                shared.append((LOAD, node.register, node.value))
+                continue
+            steps[node.kind][0] += 1
+            if node.value in keep:
+                kept.append((KEEP, node.register, node.value))
+            if node.instruction is not None:
+                # the K4 instruction builds its tensors, kept after it
+                shared += [node.instruction] + kept
+                kept = []
+        shared += [(DROP, value) for value in sorted(drop)]
+        term_keys, term_slots = terms[i]
+        scheduled.append((tuple(map(vectors.index, term_keys)),
+                          tuple(map(slots.index, term_slots)),
+                          TermPlan(tuple(alone), tuple(shared))))
+    return Schedule(tuple(key for key in vectors if key[1]),
+                    tuple((d, pos) for d, sign, pos in vectors if not sign),
+                    tuple(tuple((ab, abs(ab[0]) > abs(ab[1])) for ab in slot)
+                          for slot in slots),
+                    tuple(scheduled), {kind: tuple(counts) for kind, counts in steps.items()})
 
 
 def _finish_dims(terms, plans) -> dict:
@@ -597,12 +590,6 @@ def _share(graphs, order) -> list:
     return list(zip(acts, keep, drop))
 
 
-@lru_cache(maxsize=16)
-def level_program(n: int, halfline: bool) -> LevelProgram:
-    """The `LevelProgram` of the (N, half/full line) sum, compiled once."""
-    return LevelProgram(n, halfline)
-
-
 def _factors(smats, slot):
     """The S-matrices of one pair's inversions (`Schedule.slots`), rows over
     the lower dimension: None for none, the matrix for one, else their
@@ -611,9 +598,9 @@ def _factors(smats, slot):
     return factors[0] if len(factors) == 1 else tuple(factors) or None
 
 
-def term_sum(tables: LevelTables, program: LevelProgram) -> complex:
-    """Sum of the contracted integrands of a compiled signed-permutation sum
-    (`level_program`) at one quadrature level.
+def term_sum(tables: LevelTables) -> complex:
+    """Sum of the contracted integrands of the signed-permutation sum that
+    the tables' schedule compiles, at one quadrature level.
 
     Each term names its table entries.  A folded vector (sign 0) is v+ + v-,
     the partner's amplitude riding in v-, formed once per level, as is each
@@ -624,7 +611,7 @@ def term_sum(tables: LevelTables, program: LevelProgram) -> complex:
     term gets the level's one `Workspace`, whose two m^3 arrays hold the K4
     steps' tensors, so the next run overwrites them in place.
     """
-    schedule = program.schedule(frozenset(tables.smats))
+    schedule = tables.schedule
     given = tables.vectors
     vecs = [given[key] for key in schedule.vectors]
     vecs += [given[d, 1, pos] + given[d, -1, pos] for d, pos in schedule.folds]
@@ -659,11 +646,15 @@ class ContourTables:
     `fold`, is the last one, N - 1, and all its tables hold its kept nodes
     only; `fold` is None on an unfolded level.  `evaluate` keeps the real
     part.  Every contraction step that reads the last variable is halved.
-    The half-line terms sum out dimension 0 first (`LevelProgram`), so
+    The half-line terms sum out dimension 0 first (`compile_schedule`), so
     N - 1 halves that first step too, the N = 3 couplings and the N = 4 K4
     inner tensor, and then stays in what they leave: the K4 finishes and
     the matrix-vector products that follow; on the full line N - 1 is the
     dimension summed out first.
+
+    `schedule` is the sum the tables feed (`compile_schedule`): N, the half
+    line if there are reflected nodes, and the signed pairs in `smats`.  It
+    is looked up once, here, and every `level` carries it.
     """
 
     def __init__(self, pos, neg, weights, energies, amplitudes, wave, pair=None, half=None):
@@ -685,6 +676,7 @@ class ContourTables:
         self.smats = {} if pair is None else pair_matrices(
             pos, neg, pair, None if half is None else (self.fold, keep))
         self.wave = wave
+        self.schedule = compile_schedule(len(pos), neg is not None, frozenset(self.smats))
 
     @property
     def nbytes(self) -> int:
@@ -706,34 +698,33 @@ class ContourTables:
                 for j, xj in enumerate(x):
                     v = base * self.wave(self.nodes[d, s], xj)
                     vectors[d, s, j] = v * self.amplitudes[d] if s < 0 else v
-        return LevelTables(vectors, self.smats)
+        return LevelTables(vectors, self.smats, self.schedule)
 
 
-def evaluate(contour_at, y, x, t, halfline: bool, opts, next_points=_doubled,
-             functional=None):
+def evaluate(contour_at, y, x, t, opts, next_points=_doubled, functional=None):
     """(value, error_estimate, m) of one sum of either model, refined by
     `adaptive_eval` on the model's schedule `next_points` after the one
     N <= MAX_N and |X| = |Y| check of every entry point.  `contour_at(m)`
-    gives the `ContourTables` of resolution m.  A level runs the sum's
-    `level_program` on the tables of (Y, X, t) or, given
-    `functional(contour, tables)`, sums coef * term_sum(tables.scaled(factors))
-    over the (coef, factors) it lists.  On folded tables the level is the
-    real part of that sum, taken once: the coefficients are then real and
-    each factor conjugate-symmetric, as the fold needs.
+    gives the `ContourTables` of resolution m, which decide the sum: half
+    or full line, and its compiled schedule.  A level is term_sum of the
+    tables of (Y, X, t) or, given `functional(contour, tables)`, the sum of
+    coef * term_sum(tables.scaled(factors)) over the (coef, factors) it
+    lists.  On folded tables the level is the real part of that sum, taken
+    once: the coefficients are then real and each factor
+    conjugate-symmetric, as the fold needs.
     """
     if len(y) > MAX_N:
         raise ValueError(f"evaluators support N <= {MAX_N}")
     if len(x) != len(y):
         raise ValueError("X and Y must hold the same number of particles")
-    program = level_program(len(y), halfline)
 
     def level(m):
         contour = contour_at(m)
         tables = contour.level(y, x, t)
         if functional is None:
-            value = term_sum(tables, program)
+            value = term_sum(tables)
         else:
-            value = sum(coef * term_sum(tables.scaled(factors), program)
+            value = sum(coef * term_sum(tables.scaled(factors))
                         for coef, factors in functional(contour, tables))
         return value if contour.fold is None else value.real
 

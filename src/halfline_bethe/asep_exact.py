@@ -31,8 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 # contract is bound here as well because perfbench/tracing.py patches it here
-from ._kernels import (ContourTables, contract, evaluate, level_program,  # noqa: F401
-                       term_sum)
+from ._kernels import ContourTables, contract, evaluate, term_sum  # noqa: F401
 from .contour_quad import (CircleContour, QuadOptions, RadiiScheme,
                            adaptive_eval, circle_half, circle_nodes)
 from .errors import ConvergenceError
@@ -178,12 +177,9 @@ def _checked_opts(t: float, params: AsepParams, n: int,
                   opts: QuadOptions | None) -> QuadOptions:
     params.require_formula_ok()
     require_time(t)
-    if opts is not None:
-        return opts
-    if n >= 4:
-        # documented reduced budget at N = 4
-        return QuadOptions(initial_points=16, max_points=96, tol=1e-6)
-    return QuadOptions()
+    if opts is None and n >= 4:  # the reduced N = 4 budget (`prob_halfline`)
+        return QuadOptions(max_points=96, tol=1e-6)
+    return opts or QuadOptions()
 
 
 def _require_fixed_poles_inside(center: complex, r_min: float, tau: float):
@@ -251,6 +247,11 @@ def prob_halfline(Y, X, t: float, params: AsepParams,
     refinement can still accept two levels that agree on an aliased value
     when the sites are not small: at p = 0.5, t = 0.5, (20,) -> (20,) is off
     by 3.2e-10 with an error estimate of 4.3e-13 (ROADMAP item 1).
+
+    Without `opts`, N <= 3 asks for `QuadOptions()` and N = 4 for tol 1e-6
+    within 96 points.  At tol 1e-10 some N = 4 inputs (p = 0.5, t = 10)
+    refine to m = 512, where one K4 tensor takes 2 GiB; this budget refuses
+    them with ConvergenceError until every request is bounded (ROADMAP item 8).
     """
     y, x = lattice_sites(Y, halfline=True), lattice_sites(X, halfline=True)
     opts = _checked_opts(t, params, len(y), opts)
@@ -261,7 +262,7 @@ def prob_halfline(Y, X, t: float, params: AsepParams,
     # tightened for `tol` to bound the returned value
     value, err, m = evaluate(
         lambda mm: _contour_tables(params.p, radii.center, radii.radii, mm, True),
-        src, dst, t, True,
+        src, dst, t,
         dataclasses.replace(opts, tol=opts.tol / prefactor) if prefactor > 1.0 else opts)
     return _report(prefactor * value, prefactor * err, m, group_order(len(y), True), opts)
 
@@ -277,7 +278,7 @@ def unfolded_imag_residual(Y, X, t: float, params: AsepParams, m: int) -> float:
     radii = tuned_radii(params, len(y))
     src, dst, prefactor = _orientation(y, x, radii, params.tau)
     tables = _circle_contour(params, radii.contours(), m, True).level(src, dst, t)
-    return abs(prefactor * term_sum(tables, level_program(len(y), True)).imag)
+    return abs(prefactor * term_sum(tables).imag)
 
 
 def prob_fullline(Y, X, t: float, params: AsepParams,
@@ -292,7 +293,7 @@ def prob_fullline(Y, X, t: float, params: AsepParams,
     radii = (circle.radius,) * len(y)
     value, err, m = evaluate(
         lambda mm: _contour_tables(params.p, circle.center, radii, mm, False),
-        y, x, t, False, opts)
+        y, x, t, opts)
     return _report(value, err, m, group_order(len(y), False), opts)
 
 
@@ -340,7 +341,7 @@ def evaluate_extended(Y, Z, t: float, params: AsepParams,
     radii = _halfline_radii(radii, params, len(y))
     value, _, _ = evaluate(
         lambda mm: _contour_tables(params.p, radii.center, radii.radii, mm, True),
-        y, z, t, True, opts)
+        y, z, t, opts)
     return complex(value)
 
 
@@ -383,7 +384,7 @@ def master_equation_residual(Y, X, t: float, params: AsepParams,
 
     value, _, _ = evaluate(
         lambda mm: _contour_tables(params.p, radii.center, radii.radii, mm, True),
-        y, x, t, True, opts, functional=residual)
+        y, x, t, opts, functional=residual)
     return abs(value)
 
 

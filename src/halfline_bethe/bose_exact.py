@@ -210,8 +210,7 @@ def _propagator(y, x, t, params: BoseParams, opts: QuadOptions | None,
         k, w = line_nodes(LineGrid(cutoff, 2.0 * cutoff / m))
         return _line_contour(_staggered(k, len(y), h), w, params.c, halfline, folded)
 
-    value, err, m = evaluate(contour_at, y, x, time.t, halfline, opts,
-                             _five_quarters, functional)
+    value, err, m = evaluate(contour_at, y, x, time.t, opts, _five_quarters, functional)
     order = group_order(len(y), halfline)
     tail = _cutoff_tail(y, x, time, h, order, cutoff, 2.0 * cutoff / m)
     return BoseEvalReport(value, max(err, tail), m, order)

@@ -151,8 +151,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
                         help="JSON file with defaults for any flag (flags win)")
 
     def quad(sp):
-        sp.add_argument("--tol", type=float, default=1e-10)
-        sp.add_argument("--max-points", type=int, default=4096)
+        # unset, the evaluator's own default request applies (`_quad_opts`)
+        sp.add_argument("--tol", type=float, default=None)
+        sp.add_argument("--max-points", type=int, default=None)
 
     def asep_core(sp):
         sp.add_argument("--p", type=float, default=None)
@@ -263,9 +264,12 @@ def _spec_dict(args: argparse.Namespace) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
-def _quad_opts(args) -> QuadOptions:
-    return QuadOptions(initial_points=16, max_points=args.max_points,
-                       tol=args.tol)
+def _quad_opts(args) -> QuadOptions | None:
+    """The options of the flags given, or None, the evaluator's default
+    request (at N = 4 its reduced budget, `asep_exact.prob_halfline`)."""
+    given = {key: getattr(args, key) for key in ("tol", "max_points")
+             if getattr(args, key) is not None}
+    return QuadOptions(**given) if given else None
 
 
 def _run_command(args: argparse.Namespace) -> dict:

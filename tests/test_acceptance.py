@@ -105,7 +105,8 @@ def test_criterion_3_n2_oracle_equivalence(capsys):
 
 
 def test_criterion_4_n3_spot_checks(capsys):
-    """Three-particle spot checks with the reduced quadrature budget."""
+    """Three-particle spot checks at tol 1e-8 within 512 points, against the
+    CTMC distribution."""
     start = time.perf_counter()
     params = AsepParams.from_p(0.4)
     t = 0.5
@@ -149,7 +150,7 @@ def test_radii_assignment_invariance():
             for perm in itertools.permutations(scheme.radii):
                 value, _, _ = evaluate(
                     lambda m: _contour_tables(params.p, scheme.center, perm, m, True),
-                    y, x, 1.0, True, QuadOptions())
+                    y, x, 1.0, QuadOptions())
                 assert abs(value - ref) < 1e-11, (p, y, x, perm)
 
 

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from halfline_bethe import asep_exact
-from halfline_bethe._kernels import level_program, term_sum
+from halfline_bethe import _kernels, asep_exact
+from halfline_bethe._kernels import term_sum
 from halfline_bethe.asep_exact import (AsepEvalReport, _circle_contour,
                                        _contour_tables,
                                        _image_reach,
@@ -18,6 +18,7 @@ from halfline_bethe.asep_exact import (AsepEvalReport, _circle_contour,
                                        total_mass, tuned_radii)
 from halfline_bethe.contour_quad import (CircleContour, QuadOptions, RadiiScheme,
                                          adaptive_eval, circle_nodes)
+from halfline_bethe.errors import ConvergenceError
 from halfline_bethe.oracles import ctmc_prob
 from halfline_bethe.scattering import AsepParams, lattice_sites, s_asep
 from halfline_bethe.signed_perm import term_structure
@@ -28,8 +29,7 @@ P04 = AsepParams.from_p(0.4)
 def _level_value(y, x, t, params, contours, m):
     """One folded half-line quadrature level, summed straight from the
     contour tables, its real part kept as `evaluate` keeps it."""
-    return term_sum(_circle_contour(params, contours, m, True, True).level(y, x, t),
-                    level_program(len(y), True)).real
+    return term_sum(_circle_contour(params, contours, m, True, True).level(y, x, t)).real
 
 
 class TestConfigs:
@@ -382,6 +382,21 @@ class TestHalfline:
         assert abs(got - ctmc_prob(y, x, t, params, tol=1e-16)) < 1e-12
         assert got >= 0.0
 
+    def test_n4_default_budget(self):
+        # without options N = 4 asks for tol 1e-6 within 96 points: a
+        # converging call meets that tol against the CTMC, and a long time
+        # that at tol 1e-10 refines to m = 512, where one K4 tensor takes
+        # 2 GiB, is refused within seconds
+        params = AsepParams.from_p(0.4)
+        y, x = (0, 1, 2, 3), (0, 1, 2, 4)
+        rep = prob_halfline(y, x, 0.5, params)
+        assert rep.points_used <= 96
+        assert abs(rep.value - ctmc_prob(y, x, 0.5, params)) < 1e-6
+        start = time.perf_counter()
+        with pytest.raises(ConvergenceError, match="max_points=96"):
+            prob_halfline((0, 1, 2, 3), (2, 4, 6, 8), 10.0, AsepParams.from_p(0.5))
+        assert time.perf_counter() - start < 5.0
+
 
 def _reference_orientation(y, x, radii: RadiiScheme, tau: float) -> bool:
     """Whether to reverse, by comparing the estimated log integrand
@@ -492,6 +507,21 @@ class TestMasterEquation:
     def test_requires_positive_time(self):
         with pytest.raises(ValueError):
             master_equation_residual((0,), (1,), 0.0, P04)
+
+    def test_scaled_tables_keep_their_schedule(self, monkeypatch):
+        # du/dt and the shifted u(X +- e_i) run the sum of the tables they
+        # scale
+        pairs = []
+        scaled = _kernels.LevelTables.scaled
+
+        def recorded(tables, factors):
+            new = scaled(tables, factors)
+            pairs.append((tables.schedule, new.schedule))
+            return new
+
+        monkeypatch.setattr(_kernels.LevelTables, "scaled", recorded)
+        master_equation_residual((0, 2, 4), (1, 3, 5), 1.0, P04)
+        assert pairs and all(new is old for old, new in pairs)
 
     @pytest.mark.parametrize("y,x", [((0,), (0,)), ((0,), (2,)), ((1, 3), (0, 1)),
                                      ((0, 2), (1, 4)), ((0, 2, 4), (1, 3, 5)),
@@ -637,6 +667,19 @@ class TestContourCache:
         assert get(0.3) is first
         get(0.5)
         assert [key[0] for key in empty_cache] == [0.3, 0.5]
+
+    def test_a_warm_cache_looks_up_no_schedule(self, empty_cache, monkeypatch):
+        # the tables carry their compiled sum, looked up once when built
+        prob_halfline((0, 2, 4), (1, 2, 5), 0.5, P04, TWO_LEVELS)
+        lookups = []
+        lookup = _kernels.compile_schedule
+        monkeypatch.setattr(_kernels, "compile_schedule",
+                            lambda *args: lookups.append(args) or lookup(*args))
+        cached = prob_halfline((0, 2, 4), (1, 3, 5), 0.5, P04, TWO_LEVELS)
+        assert lookups == []
+        empty_cache.clear()
+        assert repr(prob_halfline((0, 2, 4), (1, 3, 5), 0.5, P04, TWO_LEVELS)) == repr(cached)
+        assert len(lookups) == 2  # one per level built
 
     def test_tables_over_the_budget_are_not_kept(self, empty_cache, monkeypatch):
         # at N = 2 the folded tables of m = 64 hold about 75 kB, m = 128

@@ -58,13 +58,11 @@ def test_one_level_of_each_model_is_traced(monkeypatch):
     tracer = _load_tracing().Tracer()
     with tracer.installed():
         tables = asep_exact._contour_tables(params.p, radii.center, radii.radii, 8, True)
-        _kernels.term_sum(tables.level((0, 2, 4), (1, 2, 5), 0.5),
-                          _kernels.level_program(3, True))
+        _kernels.term_sum(tables.level((0, 2, 4), (1, 2, 5), 0.5))
         asep_calls = dict(tracer.counts)
         tracer.reset()
         tables = bose_exact._line_contour(bose_exact._staggered(k, 3, 0.5), w, 1.0, True)
-        _kernels.term_sum(tables.level((0.5, 1.4, 2.6), (0.8, 1.7, 2.9), -0.5j),
-                          _kernels.level_program(3, True))
+        _kernels.term_sum(tables.level((0.5, 1.4, 2.6), (0.8, 1.7, 2.9), -0.5j))
         bose_calls = dict(tracer.counts)
     terms = len(term_structure(3, True))
     # ASEP: eps and r on each of 3 circles, N(N-1) = 6 S-matrices
@@ -87,8 +85,7 @@ def test_an_n4_level_is_traced_through_the_k4_step(monkeypatch):
     tracer = _load_tracing().Tracer()
     with tracer.installed():
         tables = asep_exact._contour_tables(params.p, radii.center, radii.radii, 8, True)
-        _kernels.term_sum(tables.level((0, 1, 2, 3), (0, 1, 3, 5), 0.5),
-                          _kernels.level_program(4, True))
+        _kernels.term_sum(tables.level((0, 1, 2, 3), (0, 1, 3, 5), 0.5))
     assert tracer.missing == []
     # eps and r on each of 4 circles, N(N-1) = 12 S-matrices
     assert tracer.counts["scattering.calls"] == 4 + 4 + 12

@@ -5,7 +5,7 @@ import pytest
 from scipy.special import erfcx
 
 from halfline_bethe import _kernels, bose_exact
-from halfline_bethe._kernels import level_program, term_sum
+from halfline_bethe._kernels import term_sum
 from halfline_bethe.bose_exact import (GROWTH_BUDGET, DampedTime, _cutoff_tail,
                                        _five_quarters, _grid_parameters, _growth,
                                        _line_contour, _line_opts, _stagger, _staggered,
@@ -421,8 +421,7 @@ class TestStaggeredLines:
         assert h > 0
         m = 2 * round(cutoff * opts.initial_points / (2 * fine))
         k, w = line_nodes(LineGrid(cutoff, 2 * cutoff / m))
-        value = term_sum(_line_contour(_staggered(k, 2, h), w, c, True).level(y, x, time.t),
-                         level_program(2, True))
+        value = term_sum(_line_contour(_staggered(k, 2, h), w, c, True).level(y, x, time.t))
         bound = _cutoff_tail(y, x, time, h, group_order(2, True), cutoff, 2 * cutoff / m)
         assert abs(value - ref) <= bound, (abs(value - ref), bound)
 

@@ -12,6 +12,7 @@ import halfline_bethe
 from halfline_bethe import cli
 from halfline_bethe.asep_exact import prob_halfline
 from halfline_bethe.bose_exact import images_kernel
+from halfline_bethe.contour_quad import QuadOptions
 from halfline_bethe.cli import cache_key, export, main
 from halfline_bethe.scattering import AsepParams
 
@@ -31,6 +32,34 @@ class TestCommands:
         direct = prob_halfline((0, 2), (1, 3), 1.0, AsepParams.from_p(0.4))
         assert rec["value"] == direct.value  # bit-for-bit
         assert rec["points_used"] == direct.points_used
+
+    def test_n4_record_is_the_library_default(self, capsys):
+        # no --tol or --max-points: both record null, and the value is the
+        # library's with no options, the N = 4 budget included
+        code, rec = run_cli(capsys, "asep-prob", "--p", "0.4", "--Y", "0,1,2,3",
+                            "--X", "0,1,2,4", "--t", "0.5")
+        assert code == 0
+        assert (rec["tol"], rec["max_points"]) == (None, None)
+        direct = prob_halfline((0, 1, 2, 3), (0, 1, 2, 4), 0.5, AsepParams.from_p(0.4))
+        assert rec["value"] == direct.value  # bit-for-bit
+        assert rec["points_used"] == direct.points_used
+
+    def test_n4_past_the_default_budget_exits_3_quickly(self, capsys):
+        # at tol 1e-10 within 4096 points this refines to m = 512, where one
+        # K4 tensor takes 2 GiB; the library's N = 4 budget stops at 96
+        start = time.perf_counter()
+        code, _ = run_cli(capsys, "asep-prob", "--p", "0.5", "--Y", "0,1,2,3",
+                          "--X", "2,4,6,8", "--t", "10")
+        assert code == 3
+        assert time.perf_counter() - start < 5.0
+
+    def test_only_the_given_quadrature_flags_are_passed(self):
+        parser, _ = cli._build_parser()
+        args = parser.parse_args(["asep-prob", "--max-points", "64"])
+        assert cli._quad_opts(args) == QuadOptions(max_points=64)
+        args = parser.parse_args(["bose-prop", "--tol", "1e-8"])
+        assert cli._quad_opts(args) == QuadOptions(tol=1e-8)
+        assert cli._quad_opts(parser.parse_args(["asep-n1"])) is None
 
     def test_delta_at_t_zero(self, capsys):
         code, rec = run_cli(capsys, "asep-prob", "--p", "0.5", "--Y", "0,2",

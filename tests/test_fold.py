@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from halfline_bethe import _kernels, asep_exact, bose_exact
-from halfline_bethe._kernels import LevelTables, level_program, term_sum
+from halfline_bethe._kernels import LevelTables, term_sum
 from halfline_bethe.asep_exact import (_circle_contour, prob_fullline, prob_halfline,
                                        prob_n1_closed, tuned_radii, unfolded_imag_residual)
 from halfline_bethe.bose_exact import (DampedTime, _line_contour, _staggered,
@@ -48,12 +48,12 @@ def _bose_contour(n, halfline, cells, lines, fold):
     return _line_contour(_staggered(k, n, h), w, c, halfline, fold)
 
 
-def _magnitude(tables, program) -> float:
+def _magnitude(tables) -> float:
     """Sum of |integrand| over every term and grid point: the level of the
     absolute values of the tables, a partner's |v-| added to |v+|."""
     return term_sum(LevelTables({key: abs(v) for key, v in tables.vectors.items()},
-                                {key: abs(s) for key, s in tables.smats.items()}),
-                    program).real
+                                {key: abs(s) for key, s in tables.smats.items()},
+                                tables.schedule)).real
 
 
 def _derivatives(contour, tables, f, unit):
@@ -69,15 +69,15 @@ def _derivatives(contour, tables, f, unit):
     return [tables, tables.scaled(energy), tables.scaled(node)]
 
 
-def _check_levels(unfolded, folded, n, halfline, y, x, t, unit):
-    program = level_program(n, halfline)
+def _check_levels(unfolded, folded, y, x, t, unit):
+    n = len(y)
     assert unfolded.fold is None and folded.fold == n - 1
     pairs = zip(_derivatives(unfolded, unfolded.level(y, x, t), n - 1, unit),
                 _derivatives(folded, folded.level(y, x, t), n - 1, unit))
     for whole, half in pairs:
-        value = term_sum(whole, program)
-        scale = _magnitude(whole, program)
-        assert abs(term_sum(half, program).real - value.real) <= ROUNDING * scale
+        value = term_sum(whole)
+        scale = _magnitude(whole)
+        assert abs(term_sum(half).real - value.real) <= ROUNDING * scale
         assert abs(value.imag) <= ROUNDING * scale
 
 
@@ -174,7 +174,7 @@ class TestLevels:
     ])
     def test_asep(self, n, halfline, m):
         _check_levels(*(_asep_contour(n, halfline, m, fold) for fold in (False, True)),
-                      n, halfline, ASEP_Y[:n], ASEP_X[:n], ASEP_T, 1.0)
+                      ASEP_Y[:n], ASEP_X[:n], ASEP_T, 1.0)
 
     @pytest.mark.parametrize("n,halfline,lines,cells", [
         pytest.param(n, halfline, lines, cells,
@@ -185,7 +185,7 @@ class TestLevels:
     def test_bose(self, n, halfline, lines, cells):
         _check_levels(*(_bose_contour(n, halfline, cells, lines, fold)
                         for fold in (False, True)),
-                      n, halfline, BOSE_Y[:n], BOSE_X[:n], BOSE_T, 1j)
+                      BOSE_Y[:n], BOSE_X[:n], BOSE_T, 1j)
 
 
 P04 = AsepParams.from_p(0.4)
@@ -281,6 +281,6 @@ class TestRealness:
         src, dst, prefactor = asep_exact._orientation((0, 2), x, radii, P04.tau)
         tables = _circle_contour(P04, radii.contours(), rep.points_used, True).level(
             src, dst, 0.5)
-        level = term_sum(tables, level_program(2, True))
+        level = term_sum(tables)
         assert residual == abs(prefactor * level.imag)
-        assert 0.0 < residual <= ROUNDING * prefactor * _magnitude(tables, level_program(2, True))
+        assert 0.0 < residual <= ROUNDING * prefactor * _magnitude(tables)

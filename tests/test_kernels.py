@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from halfline_bethe import _kernels, asep_exact, bose_exact
-from halfline_bethe._kernels import (LevelTables, _plan, contract, gillespie_hits,
-                                    level_program, term_sum)
+from halfline_bethe._kernels import (LevelTables, _plan, compile_schedule, contract,
+                                    gillespie_hits, term_sum)
 from halfline_bethe.asep_exact import _circle_contour, tuned_radii
 from halfline_bethe.bose_exact import _line_contour, _staggered
 from halfline_bethe.contour_quad import (CircleContour, LineGrid, circle_nodes,
@@ -196,11 +196,10 @@ class TestLevelTables:
                    for pos in range(n)}
         smats = {key: draw(m, m) for k, key in enumerate(_used_pairs(n, halfline))
                  if k % 3 != 2}
-        tables = LevelTables(vectors, smats)
+        tables = LevelTables(vectors, smats, compile_schedule(n, halfline, frozenset(smats)))
         group = enumerate_bn if halfline else enumerate_sn
         want = _unfolded_sum(tables, n, group=group)
-        assert term_sum(tables, level_program(n, halfline)) == pytest.approx(
-            want, rel=1e-12)
+        assert term_sum(tables) == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_negative_entries_carry_their_amplitude(self, n):
@@ -272,8 +271,7 @@ class TestScalarPath:
 
         want = _grid_sum(xi, w, integrand)
         for fold in (False, True):
-            got = term_sum(_circle_contour(params, contours, m, halfline, fold).level(y, x, t),
-                           level_program(n, halfline))
+            got = term_sum(_circle_contour(params, contours, m, halfline, fold).level(y, x, t))
             assert _real_if(fold, got) == pytest.approx(_real_if(fold, want), rel=1e-12)
 
     @pytest.mark.parametrize("n,halfline", [
@@ -298,8 +296,7 @@ class TestScalarPath:
 
         want = _grid_sum(nodes, (W,) * n, integrand)
         for fold in (False, True):
-            got = term_sum(_line_contour(nodes, W, params.c, halfline, fold).level(y, x, t),
-                           level_program(n, halfline))
+            got = term_sum(_line_contour(nodes, W, params.c, halfline, fold).level(y, x, t))
             assert _real_if(fold, got) == pytest.approx(_real_if(fold, want), rel=1e-12)
 
 
@@ -373,15 +370,13 @@ class TestFolding:
     ])
     def test_asep(self, n, derivative):
         contour, tables = _asep_tables(n)
-        program = level_program(n, True)
         if derivative == "plain":
-            assert term_sum(tables, program) == pytest.approx(_unfolded_sum(tables, n),
-                                                            rel=1e-13)
+            assert term_sum(tables) == pytest.approx(_unfolded_sum(tables, n), rel=1e-13)
             return
         # d/dt through each variable in turn, the folded one (d = 0) included
         for d in range(n):
             factors = _energy(contour, tables, d)
-            got = term_sum(tables.scaled(factors), program)
+            got = term_sum(tables.scaled(factors))
             assert got == pytest.approx(_unfolded_sum(tables, n, factors), rel=1e-13), d
 
     @pytest.mark.parametrize("n,c,j", [
@@ -396,15 +391,13 @@ class TestFolding:
     ])
     def test_bose(self, n, c, j):
         tables = _bose_tables(n, c)
-        program = level_program(n, True)
         if j is None:
-            assert term_sum(tables, program) == pytest.approx(_unfolded_sum(tables, n),
-                                                            rel=1e-13)
+            assert term_sum(tables) == pytest.approx(_unfolded_sum(tables, n), rel=1e-13)
             return
         # the bc1_residual level: (d/dx_{j+1} - d/dx_j - c) u, j 1-based
         upper, lower = _momentum(tables, j), _momentum(tables, j - 1)
-        got = (term_sum(tables.scaled(upper), program) - term_sum(tables.scaled(lower), program)
-               - c * term_sum(tables, program))
+        got = (term_sum(tables.scaled(upper)) - term_sum(tables.scaled(lower))
+               - c * term_sum(tables))
         want = (_unfolded_sum(tables, n, upper) - _unfolded_sum(tables, n, lower)
                 - c * _unfolded_sum(tables, n))
         assert got == pytest.approx(want, rel=1e-13)
@@ -417,7 +410,7 @@ class TestFolding:
         # j = 0 is the folded dimension: its partner's factor is -i k
         tables = _bose_tables(n, c)
         factors = _momentum(tables, j)
-        got = term_sum(tables.scaled(factors), level_program(n, True))
+        got = term_sum(tables.scaled(factors))
         assert got == pytest.approx(_unfolded_sum(tables, n, factors), rel=1e-13)
 
     def test_derivative_tables_share_the_scattering_cache(self):
@@ -427,6 +420,7 @@ class TestFolding:
                                 (bose, _momentum(bose, 0))):
             scaled = tables.scaled(factors)
             assert scaled.smats is tables.smats
+            assert scaled.schedule is tables.schedule
             unchanged = [key for key in tables.vectors if key not in factors]
             assert unchanged
             assert all(scaled.vectors[key] is tables.vectors[key] for key in unchanged)
@@ -482,9 +476,10 @@ def _n4_level(m):
 
 
 class TestLevelProgram:
-    """`term_sum` runs the compiled program: the terms that build one step
-    run one after another, the first builds it and the others load it.  The
-    per-term loop it replaced is the reference."""
+    """`term_sum` runs the compiled sum that its tables carry (`Schedule`):
+    the terms that build one step run one after another, the first builds
+    it and the others load it.  The per-term loop it replaced is the
+    reference."""
 
     @pytest.mark.parametrize("model,n,halfline", [
         pytest.param(model, n, halfline, id=f"{model}-N{n}-{'half' if halfline else 'full'}")
@@ -496,12 +491,11 @@ class TestLevelProgram:
         # last position's vectors times their nodes (u(X + e_N) for the
         # exclusion process, d/dx_N up to i for the Bose gas)
         contour, tables = _model_level(model, n, halfline)
-        program = level_program(n, halfline)
         shift = {(d, s, pos): contour.nodes[d, s] for d, s, pos in tables.vectors
                  if pos == n - 1}
         for level in (tables, tables.scaled(_energy(contour, tables, 0)),
                       tables.scaled(shift)):
-            got = term_sum(level, program)
+            got = term_sum(level)
             want = _reference_term_sum(level, term_structure(n, halfline))
             if n <= 2:
                 # no step is shared: the same terms and operands in the same order
@@ -521,7 +515,7 @@ class TestLevelProgram:
                                                    runs):
         # the first step of a complete term is the triangle's coupling (N = 3)
         # or the K4 inner tensor (N = 4); each is built once per run
-        schedule = level_program(n, halfline).schedule(frozenset(_used_pairs(n, halfline)))
+        schedule = compile_schedule(n, halfline, frozenset(_used_pairs(n, halfline)))
         assert len(schedule.terms) == len(term_structure(n, halfline))
         full = [plan for _, slots, plan in schedule.terms
                 if all(schedule.slots[k] for k in slots)]
@@ -545,7 +539,7 @@ class TestLevelProgram:
                                 "sum": (16, 16)}, id="N4-full"),
     ])
     def test_step_counts(self, n, halfline, counts):
-        steps = level_program(n, halfline).schedule(frozenset(_used_pairs(n, halfline))).steps
+        steps = compile_schedule(n, halfline, frozenset(_used_pairs(n, halfline))).steps
         assert {kind: c for kind, c in steps.items() if c != (0, 0)} == counts
 
     @pytest.mark.parametrize("n", [3, 4])
@@ -554,12 +548,11 @@ class TestLevelProgram:
         # its vectors, in the order of the per-term loop
         _, tables = _model_level("bose-c0", n, True)
         assert tables.smats == {}
-        program = level_program(n, True)
-        schedule = program.schedule(frozenset())
-        assert schedule.steps["sum"] == (n * len(program.terms),) * 2
+        schedule, terms = tables.schedule, term_structure(n, True)
+        assert schedule is compile_schedule(n, True, frozenset())
+        assert schedule.steps["sum"] == (n * len(terms),) * 2
         assert all(plan.shared == plan.alone for *_, plan in schedule.terms)
-        assert repr(term_sum(tables, program)) == repr(
-            _reference_term_sum(tables, program.terms))
+        assert repr(term_sum(tables)) == repr(_reference_term_sum(tables, terms))
 
     @pytest.mark.parametrize("n,halfline,level", [
         pytest.param(4, True, lambda: _n4_level(16), id="16"),
@@ -583,13 +576,12 @@ class TestLevelProgram:
 
         monkeypatch.setattr(_kernels, "contract", both)
         tables = level()
-        program = level_program(n, halfline)
-        term_sum(tables, program)
-        assert len(values) == len(program.terms)
+        term_sum(tables)
+        assert len(values) == len(term_structure(n, halfline))
         assert all(got == alone for got, alone in values)
         # some term loaded a step, and every kept step was dropped again
-        assert any(step[0] == _kernels.LOAD for *_, plan in
-                   program.schedule(frozenset(tables.smats)).terms for step in plan.shared)
+        assert any(step[0] == _kernels.LOAD for *_, plan in tables.schedule.terms
+                   for step in plan.shared)
         assert dicts[-1] == {}
 
     @pytest.mark.parametrize("x,p", [
@@ -603,7 +595,7 @@ class TestLevelProgram:
         contour = _circle_contour(params, tuned_radii(params, 4).contours(), 32, True, True)
         for y, target in (((0, 1, 2, 3), x), (x, (0, 1, 2, 3))):
             tables = contour.level(y, target, 0.1)
-            assert term_sum(tables, level_program(4, True)) == pytest.approx(
+            assert term_sum(tables) == pytest.approx(
                 _reference_term_sum(tables, term_structure(4, True)), rel=1e-12)
 
     def test_an_n4_level_allocates_two_m3_arrays(self, monkeypatch):
@@ -619,7 +611,7 @@ class TestLevelProgram:
                 made.append(self)
 
         monkeypatch.setattr(_kernels, "Workspace", Counted)
-        term_sum(_n4_level(32), level_program(4, True))
+        term_sum(_n4_level(32))
         work, = made
         assert work.allocations <= 2
         assert {a.shape for a in work.arrays.values()} == {(32, 32, 32)}
@@ -629,11 +621,10 @@ class TestLevelProgram:
         # by the next run: the level's peak stays within 1.25 times the
         # 1.10 MiB of the per-term loop; all 15 kept would take 8 MiB
         tables = _n4_level(32)
-        program = level_program(4, True)
-        term_sum(tables, program)  # compiles the schedule outside the count
+        term_sum(tables)  # a first run outside the count
         tracemalloc.start()
         try:
-            term_sum(tables, program)
+            term_sum(tables)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
