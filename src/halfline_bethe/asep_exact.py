@@ -182,6 +182,20 @@ def _checked_opts(t: float, params: AsepParams, n: int,
     return opts or QuadOptions()
 
 
+def _alias_safe(opts: QuadOptions, y, x) -> QuadOptions:
+    """`opts` with the half-line refinement starting at the smallest power
+    of two above 2 (max|X| + max Y + 1), never below opts.initial_points
+    nor above max_points // 2, so a second level always fits.
+
+    The plane waves xi^x and (tau/xi)^x xi^(-y) reach that degree; a
+    coarser circle aliases them, and two coarse levels can agree on the
+    aliased value: at p = 0.3, t = 0.5, (18,20,22) -> (18,20,22) once
+    stopped on levels 32 and 64, both off by 4.8e-8."""
+    first = 1 << (2 * (max(abs(v) for v in x) + max(y) + 1)).bit_length()
+    return dataclasses.replace(
+        opts, initial_points=max(opts.initial_points, min(first, opts.max_points // 2)))
+
+
 def _require_fixed_poles_inside(center: complex, r_min: float, tau: float):
     """The integrand always has poles at 0, 1 and tau."""
     reach = _fixed_reach(center, tau)
@@ -243,10 +257,11 @@ def prob_halfline(Y, X, t: float, params: AsepParams,
     tau, is smaller by delta * gain, gain = log((R_N + |c|)(R_1 - |c|)) -
     log tau.  So the evaluator reverses when delta * gain > 0 (and tau^delta
     stays within double range), and at delta = 0 evaluates directly.
-    This lowers the cancellation floor of deep-tail probabilities, but the
-    refinement can still accept two levels that agree on an aliased value
-    when the sites are not small: at p = 0.5, t = 0.5, (20,) -> (20,) is off
-    by 3.2e-10 with an error estimate of 4.3e-13 (ROADMAP item 1).
+    This lowers the cancellation floor of deep-tail probabilities.  The
+    refinement starts above the plane waves' degree (`_alias_safe`), so two
+    levels cannot agree on an aliased value: at p = 0.5, t = 0.5, (20,) ->
+    (20,) is within 1e-15 of the CTMC, where a start at 16 points was off
+    by 3.2e-10 with an error estimate of 4.3e-13.
 
     Without `opts`, N <= 3 asks for `QuadOptions()` and N = 4 for tol 1e-6
     within 96 points.  At tol 1e-10 some N = 4 inputs (p = 0.5, t = 10)
@@ -254,7 +269,7 @@ def prob_halfline(Y, X, t: float, params: AsepParams,
     them with ConvergenceError until every request is bounded (ROADMAP item 8).
     """
     y, x = lattice_sites(Y, halfline=True), lattice_sites(X, halfline=True)
-    opts = _checked_opts(t, params, len(y), opts)
+    opts = _alias_safe(_checked_opts(t, params, len(y), opts), y, x)
     radii = _halfline_radii(radii, params, len(y))
     src, dst, prefactor = _orientation(y, x, radii, params.tau)
 
@@ -337,7 +352,7 @@ def evaluate_extended(Y, Z, t: float, params: AsepParams,
     with prob_halfline.
     """
     y, z = lattice_sites(Y, halfline=True), integer_sites(Z)
-    opts = _checked_opts(t, params, len(y), opts)
+    opts = _alias_safe(_checked_opts(t, params, len(y), opts), y, z)
     radii = _halfline_radii(radii, params, len(y))
     value, _, _ = evaluate(
         lambda mm: _contour_tables(params.p, radii.center, radii.radii, mm, True),
@@ -357,7 +372,7 @@ def master_equation_residual(Y, X, t: float, params: AsepParams,
     (rate p) only when site x_i - 1 is free and not beyond the wall at 0.
     """
     y, x = lattice_sites(Y, halfline=True), lattice_sites(X, halfline=True)
-    opts = _checked_opts(t, params, len(y), opts)
+    opts = _alias_safe(_checked_opts(t, params, len(y), opts), y, x)
     n, p, q = len(y), params.p, params.q
     if n > 3:
         raise ValueError("master-equation residual supports N <= 3")

@@ -22,6 +22,7 @@ are derived independently and double as oracles for the full sum.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -117,6 +118,31 @@ def _log_tol(tol: float) -> float:
     return max(math.log(1.0 / tol), 1.0)
 
 
+#: the coarsest spacing of any line grid (`_grid_parameters`)
+MAX_SPACING = 0.35
+
+
+def _cutoff(n: int, delta: float, tol: float) -> float:
+    """The smallest cutoff K whose tail bound (`_log_tail`) is at most
+    tol/10 on every grid the lines of n variables at damping delta allow:
+    2^n n! terms, the growth GROWTH_BUDGET of the largest shift
+    (`_stagger`) and the coarsest spacing MAX_SPACING, so the cutoff does
+    not depend on h.
+
+    f(K) = log(bound) - log(tol/10) falls and is concave in K, so every
+    Newton step lands at or above the root, and from there the steps fall
+    to it."""
+    order, log_target = 2 ** n * math.factorial(n), math.log(tol) - math.log(10.0)
+    k = math.sqrt(_log_tol(tol) / delta)
+    for _ in range(50):
+        f = _log_tail(n, delta, math.log(GROWTH_BUDGET), order, k, MAX_SPACING) - log_target
+        step = f / (-1.0 / (k * (MAX_SPACING * delta * k + 1.0)) - 2.0 * delta * k)
+        k -= step
+        if abs(step) <= 1e-12 * k:
+            break
+    return k
+
+
 def _stagger(y, x, time: DampedTime, c: float, tol: float) -> float:
     """The shift h of the staggered lines (`_staggered`): just enough that
     the S-poles stop capping the strip below sqrt(log(1/tol)/delta), the
@@ -140,22 +166,28 @@ def _staggered(k, n: int, h: float) -> list:
 
 def _grid_parameters(y, x, time: DampedTime, c: float, h: float, tol: float):
     """Cutoff and the points of the first even grid, from the Gaussian decay
-    and the strip of analyticity of the scattering factors; the cutoff does
-    not depend on h.
+    and the strip of analyticity of the scattering factors.
+
+    The cutoff is `_cutoff`, which does not depend on h.  The spacing makes
+    the trapezoid error, which falls like e^(-2 pi beta/spacing) (Trefethen
+    & Weideman, SIAM Rev. 56, 2014), about tol on a strip of half-width
+    beta: 2 pi/spacing is z + (delta + |Re t|) beta + log(1/tol)/beta + 5,
+    z = max|x| + max|y|, smallest at beta = sqrt(log(1/tol)/(delta +
+    |Re t|)), and never below 2 pi/0.35.  So an error e^(-a m) has
+    a m0 >= log(1/tol), which `_check_level` relies on.
 
     S(k_a - k_b) has its pole at k_a - k_b = ic.  On the staggered lines an
     inversion (a, b), a > b, has Im(k_a - k_b) = -(a - b) h, so every pole
     lies at least c + h from the contour and the strip is capped at
     0.9 (c + h); N = 1 has no S-matrix and no cap."""
-    delta = time.damping
+    delta, rate = time.damping, time.damping + abs(time.t.real)
     logt = _log_tol(tol)
-    cutoff = 1.25 * math.sqrt(logt / delta) + 1.0
+    cutoff = _cutoff(len(y), delta, tol)
     z = max(abs(v) for v in x) + max(abs(v) for v in y)
-    beta = math.sqrt(logt / delta)
+    beta = math.sqrt(logt / rate)
     if c > 0 and len(y) > 1:
         beta = min(0.9 * (c + h), beta)
-    denom = z + (delta + abs(time.t.real)) * beta + logt / beta + 5.0
-    spacing = min(0.35, 2.0 * math.pi / denom)
+    spacing = min(MAX_SPACING, 2.0 * math.pi / (z + rate * beta + logt / beta + 5.0))
     return cutoff, max(16, 2 * math.ceil(cutoff / spacing))
 
 
@@ -192,12 +224,16 @@ def _line_opts(y, x, time, c, opts: QuadOptions | None):
                                max_points=max(opts.max_points, 8 * m0), tol=opts.tol), h
 
 
-def _five_quarters(m: int) -> int:
-    """The level after m: m0 already resolves the integrand to about tol, so
-    the check level needs only 5/4 of it; its error, about err(m0)**1.25,
-    stays well below the difference the stopping rule compares.  The result
-    is even, as LineGrid needs."""
-    return 2 * math.ceil(5 * m / 8)
+def _check_level(m: int, tol: float) -> int:
+    """The level after m, m (1 + min(1/4, log 10/log(1/tol))) rounded up to
+    even, as LineGrid needs: 1.1 m at tol 1e-10, 5/4 m at tol >= 1e-4.
+
+    The first grid m0 resolves the integrand to about tol, and its spacing
+    gives an error e^(-a m) with a m0 >= log(1/tol) (`_grid_parameters`),
+    so this step leaves the check level about a tenth of m0's error: the
+    difference of the two levels measures m0's own error.  Later levels
+    take the same step."""
+    return 2 * math.ceil(m * (1.0 + min(0.25, math.log(10.0) / _log_tol(tol))) / 2)
 
 
 def _propagator(y, x, t, params: BoseParams, opts: QuadOptions | None,
@@ -210,31 +246,38 @@ def _propagator(y, x, t, params: BoseParams, opts: QuadOptions | None,
         k, w = line_nodes(LineGrid(cutoff, 2.0 * cutoff / m))
         return _line_contour(_staggered(k, len(y), h), w, params.c, halfline, folded)
 
-    value, err, m = evaluate(contour_at, y, x, time.t, opts, _five_quarters, functional)
+    value, err, m = evaluate(contour_at, y, x, time.t, opts,
+                             functools.partial(_check_level, tol=opts.tol), functional)
     order = group_order(len(y), halfline)
     tail = _cutoff_tail(y, x, time, h, order, cutoff, 2.0 * cutoff / m)
     return BoseEvalReport(value, max(err, tail), m, order)
 
 
-def _cutoff_tail(y, x, time: DampedTime, h: float, order: int, cutoff: float,
-                 spacing: float) -> float:
-    """Bound on the lattice points that no level sees: those beyond
-    +-cutoff, and the half weights the trapezoid gives the end points.
+def _log_tail(n: int, delta: float, log_growth: float, order: int, cutoff: float,
+              spacing: float) -> float:
+    """Log of the bound on the lattice points that no level sees: those
+    beyond +-cutoff, and the half weights the trapezoid gives the end points.
 
     On the line of variable d every |S| <= 1, so each of the `order` terms
-    is at most the growth e^(A h^2 + B h) (`_growth`; 1 on the real line,
-    h = 0) times prod_d e^(-delta (Re k_d)^2)/(2 pi).  A point left out has
-    some |Re k_d| >= cutoff = K: N choices of d, the 1-D tail (spacing +
+    is at most the growth e^(log_growth) (`_growth`; 1 on the real line)
+    times prod_d e^(-delta (Re k_d)^2)/(2 pi).  A point left out has some
+    |Re k_d| >= cutoff = K: n choices of d, the 1-D tail (spacing +
     1/(delta K)) e^(-delta K^2)/(2 pi) over both sides, and the whole 1-D
     lattice sum (spacing + sqrt(pi/delta))/(2 pi) for each other dimension.
-    This bounds the plain propagator sum, not the derivative sums of
-    bc1_residual, which reports no error estimate.
     """
-    n, delta, k = len(y), time.damping, cutoff
-    a, b = _growth(y, x, delta)
-    tail = (spacing + 1.0 / (delta * k)) * math.exp(-delta * k * k) / (2.0 * math.pi)
     whole = (spacing + math.sqrt(math.pi / delta)) / (2.0 * math.pi)
-    return order * n * math.exp((a * h + b) * h) * tail * whole ** (n - 1)
+    return (math.log(order * n * (spacing + 1.0 / (delta * cutoff)) / (2.0 * math.pi))
+            + log_growth - delta * cutoff * cutoff + (n - 1) * math.log(whole))
+
+
+def _cutoff_tail(y, x, time: DampedTime, h: float, order: int, cutoff: float,
+                 spacing: float) -> float:
+    """`_log_tail`'s bound for the lines of shift h, at the growth
+    e^(A h^2 + B h) of (y, x) (`_growth`).  It bounds the plain propagator
+    sum, not the derivative sums of bc1_residual, which reports no error
+    estimate."""
+    a, b = _growth(y, x, time.damping)
+    return math.exp(_log_tail(len(y), time.damping, (a * h + b) * h, order, cutoff, spacing))
 
 
 def propagator_halfline(y, x, t, params: BoseParams,

@@ -6,8 +6,8 @@ truncated trapezoid rules on lines carry the 1/(2*pi) normalization and are
 spectrally accurate for Gaussian-damped analytic integrands.  Adaptive
 refinement raises the per-dimension resolution of every dimension together,
 by doubling unless the caller passes a finer schedule (the line grids, whose
-first level is sized a priori, step by 5/4), and every reduction runs in a
-fixed order, so repeated runs are bit-for-bit reproducible.
+first level is sized a priori, step by 1.1 to 5/4), and every reduction runs
+in a fixed order, so repeated runs are bit-for-bit reproducible.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ from scipy.optimize import brentq
 
 from halfline_bethe import _kernels, asep_exact
 from halfline_bethe._kernels import term_sum
-from halfline_bethe.asep_exact import (AsepEvalReport, _circle_contour,
+from halfline_bethe.asep_exact import (AsepEvalReport, _alias_safe, _circle_contour,
                                        _contour_tables,
                                        _image_reach,
                                        evaluate_extended,
@@ -396,6 +396,50 @@ class TestHalfline:
         with pytest.raises(ConvergenceError, match="max_points=96"):
             prob_halfline((0, 1, 2, 3), (2, 4, 6, 8), 10.0, AsepParams.from_p(0.5))
         assert time.perf_counter() - start < 5.0
+
+
+class TestAliasSafeFirstLevel:
+    """The half-line refinement starts above the plane waves' degree, so two
+    coarse levels cannot agree on an aliased value."""
+
+    @pytest.mark.parametrize("y,x,p", [((18, 20, 22), (18, 20, 22), 0.3),
+                                       ((20, 22), (20, 22), 0.5),
+                                       ((20,), (20,), 0.5),
+                                       ((0,), (30,), 0.5),
+                                       ((0,), (40,), 0.5)])
+    def test_far_sites_meet_the_ctmc(self, y, x, p):
+        # starting at 16 points these returned values off by 4.8e-8,
+        # 2.0e-10, 3.2e-10, 3.9e-10 and 2.4e-10, each far outside its estimate
+        params = AsepParams.from_p(p)
+        rep = prob_halfline(y, x, 0.5, params)
+        err = abs(rep.value - ctmc_prob(y, x, 0.5, params))
+        assert err <= max(1e-10, rep.error_estimate), (rep, err)
+        assert err < 1e-14, (rep, err)
+
+    def test_the_first_level(self):
+        opts = QuadOptions()
+        # the smallest power of two above 2 (max|X| + max Y + 1)
+        assert _alias_safe(opts, (0,), (30,)).initial_points == 64
+        assert _alias_safe(opts, (18, 20, 22), (18, 20, 22)).initial_points == 128
+        assert _alias_safe(opts, (0,), (7,)).initial_points == 32
+        assert _alias_safe(opts, (0, 2), (-40, 1)).initial_points == 128
+        # never below initial_points, never above max_points // 2
+        assert _alias_safe(opts, (0,), (1,)).initial_points == 16
+        assert _alias_safe(QuadOptions(initial_points=512), (0,), (3,)).initial_points == 512
+        capped = QuadOptions(max_points=32, tol=1e-4)
+        assert _alias_safe(capped, (0, 1, 2, 3), (0, 1, 2, 4)) == capped
+        assert _alias_safe(QuadOptions(initial_points=8, max_points=16), (0, 1, 2, 3),
+                           (0, 1, 2, 3)).initial_points == 8
+
+    def test_every_half_line_entry_starts_there(self, monkeypatch):
+        starts = []
+        monkeypatch.setattr(asep_exact, "evaluate", lambda contour_at, y, x, t, opts, **kw:
+                            starts.append(opts.initial_points) or (0.0, 0.0, 16))
+        prob_halfline((0, 2), (1, 20), 0.5, P04)
+        evaluate_extended((0, 2), (-40, 1), 0.5, P04)
+        master_equation_residual((0, 2), (1, 20), 0.5, P04)
+        prob_fullline((0, 2), (1, 20), 0.5, P04)  # the full line is left as it was
+        assert starts == [64, 128, 64, 16]
 
 
 def _reference_orientation(y, x, radii: RadiiScheme, tau: float) -> bool:

@@ -104,7 +104,7 @@ def test_a_bose_op_is_traced_through_its_two_levels():
     assert tracer.missing == []
     assert tracer.counts["contour_quad.levels"] == 2
     assert tracer.counts["contour_quad.points"] == rep.points_used \
-        == bose_exact._five_quarters(m0) == 2 * math.ceil(5 * m0 / 8)
+        == bose_exact._check_level(m0, 1e-10) == 2 * math.ceil(1.1 * m0 / 2)
     assert tracer.counts["kernels.contract.calls"] == 2 * len(term_structure(3, True))
 
 

@@ -1,3 +1,5 @@
+import cmath
+import itertools
 import math
 
 import numpy as np
@@ -6,8 +8,8 @@ from scipy.special import erfcx
 
 from halfline_bethe import _kernels, bose_exact
 from halfline_bethe._kernels import term_sum
-from halfline_bethe.bose_exact import (GROWTH_BUDGET, DampedTime, _cutoff_tail,
-                                       _five_quarters, _grid_parameters, _growth,
+from halfline_bethe.bose_exact import (GROWTH_BUDGET, DampedTime, _check_level,
+                                       _cutoff, _cutoff_tail, _grid_parameters, _growth,
                                        _line_contour, _line_opts, _stagger, _staggered,
                                        bc1_residual, fermion_limit_cinf,
                                        free_limit_c0, images_kernel,
@@ -294,8 +296,11 @@ class TestFiniteCouplingFullLine:
                                      ((-0.8, 0.4), (-1.2, 0.9))])
     @pytest.mark.parametrize("tau", [0.05, 0.2, 0.5, 2.0])
     def test_n2_closed_form(self, y, x, tau):
+        # at the default tol the tau = 2 cases land at 2.6e-15: tol 1e-12 is
+        # what buys the last digit
         for c in (0.5, 1.0, 4.0, 50.0):
-            rep = propagator_fullline(y, x, DampedTime.imaginary(tau), BoseParams(c))
+            rep = propagator_fullline(y, x, DampedTime.imaginary(tau), BoseParams(c),
+                                      QuadOptions(tol=1e-12))
             want = _fullline_n2(y, x, tau, c)
             assert abs(rep.value - want) <= 1e-15, (c, rep.value, want)
 
@@ -340,13 +345,14 @@ class TestStaggeredLines:
     @pytest.mark.parametrize("c", [0.5, 1.0, 4.0])
     def test_a_shift_that_buys_no_grid_point_is_dropped(self, n, tau, c):
         # at c = 4 the real line's strip is nearly wide enough: for tau <=
-        # 0.2, and at N = 2 up to tau = 1, the shifted grid needs as many
-        # points, so every variable stays on the one real grid
+        # 0.2, at N = 2 up to tau = 1 and at N = 3 at tau = 1, the shifted
+        # grid needs as many points, so every variable stays on the one
+        # real grid
         y, x, time = SWEEP_Y[n], SWEEP_X[n], DampedTime.imaginary(tau)
         shift = _stagger(y, x, time, c, 1e-10)
         real = _grid_parameters(y, x, time, c, 0.0, 1e-10)[1]
         cutoff, opts, h = _line_opts(y, x, time, c, None)
-        dropped = c == 4.0 and (tau <= 0.2 or n == 2 and tau <= 1.0)
+        dropped = c == 4.0 and (tau <= 0.2 or tau == 1.0 or n == 2)
         assert shift > 0
         assert h == (0.0 if dropped else shift)
         assert opts.initial_points == _grid_parameters(y, x, time, c, h, 1e-10)[1]
@@ -445,9 +451,9 @@ class TestNonFiniteTau:
 
 SWEEP_Y = {1: (0.7,), 2: (0.6, 1.5), 3: (0.5, 1.4, 2.6)}
 SWEEP_X = {1: (1.2,), 2: (0.9, 2.1), 3: (0.8, 1.9, 3.1)}
-SWEEP_TAUS = (0.05, 0.5, 2.0)
-SWEEP_CS = (0.0, 0.5, 4.0)
-SWEEP_TOLS = (1e-3, 1e-4, 1e-6, 1e-10)
+SWEEP_TAUS = (0.05, 0.2, 0.5, 2.0)
+SWEEP_CS = (0.0, 0.5, 1.0, 4.0)
+SWEEP_TOLS = (1e-3, 1e-4, 1e-6, 1e-8, 1e-10)
 
 
 def _sweep_reference(n, tau, c):
@@ -462,12 +468,15 @@ def _sweep_reference(n, tau, c):
 
 
 class TestLevelSchedule:
-    """The first line grid is sized for tol, so one check level 5/4 finer
-    settles every case, and the estimate covers the error."""
+    """The first line grid is sized for tol and its cutoff leaves a tail
+    bound of at most tol/10, so one check level m0 (1 + min(1/4,
+    log 10/log(1/tol))) settles every case, and the estimate covers the
+    error."""
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_sweep(self, n):
         y, x = SWEEP_Y[n], SWEEP_X[n]
+        order = group_order(n, True)
         for tau in SWEEP_TAUS:
             time = DampedTime.imaginary(tau)
             # the 2^N N! terms add up to at most this much in size
@@ -477,19 +486,44 @@ class TestLevelSchedule:
                 for tol in SWEEP_TOLS:
                     opts = QuadOptions(tol=tol)
                     rep = propagator_halfline(y, x, time, BoseParams(c), opts)
-                    m0 = _line_opts(y, x, time, c, opts)[1].initial_points
+                    cutoff, line, h = _line_opts(y, x, time, c, opts)
+                    m0 = line.initial_points
+                    tail = _cutoff_tail(y, x, time, h, order, cutoff, 2 * cutoff / m0)
                     err = abs(rep.value - ref)
                     case = (tau, c, tol, m0, rep.points_used, err, rep.error_estimate)
+                    assert tail <= tol / 10, case + (tail,)
                     assert err <= tol, case
-                    assert rep.points_used == _five_quarters(m0), case
+                    assert rep.points_used == _check_level(m0, tol), case
                     assert err <= rep.error_estimate + 4 * np.finfo(float).eps * scale, case
 
-    def test_estimate_covers_the_cutoff(self):
-        # at tol 1e-3 both levels share a cutoff whose tail the difference of
-        # the two levels (1.3e-8) does not see; the error is 6.4e-7
-        tau = 0.05
+    def test_the_check_step_follows_tol(self):
+        # 5/4 up to tol 1e-4, then log 10/log(1/tol): 1.1 at tol 1e-10
+        assert [_check_level(160, tol) for tol in (1e-2, 1e-4, 1e-6, 1e-10, 1e-20)] \
+            == [200, 200, 188, 176, 168]
+        assert _check_level(151, 1e-10) == 168
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("tau", [0.05, 0.5, 2.0])
+    def test_the_cutoff_is_the_smallest_that_meets_the_bound(self, n, tau):
+        # at 2^N N! terms, growth GROWTH_BUDGET and spacing 0.35 the bound
+        # is tol/10 at the cutoff and above it just inside
+        order, growth = 2 ** n * math.factorial(n), math.log(GROWTH_BUDGET)
+        for tol in SWEEP_TOLS:
+            k = _cutoff(n, tau, tol)
+            at = bose_exact._log_tail(n, tau, growth, order, k, 0.35)
+            inside = bose_exact._log_tail(n, tau, growth, order, k * (1 - 1e-9), 0.35)
+            assert inside > math.log(tol / 10) >= at - 1e-12, (tol, k)
+
+    def test_estimate_covers_the_cutoff(self, monkeypatch):
+        # on a cutoff shorter than `_cutoff`'s, 1.25 sqrt(log(1/tol)/tau) + 1,
+        # both levels at tol 1e-3 share a tail that their difference (1.3e-8)
+        # does not see; the error is 6.4e-7
+        tau, tol = 0.05, 1e-3
+        short = 1.25 * math.sqrt(math.log(1 / tol) / tau) + 1.0
+        assert short < _cutoff(1, tau, tol)
+        monkeypatch.setattr(bose_exact, "_cutoff", lambda *args: short)
         rep = propagator_halfline((0.7,), (1.2,), DampedTime.imaginary(tau),
-                                  BoseParams(0.0), QuadOptions(tol=1e-3))
+                                  BoseParams(0.0), QuadOptions(tol=tol))
         err = abs(rep.value - images_kernel(1.2, 0.7, tau))
         assert 1e-7 < err <= rep.error_estimate < 1e-5
 
@@ -503,6 +537,46 @@ class TestLevelSchedule:
             .initial_points == 1002
         assert rep.value == pytest.approx(propagator_halfline(y, x, T, C1).value,
                                           abs=1e-10)
+
+
+def _continued_permanent(y, x, t):
+    """`free_limit_c0` continued to complex tau = i t, Re tau > 0: the
+    permanent of the images kernel on the principal square root."""
+    tau = 1j * t
+
+    def images(a, b):
+        return sum(sign * cmath.exp(-z * z / (4 * tau)) for sign, z in ((1, a - b), (-1, a + b))
+                   ) / cmath.sqrt(4 * math.pi * tau)
+
+    return sum(math.prod(images(x[j], y[pj]) for j, pj in enumerate(perm))
+               for perm in itertools.permutations(range(len(y))))
+
+
+class TestComplexTime:
+    """At Re t != 0 the grid spacing is smallest on the strip
+    sqrt(log(1/tol)/(delta + |Re t|)); the free gas checks that it still
+    meets tol."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("t", [0.3 - 0.05j, 1 - 0.5j, 2 - 1j])
+    def test_c0_matches_the_continued_permanent(self, n, t):
+        y, x = SWEEP_Y[n], SWEEP_X[n]
+        ref = _continued_permanent(y, x, t)
+        for tol in (1e-6, 1e-10):
+            rep = propagator_halfline(y, x, DampedTime(t), BoseParams(0.0), QuadOptions(tol=tol))
+            err = abs(rep.value - ref)
+            assert err <= max(tol, rep.error_estimate), (tol, rep.value, ref, rep.error_estimate)
+
+    def test_the_strip_takes_the_real_part(self):
+        # beta = sqrt(log(1/tol)/(delta + |Re t|)) minimises the spacing
+        # formula, so no other strip gives a coarser first grid
+        y, x, time = SWEEP_Y[3], SWEEP_X[3], DampedTime(1 - 0.5j)
+        cutoff, m0 = _grid_parameters(y, x, time, 0.0, 0.0, 1e-10)
+        logt, rate = math.log(1e10), 1.5
+        z = max(x) + max(y)
+        for beta in np.linspace(0.5, 10.0, 40):
+            spacing = min(0.35, 2 * math.pi / (z + rate * beta + logt / beta + 5))
+            assert m0 <= max(16, 2 * math.ceil(cutoff / spacing))
 
 
 class TestSymmetry:
