@@ -22,7 +22,6 @@ are derived independently and double as oracles for the full sum.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -174,7 +173,7 @@ def _grid_parameters(y, x, time: DampedTime, c: float, h: float, tol: float):
     beta: 2 pi/spacing is z + (delta + |Re t|) beta + log(1/tol)/beta + 5,
     z = max|x| + max|y|, smallest at beta = sqrt(log(1/tol)/(delta +
     |Re t|)), and never below 2 pi/0.35.  So an error e^(-a m) has
-    a m0 >= log(1/tol), which `_check_level` relies on.
+    a m0 >= log(1/tol), which `_line_levels` relies on.
 
     S(k_a - k_b) has its pole at k_a - k_b = ic.  On the staggered lines an
     inversion (a, b), a > b, has Im(k_a - k_b) = -(a - b) h, so every pole
@@ -209,11 +208,11 @@ def _line_contour(nodes, w, c: float, halfline: bool, fold: bool = False) -> Con
 
 
 def _line_opts(y, x, time, c, opts: QuadOptions | None):
-    """Cutoff, refinement schedule and line shift h (`_stagger`); the grid
-    starts even and no coarser than the damping and the analytic strip
-    need, whatever `opts` asks for.  A shift that buys no coarser first grid
-    is dropped: on the real line every variable shares one grid and one set
-    of S-matrices."""
+    """Cutoff, options with the first level m0 as initial_points, and line
+    shift h (`_stagger`); the grid starts even and no coarser than the
+    damping and the analytic strip need, whatever `opts` asks for.  A shift
+    that buys no coarser first grid is dropped: on the real line every
+    variable shares one grid and one set of S-matrices."""
     opts = opts or QuadOptions()
     cutoff, m0 = _grid_parameters(y, x, time, c, 0.0, opts.tol)
     h = _stagger(y, x, time, c, opts.tol)
@@ -224,16 +223,37 @@ def _line_opts(y, x, time, c, opts: QuadOptions | None):
                                max_points=max(opts.max_points, 8 * m0), tol=opts.tol), h
 
 
-def _check_level(m: int, tol: float) -> int:
-    """The level after m, m (1 + min(1/4, log 10/log(1/tol))) rounded up to
-    even, as LineGrid needs: 1.1 m at tol 1e-10, 5/4 m at tol >= 1e-4.
+def _check_step(tol: float) -> float:
+    """1 + min(1/4, log 10/log(1/tol)): 1.1 at tol 1e-10, 5/4 at tol >= 1e-4."""
+    return 1.0 + min(0.25, math.log(10.0) / _log_tol(tol))
 
-    The first grid m0 resolves the integrand to about tol, and its spacing
+
+def _check_level(m: int, tol: float) -> int:
+    """The level after m on the way up, m times `_check_step` rounded up to
+    even, as LineGrid needs (`_line_levels`)."""
+    return 2 * math.ceil(m * _check_step(tol) / 2)
+
+
+def _line_levels(m0: int, tol: float):
+    """The refinement schedule of a line grid that starts at m0: m0, then
+    the coarser check m0/s, s = `_check_step`, rounded down to even and at
+    least 16 (the coarsest LineGrid), then s m0, s^2 m0, ... (`_check_level`).
+    An m0 of 16 has no coarser grid and goes up at once.
+
+    The first grid resolves the integrand to about tol, and its spacing
     gives an error e^(-a m) with a m0 >= log(1/tol) (`_grid_parameters`),
-    so this step leaves the check level about a tenth of m0's error: the
-    difference of the two levels measures m0's own error.  Later levels
-    take the same step."""
-    return 2 * math.ceil(m * (1.0 + min(0.25, math.log(10.0) / _log_tol(tol))) / 2)
+    so the check level carries about ten times m0's error: the difference
+    of the two, which `adaptive_eval` reports against m0's value, bounds
+    m0's own error about tenfold.  Only where they disagree by tol does
+    refinement go up, comparing the two finest levels."""
+    yield m0
+    coarse = max(16, 2 * math.floor(m0 / _check_step(tol) / 2))
+    if coarse < m0:
+        yield coarse
+    m = m0
+    while True:
+        m = _check_level(m, tol)
+        yield m
 
 
 def _propagator(y, x, t, params: BoseParams, opts: QuadOptions | None,
@@ -247,7 +267,7 @@ def _propagator(y, x, t, params: BoseParams, opts: QuadOptions | None,
         return _line_contour(_staggered(k, len(y), h), w, params.c, halfline, folded)
 
     value, err, m = evaluate(contour_at, y, x, time.t, opts,
-                             functools.partial(_check_level, tol=opts.tol), functional)
+                             _line_levels(opts.initial_points, opts.tol), functional)
     order = group_order(len(y), halfline)
     tail = _cutoff_tail(y, x, time, h, order, cutoff, 2.0 * cutoff / m)
     return BoseEvalReport(value, max(err, tail), m, order)

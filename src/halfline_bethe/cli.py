@@ -6,10 +6,11 @@ Exit codes: 0 success (and every validation check passed), 1 validation
 failure, 2 usage/parameter error, 3 numerical non-convergence.
 
 Set HALFLINE_BETHE_CACHE_DIR to enable result caching: a repeated run with an
-identical spec returns the stored record (marked "cached": true) without
-recomputation.  An entry is written whole or not at all.  One that does not
-parse as a JSON object, names another spec key or lacks a field its command
-records is a miss: it is recomputed and overwritten.
+identical spec on the same package sources returns the stored record (marked
+"cached": true) without recomputation.  An entry is written whole or not at
+all.  One that does not parse as a JSON object, names another spec key or
+lacks a field its command records is a miss: it is recomputed and
+overwritten.
 """
 
 from __future__ import annotations
@@ -17,9 +18,11 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import os
+import pathlib
 import sys
 import tempfile
 import time
@@ -55,11 +58,22 @@ CSV_COLUMNS = [
 ]
 
 
+@functools.lru_cache(maxsize=1)
+def _source_digest() -> str:
+    """Digest of the package's source files, read once per run: a record
+    computed by other code is keyed apart, whatever `__version__` says."""
+    digest = hashlib.sha256()
+    for path in sorted(pathlib.Path(__file__).parent.glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
 def cache_key(spec: dict) -> str:
-    """Digest of the canonically serialized run spec: identical specs map to
-    identical keys, any field change changes the key."""
+    """Digest of the canonically serialized run spec and of the package
+    sources (`_source_digest`): identical specs on the same code map to
+    identical keys, any field change or code change changes the key."""
     canon = json.dumps(spec, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()
+    return hashlib.sha256((_source_digest() + canon).encode()).hexdigest()
 
 
 #: the fields every record holds (`main`), and the result fields of each

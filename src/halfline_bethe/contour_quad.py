@@ -4,10 +4,11 @@ Trapezoid rules on circles carry the 1/(2*pi*i) contour normalization and are
 spectrally accurate for integrands analytic in an annulus around the contour;
 truncated trapezoid rules on lines carry the 1/(2*pi) normalization and are
 spectrally accurate for Gaussian-damped analytic integrands.  Adaptive
-refinement raises the per-dimension resolution of every dimension together,
-by doubling unless the caller passes a finer schedule (the line grids, whose
-first level is sized a priori, step by 1.1 to 5/4), and every reduction runs
-in a fixed order, so repeated runs are bit-for-bit reproducible.
+refinement sets the per-dimension resolution of every dimension together,
+by doubling unless the caller passes its own schedule (the line grids, whose
+first level is sized a priori, check it on a grid 1.1 to 5/4 coarser), and
+every reduction runs in a fixed order, so repeated runs are bit-for-bit
+reproducible.
 """
 
 from __future__ import annotations
@@ -162,32 +163,43 @@ def line_half(size: int) -> tuple[slice, np.ndarray]:
     return slice(half, None), factor
 
 
-def _doubled(m: int) -> int:
-    return 2 * m
+def _doubling(m: int):
+    """The default schedule: m, 2 m, 4 m, ..."""
+    while True:
+        yield m
+        m *= 2
 
 
-def adaptive_trace(level_eval, opts: QuadOptions | None = None, *,
-                   next_points=_doubled):
-    """Successive estimates [(m, value), ...], raising m by `next_points`
-    (doubling by default) until stable.
+def adaptive_trace(level_eval, opts: QuadOptions | None = None, *, resolutions=None):
+    """Estimates [(m, value), ...] at the resolutions of the schedule, sorted
+    by m with the finest last, until the two finest agree.
 
-    Stops once two consecutive estimates differ by less than opts.tol.  A
-    rounding-floor plateau is also accepted: spectral refinement shrinks the
-    successive differences at least geometrically, so two consecutive small
-    differences (below 100*tol) that have stopped shrinking indicate the
-    cancellation floor of double precision, not an unresolved integrand; the
-    plateau size is then the honest error estimate.  "Stopped shrinking"
-    means the last difference kept more than 0.3 of the one before it per
-    doubling of m: a step from m_a to m_b allows 0.3**((m_b - m_a)/m_a),
-    since an error exp(-a*m) shrinks by exp(-a*(m_b - m_a)).  Raises
-    ConvergenceError (carrying the last two estimates) if the resolution cap
-    is reached first.
+    `resolutions` is read in order until one exceeds opts.max_points; by
+    default it doubles from opts.initial_points.  It need not increase: the
+    line grids list their first level, then a coarser check, then finer
+    ones (`bose_exact._line_levels`).  After each level the two finest so
+    far are compared, and refinement stops once they differ by less than
+    opts.tol.  A rounding-floor plateau is also accepted: spectral
+    refinement shrinks the successive differences at least geometrically,
+    so two differences of the three finest levels that are small (below
+    100*tol) and have stopped shrinking indicate the cancellation floor of
+    double precision, not an unresolved integrand; the plateau size is then
+    the honest error estimate.  "Stopped shrinking" means the finer
+    difference kept more than 0.3 of the coarser per doubling of m: a step
+    from m_a to m_b allows 0.3**((m_b - m_a)/m_a), since an error
+    exp(-a*m) shrinks by exp(-a*(m_b - m_a)).  A resolution listed twice
+    raises ValueError.  Raises ConvergenceError (carrying the two finest
+    estimates) if the schedule ends or passes the resolution cap first.
     """
     opts = opts or QuadOptions()
-    m = opts.initial_points
     trace: list[tuple[int, complex]] = []
-    while m <= opts.max_points:
+    for m in _doubling(opts.initial_points) if resolutions is None else resolutions:
+        if m > opts.max_points:
+            break
+        if any(m == seen for seen, _ in trace):
+            raise ValueError(f"resolution {m} is listed twice")
         trace.append((m, complex(level_eval(m))))
+        trace.sort(key=lambda level: level[0])
         if len(trace) >= 2:
             diff = abs(trace[-1][1] - trace[-2][1])
             if diff < opts.tol:
@@ -198,25 +210,23 @@ def adaptive_trace(level_eval, opts: QuadOptions | None = None, *,
                 if diff < 100.0 * opts.tol and prev < 100.0 * opts.tol \
                         and diff > 0.3 ** ((m_b - m_a) / m_a) * prev:
                     return trace
-        m = next_points(m)
     last = trace[-1][1]
     prev = trace[-2][1] if len(trace) >= 2 else None
     raise ConvergenceError(
         f"no convergence at max_points={opts.max_points}: "
-        f"last estimates {prev} -> {last}",
+        f"finest estimates {prev} -> {last}",
         estimates=(prev, last),
     )
 
 
-def adaptive_eval(level_eval, opts: QuadOptions | None = None, *,
-                  next_points=_doubled):
+def adaptive_eval(level_eval, opts: QuadOptions | None = None, *, resolutions=None):
     """Refine a quadrature level function until two levels agree within tol.
 
     `level_eval(m)` is the estimate at per-dimension resolution m, and
-    `next_points(m)` the resolution after m.  Returns (value,
-    error_estimate, m); the error estimate is the last successive difference
-    (no extrapolation, by design).
+    `resolutions` the schedule (`adaptive_trace`).  Returns (value,
+    error_estimate, m) of the finest level; the error estimate is its
+    difference from the next finest (no extrapolation, by design).
     """
-    trace = adaptive_trace(level_eval, opts, next_points=next_points)
+    trace = adaptive_trace(level_eval, opts, resolutions=resolutions)
     (m, value), (_, prev) = trace[-1], trace[-2]
     return value, abs(value - prev), m

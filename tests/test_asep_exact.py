@@ -510,6 +510,25 @@ class TestFullline:
         ref = ctmc_prob((y,), (x,), t, P04, halfline=False)
         assert abs(got - ref) < 1e-8
 
+    def test_n1_saddle_radius_meets_the_skellam_law(self):
+        # seeded draws over p 0.02-0.98, t 0.1-50 and x - y in -30..30.  On
+        # the radius max(2, 2/q), 11 of these 40 raised ConvergenceError and
+        # 4 were off by more than max(tol, estimate); (0,) -> (10,) at
+        # t = 0.5 returned 1.55e-11
+        from scipy.special import ive
+        rng = np.random.default_rng(25)
+        for _ in range(40):
+            p, t = rng.uniform(0.02, 0.98), math.exp(rng.uniform(math.log(0.1), math.log(50)))
+            d = int(rng.integers(-30, 31))
+            z = 2 * t * math.sqrt(p * (1 - p))
+            ref = math.exp(z - t + 0.5 * d * math.log(p / (1 - p))) * ive(abs(d), z)
+            rep = prob_fullline((0,), (d,), t, AsepParams.from_p(p))
+            assert abs(rep.value - ref) <= max(1e-10, rep.error_estimate), (p, t, d, rep, ref)
+        for x, ref in ((15, 4.33660180239398e-22), (10, 1.6030859629529204e-13)):
+            rep = prob_fullline((0,), (x,), 0.5, AsepParams.from_p(0.5))
+            assert rep.value == pytest.approx(ref, rel=1e-9)
+            assert rep.points_used == 32
+
     def test_n2_vs_ctmc(self):
         got = prob_fullline((0, 2), (-1, 3), 1.0, P04).value
         ref = ctmc_prob((0, 2), (-1, 3), 1.0, P04, halfline=False)
@@ -620,7 +639,9 @@ class TestContourCache:
     def test_cached_values_equal_fresh_ones(self, empty_cache, n, halfline):
         fn = prob_halfline if halfline else prob_fullline
         y, x = CACHE_CASES[n]
-        fn(x, x, 0.5, P04, TWO_LEVELS)  # another call on the same contours
+        # another call on the same contours: one site further right, so
+        # also the same x - y, which sets a single particle's full-line radius
+        fn(tuple(v + 1 for v in y), tuple(v + 1 for v in x), 0.5, P04, TWO_LEVELS)
         filled = dict(empty_cache)
         assert len(filled) == 2
         cached = fn(y, x, 0.5, P04, TWO_LEVELS)

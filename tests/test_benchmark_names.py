@@ -2,7 +2,6 @@
 unbinds one would leave its per-layer metrics empty without failing a run."""
 
 import importlib.util
-import math
 import re
 from collections import OrderedDict
 from pathlib import Path
@@ -103,8 +102,8 @@ def test_a_bose_op_is_traced_through_its_two_levels():
         rep = bose_exact.propagator_halfline(y, x, time, BoseParams(1.0))
     assert tracer.missing == []
     assert tracer.counts["contour_quad.levels"] == 2
-    assert tracer.counts["contour_quad.points"] == rep.points_used \
-        == bose_exact._check_level(m0, 1e-10) == 2 * math.ceil(1.1 * m0 / 2)
+    # m0 and its coarser check m0/1.1: the value and the points are m0's
+    assert tracer.counts["contour_quad.points"] == rep.points_used == m0
     assert tracer.counts["kernels.contract.calls"] == 2 * len(term_structure(3, True))
 
 

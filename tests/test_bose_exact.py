@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from scipy.special import erfcx
 
-from halfline_bethe import _kernels, bose_exact
+from halfline_bethe import _kernels, bose_exact, contour_quad
 from halfline_bethe._kernels import term_sum
 from halfline_bethe.bose_exact import (GROWTH_BUDGET, DampedTime, _check_level,
                                        _cutoff, _cutoff_tail, _grid_parameters, _growth,
-                                       _line_contour, _line_opts, _stagger, _staggered,
+                                       _line_contour, _line_levels, _line_opts, _stagger,
+                                       _staggered,
                                        bc1_residual, fermion_limit_cinf,
                                        free_limit_c0, images_kernel,
                                        propagator_fullline,
@@ -192,6 +193,22 @@ class TestBoundaryMatching:
 
             monkeypatch.setattr(bose_exact, "evaluate", with_u)
             assert bc1_residual(y, x, 1, T, params) == want
+
+    def test_the_residual_refines_on_the_coarse_check(self, monkeypatch):
+        # the derivative sums refine on m0 and its coarser check m0/1.1,
+        # and the matching condition holds on m0
+        y, x = (0.5, 1.4, 2.6), (0.8, 1.7, 1.7)
+        m0 = _line_opts(y, x, T, 1.0, QuadOptions())[1].initial_points
+        traces = []
+        trace = contour_quad.adaptive_trace
+        monkeypatch.setattr(contour_quad, "adaptive_trace",
+                            lambda *args, **kwargs: traces.append(trace(*args, **kwargs))
+                            or traces[-1])
+        res = bc1_residual(y, x, 2, T, C1)
+        (levels,) = [[m for m, _ in t] for t in traces]
+        assert levels == [2 * math.floor(m0 / 1.1 / 2), m0]
+        scale = abs(propagator_halfline(y, (0.8, 1.7, 1.70000001), T, C1).value)
+        assert abs(res) < 1e-7 * scale
 
     def test_pair_index_validated(self):
         with pytest.raises(ValueError):
@@ -469,9 +486,9 @@ def _sweep_reference(n, tau, c):
 
 class TestLevelSchedule:
     """The first line grid is sized for tol and its cutoff leaves a tail
-    bound of at most tol/10, so one check level m0 (1 + min(1/4,
-    log 10/log(1/tol))) settles every case, and the estimate covers the
-    error."""
+    bound of at most tol/10, so one check level m0/s, s = 1 + min(1/4,
+    log 10/log(1/tol)), settles every case whose m0 has a coarser grid, and
+    the estimate covers the error."""
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_sweep(self, n):
@@ -493,7 +510,7 @@ class TestLevelSchedule:
                     case = (tau, c, tol, m0, rep.points_used, err, rep.error_estimate)
                     assert tail <= tol / 10, case + (tail,)
                     assert err <= tol, case
-                    assert rep.points_used == _check_level(m0, tol), case
+                    assert rep.points_used == (m0 if m0 > 16 else _check_level(m0, tol)), case
                     assert err <= rep.error_estimate + 4 * np.finfo(float).eps * scale, case
 
     def test_the_check_step_follows_tol(self):
@@ -501,6 +518,18 @@ class TestLevelSchedule:
         assert [_check_level(160, tol) for tol in (1e-2, 1e-4, 1e-6, 1e-10, 1e-20)] \
             == [200, 200, 188, 176, 168]
         assert _check_level(151, 1e-10) == 168
+
+    def test_the_schedule_checks_m0_on_a_coarser_grid(self):
+        # m0, then m0/s rounded down to even, then up by s from m0; the
+        # coarsest grid has 16 points, so an m0 of 16 goes up at once
+        def levels(m0, tol):
+            return list(itertools.islice(_line_levels(m0, tol), 4))
+
+        assert levels(160, 1e-10) == [160, 144, 176, 194]
+        assert levels(160, 1e-3) == [160, 128, 200, 250]
+        assert levels(18, 1e-10) == [18, 16, 20, 22]
+        assert levels(20, 1e-3) == [20, 16, 26, 34]
+        assert levels(16, 1e-10) == [16, 18, 20, 22]
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("tau", [0.05, 0.5, 2.0])
@@ -566,6 +595,20 @@ class TestComplexTime:
             rep = propagator_halfline(y, x, DampedTime(t), BoseParams(0.0), QuadOptions(tol=tol))
             err = abs(rep.value - ref)
             assert err <= max(tol, rep.error_estimate), (tol, rep.value, ref, rep.error_estimate)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("t", [0.3 - 0.05j, 1 - 0.5j, 2 - 1j])
+    @pytest.mark.parametrize("c", [0.5, 4.0])
+    def test_finite_coupling_meets_a_fine_reference(self, n, t, c):
+        # unfolded levels with S-matrices, each first level checked on a
+        # coarser grid, against a reference refined to tol 1e-14
+        y, x, time, params = SWEEP_Y[n], SWEEP_X[n], DampedTime(t), BoseParams(c)
+        ref = propagator_halfline(y, x, time, params, QuadOptions(tol=1e-14))
+        for tol in (1e-6, 1e-10):
+            rep = propagator_halfline(y, x, time, params, QuadOptions(tol=tol))
+            err = abs(rep.value - ref.value)
+            assert rep.points_used < ref.points_used
+            assert err <= max(tol, rep.error_estimate), (tol, rep, ref.value)
 
     def test_the_strip_takes_the_real_part(self):
         # beta = sqrt(log(1/tol)/(delta + |Re t|)) minimises the spacing

@@ -266,6 +266,18 @@ class TestCacheKey:
                           "--Y", "1", "--p", "0.3")
         assert rec1["spec_key"] == rec2["spec_key"]
 
+    def test_an_entry_from_other_sources_is_a_miss(self, capsys, tmp_path, monkeypatch):
+        # the key once held only the arguments, so after a change to the
+        # library an entry kept serving the old code's value
+        monkeypatch.setenv("HALFLINE_BETHE_CACHE_DIR", str(tmp_path))
+        args = ("asep-n1", "--p", "0.3", "--Y", "1", "--X", "2", "--t", "1")
+        _, first = run_cli(capsys, *args)
+        monkeypatch.setattr(cli, "_source_digest", lambda: "0" * 64)
+        code, rec = run_cli(capsys, *args)
+        assert code == 0 and rec["cached"] is False
+        assert rec["spec_key"] != first["spec_key"]
+        assert len(list(tmp_path.glob("*.json"))) == 2
+
     def test_cache_hit_marks_record(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("HALFLINE_BETHE_CACHE_DIR", str(tmp_path))
         code, rec1 = run_cli(capsys, "asep-n1", "--p", "0.3", "--Y", "1",

@@ -210,7 +210,10 @@ class TestAdaptive:
 
 
 def _five_quarters(m):
-    return 2 * math.ceil(5 * m / 8)
+    """m, then 5/4 steps rounded up to even."""
+    while True:
+        yield m
+        m = 2 * math.ceil(5 * m / 8)
 
 
 class TestSchedule:
@@ -229,17 +232,18 @@ class TestSchedule:
     def test_default_doubles(self):
         opts = QuadOptions(initial_points=16, max_points=256)
         assert self._visits(opts) == [16, 32, 64, 128, 256]
-        assert self._visits(opts, next_points=lambda m: 2 * m) == [16, 32, 64, 128, 256]
+        assert self._visits(opts, resolutions=[16, 32, 64, 128, 256, 512]) \
+            == [16, 32, 64, 128, 256]
 
     def test_five_quarters_visits(self):
         seen = self._visits(QuadOptions(initial_points=16, max_points=100),
-                            next_points=_five_quarters)
+                            resolutions=_five_quarters(16))
         assert seen == [16, 20, 26, 34, 44, 56, 70, 88]
         assert all(m % 2 == 0 for m in seen)
 
     def test_adaptive_eval_passes_the_schedule(self):
         value, err, m = adaptive_eval(lambda m: 1.0 + math.exp(-m), QuadOptions(
-            initial_points=40, tol=1e-10), next_points=_five_quarters)
+            initial_points=40, tol=1e-10), resolutions=_five_quarters(40))
         assert m == 50
         assert err == pytest.approx(math.exp(-40) - math.exp(-50))
 
@@ -262,7 +266,7 @@ class TestSchedule:
                     return 1.0 + scale * math.exp(-a * m)
 
                 trace = adaptive_trace(level, QuadOptions(initial_points=m0, tol=tol),
-                                       next_points=_five_quarters)
+                                       resolutions=_five_quarters(m0))
                 assert abs(trace[-1][1] - 1.0) <= tol, (scale, r, trace)
 
     def test_rounding_floor_plateau_accepted_at_five_quarters(self):
@@ -272,5 +276,54 @@ class TestSchedule:
         seq = [1.0, 1.0 + 1e-9, 1.0 + 1.5e-9, 1.0 + 1.1e-9, 1.0 + 1.2e-9]
         trace = adaptive_trace(lambda m: seq.pop(0),
                                QuadOptions(initial_points=16, tol=1e-10),
-                               next_points=_five_quarters)
+                               resolutions=_five_quarters(16))
         assert [m for m, _ in trace] == [16, 20, 26, 34]
+
+
+def _levels(values):
+    """A level function that reads its value at m from a dict."""
+    return lambda m: values[m]
+
+
+class TestCoarseCheck:
+    """A schedule that checks its first level on a coarser grid, as the
+    line grids do: m0 = 40, then 36, then 44, 48, ..."""
+
+    SCHEDULE = (40, 36, 44, 48, 52)
+
+    def test_a_passing_check_returns_the_first_level(self):
+        f = _levels({36: 1.0 + 5e-11, 40: 1.0 + 5e-12})
+        trace = adaptive_trace(f, QuadOptions(tol=1e-10), resolutions=self.SCHEDULE)
+        assert [m for m, _ in trace] == [36, 40]
+        value, err, m = adaptive_eval(f, QuadOptions(tol=1e-10), resolutions=self.SCHEDULE)
+        assert (value, m) == (1.0 + 5e-12, 40)
+        assert err == abs((1.0 + 5e-12) - (1.0 + 5e-11))
+
+    def test_a_failing_check_goes_up_and_compares_the_two_finest(self):
+        # 36 and 40 disagree; 44 agrees with 40, not with 36
+        f = _levels({36: 1.0 + 1e-6, 40: 1.0 + 1e-9, 44: 1.0 + 1e-9 + 5e-11})
+        value, err, m = adaptive_eval(f, QuadOptions(tol=1e-10), resolutions=self.SCHEDULE)
+        assert (value, m) == (1.0 + 1e-9 + 5e-11, 44)
+        assert err == abs((1.0 + 1e-9 + 5e-11) - (1.0 + 1e-9))
+
+    @pytest.mark.parametrize("last, levels", [(1.0 + 0.05e-9, [36, 40, 44]),
+                                              (1.0 + 0.2e-9, [36, 40, 44, 48])])
+    def test_the_plateau_rule_reads_the_sorted_trace(self, last, levels):
+        # the differences 1e-9 over 36 -> 40 and then 0.95e-9 or 0.8e-9
+        # over 40 -> 44: a step from 36 to 40 allows 0.3**(4/36) ~ 0.875,
+        # so 0.95 is a floor and 0.8 goes on.  Read in schedule order, the
+        # step would run from 40 down to 36
+        f = _levels({36: 1.0, 40: 1.0 + 1e-9, 44: last, 48: last + 5e-11})
+        trace = adaptive_trace(f, QuadOptions(tol=1e-10), resolutions=self.SCHEDULE)
+        assert [m for m, _ in trace] == levels
+
+    def test_nonconvergence_carries_the_two_finest_levels(self):
+        f = _levels({36: 1.0, 40: 2.0, 44: 4.0})
+        with pytest.raises(ConvergenceError) as err:
+            adaptive_trace(f, QuadOptions(max_points=44), resolutions=self.SCHEDULE)
+        assert err.value.estimates == (2.0, 4.0)
+
+    def test_a_repeated_resolution_is_refused(self):
+        # two equal levels would agree to the last bit and stop refinement
+        with pytest.raises(ValueError, match="listed twice"):
+            adaptive_trace(lambda m: 1.0 + 1.0 / m, QuadOptions(), resolutions=(40, 36, 40))

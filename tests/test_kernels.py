@@ -619,7 +619,9 @@ class TestLevelProgram:
     def test_an_n4_level_holds_one_shared_step_at_a_time(self):
         # each K4 inner tensor (m^3, 0.5 MiB at m = 32) is rebuilt in place
         # by the next run: the level's peak stays within 1.25 times the
-        # 1.10 MiB of the per-term loop; all 15 kept would take 8 MiB
+        # 1.10 MiB of the per-term loop; all 15 kept would take 8 MiB.  It
+        # reads 1.20 MiB; building the outer product with a broadcasting
+        # multiply into `out` read 1.32 MiB, numpy's iterator buffers
         tables = _n4_level(32)
         term_sum(tables)  # a first run outside the count
         tracemalloc.start()
