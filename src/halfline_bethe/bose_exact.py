@@ -7,11 +7,14 @@ carries Gaussian damping exp(Im(t) k^2); pure imaginary t = -i*tau is the
 standard mode and turns the N = 1 half-line case into the method of images
 for the heat kernel, which several tests use as ground truth.
 
-Variable d is integrated on its own line, Im k_d = -(d+1) h (`_staggered`):
-every scattering factor S(k_a - k_b) of an inversion a > b then sits below
-the real axis, away from its pole at ic, so the poles no longer narrow the
-strip of analyticity that sets the trapezoid grid.  Every propagator and
-residual refines through `_kernels.evaluate` on these lines' tables.  At
+Variable d is integrated on its own line, Im k_d = -d h (`_staggered`):
+every scattering factor S(k_a - k_b) of an inversion a > b then sits at
+least h below the real axis, away from its pole at ic, so the poles no
+longer narrow the strip of analyticity that sets the trapezoid grid.  The
+shift raises the integrand's peak, so h is what the strip needs but no
+more than `GROWTH_BUDGET` and the rounding at tol allow (`_stagger`,
+`_budget`), and the grid spacing pays for that growth.  Every propagator
+and residual refines through `_kernels.evaluate` on these lines' tables.  At
 pure imaginary time k -> -conj(k) conjugates every factor, so each level is
 folded: one variable runs over Re k >= 0 only and the level keeps its real
 part (`_line_contour`).
@@ -99,18 +102,32 @@ def _check_positions(xs, *, positive: bool, allow_equal_pair: int | None = None,
 
 
 #: how far the staggered lines may raise the peak of |integrand| above its
-#: real-line peak; `_stagger` takes the largest shift that fits
+#: real-line peak at most; `_budget` lowers it where rounding would show
 GROWTH_BUDGET = 1e3
 
 
 def _growth(y, x, delta: float) -> tuple[float, float]:
     """(A, B) with A h^2 + B h the log of prod_d e^(delta eta_d^2 + eta_d
-    (max x - y_d)), eta_d = (d+1) h: on Im k_d = -eta_d at t = -i delta the
+    (max x - y_d)), eta_d = d h: on Im k_d = -eta_d at t = -i delta the
     damping, the y-phase and the largest x-phase of variable d peak at that,
-    at Re k_d = 0, while every |S| stays at most 1."""
-    a = delta * sum((d + 1) ** 2 for d in range(len(y)))
-    b = sum((d + 1) * (max(x) - yd) for d, yd in enumerate(y))
+    at Re k_d = 0, while every |S| stays at most 1.  Variable 0 runs on the
+    real line and adds nothing."""
+    a = delta * sum(d * d for d in range(len(y)))
+    b = sum(d * (max(x) - yd) for d, yd in enumerate(y))
     return a, b
+
+
+def _budget(n: int, delta: float, tol: float) -> float:
+    """The largest growth e^(A h^2 + B h) (`_growth`) the lines of n
+    variables at damping delta may put on the sum: GROWTH_BUDGET, and no
+    more than keeps the rounding eps of the raised peak within tol/100 on
+    the scale S = 2^n n!/(2 sqrt(pi delta))^n of the sum, the 2^n n! terms
+    each at most prod_d int e^(-delta k^2) dk/(2 pi).  The full line takes
+    the same S: on its n! terms alone, N = 2 values at tol 1e-12 land up to
+    2.7e-15 off their closed form, against 3.4e-16 on this S.  Below 1 no
+    shift fits."""
+    scale = group_order(n, True) / (2.0 * math.sqrt(math.pi * delta)) ** n
+    return min(GROWTH_BUDGET, tol / (100.0 * np.finfo(float).eps * scale))
 
 
 def _log_tol(tol: float) -> float:
@@ -145,49 +162,66 @@ def _cutoff(n: int, delta: float, tol: float) -> float:
 def _stagger(y, x, time: DampedTime, c: float, tol: float) -> float:
     """The shift h of the staggered lines (`_staggered`): just enough that
     the S-poles stop capping the strip below sqrt(log(1/tol)/delta), the
-    width at which `_grid_parameters` spaces the grid coarsest, at most 0.5,
-    and at most the root of A h^2 + B h = log(GROWTH_BUDGET) (`_growth`).
+    width at which `_grid_parameters` spaces the grid coarsest, and at most
+    the root of A h^2 + B h = log(budget) (`_growth`, `_budget`), so the
+    raised peak neither outgrows GROWTH_BUDGET nor rounds past tol/100.
     0 where no pair carries an S-matrix (c = 0 or N = 1), where the poles
-    cap nothing, and at Re t != 0, where the shift would move each Gaussian
-    off the real axis and lengthen the cutoff."""
-    h = min(0.5, math.sqrt(_log_tol(tol) / time.damping) / 0.9 - c)
-    if c == 0.0 or len(y) < 2 or h <= 0.0 or time.t.real != 0.0:
+    cap nothing, where the budget allows no growth, and at Re t != 0, where
+    the shift would move each Gaussian off the real axis and lengthen the
+    cutoff."""
+    if c == 0.0 or len(y) < 2 or time.t.real != 0.0:
+        return 0.0
+    h = math.sqrt(_log_tol(tol) / time.damping) / 0.9 - c
+    log_budget = math.log(_budget(len(y), time.damping, tol))
+    if h <= 0.0 or log_budget <= 0.0:
         return 0.0
     a, b = _growth(y, x, time.damping)
-    return min(h, (math.sqrt(b * b + 4.0 * a * math.log(GROWTH_BUDGET)) - b) / (2.0 * a))
+    return min(h, (math.sqrt(b * b + 4.0 * a * log_budget) - b) / (2.0 * a))
 
 
 def _staggered(k, n: int, h: float) -> list:
-    """Variable d's nodes, on the line Im k = -(d+1) h; at h = 0 every
-    variable shares the real grid k."""
-    return [k - 1j * ((d + 1) * h) if h else k for d in range(n)]
+    """Variable d's nodes, on the line Im k = -d h; at h = 0 every variable
+    shares the real grid k.
+
+    With k_-a = -k_a, signed variable v then sits at Im k_v = -sign(v)
+    (|v| - 1) h, and an inversion (a, b), a > b, has Im(k_a - k_b) <= -h
+    unless it pairs the first variable with its own reflection, and no
+    inversion pairs any variable with its reflection
+    (`signed_perm.inversions`): every S-pole lies at least c + h from the
+    contour."""
+    return [k - 1j * (d * h) if h else k for d in range(n)]
 
 
-def _grid_parameters(y, x, time: DampedTime, c: float, h: float, tol: float):
-    """Cutoff and the points of the first even grid, from the Gaussian decay
-    and the strip of analyticity of the scattering factors.
+def _grid_parameters(y, x, time: DampedTime, c: float, h: float, tol: float,
+                     cutoff: float) -> int:
+    """The points of the first even grid on the cutoff (`_cutoff`, which
+    does not depend on h), from the Gaussian decay and the strip of
+    analyticity of the scattering factors.
 
-    The cutoff is `_cutoff`, which does not depend on h.  The spacing makes
-    the trapezoid error, which falls like e^(-2 pi beta/spacing) (Trefethen
-    & Weideman, SIAM Rev. 56, 2014), about tol on a strip of half-width
-    beta: 2 pi/spacing is z + (delta + |Re t|) beta + log(1/tol)/beta + 5,
-    z = max|x| + max|y|, smallest at beta = sqrt(log(1/tol)/(delta +
-    |Re t|)), and never below 2 pi/0.35.  So an error e^(-a m) has
-    a m0 >= log(1/tol), which `_line_levels` relies on.
+    The spacing makes the trapezoid error, which falls like sup|f| e^(-2 pi
+    beta/spacing) (Trefethen & Weideman, SIAM Rev. 56, 2014), about tol on
+    a strip of half-width beta: 2 pi/spacing is z + (delta + |Re t|) beta +
+    (log(1/tol) + A h^2 + B h)/beta + 5, z = max|x| + max|y|, where the
+    growth A h^2 + B h (`_growth`) covers the peak the shifted lines raise
+    sup|f| by.  beta is at most sqrt(log(1/tol)/(delta + |Re t|)), where
+    the sum without growth is smallest, and the spacing never exceeds 0.35.
+    So an error e^(-a m) has a m0 >= log(1/tol), which `_line_levels`
+    relies on.
 
-    S(k_a - k_b) has its pole at k_a - k_b = ic.  On the staggered lines an
-    inversion (a, b), a > b, has Im(k_a - k_b) = -(a - b) h, so every pole
+    S(k_a - k_b) has its pole at k_a - k_b = ic.  On the staggered lines
+    every inversion has Im(k_a - k_b) <= -h (`_staggered`), so every pole
     lies at least c + h from the contour and the strip is capped at
     0.9 (c + h); N = 1 has no S-matrix and no cap."""
-    delta, rate = time.damping, time.damping + abs(time.t.real)
+    rate = time.damping + abs(time.t.real)
     logt = _log_tol(tol)
-    cutoff = _cutoff(len(y), delta, tol)
     z = max(abs(v) for v in x) + max(abs(v) for v in y)
     beta = math.sqrt(logt / rate)
     if c > 0 and len(y) > 1:
         beta = min(0.9 * (c + h), beta)
-    spacing = min(MAX_SPACING, 2.0 * math.pi / (z + rate * beta + logt / beta + 5.0))
-    return cutoff, max(16, 2 * math.ceil(cutoff / spacing))
+    a, b = _growth(y, x, time.damping)
+    spacing = min(MAX_SPACING,
+                  2.0 * math.pi / (z + rate * beta + (logt + (a * h + b) * h) / beta + 5.0))
+    return max(16, 2 * math.ceil(cutoff / spacing))
 
 
 def _line_contour(nodes, w, c: float, halfline: bool, fold: bool = False) -> ContourTables:
@@ -210,13 +244,15 @@ def _line_contour(nodes, w, c: float, halfline: bool, fold: bool = False) -> Con
 def _line_opts(y, x, time, c, opts: QuadOptions | None):
     """Cutoff, options with the first level m0 as initial_points, and line
     shift h (`_stagger`); the grid starts even and no coarser than the
-    damping and the analytic strip need, whatever `opts` asks for.  A shift
-    that buys no coarser first grid is dropped: on the real line every
-    variable shares one grid and one set of S-matrices."""
+    damping, the analytic strip and the growth of the shifted lines need,
+    whatever `opts` asks for.  The cutoff is computed once and serves both
+    lines.  A shift that buys no coarser first grid is dropped: on the real
+    line every variable shares one grid and one set of S-matrices."""
     opts = opts or QuadOptions()
-    cutoff, m0 = _grid_parameters(y, x, time, c, 0.0, opts.tol)
+    cutoff = _cutoff(len(y), time.damping, opts.tol)
+    m0 = _grid_parameters(y, x, time, c, 0.0, opts.tol, cutoff)
     h = _stagger(y, x, time, c, opts.tol)
-    shifted = _grid_parameters(y, x, time, c, h, opts.tol)[1]
+    shifted = _grid_parameters(y, x, time, c, h, opts.tol, cutoff) if h else m0
     h, m0 = (h, shifted) if shifted < m0 else (0.0, m0)
     return cutoff, QuadOptions(initial_points=max(opts.initial_points
                                                   + opts.initial_points % 2, m0),

@@ -8,7 +8,7 @@ from scipy.special import erfcx
 
 from halfline_bethe import _kernels, bose_exact, contour_quad
 from halfline_bethe._kernels import term_sum
-from halfline_bethe.bose_exact import (GROWTH_BUDGET, DampedTime, _check_level,
+from halfline_bethe.bose_exact import (GROWTH_BUDGET, DampedTime, _budget, _check_level,
                                        _cutoff, _cutoff_tail, _grid_parameters, _growth,
                                        _line_contour, _line_levels, _line_opts, _stagger,
                                        _staggered,
@@ -18,7 +18,7 @@ from halfline_bethe.bose_exact import (GROWTH_BUDGET, DampedTime, _check_level,
                                        propagator_halfline, wall_residual)
 from halfline_bethe.contour_quad import LineGrid, QuadOptions, line_nodes
 from halfline_bethe.scattering import BoseParams
-from halfline_bethe.signed_perm import group_order
+from halfline_bethe.signed_perm import group_order, term_structure
 
 TAU = 0.5
 T = DampedTime.imaginary(TAU)
@@ -332,24 +332,41 @@ class TestFiniteCouplingFullLine:
 
 
 class TestStaggeredLines:
-    """Variable d runs on Im k = -(d+1) h, so the S-poles stop setting the
+    """Variable d runs on Im k = -d h, so the S-poles stop setting the
     grid; the shift changes the contour, not the integral."""
 
-    def test_the_poles_no_longer_set_the_grid(self, monkeypatch):
-        y, x, time = SWEEP_Y[3], SWEEP_X[3], DampedTime.imaginary(0.2)
-        cutoff, opts, h = _line_opts(y, x, time, 0.5, None)
-        assert h > 0
-        monkeypatch.setattr(bose_exact, "_stagger", lambda *args: 0.0)
-        flat = _line_opts(y, x, time, 0.5, None)
-        assert flat[2] == 0.0
-        assert opts.initial_points < 0.7 * flat[1].initial_points
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("halfline", [True, False])
+    def test_every_pole_lies_at_least_h_below_the_lines(self, n, halfline):
+        # every signed pair (a, b) the terms use, k_-a = -k_a, has
+        # Im(k_a - k_b) <= -h, so S(k_a - k_b) keeps its pole at ic at
+        # least c + h from the contour
+        h = 0.7
+        k = np.linspace(-3.0, 3.0, 7)
+        nodes = _staggered(k, n, h)
+        pairs = {ab for term in term_structure(n, halfline) for invs in term.mats
+                 for ab in invs}
+        assert pairs
+        for a, b in pairs:
+            ka, kb = (np.sign(v) * nodes[abs(v) - 1] for v in (a, b))
+            assert (ka - kb).imag.max() <= -h * (1 - 1e-15), (a, b)
 
-    @pytest.mark.parametrize("n", [2, 3])
+    def test_the_poles_no_longer_set_the_grid(self, monkeypatch):
+        time = DampedTime.imaginary(0.2)
+        staggered = {n: _line_opts(SWEEP_Y[n], SWEEP_X[n], time, 0.5, None) for n in (3, 4)}
+        monkeypatch.setattr(bose_exact, "_stagger", lambda *args: 0.0)
+        for n, (cutoff, opts, h) in staggered.items():
+            assert h > 0
+            flat = _line_opts(SWEEP_Y[n], SWEEP_X[n], time, 0.5, None)
+            assert flat[2] == 0.0
+            assert opts.initial_points < 0.7 * flat[1].initial_points, n
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("tau", [0.05, 0.2, 1.0, 2.0])
     @pytest.mark.parametrize("c", [0.5, 1.0, 4.0])
     def test_no_grid_is_finer_than_the_real_line(self, monkeypatch, n, tau, c):
-        # the cutoff does not depend on h, and the strip only widens toward
-        # sqrt(log(1/tol)/tau), where the spacing is coarsest
+        # the cutoff does not depend on h, and a shift whose growth costs
+        # more than its wider strip buys is dropped
         y, x, time = SWEEP_Y[n], SWEEP_X[n], DampedTime.imaginary(tau)
         staggered = _line_opts(y, x, time, c, None)
         monkeypatch.setattr(bose_exact, "_stagger", lambda *args: 0.0)
@@ -361,18 +378,18 @@ class TestStaggeredLines:
     @pytest.mark.parametrize("tau", [0.05, 0.2, 0.5, 1.0])
     @pytest.mark.parametrize("c", [0.5, 1.0, 4.0])
     def test_a_shift_that_buys_no_grid_point_is_dropped(self, n, tau, c):
-        # at c = 4 the real line's strip is nearly wide enough: for tau <=
-        # 0.2, at N = 2 up to tau = 1 and at N = 3 at tau = 1, the shifted
-        # grid needs as many points, so every variable stays on the one
-        # real grid
+        # at c = 4 the real line's strip is nearly wide enough: the shifted
+        # grid, which pays for its growth, needs as many points or more, so
+        # every variable stays on the one real grid
         y, x, time = SWEEP_Y[n], SWEEP_X[n], DampedTime.imaginary(tau)
         shift = _stagger(y, x, time, c, 1e-10)
-        real = _grid_parameters(y, x, time, c, 0.0, 1e-10)[1]
         cutoff, opts, h = _line_opts(y, x, time, c, None)
-        dropped = c == 4.0 and (tau <= 0.2 or tau == 1.0 or n == 2)
+        assert cutoff == _cutoff(n, tau, 1e-10)
+        real = _grid_parameters(y, x, time, c, 0.0, 1e-10, cutoff)
+        dropped = c == 4.0
         assert shift > 0
         assert h == (0.0 if dropped else shift)
-        assert opts.initial_points == _grid_parameters(y, x, time, c, h, 1e-10)[1]
+        assert opts.initial_points == _grid_parameters(y, x, time, c, h, 1e-10, cutoff)
         assert opts.initial_points < real or h == 0.0 and opts.initial_points == real
 
     def test_the_shift_is_what_the_strip_needs(self):
@@ -380,19 +397,49 @@ class TestStaggeredLines:
         # larger h would only raise the integrand's peak
         y, x, tau = SWEEP_Y[3], SWEEP_X[3], 2.0
         want = math.sqrt(math.log(1e10) / tau) / 0.9 - 3.5
-        assert 0 < want < 0.5
+        a, b = _growth(y, x, tau)
+        assert 0 < want and (a * want + b) * want < math.log(GROWTH_BUDGET)
         assert _stagger(y, x, DampedTime.imaginary(tau), 3.5, 1e-10) \
             == pytest.approx(want, rel=1e-12)
         assert _stagger(y, x, DampedTime.imaginary(tau), 4.0, 1e-10) == 0.0
 
     def test_the_budget_sets_the_largest_shift(self):
-        # at tau = 1 the strip would take h = 0.5, which raises the peak
+        # at tau = 1 the strip would take h = 4.8, which raises the peak
         # past the budget: h is the root of A h^2 + B h = log(GROWTH_BUDGET)
         y, x = SWEEP_Y[3], SWEEP_X[3]
         h = _stagger(y, x, DampedTime.imaginary(1.0), 0.5, 1e-10)
         a, b = _growth(y, x, 1.0)
-        assert 0 < h < 0.5
+        assert _budget(3, 1.0, 1e-10) == GROWTH_BUDGET
+        assert 0 < h < math.sqrt(math.log(1e10)) / 0.9 - 0.5
         assert (a * h + b) * h == pytest.approx(math.log(GROWTH_BUDGET), rel=1e-12)
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-12, 1e-14])
+    def test_the_rounding_budget_bounds_the_shift(self, tol):
+        # a shifted line's growth e^(A h^2 + B h), times eps and the scale
+        # S = 2^N N!/(2 sqrt(pi tau))^N of the sum, stays within tol/100 on
+        # either line; where the rounding budget is below GROWTH_BUDGET it
+        # sets h, and below 1 it leaves the real line, which adds no growth
+        eps, rounding = np.finfo(float).eps, set()
+        for n, tau, c in itertools.product((2, 3, 4), (0.05, 0.2, 0.5, 2.0), (0.5, 1.0, 4.0)):
+            y, x, time = SWEEP_Y[n], SWEEP_X[n], DampedTime.imaginary(tau)
+            scale = 2 ** n * math.factorial(n) / (2.0 * math.sqrt(math.pi * tau)) ** n
+            a, b = _growth(y, x, tau)
+            budget = _budget(n, tau, tol)
+            assert budget == min(GROWTH_BUDGET, tol / (100 * eps * scale))
+            for h in (_stagger(y, x, time, c, tol),
+                      _line_opts(y, x, time, c, QuadOptions(tol=tol))[2]):
+                if h > 0:
+                    growth = math.exp((a * h + b) * h)
+                    assert growth * eps * scale <= tol / 100 * (1 + 1e-12), (n, tau, c, h)
+                    assert growth <= budget * (1 + 1e-12)
+            h = _stagger(y, x, time, c, tol)
+            if budget <= 1.0:
+                assert h == 0.0
+            elif budget < GROWTH_BUDGET and 0 < h < math.sqrt(math.log(1 / tol) / tau) / 0.9 - c:
+                assert (a * h + b) * h == pytest.approx(math.log(budget), rel=1e-12)
+                rounding.add((n, tau, c))
+        # the rounding budget bites somewhere at every tol but the loosest
+        assert tol == 1e-6 or rounding
 
     @pytest.mark.parametrize("t", [1 - 0.5j, 0.3 - 0.05j, 2 - 1j])
     def test_complex_times_stay_on_the_real_line(self, monkeypatch, t):
@@ -437,10 +484,12 @@ class TestStaggeredLines:
     def test_the_tail_bound_covers_a_short_cutoff(self, tau, cutoff):
         # one level on a cutoff far too short, at the spacing of tol 1e-14:
         # what it misses is the tail, which _cutoff_tail must bound on the
-        # shifted lines, growth included
+        # shifted lines, growth included.  The rounding budget keeps tol
+        # 1e-14 on the real line, so the lines take the default tol's shift
         y, x, time, c = SWEEP_Y[2], SWEEP_X[2], DampedTime.imaginary(tau), 0.5
         ref = propagator_halfline(y, x, time, BoseParams(c), QuadOptions(tol=1e-14)).value
-        fine, opts, h = _line_opts(y, x, time, c, QuadOptions(tol=1e-14))
+        fine, opts, _ = _line_opts(y, x, time, c, QuadOptions(tol=1e-14))
+        h = _line_opts(y, x, time, c, None)[2]
         assert h > 0
         m = 2 * round(cutoff * opts.initial_points / (2 * fine))
         k, w = line_nodes(LineGrid(cutoff, 2 * cutoff / m))
@@ -466,8 +515,8 @@ class TestNonFiniteTau:
             DampedTime.imaginary(tau)
 
 
-SWEEP_Y = {1: (0.7,), 2: (0.6, 1.5), 3: (0.5, 1.4, 2.6)}
-SWEEP_X = {1: (1.2,), 2: (0.9, 2.1), 3: (0.8, 1.9, 3.1)}
+SWEEP_Y = {1: (0.7,), 2: (0.6, 1.5), 3: (0.5, 1.4, 2.6), 4: (0.5, 1.4, 2.6, 3.5)}
+SWEEP_X = {1: (1.2,), 2: (0.9, 2.1), 3: (0.8, 1.9, 3.1), 4: (0.8, 1.9, 3.1, 4.0)}
 SWEEP_TAUS = (0.05, 0.2, 0.5, 2.0)
 SWEEP_CS = (0.0, 0.5, 1.0, 4.0)
 SWEEP_TOLS = (1e-3, 1e-4, 1e-6, 1e-8, 1e-10)
@@ -614,7 +663,8 @@ class TestComplexTime:
         # beta = sqrt(log(1/tol)/(delta + |Re t|)) minimises the spacing
         # formula, so no other strip gives a coarser first grid
         y, x, time = SWEEP_Y[3], SWEEP_X[3], DampedTime(1 - 0.5j)
-        cutoff, m0 = _grid_parameters(y, x, time, 0.0, 0.0, 1e-10)
+        cutoff = _cutoff(3, time.damping, 1e-10)
+        m0 = _grid_parameters(y, x, time, 0.0, 0.0, 1e-10, cutoff)
         logt, rate = math.log(1e10), 1.5
         z = max(x) + max(y)
         for beta in np.linspace(0.5, 10.0, 40):

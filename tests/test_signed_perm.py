@@ -213,6 +213,14 @@ class TestTermStructure:
         group = enumerate_bn(n) if halfline else enumerate_sn(n)
         assert sigmas == [s for s in group if s.values[0] > 0]
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_no_inversion_pairs_a_variable_with_its_reflection(self, n):
+        # the Bose lines put k_-a = -k_a at the mirror of k_a, so a pair
+        # (a, -a) would put the first variable's S-pole on its own line
+        assert all(a != -b for halfline in (True, False) for term in term_structure(n, halfline)
+                   for invs in term.mats for a, b in invs)
+        assert all(a != -b for sigma in enumerate_bn(n) for a, b in inversions(sigma))
+
 
 class TestAbPair:
     def test_worked_example(self):
