@@ -383,17 +383,28 @@ class LevelTables(NamedTuple):
                                       for key, v in self.vectors.items()})
 
 
+@lru_cache(maxsize=16)
+def signed_pairs(n: int, halfline: bool) -> tuple:
+    """The signed pairs (a, b), a > b, whose S-matrices the terms of the
+    (N, half/full line) sum use (`signed_perm.term_structure`), sorted:
+    collected once per sum, not per level."""
+    return tuple(sorted({ab for term in term_structure(n, halfline)
+                         for invs in term.mats for ab in invs}))
+
+
 def pair_matrices(pos, neg, pair, fold=None) -> dict:
     """The read-only S-matrix of every signed pair (a, b) the half-line terms
-    (full-line for neg None) use: pair(x[:, None], y[None, :]) over the node
-    values x of a and y of b, pos[d] for variable d+1, neg[d] for -(d+1).
+    (full-line for neg None) use (`signed_pairs`): pair(x[:, None], y[None,
+    :]) over the node values x of a and y of b, pos[d] for variable d+1,
+    neg[d] for -(d+1).  The exclusion process builds its matrices here; the
+    Bose gas spreads them from one-dimensional values
+    (`bose_exact._line_matrices`).
 
     In both models S(-b, -a) = S(a, b)^T, so only the pairs with a + b >= 0
     are computed, the others are transposed views.  Variables on one node
     array share their matrices: each counts as the first variable on it
-    (the exclusion process on the full line, one circle for every variable).
-    Variables on distinct arrays (the Bose gas on its staggered lines) get
-    one matrix per signed pair with a + b >= 0.
+    (the full line, one circle for every variable).  Variables on distinct
+    arrays get one matrix per signed pair with a + b >= 0.
 
     `fold` is None or (f, keep) on a folded level (`ContourTables`): the
     matrices of variable f+1 run over its nodes pos[f][keep] and
@@ -413,8 +424,7 @@ def pair_matrices(pos, neg, pair, fold=None) -> dict:
 
     built = {}
     smats = {}
-    terms = term_structure(len(pos), neg is not None)
-    for a, b in sorted({ab for term in terms for invs in term.mats for ab in invs}):
+    for a, b in signed_pairs(len(pos), neg is not None):
         ga, gb = (grid[abs(v) - 1] if v > 0 else -grid[abs(v) - 1] for v in (a, b))
         mirrored = ga + gb < 0
         key = (-gb, -ga) if mirrored else (ga, gb)
@@ -628,17 +638,33 @@ def term_sum(tables: LevelTables) -> complex:
     return total
 
 
+#: source factors (`ContourTables.source`) one set of contour tables keeps;
+#: each holds one vector of the level's nodes, 16 m bytes
+MAX_SOURCE_FACTORS = 64
+
+
 class ContourTables:
     """The factor tables of one quadrature level that do not depend on Y, X
     or t, for either model, on the node arrays pos[d] and, on the half line,
-    neg[d] (None on the full line), with the S-matrices of `pair`, if any.
+    neg[d] (None on the full line), with the S-matrices `matrices` builds,
+    if any.
 
     Per variable d: `nodes[d, s]`, s = -1 the reflected node (tau/xi or -k),
     on the half line only; `weights[d]`, for the exclusion process times the
     1/xi of xi^(x-y-1); `energies[d]`, the e of e^(e t) (eps(xi) or -i k^2)
     for both signs; `amplitudes[d]`, a negative entry's amplitude (r(tau/xi)
-    or -1).  `smats` holds the S-matrices (`pair_matrices`) and `wave(nodes,
-    x)` is the plane wave, xi^x or e^(ikx).
+    or -1).  `wave(nodes, x)` is the plane wave, xi^x or e^(ikx).  Each
+    model supplies its S-matrices and position waves:
+
+    * `matrices(fold)` gives `smats`, the S-matrix of every signed pair the
+      sum uses, with `fold` None or (the folded variable, its kept nodes):
+      the exclusion process builds them from two-dimensional node values
+      (`pair_matrices`), the Bose gas spreads each from its Toeplitz or
+      Hankel diagonal (`bose_exact._line_matrices`);
+    * `waves(x)`, if given, gives the plane wave at position x of every
+      (d, s) of `nodes`, on its kept nodes; by default it is `wave` at each
+      node array (ASEP's powers), while the Bose lines take one exponential
+      per position (`bose_exact._line_contour`).
 
     `half` is None, or (slice of the kept nodes, weight factor per kept
     node) for a level whose every factor is conjugate-symmetric: at the
@@ -661,7 +687,8 @@ class ContourTables:
     is looked up once, here, and every `level` carries it.
     """
 
-    def __init__(self, pos, neg, weights, energies, amplitudes, wave, pair=None, half=None):
+    def __init__(self, pos, neg, weights, energies, amplitudes, wave, matrices=None,
+                 half=None, waves=None):
         self.fold = None if half is None else len(pos) - 1
         keep, factor = half or (None, None)
 
@@ -677,30 +704,54 @@ class ContourTables:
             self.weights[self.fold].flags.writeable = False
         self.energies = [kept(d, e) for d, e in enumerate(energies)]
         self.amplitudes = [kept(d, a) for d, a in enumerate(amplitudes)]
-        self.smats = {} if pair is None else pair_matrices(
-            pos, neg, pair, None if half is None else (self.fold, keep))
-        self.wave = wave
+        self.smats = {} if matrices is None else matrices(
+            None if half is None else (self.fold, keep))
+        self.wave, self._waves = wave, waves
         self.schedule = compile_schedule(len(pos), neg is not None, frozenset(self.smats))
+        self._sources = {}
+
+    def waves(self, x) -> dict:
+        """The plane wave at position x of every (d, s) of `nodes`."""
+        if self._waves is not None:
+            return self._waves(x)
+        return {key: self.wave(v, x) for key, v in self.nodes.items()}
 
     @property
     def nbytes(self) -> int:
         """Bytes of the distinct arrays held, a view counted as its base."""
         arrays = (*self.nodes.values(), *self.weights, *self.energies,
-                  *self.amplitudes, *self.smats.values())
+                  *self.amplitudes, *self.smats.values(), *self._sources.values())
         return sum({id(a if a.base is None else a.base): a.nbytes
                     for a in arrays if isinstance(a, np.ndarray)}.values())
 
+    def source(self, d, yd, t) -> np.ndarray:
+        """The source factor w_d wave(nodes[d, 1], -y_d) e^(e_d t) of variable
+        d, kept for the next call with the same (d, y_d, t): every target of
+        one distribution shares it.  At most MAX_SOURCE_FACTORS are kept, the
+        oldest dropped first."""
+        key = (d, yd, t)
+        factor = self._sources.get(key)
+        if factor is None:
+            if len(self._sources) >= MAX_SOURCE_FACTORS:
+                del self._sources[next(iter(self._sources))]
+            factor = (self.weights[d] * self.wave(self.nodes[d, 1], -yd)
+                      * np.exp(self.energies[d] * t))
+            factor.flags.writeable = False
+            self._sources[key] = factor
+        return factor
+
     def level(self, y, x, t) -> LevelTables:
-        """The level tables of one call: vector (d, s, j) is w_d wave(xi_d,
-        -y_d) e^(e_d t) wave(nodes[d, s], x_j), times the amplitude at s = -1."""
+        """The level tables of one call: vector (d, s, j) is the source
+        factor of (d, y_d, t) (`source`) times waves(x_j)[d, s], times the
+        amplitude at s = -1."""
         signs = (1, -1) if (0, -1) in self.nodes else (1,)
+        waves = [self.waves(xj) for xj in x]
         vectors = {}
         for d, yd in enumerate(y):
-            base = (self.weights[d] * self.wave(self.nodes[d, 1], -yd)
-                    * np.exp(self.energies[d] * t))
+            base = self.source(d, yd, t)
             for s in signs:
-                for j, xj in enumerate(x):
-                    v = base * self.wave(self.nodes[d, s], xj)
+                for j, wave in enumerate(waves):
+                    v = base * wave[d, s]
                     vectors[d, s, j] = v * self.amplitudes[d] if s < 0 else v
         return LevelTables(vectors, self.smats, self.schedule)
 

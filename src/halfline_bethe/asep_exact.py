@@ -26,12 +26,13 @@ import itertools
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
 # contract is bound here as well because perfbench/tracing.py patches it here
-from ._kernels import ContourTables, contract, evaluate, term_sum  # noqa: F401
+from ._kernels import (ContourTables, contract, evaluate, pair_matrices,  # noqa: F401
+                       term_sum)
 from .contour_quad import (CircleContour, QuadOptions, RadiiScheme,
                            adaptive_eval, circle_half, circle_nodes)
 from .errors import ConvergenceError
@@ -144,8 +145,9 @@ def _circle_contour(params: AsepParams, contours, m: int, halfline: bool,
     pos, weights, energies, *reflected = zip(*(columns[c] for c in contours))
     neg, amplitudes = reflected or (None, ())
     # s(tau/y, tau/x) = s(x, y); a lambda, so a wrapper of s_asep here is seen
-    return ContourTables(pos, neg, weights, energies, amplitudes, np.power,
-                         lambda x, y: s_asep(x, y, params), circle_half(m) if fold else None)
+    pair = partial(pair_matrices, pos, neg, lambda x, y: s_asep(x, y, params))
+    return ContourTables(pos, neg, weights, energies, amplitudes, np.power, pair,
+                         circle_half(m) if fold else None)
 
 
 _CONTOUR_CACHE: OrderedDict = OrderedDict()

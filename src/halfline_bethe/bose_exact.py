@@ -17,7 +17,10 @@ more than `GROWTH_BUDGET` and the rounding at tol allow (`_stagger`,
 and residual refines through `_kernels.evaluate` on these lines' tables.  At
 pure imaginary time k -> -conj(k) conjugates every factor, so each level is
 folded: one variable runs over Re k >= 0 only and the level keeps its real
-part (`_line_contour`).
+part (`_line_contour`).  Every line runs over one uniform real grid, so a
+level's tables come from one-dimensional values: each S-matrix is the
+Toeplitz or Hankel spread of s_bose at 2m - 1 points (`_line_matrices`),
+and each plane wave at a position one exponential e^(ikx) times a scalar.
 
 Closed-form limits (free bosons at c = 0, impenetrable bosons at c = inf)
 are derived independently and double as oracles for the full sum.
@@ -28,10 +31,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from ._kernels import ContourTables, evaluate
+from ._kernels import ContourTables, evaluate, signed_pairs
 from .contour_quad import LineGrid, QuadOptions, line_half, line_nodes
 from .scattering import BoseParams, s_bose
 from .signed_perm import group_order
@@ -180,8 +184,10 @@ def _stagger(y, x, time: DampedTime, c: float, tol: float) -> float:
 
 
 def _staggered(k, n: int, h: float) -> list:
-    """Variable d's nodes, on the line Im k = -d h; at h = 0 every variable
-    shares the real grid k.
+    """Variable d's nodes, on the line Im k = -d h over the real grid k; at
+    h = 0 every variable shares k itself.  Every line keeps the real parts
+    k, so k_a - k_b of two variables runs over the node-index differences
+    or sums alone (`_line_matrices`).
 
     With k_-a = -k_a, signed variable v then sits at Im k_v = -sign(v)
     (|v| - 1) h, and an inversion (a, b), a > b, has Im(k_a - k_b) <= -h
@@ -224,21 +230,98 @@ def _grid_parameters(y, x, time: DampedTime, c: float, h: float, tol: float,
     return max(16, 2 * math.ceil(cutoff / spacing))
 
 
+def _spread(values: np.ndarray, toeplitz: bool, first: int = 0) -> np.ndarray:
+    """Rows first .. m - 1 of the m x m matrix values[i - j + m - 1]
+    (Toeplitz) or values[i + j] (Hankel) of the 2m - 1 contiguous values,
+    copied from a strided view of them."""
+    m, step = (values.size + 1) // 2, values.strides[0]
+    if toeplitz:
+        offset, strides = (first + m - 1) * step, (step, -step)
+    else:
+        offset, strides = first * step, (step, step)
+    return np.ndarray((m - first, m), values.dtype, values, offset, strides).copy()
+
+
+def _line_matrices(k, lines, c: float, halfline: bool, fold) -> dict:
+    """The S-matrix S(k_a - k_b) of every signed pair (a, b) the sum uses
+    (`_kernels.signed_pairs`), k_-a = -k_a, on lines that share the uniform
+    real grid k of `line_nodes` and put variable d at Im k = lines[d]
+    (`_line_contour`).
+
+    A same-sign pair's k_a - k_b depends only on the difference of the two
+    node indices, a mixed-sign pair's on their sum, and both run over n sp
+    + i (Im k_a - Im k_b), n = 1 - m .. m - 1.  So each matrix is the
+    Toeplitz or Hankel spread (`_spread`) of s_bose at those 2m - 1 points,
+    computed once per distinct offset Im k_a - Im k_b.  Only pairs with
+    a + b >= 0 are spread, all with a > 0: Toeplitz for b > 0, Hankel for
+    b < 0; S(-b, -a) = S(a, b)^T is a transposed view.  Pairs with one
+    offset and kind share one matrix.  On a folded level (`fold` = (f,
+    keep), keep the nodes from the middle one on, `line_half`) the matrices
+    of variable f+1 take the rows of its kept nodes from the same diagonals:
+    views of a shared full matrix, or spread on those rows alone, so they
+    equal the unfolded kept rows bit for bit.
+    """
+    m = k.size
+    points = k[m // 2 + 1] * np.arange(1 - m, m)  # n sp, as line_nodes spaces k
+    folded, keep = (fold[0] + 1, fold[1]) if fold else (None, slice(None))
+    params, pairs = BoseParams(c), signed_pairs(len(lines), halfline)
+
+    def offset(a, b):
+        im_a, im_b = (lines[v - 1] if v > 0 else -lines[-v - 1] for v in (a, b))
+        return im_a - im_b
+
+    spread = [(a, b, (offset(a, b), b > 0)) for a, b in pairs if a + b >= 0]
+    full = {kind for a, _, kind in spread if a != folded}
+    values, built, smats = {}, {}, {}
+    for a, b, kind in spread:
+        rows = a == folded and kind not in full
+        if (kind, rows) not in built:
+            if kind[0] not in values:
+                values[kind[0]] = s_bose(points + 1j * kind[0], params)
+            built[kind, rows] = _spread(values[kind[0]], kind[1], keep.start if rows else 0)
+            built[kind, rows].flags.writeable = False
+        mat = built[kind, rows]
+        smats[a, b] = mat[keep] if a == folded and not rows else mat
+    for a, b in pairs:
+        if a + b < 0:
+            smats[a, b] = smats[-b, -a].T
+    return smats
+
+
 def _line_contour(nodes, w, c: float, halfline: bool, fold: bool = False) -> ContourTables:
     """The contour tables on the nodes of each variable (`_staggered`), with
-    S(k_a - k_b), k_-a = -k_a, but none at c = 0.  Variables on one shared
-    node array share their matrices (`pair_matrices`).
+    S(k_a - k_b), k_-a = -k_a, but none at c = 0.
+
+    Every line must run over the one uniform real grid k of `line_nodes`,
+    at its own Im k, read from its first node.  The S-matrices are then
+    spread from one-dimensional values (`_line_matrices`), and the plane
+    waves at a position x come from one exponential: on Im k_d = -eta_d,
+    e^(i k_d x) = e^(i k x) e^(eta_d x), and the reflected e^(-i k_d x) =
+    conj(e^(i k x)) e^(-eta_d x).
 
     `fold` folds the level (`ContourTables`, `line_half`), which needs an
     imaginary time: k -> -conj(k) maps each line onto itself and conjugates
     every factor, e^(-i k^2 t) only when Re t = 0."""
     n = len(nodes)
-    # S(-k_b + k_a) = S(k_a - k_b); a lambda, so a wrapper of s_bose here is seen
+    k = np.real(nodes[0])
+    lines = [float(np.imag(kd[0])) for kd in nodes]
+    half = line_half(w.size) if fold else None
+    signs = (1, -1) if halfline else (1,)
+
+    def waves(x):
+        e = np.exp(1j * k * x)
+        real_line = {1: e, -1: e.conj()} if halfline else {1: e}
+        out = {}
+        for d, im in enumerate(lines):
+            for s in signs:
+                wave = real_line[s][half[0]] if fold and d == n - 1 else real_line[s]
+                out[d, s] = wave * math.exp(-s * im * x) if im else wave
+        return out
+
     return ContourTables(
         nodes, [-kd for kd in nodes] if halfline else None, (w,) * n,
-        [-1j * kd * kd for kd in nodes], (-1.0,) * n, lambda k, x: np.exp(1j * k * x),
-        (lambda ka, kb: s_bose(ka - kb, BoseParams(c))) if c != 0.0 else None,
-        line_half(w.size) if fold else None)
+        [-1j * kd * kd for kd in nodes], (-1.0,) * n, lambda kd, x: np.exp(1j * kd * x),
+        partial(_line_matrices, k, lines, c, halfline) if c != 0.0 else None, half, waves)
 
 
 def _line_opts(y, x, time, c, opts: QuadOptions | None):

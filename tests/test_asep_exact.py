@@ -746,6 +746,36 @@ class TestContourCache:
         assert repr(prob_halfline((0, 2, 4), (1, 3, 5), 0.5, P04, TWO_LEVELS)) == repr(cached)
         assert len(lookups) == 2  # one per level built
 
+    def test_one_distribution_computes_its_source_factors_once(self, empty_cache,
+                                                               monkeypatch):
+        # w xi^(-y_d) e^(eps t) depends on (d, y_d, t) alone: the targets of
+        # one distribution, summed in the direct orientation, share it, the
+        # tables count it in nbytes, and the values stay repr-identical
+        y, t, targets = (0, 2, 4), 0.5, [(0, 1, 4), (0, 2, 3), (1, 2, 3)]
+        assert all(asep_exact._orientation(y, x, tuned_radii(P04, 3), P04.tau)[2] == 1.0
+                   for x in targets)
+        fresh = []
+        for x in targets:
+            empty_cache.clear()
+            fresh.append(repr(prob_halfline(y, x, t, P04, TWO_LEVELS)))
+        empty_cache.clear()
+        prob_halfline(y, targets[0], t, P04, TWO_LEVELS)
+        held = {key: dict(tables._sources) for key, tables in empty_cache.items()}
+        assert all(len(sources) == 3 for sources in held.values())
+        assert [repr(prob_halfline(y, x, t, P04, TWO_LEVELS)) for x in targets] == fresh
+        for key, tables in empty_cache.items():
+            assert tables._sources.keys() == held[key].keys()
+            assert all(tables._sources[k] is v for k, v in held[key].items())
+            with_sources, tables._sources = tables.nbytes, {}
+            assert with_sources - tables.nbytes == sum(v.nbytes for v in held[key].values())
+            tables._sources = held[key]
+        # a bounded memo drops its oldest factor first, to the same values
+        monkeypatch.setattr(_kernels, "MAX_SOURCE_FACTORS", 2)
+        empty_cache.clear()
+        assert [repr(prob_halfline(y, x, t, P04, TWO_LEVELS)) for x in targets] == fresh
+        assert all(list(tables._sources) == [(1, 2, t), (2, 4, t)]
+                   for tables in empty_cache.values())
+
     def test_tables_over_the_budget_are_not_kept(self, empty_cache, monkeypatch):
         # at N = 2 the folded tables of m = 64 hold about 75 kB, m = 128
         # about 280 kB

@@ -47,9 +47,9 @@ def test_every_traced_name_is_bound():
 
 
 def test_one_level_of_each_model_is_traced(monkeypatch):
-    # the models hand pair_matrices a lambda that looks s_asep and s_bose up
-    # in their own module at each call, where the tracer replaces them; an
-    # empty contour cache makes the ASEP level build its tables
+    # the models look s_asep and s_bose up in their own module at each
+    # call, where the tracer replaces them; an empty contour cache makes the
+    # ASEP level build its tables
     monkeypatch.setattr(asep_exact, "_CONTOUR_CACHE", OrderedDict())
     params = AsepParams.from_p(0.4)
     radii = asep_exact.tuned_radii(params, 3)
@@ -67,9 +67,10 @@ def test_one_level_of_each_model_is_traced(monkeypatch):
     # ASEP: eps and r on each of 3 circles, N(N-1) = 6 S-matrices
     assert asep_calls["scattering.calls"] == 3 + 3 + 6
     assert asep_calls["kernels.contract.calls"] == terms
-    # Bose: each variable on its own line, so one S(k_a - k_b) per signed
-    # pair with a + b >= 0: (2, 1), (3, 1), (3, 2), (2, -1), (3, -1), (3, -2)
-    assert bose_calls["scattering.calls"] == 6
+    # Bose: each variable on its own line, so one s_bose call per offset
+    # Im(k_a - k_b) of the signed pairs with a + b >= 0: -h for (2, 1),
+    # (3, 2) and (2, -1), -2h for (3, 1) and (3, -1), -3h for (3, -2)
+    assert bose_calls["scattering.calls"] == 3
     assert bose_calls["kernels.contract.calls"] == terms
 
 

@@ -16,6 +16,7 @@ from halfline_bethe.asep_exact import _circle_contour, tuned_radii
 from halfline_bethe.bose_exact import _line_contour, _staggered
 from halfline_bethe.contour_quad import (CircleContour, LineGrid, circle_nodes,
                                          line_nodes)
+from halfline_bethe.errors import SingularityError
 from halfline_bethe.scattering import (AsepParams, BoseParams, amplitude_asep,
                                        amplitude_bose, eps_asep, k_signed, r_factor,
                                        xi_signed,
@@ -303,7 +304,8 @@ class TestScalarPath:
 class TestPairMatrices:
     """Bose: S(sa k - sb k) on one shared grid, so two distinct matrices on
     the half-line (++ and +-; -- is the transpose of ++), one on the full line
-    and none at c = 0; on the staggered lines one per signed pair with
+    and none at c = 0; on the staggered lines one per offset Im(k_a - k_b)
+    and kind (Toeplitz for ++, Hankel for +-) of the signed pairs with
     a + b >= 0.  ASEP's counts are in test_asep_exact."""
 
     @pytest.mark.parametrize("n,halfline,c,distinct", [
@@ -332,13 +334,14 @@ class TestPairMatrices:
                 assert not mat.flags.writeable
 
     @pytest.mark.parametrize("n,halfline,distinct", [
-        (2, True, 2), (3, True, 6), (4, True, 12), (3, False, 3),
+        (2, True, 2), (3, True, 5), (4, True, 8), (3, False, 2),
     ])
     def test_bose_staggered(self, n, halfline, distinct):
-        # variable d on Im k = -d h: one matrix per signed pair with
-        # a + b >= 0, each inversion (a, b), a > b, at Im(k_a - k_b) <= -h,
-        # below the pole at ic, so every |S| <= 1; folded, the matrices of
-        # the last variable are built on its nodes Re k >= 0 alone
+        # variable d on Im k = -d h: pairs with one offset and kind share a
+        # matrix, at N = 3 (2, 1) and (3, 2), both Toeplitz at -h; each
+        # inversion (a, b), a > b, at Im(k_a - k_b) <= -h, below the pole at
+        # ic, so every |S| <= 1; folded, the matrices of the last variable
+        # take the rows of its nodes Re k >= 0
         h = 0.5
         for fold in (False, True):
             nodes = _staggered(K, n, h)
@@ -356,6 +359,104 @@ class TestPairMatrices:
                 np.testing.assert_array_equal(mat, s_bose(ka[:, None] - kb[None, :],
                                                           BoseParams(0.5)))
                 assert np.abs(mat).max() <= 1.0 + 1e-15
+
+
+#: a grid whose node differences round: 0.3 is not dyadic
+ODD_K, ODD_W = line_nodes(LineGrid(4.2, 0.3))
+ULP = np.finfo(float).eps
+
+
+def _ulps(got, want) -> float:
+    """The largest relative difference, in units of double rounding."""
+    return float(np.max(np.abs(got - want) / np.abs(want))) / ULP
+
+
+class TestLineTables:
+    """The Bose lines share one uniform real grid, so each S-matrix is spread
+    from s_bose at the 2m - 1 points n sp + i (Im k_a - Im k_b), and each
+    plane wave at x from e^(ikx) times a scalar (`bose_exact._line_contour`)."""
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                        reason="needs an extended long double for the exact reference")
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("halfline", [True, False])
+    @pytest.mark.parametrize("h", [0.3, 0.0])
+    def test_every_matrix_is_s_bose_within_four_ulps(self, n, halfline, h):
+        # against S at each exact node difference (a - b) sp + i (Im k_a -
+        # Im k_b), in extended precision; s_bose on the rounded 2-D
+        # differences fl(a sp) - fl(b sp) carries their rounding, up to
+        # 5.1 ulps from the exact S here, and lies within 8 ulps
+        c, half = 0.5, ODD_K.size // 2
+        sp = ODD_K[half + 1]
+        index = np.arange(-half, half + 1)
+        for fold in (False, True):
+            nodes = _staggered(ODD_K, n, h)
+            tables = _line_contour(nodes, ODD_W, c, halfline, fold)
+            assert set(tables.smats) == set(_used_pairs(n, halfline))
+            rows = [index] * n
+            if fold:
+                rows[-1], nodes[-1] = index[half:], nodes[-1][half:]
+            for (a, b), mat in tables.smats.items():
+                ia, ib = (np.sign(v) * rows[abs(v) - 1] for v in (a, b))
+                ka, kb = (np.sign(v) * nodes[abs(v) - 1] for v in (a, b))
+                offset = (ka[0] - kb[0]).imag
+                k = ((ia[:, None] - ib[None, :]) * np.longdouble(sp)
+                     + 1j * np.longdouble(offset)).astype(np.clongdouble)
+                exact = (k + 1j * np.longdouble(c)) / (k - 1j * np.longdouble(c))
+                assert _ulps(mat, exact) <= 4.0, (a, b, fold)
+                rounded = s_bose(ka[:, None] - kb[None, :], BoseParams(c))
+                assert _ulps(mat, rounded) <= 8.0, (a, b, fold)
+                assert not mat.flags.writeable
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("halfline", [True, False])
+    @pytest.mark.parametrize("h", [0.3, 0.0])
+    def test_every_wave_is_exp_of_its_node_within_four_ulps(self, n, halfline, h):
+        for fold in (False, True):
+            tables = _line_contour(_staggered(ODD_K, n, h), ODD_W, 1.0, halfline, fold)
+            for x in (0.8, 1.7, 2.9, 4.1):
+                waves = tables.waves(x)
+                assert waves.keys() == tables.nodes.keys()
+                for key, wave in waves.items():
+                    assert _ulps(wave, np.exp(1j * tables.nodes[key] * x)) <= 4.0, (key, x)
+
+    def test_a_node_difference_at_the_pole_raises(self):
+        # variable 2 at Im k = c above variable 1: k_2 - k_1 = ic at equal
+        # real parts, and k_2 + k_1 = ic at opposite ones
+        for halfline in (True, False):
+            with pytest.raises(SingularityError):
+                _line_contour([ODD_K, ODD_K + 0.5j], ODD_W, 0.5, halfline)
+
+    def test_a_level_spreads_one_diagonal_per_offset(self, monkeypatch):
+        # a propagator builds every level from at most one s_bose call of
+        # 2m - 1 points per distinct offset, and asks for no term structure
+        y, x, time = (0.5, 1.4, 2.6), (0.8, 1.9, 3.1), bose_exact.DampedTime.imaginary(0.5)
+        params = BoseParams(1.0)
+        want = bose_exact.propagator_halfline(y, x, time, params)
+        h = bose_exact._line_opts(y, x, time, 1.0, None)[2]
+        assert h > 0
+        # Im(k_a - k_b) of (2, 1), (3, 2), (2, -1); (3, 1), (3, -1); (3, -2)
+        offsets = 3
+        sizes, levels, structures = [], [], []
+        s = bose_exact.s_bose
+        monkeypatch.setattr(bose_exact, "s_bose", lambda k, p: sizes.append(k.size) or s(k, p))
+        contour = bose_exact._line_contour
+
+        def counted(nodes, *args):
+            levels.append((nodes[0].size, len(sizes)))
+            return contour(nodes, *args)
+
+        monkeypatch.setattr(bose_exact, "_line_contour", counted)
+        structure = _kernels.term_structure
+        monkeypatch.setattr(_kernels, "term_structure",
+                            lambda *args: structures.append(args) or structure(*args))
+        assert repr(bose_exact.propagator_halfline(y, x, time, params)) == repr(want)
+        assert structures == []
+        assert len(levels) == 2
+        ends = [start for _, start in levels[1:]] + [len(sizes)]
+        for (nodes, start), end in zip(levels, ends):
+            assert end - start == offsets
+            assert sizes[start:end] == [2 * nodes - 1] * offsets
 
 
 class TestFolding:
