@@ -392,49 +392,35 @@ def signed_pairs(n: int, halfline: bool) -> tuple:
                          for invs in term.mats for ab in invs}))
 
 
-def pair_matrices(pos, neg, pair, fold=None) -> dict:
-    """The read-only S-matrix of every signed pair (a, b) the half-line terms
-    (full-line for neg None) use (`signed_pairs`): pair(x[:, None], y[None,
-    :]) over the node values x of a and y of b, pos[d] for variable d+1,
-    neg[d] for -(d+1).  The exclusion process builds its matrices here; the
-    Bose gas spreads them from one-dimensional values
-    (`bose_exact._line_matrices`).
+def pair_matrices(n: int, halfline: bool, kind, build, fold=None) -> dict:
+    """The read-only S-matrix of every signed pair (a, b) the (N, half/full
+    line) terms use (`signed_pairs`), rows over |a|, for either model: the
+    model says which pairs have one matrix, `kind(a, b)`, and builds it,
+    `build(kind, rows)`, with rows None for all of a's nodes.
 
     In both models S(-b, -a) = S(a, b)^T, so only the pairs with a + b >= 0
-    are computed, the others are transposed views.  Variables on one node
-    array share their matrices: each counts as the first variable on it
-    (the full line, one circle for every variable).  Variables on distinct
-    arrays get one matrix per signed pair with a + b >= 0.
+    are built, all with a > 0, and the others are transposed views of their
+    partners.  Pairs of one kind share one matrix.
 
-    `fold` is None or (f, keep) on a folded level (`ContourTables`): the
-    matrices of variable f+1 run over its nodes pos[f][keep] and
-    neg[f][keep] alone.  If it has a node array of its own, they are built
-    on those nodes, (m/2 + 1) x m; if it shares one, they are row or column
-    views of the shared matrices, so a shared array still builds each
-    matrix once.
+    `fold` is None or the kept nodes of the last variable N on a folded
+    level (`ContourTables`).  A pair with a + b >= 0 holds N, if at all, as
+    a, so its matrices take the kept rows: views of the full matrix where a
+    pair without N has their kind, else `build(kind, fold)` on those rows
+    alone.  Either way each kind's rows are built once.
     """
-    first = {}
-    grid = [first.setdefault(id(v), d + 1) for d, v in enumerate(pos)]
-    f, keep = fold or (None, None)
-    alone = fold is not None and grid.count(grid[f]) == 1
-
-    def nodes(g):
-        x = pos[g - 1] if g > 0 else neg[-g - 1]
-        return x[keep] if alone and abs(g) == f + 1 else x
-
-    built = {}
-    smats = {}
-    for a, b in signed_pairs(len(pos), neg is not None):
-        ga, gb = (grid[abs(v) - 1] if v > 0 else -grid[abs(v) - 1] for v in (a, b))
-        mirrored = ga + gb < 0
-        key = (-gb, -ga) if mirrored else (ga, gb)
-        if key not in built:
-            built[key] = pair(nodes(key[0])[:, None], nodes(key[1])[None, :])
-            built[key].flags.writeable = False
-        mat = built[key].T if mirrored else built[key]
-        if fold is not None and not alone:
-            mat = mat[keep] if abs(a) == f + 1 else mat[:, keep] if abs(b) == f + 1 else mat
-        smats[a, b] = mat
+    pairs = signed_pairs(n, halfline)
+    kinds = {(a, b): kind(a, b) for a, b in pairs if a + b >= 0}
+    full = {k for (a, _), k in kinds.items() if fold is None or a != n}
+    built, smats = {}, {}
+    for (a, b), k in kinds.items():
+        if k not in built:
+            built[k] = build(k, None if k in full else fold)
+            built[k].flags.writeable = False
+        cut = fold is not None and a == n and k in full
+        smats[a, b] = built[k][fold] if cut else built[k]
+    for a, b in pairs:
+        if a + b < 0:
+            smats[a, b] = smats[-b, -a].T
     return smats
 
 
@@ -656,11 +642,11 @@ class ContourTables:
     or -1).  `wave(nodes, x)` is the plane wave, xi^x or e^(ikx).  Each
     model supplies its S-matrices and position waves:
 
-    * `matrices(fold)` gives `smats`, the S-matrix of every signed pair the
-      sum uses, with `fold` None or (the folded variable, its kept nodes):
-      the exclusion process builds them from two-dimensional node values
-      (`pair_matrices`), the Bose gas spreads each from its Toeplitz or
-      Hankel diagonal (`bose_exact._line_matrices`);
+    * `smats` is None, for no S-matrices, or the S-matrix of every signed
+      pair the sum uses, the folded variable's on its kept nodes: both
+      models build them with `pair_matrices`, the exclusion process from
+      two-dimensional node values, the Bose gas by spreading each from its
+      Toeplitz or Hankel diagonal (`bose_exact._line_matrices`);
     * `waves(x)`, if given, gives the plane wave at position x of every
       (d, s) of `nodes`, on its kept nodes; by default it is `wave` at each
       node array (ASEP's powers), while the Bose lines take one exponential
@@ -687,7 +673,7 @@ class ContourTables:
     is looked up once, here, and every `level` carries it.
     """
 
-    def __init__(self, pos, neg, weights, energies, amplitudes, wave, matrices=None,
+    def __init__(self, pos, neg, weights, energies, amplitudes, wave, smats=None,
                  half=None, waves=None):
         self.fold = None if half is None else len(pos) - 1
         keep, factor = half or (None, None)
@@ -704,8 +690,7 @@ class ContourTables:
             self.weights[self.fold].flags.writeable = False
         self.energies = [kept(d, e) for d, e in enumerate(energies)]
         self.amplitudes = [kept(d, a) for d, a in enumerate(amplitudes)]
-        self.smats = {} if matrices is None else matrices(
-            None if half is None else (self.fold, keep))
+        self.smats = smats or {}
         self.wave, self._waves = wave, waves
         self.schedule = compile_schedule(len(pos), neg is not None, frozenset(self.smats))
         self._sources = {}

@@ -26,7 +26,7 @@ import itertools
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -123,7 +123,9 @@ def _circle_contour(params: AsepParams, contours, m: int, halfline: bool,
                     fold: bool = False) -> ContourTables:
     """The contour tables of one level, variable d on contours[d]; every array
     is read-only, as `_contour_tables` shares them between calls.
-    Dimensions on one contour (the full line) share arrays and matrices.
+    Dimensions on one contour (the full line) share arrays and matrices:
+    `_kernels.pair_matrices` builds s_asep once per kind, the (sign,
+    contour) of each variable of a pair, on xi or tau/xi of those contours.
 
     `fold` folds the level (`ContourTables`, `circle_half`), which needs
     circles about a real centre: every factor has real coefficients and
@@ -144,10 +146,18 @@ def _circle_contour(params: AsepParams, contours, m: int, halfline: bool,
         columns[contour] = arrays
     pos, weights, energies, *reflected = zip(*(columns[c] for c in contours))
     neg, amplitudes = reflected or (None, ())
-    # s(tau/y, tau/x) = s(x, y); a lambda, so a wrapper of s_asep here is seen
-    pair = partial(pair_matrices, pos, neg, lambda x, y: s_asep(x, y, params))
-    return ContourTables(pos, neg, weights, energies, amplitudes, np.power, pair,
-                         circle_half(m) if fold else None)
+    half = circle_half(m) if fold else None
+
+    def kind(a, b):  # the (sign, contour) of each variable
+        return tuple((v > 0, contours[abs(v) - 1]) for v in (a, b))
+
+    def build(kind, rows):  # xi or tau/xi on each contour
+        x, y = (columns[contour][0 if positive else 3] for positive, contour in kind)
+        # s_asep is looked up here, so a wrapper of it is seen
+        return s_asep((x if rows is None else x[rows])[:, None], y[None, :], params)
+
+    smats = pair_matrices(len(contours), halfline, kind, build, half[0] if fold else None)
+    return ContourTables(pos, neg, weights, energies, amplitudes, np.power, smats, half)
 
 
 _CONTOUR_CACHE: OrderedDict = OrderedDict()

@@ -31,12 +31,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from ._kernels import ContourTables, evaluate, signed_pairs
+from ._kernels import ContourTables, evaluate, pair_matrices
 from .contour_quad import LineGrid, QuadOptions, line_half, line_nodes
+from .errors import ConvergenceError
 from .scattering import BoseParams, s_bose
 from .signed_perm import group_order
 
@@ -243,49 +243,36 @@ def _spread(values: np.ndarray, toeplitz: bool, first: int = 0) -> np.ndarray:
 
 
 def _line_matrices(k, lines, c: float, halfline: bool, fold) -> dict:
-    """The S-matrix S(k_a - k_b) of every signed pair (a, b) the sum uses
-    (`_kernels.signed_pairs`), k_-a = -k_a, on lines that share the uniform
-    real grid k of `line_nodes` and put variable d at Im k = lines[d]
-    (`_line_contour`).
+    """The S-matrix S(k_a - k_b) of every signed pair (a, b) the sum uses,
+    k_-a = -k_a, on lines that share the uniform real grid k of
+    `line_nodes` and put variable d at Im k = lines[d] (`_line_contour`),
+    from the one walk of both models (`_kernels.pair_matrices`), with
+    `fold` None or the kept nodes of the last variable.
 
     A same-sign pair's k_a - k_b depends only on the difference of the two
     node indices, a mixed-sign pair's on their sum, and both run over n sp
-    + i (Im k_a - Im k_b), n = 1 - m .. m - 1.  So each matrix is the
-    Toeplitz or Hankel spread (`_spread`) of s_bose at those 2m - 1 points,
-    computed once per distinct offset Im k_a - Im k_b.  Only pairs with
-    a + b >= 0 are spread, all with a > 0: Toeplitz for b > 0, Hankel for
-    b < 0; S(-b, -a) = S(a, b)^T is a transposed view.  Pairs with one
-    offset and kind share one matrix.  On a folded level (`fold` = (f,
-    keep), keep the nodes from the middle one on, `line_half`) the matrices
-    of variable f+1 take the rows of its kept nodes from the same diagonals:
-    views of a shared full matrix, or spread on those rows alone, so they
-    equal the unfolded kept rows bit for bit.
+    + i (Im k_a - Im k_b), n = 1 - m .. m - 1.  So a pair's kind is its
+    offset Im k_a - Im k_b and whether it is Toeplitz (b > 0) or Hankel
+    (b < 0; the walk's pairs all have a > 0), and each matrix is that
+    spread (`_spread`) of s_bose at those 2m - 1 points, computed once per
+    offset.  Folded rows come from the same diagonals, so they equal the
+    unfolded kept rows bit for bit.
     """
     m = k.size
     points = k[m // 2 + 1] * np.arange(1 - m, m)  # n sp, as line_nodes spaces k
-    folded, keep = (fold[0] + 1, fold[1]) if fold else (None, slice(None))
-    params, pairs = BoseParams(c), signed_pairs(len(lines), halfline)
+    params, values = BoseParams(c), {}
 
-    def offset(a, b):
+    def kind(a, b):
         im_a, im_b = (lines[v - 1] if v > 0 else -lines[-v - 1] for v in (a, b))
-        return im_a - im_b
+        return im_a - im_b, b > 0
 
-    spread = [(a, b, (offset(a, b), b > 0)) for a, b in pairs if a + b >= 0]
-    full = {kind for a, _, kind in spread if a != folded}
-    values, built, smats = {}, {}, {}
-    for a, b, kind in spread:
-        rows = a == folded and kind not in full
-        if (kind, rows) not in built:
-            if kind[0] not in values:
-                values[kind[0]] = s_bose(points + 1j * kind[0], params)
-            built[kind, rows] = _spread(values[kind[0]], kind[1], keep.start if rows else 0)
-            built[kind, rows].flags.writeable = False
-        mat = built[kind, rows]
-        smats[a, b] = mat[keep] if a == folded and not rows else mat
-    for a, b in pairs:
-        if a + b < 0:
-            smats[a, b] = smats[-b, -a].T
-    return smats
+    def build(kind, rows):
+        offset, toeplitz = kind
+        if offset not in values:
+            values[offset] = s_bose(points + 1j * offset, params)
+        return _spread(values[offset], toeplitz, 0 if rows is None else rows.start)
+
+    return pair_matrices(len(lines), halfline, kind, build, fold)
 
 
 def _line_contour(nodes, w, c: float, halfline: bool, fold: bool = False) -> ContourTables:
@@ -306,6 +293,7 @@ def _line_contour(nodes, w, c: float, halfline: bool, fold: bool = False) -> Con
     k = np.real(nodes[0])
     lines = [float(np.imag(kd[0])) for kd in nodes]
     half = line_half(w.size) if fold else None
+    keep = half[0] if fold else None
     signs = (1, -1) if halfline else (1,)
 
     def waves(x):
@@ -314,32 +302,37 @@ def _line_contour(nodes, w, c: float, halfline: bool, fold: bool = False) -> Con
         out = {}
         for d, im in enumerate(lines):
             for s in signs:
-                wave = real_line[s][half[0]] if fold and d == n - 1 else real_line[s]
+                wave = real_line[s][keep] if fold and d == n - 1 else real_line[s]
                 out[d, s] = wave * math.exp(-s * im * x) if im else wave
         return out
 
     return ContourTables(
         nodes, [-kd for kd in nodes] if halfline else None, (w,) * n,
         [-1j * kd * kd for kd in nodes], (-1.0,) * n, lambda kd, x: np.exp(1j * kd * x),
-        partial(_line_matrices, k, lines, c, halfline) if c != 0.0 else None, half, waves)
+        _line_matrices(k, lines, c, halfline, keep) if c != 0.0 else None, half, waves)
 
 
 def _line_opts(y, x, time, c, opts: QuadOptions | None):
     """Cutoff, options with the first level m0 as initial_points, and line
     shift h (`_stagger`); the grid starts even and no coarser than the
     damping, the analytic strip and the growth of the shifted lines need,
-    whatever `opts` asks for.  The cutoff is computed once and serves both
-    lines.  A shift that buys no coarser first grid is dropped: on the real
-    line every variable shares one grid and one set of S-matrices."""
+    whatever initial_points asks for.  The caller's max_points and tol are
+    kept, and an m0 above max_points raises ConvergenceError, as
+    `adaptive_trace` does for a first resolution above it.  The cutoff is
+    computed once and serves both lines.  A shift that buys no coarser
+    first grid is dropped: on the real line every variable shares one grid
+    and one set of S-matrices."""
     opts = opts or QuadOptions()
     cutoff = _cutoff(len(y), time.damping, opts.tol)
     m0 = _grid_parameters(y, x, time, c, 0.0, opts.tol, cutoff)
     h = _stagger(y, x, time, c, opts.tol)
     shifted = _grid_parameters(y, x, time, c, h, opts.tol, cutoff) if h else m0
     h, m0 = (h, shifted) if shifted < m0 else (0.0, m0)
-    return cutoff, QuadOptions(initial_points=max(opts.initial_points
-                                                  + opts.initial_points % 2, m0),
-                               max_points=max(opts.max_points, 8 * m0), tol=opts.tol), h
+    m0 = max(opts.initial_points + opts.initial_points % 2, m0)
+    if m0 > opts.max_points:
+        raise ConvergenceError(f"the first resolution {m0} exceeds "
+                               f"max_points={opts.max_points}", estimates=(None, None))
+    return cutoff, QuadOptions(m0, opts.max_points, opts.tol), h
 
 
 def _check_step(tol: float) -> float:

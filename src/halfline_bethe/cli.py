@@ -160,7 +160,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     def common(sp):
         sp.add_argument("--out", type=str, default=None)
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
+        sp.add_argument("--format", choices=("json", "csv"), default=None,
+                        help="format of the --out file (default json)")
         sp.add_argument("--config", type=str, default=None,
                         help="JSON file with defaults for any flag (flags win)")
 
@@ -368,6 +369,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args = _apply_config(argv, args, parser, commands)
+        if args.format is not None and args.out is None:
+            raise ValueError("--format sets the format of the --out file, and no --out is given")
         key = cache_key(_spec_dict(args))
         cache_dir = os.environ.get(CACHE_ENV)
         cache_path = os.path.join(cache_dir, key + ".json") if cache_dir else None
@@ -383,7 +386,7 @@ def main(argv=None) -> int:
                 _write_cached(cache_path, rec)
         print(json.dumps(rec, sort_keys=True))
         if args.out:
-            export([rec], args.format, args.out)
+            export([rec], args.format or "json", args.out)
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

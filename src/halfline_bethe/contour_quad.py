@@ -7,8 +7,9 @@ spectrally accurate for Gaussian-damped analytic integrands.  Adaptive
 refinement sets the per-dimension resolution of every dimension together,
 by doubling unless the caller passes its own schedule (the line grids, whose
 first level is sized a priori, check it on a grid 1.1 to 5/4 coarser), and
-every reduction runs in a fixed order, so repeated runs are bit-for-bit
-reproducible.
+every reduction runs in a fixed order, so repeated runs with one BLAS thread
+count are bit-for-bit reproducible; another count can move the last bits of
+a value (OPENBLAS_NUM_THREADS=1 pins it).
 """
 
 from __future__ import annotations
@@ -189,12 +190,18 @@ def adaptive_trace(level_eval, opts: QuadOptions | None = None, *, resolutions=N
     from m_a to m_b allows 0.3**((m_b - m_a)/m_a), since an error
     exp(-a*m) shrinks by exp(-a*(m_b - m_a)).  A resolution listed twice
     raises ValueError.  Raises ConvergenceError (carrying the two finest
-    estimates) if the schedule ends or passes the resolution cap first.
+    estimates, None where there are fewer) if the schedule ends or passes
+    the resolution cap first; a first resolution above the cap raises it
+    before any level runs.
     """
     opts = opts or QuadOptions()
     trace: list[tuple[int, complex]] = []
     for m in _doubling(opts.initial_points) if resolutions is None else resolutions:
         if m > opts.max_points:
+            if not trace:
+                raise ConvergenceError(f"the first resolution {m} exceeds "
+                                       f"max_points={opts.max_points}",
+                                       estimates=(None, None))
             break
         if any(m == seen for seen, _ in trace):
             raise ValueError(f"resolution {m} is listed twice")
@@ -210,7 +217,7 @@ def adaptive_trace(level_eval, opts: QuadOptions | None = None, *, resolutions=N
                 if diff < 100.0 * opts.tol and prev < 100.0 * opts.tol \
                         and diff > 0.3 ** ((m_b - m_a) / m_a) * prev:
                     return trace
-    last = trace[-1][1]
+    last = trace[-1][1] if trace else None
     prev = trace[-2][1] if len(trace) >= 2 else None
     raise ConvergenceError(
         f"no convergence at max_points={opts.max_points}: "

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import dblquad
 from scipy.special import erfcx
 
 from halfline_bethe import _kernels, bose_exact, contour_quad
@@ -17,6 +18,7 @@ from halfline_bethe.bose_exact import (GROWTH_BUDGET, DampedTime, _budget, _chec
                                        propagator_fullline,
                                        propagator_halfline, wall_residual)
 from halfline_bethe.contour_quad import LineGrid, QuadOptions, line_nodes
+from halfline_bethe.errors import ConvergenceError
 from halfline_bethe.scattering import BoseParams
 from halfline_bethe.signed_perm import group_order, term_structure
 
@@ -307,7 +309,8 @@ def _fullline_n2(y, x, tau, c):
 
 
 class TestFiniteCouplingFullLine:
-    """The only finite-c oracle that shares no code with the evaluator."""
+    """A finite-c oracle that shares no code with the evaluator, on the full
+    line; `TestFirstOrderInC` checks both lines to first order in c."""
 
     @pytest.mark.parametrize("y,x", [((0.3, 1.1), (0.6, 1.9)),
                                      ((-0.8, 0.4), (-1.2, 0.9))])
@@ -329,6 +332,39 @@ class TestFiniteCouplingFullLine:
         det = g[0][0] * g[1][1] - g[0][1] * g[1][0]
         assert _fullline_n2(y, x, tau, 0.0) == pytest.approx(perm, rel=1e-14)
         assert _fullline_n2(y, x, tau, 1e9) == pytest.approx(det, rel=1e-6)
+
+
+class TestFirstOrderInC:
+    """dG/dc at c = 0 from first-order perturbation theory in the contact
+    term, -4 int_0^tau ds int dz g(x1, z; tau - s) g(x2, z; tau - s)
+    g(z, y1; s) g(z, y2; s), with g the images kernel and z > 0 on the half
+    line, the heat kernel and z real on the full line: on the half line the
+    only finite-c check that shares no code with the evaluator."""
+
+    @pytest.mark.parametrize("halfline", [True, False])
+    @pytest.mark.parametrize("y,x,tau", [((0.7, 1.9), (1.2, 2.8), 0.5),
+                                         ((0.5, 1.4), (0.8, 1.7), 0.2)])
+    def test_n2_slope_at_zero_coupling(self, halfline, y, x, tau):
+        def heat(a, b, t):
+            return heat_kernel(a - b, t)
+
+        g, propagator, low = ((images_kernel, propagator_halfline, 0.0) if halfline
+                              else (heat, propagator_fullline, -math.inf))
+
+        def integrand(z, s):
+            return g(x[0], z, tau - s) * g(x[1], z, tau - s) * g(z, y[0], s) * g(z, y[1], s)
+
+        want = -4.0 * dblquad(integrand, 0.0, tau, low, math.inf,
+                              epsabs=1e-13, epsrel=1e-10)[0]
+        values = {c: propagator(y, x, DampedTime.imaginary(tau), BoseParams(c),
+                                QuadOptions(tol=1e-13)).value
+                  for c in (0.0, 1e-3, 2e-3)}
+
+        def slope(c):  # (G_c - G_0)/c, whose O(c) term the extrapolation cancels
+            return (values[c] - values[0.0]) / c
+
+        got = 2.0 * slope(1e-3) - slope(2e-3)
+        assert abs(got - want) <= 1e-6 * abs(want), (got, want)
 
 
 class TestStaggeredLines:
@@ -615,6 +651,24 @@ class TestLevelSchedule:
             .initial_points == 1002
         assert rep.value == pytest.approx(propagator_halfline(y, x, T, C1).value,
                                           abs=1e-10)
+
+    def test_the_callers_max_points_is_kept(self, monkeypatch):
+        # m0 = 116 here; the cap was once raised to 8 m0 = 928 whatever the
+        # caller asked for
+        y, x, params = (0.5, 1.3, 2.4), (0.9, 1.7, 3.0), BoseParams(0.5)
+        time = DampedTime.imaginary(0.2)
+        line = _line_opts(y, x, time, 0.5, QuadOptions(max_points=512))[1]
+        assert (line.initial_points, line.max_points) == (116, 512)
+        rep = propagator_halfline(y, x, time, params, QuadOptions(max_points=116))
+        assert rep.points_used == 116
+        # a first grid above the cap raises before any table is built
+        built = []
+        monkeypatch.setattr(bose_exact, "_line_contour", lambda *args: built.append(args))
+        for below in (64, 114):
+            with pytest.raises(ConvergenceError, match=f"116.*max_points={below}") as err:
+                propagator_halfline(y, x, time, params, QuadOptions(max_points=below))
+            assert err.value.estimates == (None, None)
+        assert built == []
 
 
 def _continued_permanent(y, x, t):

@@ -245,6 +245,13 @@ class TestExitCodes:
                           "--X", "1,3", "--t", "1", "--max-points", "16")
         assert code == 3
 
+    def test_a_bose_first_grid_above_max_points_is_3(self, capsys):
+        # its first line grid has 116 points; the cap was once raised to 928
+        code = main(["bose-prop", "--c", "0.5", "--Y", "0.5,1.3,2.4", "--X", "0.9,1.7,3.0",
+                     "--tau", "0.2", "--max-points", "64"])
+        assert code == 3
+        assert "max_points=64" in capsys.readouterr().err
+
 
 class TestCacheKey:
     BASE = {"command": "asep-prob", "p": 0.4, "Y": [0, 2], "X": [1, 3], "t": 1.0}
@@ -397,6 +404,27 @@ class TestExport:
                      "--t", "1", "--out", str(tmp_path / "missing" / "x.json")])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_format_without_out_is_2(self, capsys, tmp_path, via):
+        # it once did nothing: the record went to stdout alone
+        argv = ["asep-n1", "--p", "0.3", "--Y", "0", "--X", "1", "--t", "0.5"]
+        if via == "flag":
+            argv += ["--format", "csv"]
+        else:
+            conf = tmp_path / "conf.json"
+            conf.write_text(json.dumps({"format": "csv"}))
+            argv += ["--config", str(conf)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "--out" in captured.err
+        # with --out it sets the file's format
+        out = tmp_path / "run.csv"
+        assert main([*argv, "--out", str(out)]) == 0
+        rows = list(csv.reader(out.read_text().splitlines()))
+        assert rows[0] == cli.CSV_COLUMNS
 
     def test_out_flag_writes_file(self, capsys, tmp_path):
         out = tmp_path / "run.jsonl"

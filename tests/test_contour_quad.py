@@ -178,6 +178,17 @@ class TestAdaptive:
         assert err.value.estimates is not None
         assert err.value.estimates[0] != err.value.estimates[1]
 
+    def test_a_schedule_that_starts_above_the_cap_raises(self):
+        # no level fits: the empty trace once raised IndexError
+        calls = []
+        with pytest.raises(ConvergenceError, match="64.*max_points=32") as err:
+            adaptive_trace(calls.append, QuadOptions(max_points=32), resolutions=[64, 128])
+        assert err.value.estimates == (None, None)
+        assert calls == []
+        with pytest.raises(ConvergenceError) as err:
+            adaptive_trace(calls.append, resolutions=[])
+        assert err.value.estimates == (None, None)
+
     def test_deformation_invariance(self):
         # integrand analytic in an annulus: radius choice is immaterial
         opts = QuadOptions()

@@ -301,6 +301,69 @@ class TestScalarPath:
             assert _real_if(fold, got) == pytest.approx(_real_if(fold, want), rel=1e-12)
 
 
+class TestPairWalk:
+    """`_kernels.pair_matrices` with a toy kind and a build that counts its
+    calls: the one walk that both models' S-matrices come from."""
+
+    M, KEEP = 6, slice(3, None)
+
+    def _walk(self, n, halfline, kind, fold=None):
+        calls = []
+
+        def build(k, rows):
+            calls.append((k, rows))
+            mat = np.random.default_rng(len(calls)).normal(size=(self.M, self.M))
+            return mat if rows is None else mat[rows].copy()
+
+        return _kernels.pair_matrices(n, halfline, kind, build, fold), calls
+
+    @pytest.mark.parametrize("n,halfline", [(2, True), (3, True), (4, True), (3, False)])
+    def test_each_kind_once_and_every_mirror_a_transposed_view(self, n, halfline):
+        for kind in (lambda a, b: (a, b), lambda a, b: b > 0, lambda a, b: a - b):
+            smats, calls = self._walk(n, halfline, kind)
+            assert set(smats) == set(_used_pairs(n, halfline))
+            built = {kind(a, b) for a, b in smats if a + b >= 0}
+            assert sorted(k for k, _ in calls) == sorted(built)
+            assert all(rows is None for _, rows in calls)
+            for (a, b), mat in smats.items():
+                assert not mat.flags.writeable
+                if a + b < 0:
+                    partner = smats[-b, -a]
+                    assert np.shares_memory(mat, partner)
+                    np.testing.assert_array_equal(mat, partner.T)
+                else:
+                    assert a > 0
+                    # pairs of one kind share one matrix
+                    assert all(other is mat for (c, d), other in smats.items()
+                               if c + d >= 0 and kind(c, d) == kind(a, b))
+
+    @pytest.mark.parametrize("halfline", [True, False])
+    def test_folded_rows_alone_or_views_of_the_full_matrix(self, halfline):
+        # the last variable, 3, holds its kept rows: built alone where no
+        # pair without it has their kind, views of the full matrix where one
+        # does
+        n, kept = 3, self.M - self.KEEP.start
+        for kind, alone in ((lambda a, b: (a, b), True), (lambda a, b: b > 0, False)):
+            smats, calls = self._walk(n, halfline, kind, self.KEEP)
+            assert len(calls) == len({k for k, _ in calls})
+            folded = [(a, b) for a, b in smats if a == n]
+            assert [rows for _, rows in calls if rows is not None] \
+                == ([self.KEEP] * len(folded) if alone else [])
+            for a, b in folded:
+                mat = smats[a, b]
+                assert mat.shape == (kept, self.M)
+                if alone:
+                    assert (kind(a, b), self.KEEP) in calls
+                else:
+                    full = smats[2, 1] if b > 0 else smats[2, -1]
+                    assert np.shares_memory(mat, full)
+                    np.testing.assert_array_equal(mat, full[self.KEEP])
+                if halfline:
+                    assert smats[-b, -a].shape == (self.M, kept)
+            assert all(mat.shape == (self.M, self.M) for (a, b), mat in smats.items()
+                       if n not in (a, -b))
+
+
 class TestPairMatrices:
     """Bose: S(sa k - sb k) on one shared grid, so two distinct matrices on
     the half-line (++ and +-; -- is the transpose of ++), one on the full line
