@@ -8,19 +8,23 @@ Two kernel families live here:
   eliminated along the graph of the pairs that have one: a dimension with at
   most two such pairs costs at most one m^3 product.  Up to MAX_N the only
   core left, where every dimension keeps three or more pairs, is the
-  complete graph K4, which one m^4 step (`_k4`) sums; a larger core raises
-  ValueError.  Every exact evaluator reduces its per-term quadrature to this
-  shape, and ``term_sum`` sums it over the signed-permutation terms of both
-  models, one contraction per sign-flip pair of a half-line sum, in the
-  order of the `Schedule` its tables carry (`compile_schedule`).  Each
-  step of a term is keyed by its operands, and the terms that build one
-  value run one after another in nested runs: the run's first term builds
-  it (a pair product, a coupling, a K4 inner tensor or finish) and the
-  others load it.  The K4 steps of a level write their m^3 tensors into one
-  `Workspace`.  The models differ only in their `ContourTables`, which
-  ``evaluate`` refines.  A level whose every factor is conjugate-symmetric
-  is folded: its last variable runs over the self-mirror half of its nodes,
-  with doubled weights, and the level keeps its real part.
+  complete graph K4, which one m^4 step (the K4 inner tensor) and two
+  smaller ones sum; a larger core raises ValueError.  Every exact evaluator
+  reduces its per-term quadrature to this shape, and ``term_sum`` sums it
+  over the signed-permutation terms of both models, one contraction per
+  sign-flip pair of a half-line sum, in the order of the `Schedule` its
+  tables carry (`compile_schedule`).  Each step of a term is keyed by its
+  operands, and the terms that build one value run one after another in
+  nested runs: the run's first term builds it (a pair product, a coupling,
+  a K4 inner tensor or finish) and the others read it.  The schedule
+  compiles the whole level into one register `Program`, which one
+  `contract` call runs: a shared value stays in the register its builder
+  wrote until its last reader's term ends, and the K4 steps write their
+  m^3 tensors into two buffers per call.  The models differ only in their
+  `ContourTables`, which ``evaluate`` refines.  A level whose every factor
+  is conjugate-symmetric is folded: its last variable runs over the
+  self-mirror half of its nodes, with doubled weights, and the level keeps
+  its real part.
 * ``gillespie_hits``: the jump chain behind the Monte Carlo oracle.  Chunks
   of CHUNK trials step in lockstep numpy, each trial on its own SplitMix64
   substream, started at one output of the generator seeded with the seed,
@@ -43,8 +47,8 @@ from .signed_perm import term_structure
 
 #: largest particle number the evaluators accept.  A half-line level runs
 #: 2^(N-1) N! contractions; at N = 4 the 60 whose pair graph is complete run
-#: the K4 step, and 15 m^4 inner tensors serve them all (`compile_schedule`);
-#: every other one costs m^3 or less.  From N = 5 on,
+#: the K4 steps, and 15 m^4 inner tensors serve them all (`compile_schedule`);
+#: every other step costs m^3 or less.  From N = 5 on,
 #: some pair graphs leave larger cores, which `contract` refuses.
 MAX_N = 4
 
@@ -107,44 +111,31 @@ def _plan(n: int, present: tuple[bool, ...], first: int | None = None):
                                       for pair in itertools.combinations(dims, 2)))
 
 
-class Workspace:
-    """Scratch arrays that the contractions of one level reuse (`term_sum`):
-    `array(slot, shape)` returns the slot's complex array, allocated anew
-    only when the slot is empty or held another shape, so a level's K4 steps
-    write their m^3 tensors into two arrays instead of allocating one per
-    step.  `allocations` counts the arrays made."""
-
-    def __init__(self):
-        self.arrays = {}
-        self.allocations = 0
-
-    def array(self, slot, shape) -> np.ndarray:
-        out = self.arrays.get(slot)
-        if out is None or out.shape != shape:
-            out = self.arrays[slot] = np.empty(shape, complex)
-            self.allocations += 1
-        return out
-
-
-#: instruction codes of a compiled contraction (`_compile`, `contract`)
-PAIR, SUM, MATVEC, COUPLE, MUL, K4, LOAD, KEEP, DROP = range(9)
+#: instruction codes of a compiled contraction (`_compile`, `_program`,
+#: `contract`); DOT is a matrix-vector product that closes, and END ends a
+#: term
+PAIR, SUM, MATVEC, DOT, COUPLE, MUL, K4_INNER, K4_FINISH, K4_CLOSE, END = range(10)
 
 
 class Node(NamedTuple):
-    """One step of a contraction's value graph (`_compile`)."""
+    """One step of a contraction's value graph (`_compile`), on the term's
+    own registers: its N vectors, then its pair slots, then the coupling,
+    K4 inner tensor and finish."""
 
-    #: what `contract` runs; None for the K4 tensors, which the term's K4
-    #: instruction builds
-    instruction: tuple | None
-    #: id of the value the step makes; None for a step that only multiplies
-    #: the term's scalar
+    #: what `contract` runs
+    code: int
+    #: register the step writes; None for a step that only multiplies the
+    #: term's scalar
+    out: int | None
+    #: registers it reads, then its flags, in the layout of `contract`
+    regs: tuple
+    flags: tuple
+    #: id of the value the step makes; None where `out` is None
     value: int | None
     #: ids of the values it reads
     reads: tuple
     #: one of `STEP_KINDS`
     kind: str
-    #: register that holds the value
-    register: int | None
 
 
 #: the steps a contraction runs, costliest first: at resolution m a K4 inner
@@ -167,9 +158,7 @@ def _compile(plan, vectors, slots, intern, z=None) -> tuple[Node, ...]:
     `vectors` names each dimension's vector and `slots` each pair's factors
     in itertools.combinations order: () for a pair without one, and two or
     more factors make a "pair" step that multiplies them in order on first
-    read.  Registers hold the N vectors, then the pair slots, then the
-    coupling of a pair that has its own matrix and the K4 inner tensor and
-    finish.  A value's id is intern(key), its key made of what the step does
+    read.  A value's id is intern(key), its key made of what the step does
     and the ids it reads, so equal steps of two terms get equal ids.  A K4
     core (a, b, c, d) sums a into T over its other three dimensions, x < y
     then z, z being `z` or else d; its finish sums z and its close x and y.
@@ -185,33 +174,32 @@ def _compile(plan, vectors, slots, intern, z=None) -> tuple[Node, ...]:
     def read(k):
         if k in unformed:
             unformed.discard(k)
-            nodes.append(Node((PAIR, n + k), mat[k], (), "pair", n + k))
+            nodes.append(Node(PAIR, n + k, (n + k,), (), mat[k], (), "pair"))
         return mat[k]
 
     for d, links, closes in steps:
         if not links:
-            nodes.append(Node((SUM, d), None, (vec[d],), "sum", None))
+            nodes.append(Node(SUM, None, (d,), (), None, (vec[d],), "sum"))
         elif len(links) == 1:
             (u, k), = links
             reads = (read(k), vec[d], vec[u])
-            instruction = (MATVEC, d, u, n + k, d < u, closes)
             if closes:
-                nodes.append(Node(instruction, None, reads, "matvec", None))
+                nodes.append(Node(DOT, None, (n + k, d, u), (d < u,), None, reads, "matvec"))
             else:
                 vec[u] = intern(("matvec", d < u) + reads)
-                nodes.append(Node(instruction, vec[u], reads, "matvec", u))
+                nodes.append(Node(MATVEC, u, (n + k, d, u), (d < u,), vec[u], reads, "matvec"))
         else:
             (u, ku), (w, kw), kuw = links
             reads = (read(ku), vec[d], read(kw))
             value = intern(("coupling", d < u, d > w) + reads)
             out = n + kuw if mat[kuw] is None else coupling
-            nodes.append(Node((COUPLE, out, d, n + ku, d < u, n + kw, d > w), value, reads,
-                              "coupling", out))
+            nodes.append(Node(COUPLE, out, (n + ku, d, n + kw), (d < u, d > w), value, reads,
+                              "coupling"))
             if out == coupling:
                 reads = (value, read(kuw))
                 value = intern(("product",) + reads)
-                nodes.append(Node((MUL, n + kuw, coupling, n + kuw), value, reads, "product",
-                                  n + kuw))
+                nodes.append(Node(MUL, n + kuw, (coupling, n + kuw), (), value, reads,
+                                  "product"))
             mat[kuw] = value
     if core is not None:
         dims, pairs = core
@@ -220,7 +208,7 @@ def _compile(plan, vectors, slots, intern, z=None) -> tuple[Node, ...]:
         x, y = (v for v in dims[1:] if v != z)
         slot = dict(zip(itertools.combinations(dims, 2), pairs))
 
-        def rows_over(u, v):  # (register, transposed) of the (u, v) matrix, rows over u
+        def rows_over(u, v):  # (register, transposed, value) of the (u, v) matrix, rows over u
             k = slot.get((u, v), slot.get((v, u)))
             return n + k, u > v, read(k)
 
@@ -228,13 +216,80 @@ def _compile(plan, vectors, slots, intern, z=None) -> tuple[Node, ...]:
                                   ((a, x), (a, y), (a, z), (x, y), (x, z), (y, z)))
         reads = (vec[a], ax[2], ay[2], az[2])
         t = intern(("k4 inner", x, y, z) + reads)
-        nodes.append(Node(None, t, reads, "k4 inner", inner))
+        nodes.append(Node(K4_INNER, inner, (a, ax[0], ay[0], az[0]), (ax[1], ay[1], az[1]),
+                          t, reads, "k4 inner"))
         reads = (t, vec[z], yz[2], xz[2])
         g = intern(("k4 finish",) + reads)
-        nodes.append(Node(None, g, reads, "k4 finish", finish))
-        spec = (a, x, y, z) + tuple(p[:2] for p in (ax, ay, az, xy, xz, yz)) + (inner, finish)
-        nodes.append(Node((K4, spec), None, (g, vec[x], vec[y], xy[2]), "k4 close", None))
+        nodes.append(Node(K4_FINISH, finish, (inner, z, yz[0], xz[0]), (yz[1], xz[1]),
+                          g, reads, "k4 finish"))
+        nodes.append(Node(K4_CLOSE, None, (x, y, xy[0], finish), (xy[1],), None,
+                          (g, vec[x], vec[y], xy[2]), "k4 close"))
     return tuple(nodes)
+
+
+class Program(NamedTuple):
+    """A compiled sum of contractions (`_program`), which `contract` runs on
+    a register file of its input vectors, then its pair slots, then
+    `temporaries` registers."""
+
+    temporaries: int
+    #: the instructions, each term's ending in END, which adds the term's
+    #: scalar to the sum and clears the registers that no later term reads
+    instructions: tuple
+
+
+def _program(terms, inputs: int) -> Program:
+    """The program that runs `terms` one after another on a register file
+    whose first `inputs` registers hold the inputs.
+
+    Each term is (its graph (`_compile`), per step whether it builds, loads
+    or skips it, the values it keeps and those it drops (`_share`), the
+    register of each of its vectors and pair slots).  A built step writes a
+    new register, or overwrites in place one that the term wrote and does
+    not keep, as the term alone would; a loaded step reads the register its
+    builder wrote.  A term's END clears the registers it wrote and does not
+    keep, and those of the values it drops.
+    """
+    instructions, home = [], {}
+    top = inputs
+    for nodes, acts, keep, drop, registers in terms:
+        where, own = dict(enumerate(registers)), set()
+        for node, builds in zip(nodes, acts):
+            if builds is None:
+                continue
+            if not builds:
+                where[node.out] = home[node.value]
+                continue
+            regs = tuple(where[k] for k in node.regs)
+            out = ()
+            if node.out is not None:
+                target = where.get(node.out)
+                if target not in own:
+                    target, top = top, top + 1
+                    own.add(target)
+                if node.value in keep:
+                    own.discard(target)
+                    home[node.value] = target
+                where[node.out] = target
+                out = (target,)
+            instructions.append((node.code,) + out + regs + node.flags)
+        instructions.append((END, tuple(sorted(own | {home.pop(v) for v in drop}))))
+    return Program(top - inputs, tuple(instructions))
+
+
+def _alone(nodes, inputs) -> Program:
+    """The program of one term (`_compile`) that builds every step, its
+    vectors and pair slots in the registers `inputs`."""
+    return _program([(nodes, [True] * len(nodes), (), (), inputs)], len(inputs))
+
+
+@lru_cache(maxsize=1024)
+def _standalone(n: int, present: tuple[bool, ...]) -> Program:
+    """The program of n dimensions whose present pairs carry one matrix
+    each."""
+    nodes = _compile(_plan(n, present), range(n),
+                     tuple((k,) if on else () for k, on in enumerate(present)), _interner())
+    return _alone(nodes, range(n + len(present)))
 
 
 def _head(array: np.ndarray, shape) -> np.ndarray:
@@ -242,124 +297,92 @@ def _head(array: np.ndarray, shape) -> np.ndarray:
     return array.reshape(-1)[:math.prod(shape)].reshape(shape)
 
 
-def _k4(r, core, work) -> complex:
-    """The m^4 sum over a complete core (`_compile`) on the registers r:
-    one (m^2, m) x (m, m) product sums out a into the inner tensor
-    T[x, y, z] = sum_a v_a M_ax M_ay M_az, one m^3 product
+def contract(vectors, mats, program: Program | None = None) -> complex:
+    """The sum of the terms that `program` contracts, run on the register
+    file [*vectors, *mats, temporaries]; vectors are 1-d complex arrays and
+    mats pair matrices, None for a pair without a factor, or a tuple of
+    factors that a PAIR step multiplies.
+
+    Without a program, `vectors` are the N <= MAX_N vectors of one
+    contraction and `mats` its N(N-1)/2 pair matrices in
+    itertools.combinations order, rows over the lower dimension, and the
+    program is compiled from the pattern of present pairs (`_standalone`):
+    dimensions are summed out along the pair graph (`_plan`), with no
+    neighbour by a sum, with one by a matrix-vector product into the
+    neighbour's vector (or, closing, into the scalar), with two by one
+    matrix product into the neighbours' pair matrix; a remaining K4 core
+    runs three steps.  A larger core raises ValueError.  `term_sum` runs a
+    whole level in one call, its program compiled by `compile_schedule`.
+
+    The K4 steps: one (m^2, m) x (m, m) product sums out a into the inner
+    tensor T[x, y, z] = sum_a v_a M_ax M_ay M_az, one m^3 product
     F = T * (M_yz v_z) and one batched matrix-vector product
     G[x, y] = sum_z F[x, y, z] M_xz finish it, and v_x @ (M_xy * G) @ v_y
-    closes.  T or G already in its register (a run of terms that share it,
-    `contract`) is read, not built.  numpy's complex product is not bitwise
-    commutative, so every operand order is part of the result.
-
-    Each dimension has its own size, since a folded level halves one
-    (`ContourTables`).  T goes into the head of the workspace's "inner"
-    array, and both the outer product over (a, x, y) that builds it and F
-    into the head of its "outer" array; both arrays are m^3 at the largest
-    size m, so a level that passes one `Workspace` to all its terms
-    allocates two m^3 arrays whichever dimension is halved.  The outer
-    product is a broadcast copy of v_a M_ax, multiplied in place by M_ay:
-    a broadcasting multiply into `out` made numpy allocate iterator
-    buffers for every inner tensor, 0.12 MiB of an N = 4 level's peak at
-    m = 32."""
-    a, x, y, z, ax, ay, az, xy, xz, yz, inner, finish = core
-
-    def mat(pair):
-        k, transposed = pair
-        return r[k].T if transposed else r[k]
-
-    g = r[finish]
-    if g is None:
-        ma, mx, my, mz = sizes = tuple(r[d].size for d in (a, x, y, z))
-        work = Workspace() if work is None else work
-        outer = work.array("outer", (max(sizes),) * 3)
-        t = r[inner]
-        if t is None:
-            w = _head(outer, (ma, mx, my))  # over (a, x, y)
-            w[...] = (r[a][:, None] * mat(ax))[:, :, None]
-            w *= mat(ay)[:, None, :]
-            t = r[inner] = _head(work.array("inner", (max(sizes),) * 3), (mx, my, mz))
-            np.matmul(w.reshape(ma, mx * my).T, mat(az), out=t.reshape(mx * my, mz))
-        f = np.multiply(t, mat(yz) * r[z], out=_head(outer, (mx, my, mz)))
-        g = r[finish] = np.matmul(f, mat(xz)[:, :, None]).reshape(mx, my)
-    return complex(r[x] @ (mat(xy) * g) @ r[y])
-
-
-class TermPlan(NamedTuple):
-    """The instructions of one contraction: `alone` builds every step,
-    `shared` also loads the steps that earlier terms of a level keep in
-    `contract`'s `shared` dict, keeps those that later terms read, and drops
-    each after its last reader (`compile_schedule`)."""
-
-    alone: tuple
-    shared: tuple
-
-
-@lru_cache(maxsize=1024)
-def _standalone(n: int, present: tuple[bool, ...]) -> TermPlan:
-    """The plan of n dimensions whose present pairs carry one matrix each."""
-    nodes = _compile(_plan(n, present), range(n),
-                     tuple((k,) if on else () for k, on in enumerate(present)), _interner())
-    instructions = tuple(node.instruction for node in nodes if node.instruction is not None)
-    return TermPlan(instructions, instructions)
-
-
-def contract(vectors, mats, plan=None, shared=None, work=None) -> complex:
-    """BLAS-backed contraction for N <= MAX_N; vectors is a list of N 1-d
-    complex arrays and mats the N(N-1)/2 pair matrices in
-    itertools.combinations order, rows over the lower dimension, None for a
-    pair without a factor, or a tuple of factors that `plan` multiplies.
-
-    Dimensions are summed out along the pair graph (`_plan`, compiled from
-    the pattern of present pairs unless `plan` gives a `TermPlan`): with no
-    neighbour by a sum, with one by a matrix-vector product into the
-    neighbour's vector, with two by one matrix product into the neighbours'
-    pair matrix; a remaining K4 core runs `_k4`.  A larger core raises
-    ValueError.
-
-    `shared` is None, to build every step, or the dict in which the terms of
-    a level (`term_sum`) pass on the steps they share, keyed by value id:
-    the plan's `shared` instructions load those an earlier term kept,
-    skip the steps that only fed them, and keep or drop what later terms
-    read.  A loaded step has the bits the term would build on its own.
-    `work` is None or the `Workspace` whose arrays a K4 core writes into; a
-    kept K4 tensor lives there, so a level's calls pass the same one.
+    closes.  Each dimension has its own size, since a folded level halves
+    one (`ContourTables`).  T goes into the head of an "inner" buffer, and
+    both the outer product over (a, x, y) that builds T and F into the head
+    of an "outer" buffer; both are m^3 at the largest size m, allocated by
+    the first inner tensor of the call, so a level allocates two m^3 arrays
+    whichever dimension is halved, and a T that later terms read lives in
+    its buffer until the next inner tensor overwrites it.  The outer product
+    is a broadcast copy of v_a M_ax, multiplied in place by M_ay: a
+    broadcasting multiply into `out` made numpy allocate iterator buffers
+    for every inner tensor, 0.12 MiB of an N = 4 level's peak at m = 32.
+    numpy's complex product is not bitwise commutative, so every operand
+    order is part of the result.
     """
-    if plan is None:
-        plan = _standalone(len(vectors), tuple([m is not None for m in mats]))
-    r = [*vectors, *mats, None, None, None]
-    scale = 1.0 + 0.0j
-    for step in plan.alone if shared is None else plan.shared:
+    if program is None:
+        program = _standalone(len(vectors), tuple([m is not None for m in mats]))
+    r = [*vectors, *mats, *itertools.repeat(None, program.temporaries)]
+    total, scale = 0.0 + 0.0j, 1.0 + 0.0j
+    inner = outer = None
+    for step in program.instructions:
         code = step[0]
         if code == MATVEC:
-            _, d, u, k, transposed, closes = step
+            _, out, k, d, u, transposed = step
             # ndarray.dot: a third of matmul's call overhead on small operands
-            summed = (r[k].T if transposed else r[k]).dot(r[d])
-            if closes:
-                scale *= r[u].dot(summed)
-            else:
-                r[u] = r[u] * summed
+            r[out] = r[u] * (r[k].T if transposed else r[k]).dot(r[d])
+        elif code == DOT:
+            _, k, d, u, transposed = step
+            scale *= r[u].dot((r[k].T if transposed else r[k]).dot(r[d]))
+        elif code == END:
+            total += complex(scale)
+            scale = 1.0 + 0.0j
+            for k in step[1]:
+                r[k] = None
         elif code == PAIR:
-            mat, *factors = r[step[1]]
+            mat, *factors = r[step[2]]
             for factor in factors:
                 mat = mat * factor
             r[step[1]] = mat
-        elif code == SUM:
-            scale *= r[step[1]].sum()
-        elif code == COUPLE:
-            _, out, d, ku, tu, kw, tw = step
-            r[out] = ((r[ku].T if tu else r[ku]) * r[d]).dot(r[kw].T if tw else r[kw])
         elif code == MUL:
             r[step[1]] = r[step[2]] * r[step[3]]
-        elif code == K4:
-            scale *= _k4(r, step[1], work)
-        elif code == LOAD:
-            r[step[1]] = shared[step[2]]
-        elif code == KEEP:
-            shared[step[2]] = r[step[1]]
-        else:
-            del shared[step[1]]
-    return complex(scale)
+        elif code == COUPLE:
+            _, out, ku, d, kw, tu, tw = step
+            r[out] = ((r[ku].T if tu else r[ku]) * r[d]).dot(r[kw].T if tw else r[kw])
+        elif code == SUM:
+            scale *= r[step[1]].sum()
+        elif code == K4_CLOSE:
+            _, x, y, xy, g, transposed = step
+            scale *= complex(r[x] @ ((r[xy].T if transposed else r[xy]) * r[g]) @ r[y])
+        elif code == K4_FINISH:
+            _, out, t, z, yz, xz, tyz, txz = step
+            f = np.multiply(r[t], (r[yz].T if tyz else r[yz]) * r[z],
+                            out=_head(outer, r[t].shape))
+            r[out] = np.matmul(f, (r[xz].T if txz else r[xz])[:, :, None]).reshape(f.shape[:2])
+        else:  # K4_INNER
+            _, out, a, ax, ay, az, tax, tay, taz = step
+            ax, ay, az = (r[k].T if tk else r[k] for k, tk in ((ax, tax), (ay, tay), (az, taz)))
+            (ma, mx), my, mz = ax.shape, ay.shape[1], az.shape[1]
+            size = max(ma, mx, my, mz)
+            if inner is None or len(inner) < size:
+                inner, outer = (np.empty((size,) * 3, complex) for _ in range(2))
+            w = _head(outer, (ma, mx, my))
+            w[...] = (r[a][:, None] * ax)[:, :, None]
+            w *= ay[:, None, :]
+            t = r[out] = _head(inner, (mx, my, mz))
+            np.matmul(w.reshape(ma, mx * my).T, az, out=t.reshape(mx * my, mz))
+    return total
 
 
 class LevelTables(NamedTuple):
@@ -426,7 +449,8 @@ def pair_matrices(n: int, halfline: bool, kind, build, fold=None) -> dict:
 
 class Schedule(NamedTuple):
     """The terms of one sum compiled for one pattern of S-matrices
-    (`compile_schedule`)."""
+    (`compile_schedule`): `term_sum` runs `program` on the level's
+    `vectors`, then its `folds`, then its `slots`."""
 
     #: the distinct vector keys (d, sign, pos) the terms read, sign +-1
     vectors: tuple
@@ -436,10 +460,14 @@ class Schedule(NamedTuple):
     #: with whether it is transposed to rows over the lower dimension
     slots: tuple
     #: (indices into `vectors` + `folds` per dimension, indices into `slots`
-    #: per pair, `TermPlan`) per term, in run order
+    #: per pair, the term's value graph (`_compile`), whose `_alone` program
+    #: contracts the term on its own) per term, in run order
     terms: tuple
     #: per kind of `STEP_KINDS`, (steps a level computes, steps its terms read)
     steps: dict
+    #: the level's one `Program`, the terms' steps in run order, each term's
+    #: ending in END
+    program: Program
 
 
 @lru_cache(maxsize=64)
@@ -458,6 +486,10 @@ def compile_schedule(n: int, halfline: bool, pairs: frozenset) -> Schedule:
     needs it, kept while a later term of the run reads it and dropped after
     the last (`_share`); a step that only fed loaded values is skipped.
     Terms that share nothing keep their order and run their steps as built.
+    The level's `Program` (`_program`) runs every term on one register
+    file: the level's vectors, folded vectors and pair slots, then
+    temporaries; a kept value stays in the register its builder wrote until
+    the END of the term that drops it.
 
     Every complete term (all pairs present, N >= 3) sums out the same
     dimension first, the one that gives the fewest distinct first steps,
@@ -488,35 +520,23 @@ def compile_schedule(n: int, halfline: bool, pairs: frozenset) -> Schedule:
                      key=lambda key: (not key[1], key))
     slots = sorted({slot for _, term_slots in terms for slot in term_slots})
     steps = {kind: [0, 0] for kind in STEP_KINDS}
-    scheduled = []
+    scheduled, level = [], []
     for i, (acts, keep, drop) in zip(order, _share(graphs, order)):
-        alone, shared, kept = [], [], []
         for node, builds in zip(graphs[i], acts):
             steps[node.kind][1] += 1
-            if node.instruction is not None:
-                alone.append(node.instruction)
-            if builds is None:
-                continue
-            if not builds:
-                shared.append((LOAD, node.register, node.value))
-                continue
-            steps[node.kind][0] += 1
-            if node.value in keep:
-                kept.append((KEEP, node.register, node.value))
-            if node.instruction is not None:
-                # the K4 instruction builds its tensors, kept after it
-                shared += [node.instruction] + kept
-                kept = []
-        shared += [(DROP, value) for value in sorted(drop)]
+            steps[node.kind][0] += bool(builds)
         term_keys, term_slots = terms[i]
-        scheduled.append((tuple(map(vectors.index, term_keys)),
-                          tuple(map(slots.index, term_slots)),
-                          TermPlan(tuple(alone), tuple(shared))))
+        vector_ids = tuple(map(vectors.index, term_keys))
+        slot_ids = tuple(map(slots.index, term_slots))
+        scheduled.append((vector_ids, slot_ids, graphs[i]))
+        level.append((graphs[i], acts, keep, drop,
+                      vector_ids + tuple(len(vectors) + k for k in slot_ids)))
     return Schedule(tuple(key for key in vectors if key[1]),
                     tuple((d, pos) for d, sign, pos in vectors if not sign),
                     tuple(tuple((ab, abs(ab[0]) > abs(ab[1])) for ab in slot)
                           for slot in slots),
-                    tuple(scheduled), {kind: tuple(counts) for kind, counts in steps.items()})
+                    tuple(scheduled), {kind: tuple(counts) for kind, counts in steps.items()},
+                    _program(level, len(vectors) + len(slots)))
 
 
 def _finish_dims(terms, plans) -> dict:
@@ -602,26 +622,21 @@ def term_sum(tables: LevelTables) -> complex:
     """Sum of the contracted integrands of the signed-permutation sum that
     the tables' schedule compiles, at one quadrature level.
 
-    Each term names its table entries.  A folded vector (sign 0) is v+ + v-,
-    the partner's amplitude riding in v-, formed once per level, as is each
-    pair's tuple of S-matrices, oriented with rows over the lower dimension.
-    The terms run in the schedule's order and pass one dict to `contract`,
-    through which each shared step goes from the term that builds it to the
-    later terms of its run; it is empty again when the level ends.  Every
-    term gets the level's one `Workspace`, whose two m^3 arrays hold the K4
-    steps' tensors, so the next run overwrites them in place.
+    A folded vector (sign 0) is v+ + v-, the partner's amplitude riding in
+    v-, formed once per level, as is each pair's tuple of S-matrices,
+    oriented with rows over the lower dimension.  One `contract` call runs
+    the schedule's `Program` on them: every term in run order, each shared
+    step passed on in its register from the term that builds it to the
+    later terms of its run, and the K4 steps writing into the call's two
+    m^3 buffers.  `contract` is looked up here at each call, where a tracer
+    may have wrapped it.
     """
     schedule = tables.schedule
     given = tables.vectors
     vecs = [given[key] for key in schedule.vectors]
     vecs += [given[d, 1, pos] + given[d, -1, pos] for d, pos in schedule.folds]
     mats = [_factors(tables.smats, slot) for slot in schedule.slots]
-    shared, work = {}, Workspace()
-    total = 0.0 + 0.0j
-    for vector_ids, slot_ids, plan in schedule.terms:
-        total += contract([vecs[k] for k in vector_ids], [mats[k] for k in slot_ids], plan,
-                          shared, work)
-    return total
+    return contract(vecs, mats, schedule.program)
 
 
 #: source factors (`ContourTables.source`) one set of contour tables keeps;

@@ -3,7 +3,8 @@
 Subcommands compute exact probabilities/propagators, run oracle comparisons,
 or execute the named validation suites, and emit JSON-lines or CSV records.
 Exit codes: 0 success (and every validation check passed), 1 validation
-failure, 2 usage/parameter error, 3 numerical non-convergence.
+failure, 2 usage/parameter error, 3 numerical non-convergence (a level that
+overflows included) or an evaluation that ran out of memory.
 
 Set HALFLINE_BETHE_CACHE_DIR to enable result caching: a repeated run with an
 identical spec on the same package sources returns the stored record (marked
@@ -389,6 +390,9 @@ def main(argv=None) -> int:
             export([rec], args.format or "json", args.out)
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:  # numpy names the allocation that failed
+        print(f"error: out of memory: {exc or 'no allocation named'}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:  # a JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)

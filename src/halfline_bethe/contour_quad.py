@@ -14,6 +14,7 @@ a value (OPENBLAS_NUM_THREADS=1 pins it).
 
 from __future__ import annotations
 
+import cmath
 import numbers
 from dataclasses import dataclass
 
@@ -192,7 +193,10 @@ def adaptive_trace(level_eval, opts: QuadOptions | None = None, *, resolutions=N
     raises ValueError.  Raises ConvergenceError (carrying the two finest
     estimates, None where there are fewer) if the schedule ends or passes
     the resolution cap first; a first resolution above the cap raises it
-    before any level runs.
+    before any level runs, and a level that is not finite raises it at once,
+    carrying the finest level before it (or None) and that level: the nodes
+    keep their magnitudes as m grows, so a level that overflows at one
+    resolution overflows at all.
     """
     opts = opts or QuadOptions()
     trace: list[tuple[int, complex]] = []
@@ -205,7 +209,13 @@ def adaptive_trace(level_eval, opts: QuadOptions | None = None, *, resolutions=N
             break
         if any(m == seen for seen, _ in trace):
             raise ValueError(f"resolution {m} is listed twice")
-        trace.append((m, complex(level_eval(m))))
+        value = complex(level_eval(m))
+        if not cmath.isfinite(value):
+            raise ConvergenceError(f"the level at m={m} is {value}, not finite: the "
+                                   f"integrand overflows on the contour, and no finer "
+                                   f"level can change that",
+                                   estimates=(trace[-1][1] if trace else None, value))
+        trace.append((m, value))
         trace.sort(key=lambda level: level[0])
         if len(trace) >= 2:
             diff = abs(trace[-1][1] - trace[-2][1])

@@ -73,13 +73,27 @@ class AsepParams:
             raise ValueError(f"the exact formulas need 0 < p < 1, got p = {self.p}")
 
 
+#: the largest site magnitude: a double holds every integer up to 2^53,
+#: and the evaluators take powers of the nodes in double precision, so a
+#: larger site would be rounded to a neighbour
+MAX_SITE = 2 ** 53
+
+
 def integer_sites(values) -> tuple[int, ...]:
     """Lattice sites of the exclusion process as ints; a value that is not an
-    integer (2.7, nan, inf) raises ValueError instead of being truncated."""
+    integer (2.7, nan, inf) raises ValueError instead of being truncated, and
+    so does one beyond MAX_SITE in magnitude."""
     values = tuple(values)
-    bad = [v for v in values if not float(v).is_integer()]
-    if bad:
-        raise ValueError(f"sites must be integers, got {bad[0]!r}")
+    for v in values:
+        try:
+            whole = float(v).is_integer()
+        except OverflowError:  # an int beyond the range of a double
+            whole = True
+        if not whole:
+            raise ValueError(f"sites must be integers, got {v!r}")
+        if abs(int(v)) > MAX_SITE:
+            raise ValueError(f"sites must lie within +-2^53, where a double holds every "
+                             f"integer; got one of {len(str(abs(int(v))))} digits")
     return tuple(int(v) for v in values)
 
 

@@ -20,7 +20,7 @@ from halfline_bethe.contour_quad import (CircleContour, QuadOptions, RadiiScheme
                                          adaptive_eval, circle_nodes)
 from halfline_bethe.errors import ConvergenceError
 from halfline_bethe.oracles import ctmc_prob
-from halfline_bethe.scattering import AsepParams, lattice_sites, s_asep
+from halfline_bethe.scattering import AsepParams, integer_sites, lattice_sites, s_asep
 from halfline_bethe.signed_perm import term_structure
 
 P04 = AsepParams.from_p(0.4)
@@ -533,6 +533,44 @@ class TestFullline:
         got = prob_fullline((0, 2), (-1, 3), 1.0, P04).value
         ref = ctmc_prob((0, 2), (-1, 3), 1.0, P04, halfline=False)
         assert abs(got - ref) < 1e-6
+
+
+class TestFarTargets:
+    """A target so far off that the integrand overflows on the contour
+    raises ConvergenceError at its first level, since the nodes keep their
+    magnitudes as m grows; a site that a double cannot hold raises
+    ValueError.  Each once escaped as OverflowError, or refined NaN levels
+    to m = 4096."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("fn,y,x", [
+        pytest.param(prob_halfline, (0,), (1500,), id="half-N1"),
+        pytest.param(prob_halfline, (0, 2), (1, 1500), id="half-N2"),
+        pytest.param(prob_halfline, (0,), (2 ** 30,), id="half-N1-2^30"),
+        pytest.param(prob_halfline, (0, 2), (1, 2 ** 53), id="half-N2-2^53"),
+        pytest.param(prob_fullline, (0,), (800,), id="full-N1"),
+        pytest.param(prob_fullline, (0, 2), (1, 900), id="full-N2"),
+        pytest.param(prob_fullline, (0,), (2 ** 53,), id="full-N1-2^53"),
+        pytest.param(prob_fullline, (0, 2), (1, 2 ** 40), id="full-N2-2^40"),
+    ])
+    def test_an_overflowing_level_raises_at_once(self, fn, y, x):
+        with pytest.raises(ConvergenceError, match="not finite") as err:
+            fn(y, x, 0.5, P04)
+        first, level = err.value.estimates
+        assert first is None and not np.isfinite(level)
+
+    @pytest.mark.parametrize("fn,y,x", [
+        pytest.param(prob_halfline, (0,), (2 ** 53 + 1,), id="half-N1"),
+        pytest.param(prob_halfline, (0, 2), (1, 10 ** 400), id="half-N2"),
+        pytest.param(prob_fullline, (0,), (10 ** 300,), id="full-N1"),
+        pytest.param(prob_fullline, (-2 ** 64, 2), (1, 3), id="full-N2"),
+    ])
+    def test_a_site_beyond_double_precision_is_refused(self, fn, y, x):
+        with pytest.raises(ValueError, match="2\\^53"):
+            fn(y, x, 0.5, P04)
+        with pytest.raises(ValueError, match="2\\^53"):
+            integer_sites(y + x)
+        assert integer_sites((-2 ** 53, 2 ** 53)) == (-2 ** 53, 2 ** 53)
 
 
 class TestExtended:

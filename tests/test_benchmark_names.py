@@ -63,23 +63,20 @@ def test_one_level_of_each_model_is_traced(monkeypatch):
         tables = bose_exact._line_contour(bose_exact._staggered(k, 3, 0.5), w, 1.0, True)
         _kernels.term_sum(tables.level((0.5, 1.4, 2.6), (0.8, 1.7, 2.9), -0.5j))
         bose_calls = dict(tracer.counts)
-    terms = len(term_structure(3, True))
-    # ASEP: eps and r on each of 3 circles, N(N-1) = 6 S-matrices
+    # ASEP: eps and r on each of 3 circles, N(N-1) = 6 S-matrices; one
+    # contract call runs the whole level
     assert asep_calls["scattering.calls"] == 3 + 3 + 6
-    assert asep_calls["kernels.contract.calls"] == terms
+    assert asep_calls["kernels.contract.calls"] == 1
     # Bose: each variable on its own line, so one s_bose call per offset
     # Im(k_a - k_b) of the signed pairs with a + b >= 0: -h for (2, 1),
     # (3, 2) and (2, -1), -2h for (3, 1) and (3, -1), -3h for (3, -2)
     assert bose_calls["scattering.calls"] == 3
-    assert bose_calls["kernels.contract.calls"] == terms
+    assert bose_calls["kernels.contract.calls"] == 1
 
 
 def test_an_n4_level_is_traced_through_the_k4_step(monkeypatch):
     # only an N = 4 level reaches the K4 step, in 60 of its 192 terms
     monkeypatch.setattr(asep_exact, "_CONTOUR_CACHE", OrderedDict())
-    k4_calls = []
-    k4 = _kernels._k4
-    monkeypatch.setattr(_kernels, "_k4", lambda *args: k4_calls.append(1) or k4(*args))
     params = AsepParams.from_p(0.4)
     radii = asep_exact.tuned_radii(params, 4)
     tracer = _load_tracing().Tracer()
@@ -89,8 +86,11 @@ def test_an_n4_level_is_traced_through_the_k4_step(monkeypatch):
     assert tracer.missing == []
     # eps and r on each of 4 circles, N(N-1) = 12 S-matrices
     assert tracer.counts["scattering.calls"] == 4 + 4 + 12
-    assert tracer.counts["kernels.contract.calls"] == len(term_structure(4, True)) == 192
-    assert len(k4_calls) == 60
+    assert tracer.counts["kernels.contract.calls"] == 1
+    program = tables.level((0, 1, 2, 3), (0, 1, 3, 5), 0.5).schedule.program
+    assert sum(step[0] == _kernels.END for step in program.instructions) \
+        == len(term_structure(4, True)) == 192
+    assert sum(step[0] == _kernels.K4_CLOSE for step in program.instructions) == 60
 
 
 def test_a_bose_op_is_traced_through_its_two_levels():
@@ -105,7 +105,7 @@ def test_a_bose_op_is_traced_through_its_two_levels():
     assert tracer.counts["contour_quad.levels"] == 2
     # m0 and its coarser check m0/1.1: the value and the points are m0's
     assert tracer.counts["contour_quad.points"] == rep.points_used == m0
-    assert tracer.counts["kernels.contract.calls"] == 2 * len(term_structure(3, True))
+    assert tracer.counts["kernels.contract.calls"] == 2  # one per level
 
 
 def test_the_master_equation_check_refines_once():

@@ -253,6 +253,40 @@ class TestExitCodes:
         assert "max_points=64" in capsys.readouterr().err
 
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("command,y,x", [
+        ("asep-prob", "0", "1500"), ("asep-prob", "0,2", "1,1500"),
+        ("asep-fullline", "0", "800"), ("asep-fullline", "0,2", "1,900"),
+    ])
+    def test_an_overflowing_level_is_3(self, capsys, command, y, x):
+        # these once escaped as OverflowError, a traceback and exit 1
+        code = main([command, "--p", "0.4", "--Y", y, "--X", x, "--t", "0.5",
+                     "--max-points", "64"])
+        out = capsys.readouterr()
+        assert code == 3 and out.out == "" and "not finite" in out.err
+
+    @pytest.mark.parametrize("command", ["asep-prob", "asep-fullline"])
+    @pytest.mark.parametrize("x", ["9007199254740993", "1" * 400], ids=["2^53+1", "400-digits"])
+    def test_a_site_beyond_double_precision_is_2(self, capsys, command, x):
+        code = main([command, "--p", "0.4", "--Y", "0", "--X", x, "--t", "0.5"])
+        out = capsys.readouterr()
+        assert code == 2 and out.out == "" and "2^53" in out.err
+
+    def test_running_out_of_memory_is_3(self, capsys, monkeypatch):
+        # an N = 4 level at m = 512 asks for 2 GiB K4 buffers; a traceback
+        # and exit 1 once followed
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 2.00 GiB for an array with shape "
+                              "(512, 512, 512) and data type complex128")
+
+        monkeypatch.setattr(cli, "prob_halfline", exhausted)
+        code = main(["asep-prob", "--p", "0.5", "--Y", "0,1,2,3", "--X", "2,4,6,8",
+                     "--t", "10", "--tol", "1e-10"])
+        out = capsys.readouterr()
+        assert code == 3 and out.out == ""
+        assert out.err.count("\n") == 1 and "out of memory" in out.err and "2.00 GiB" in out.err
+
+
 class TestCacheKey:
     BASE = {"command": "asep-prob", "p": 0.4, "Y": [0, 2], "X": [1, 3], "t": 1.0}
 

@@ -189,6 +189,23 @@ class TestAdaptive:
             adaptive_trace(calls.append, resolutions=[])
         assert err.value.estimates == (None, None)
 
+    @pytest.mark.parametrize("bad", [complex(math.nan, 0.0), complex(math.inf, 1.0),
+                                     complex(1.0, -math.inf)])
+    def test_a_level_that_is_not_finite_raises_at_once(self, bad):
+        # abs() of the difference of two such levels once raised
+        # OverflowError, and NaN levels refined to max_points
+        calls = []
+
+        def level(m):
+            calls.append(m)
+            return 1.0 if m == 8 else bad
+
+        with pytest.raises(ConvergenceError, match="m=16 is .*not finite") as err:
+            adaptive_trace(level, QuadOptions(initial_points=8, max_points=4096))
+        assert calls == [8, 16]
+        assert err.value.estimates[0] == 1.0
+        assert repr(err.value.estimates[1]) == repr(bad)
+
     def test_deformation_invariance(self):
         # integrand analytic in an annulus: radius choice is immaterial
         opts = QuadOptions()

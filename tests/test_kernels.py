@@ -590,9 +590,9 @@ class TestFolding:
 
 def _reference_term_sum(tables, terms):
     """The per-term loop that `term_sum` replaced: every term contracted on
-    its own (`contract` with neither a plan nor a shared step) in
-    `term_structure` order, a folded vector formed once per run of terms
-    that fold it."""
+    its own (the standalone `contract`, its program compiled from the
+    pattern of present pairs) in `term_structure` order, a folded vector
+    formed once per run of terms that fold it."""
     vecs = tables.vectors
     fold_key = folded = None
     total = 0.0 + 0.0j
@@ -637,11 +637,23 @@ def _n4_level(m):
     return contour.level((0, 1, 2, 3), (0, 1, 3, 5), 0.5)
 
 
+def _term_steps(schedule):
+    """The level program's instructions, split at each term's END."""
+    terms, steps = [], []
+    for step in schedule.program.instructions:
+        steps.append(step)
+        if step[0] == _kernels.END:
+            terms.append(steps)
+            steps = []
+    assert len(terms) == len(schedule.terms) and not steps
+    return terms
+
+
 class TestLevelProgram:
-    """`term_sum` runs the compiled sum that its tables carry (`Schedule`):
-    the terms that build one step run one after another, the first builds
-    it and the others load it.  The per-term loop it replaced is the
-    reference."""
+    """`term_sum` runs the compiled sum that its tables carry (`Schedule`)
+    as one program: the terms that build one step run one after another,
+    the first builds it and the others read its register.  The per-term
+    loop it replaced is the reference."""
 
     @pytest.mark.parametrize("model,n,halfline", [
         pytest.param(model, n, halfline, id=f"{model}-N{n}-{'half' if halfline else 'full'}")
@@ -679,12 +691,15 @@ class TestLevelProgram:
         # or the K4 inner tensor (N = 4); each is built once per run
         schedule = compile_schedule(n, halfline, frozenset(_used_pairs(n, halfline)))
         assert len(schedule.terms) == len(term_structure(n, halfline))
-        full = [plan for _, slots, plan in schedule.terms
+        full = [i for i, (_, slots, _) in enumerate(schedule.terms)
                 if all(schedule.slots[k] for k in slots)]
         assert len(full) == complete
         assert schedule.steps["k4 inner" if n == 4 else "coupling"] == (runs, complete)
-        assert {step[1][0] if step[0] == _kernels.K4 else step[2] for plan in full
-                for step in plan.alone if step[0] in (_kernels.K4, _kernels.COUPLE)} == {first}
+        # the level program's first steps read dimension `first`'s vector
+        dims = [key[0] for key in schedule.vectors] + [d for d, _ in schedule.folds]
+        first_steps = {_kernels.K4_INNER: 2, _kernels.COUPLE: 3}  # field of the vector
+        assert {dims[step[first_steps[step[0]]]] for i in full
+                for step in _term_steps(schedule)[i] if step[0] in first_steps} == {first}
 
     @pytest.mark.parametrize("n,halfline,counts", [
         # (steps a level computes, steps its terms read) per kind
@@ -713,7 +728,7 @@ class TestLevelProgram:
         schedule, terms = tables.schedule, term_structure(n, True)
         assert schedule is compile_schedule(n, True, frozenset())
         assert schedule.steps["sum"] == (n * len(terms),) * 2
-        assert all(plan.shared == plan.alone for *_, plan in schedule.terms)
+        assert all(built == read for built, read in schedule.steps.values())
         assert repr(term_sum(tables)) == repr(_reference_term_sum(tables, terms))
 
     @pytest.mark.parametrize("n,halfline,level", [
@@ -724,27 +739,26 @@ class TestLevelProgram:
         # the full line shares nothing at N = 3
         pytest.param(4, False, lambda: _model_level("asep", 4, False)[1], id="asep-N4-full"),
     ])
-    def test_the_workspace_leaves_every_term_unchanged(self, n, halfline, level, monkeypatch):
-        # each term contracted in the level's workspace, its shared steps
-        # loaded, against the same term on its own, every array freshly
-        # allocated and every step built
-        values, dicts = [], []
-
-        def both(vectors, mats, plan, shared, work):
-            got = contract(vectors, mats, plan, shared, work)
-            values.append((repr(got), repr(contract(vectors, mats, plan))))
-            dicts.append(shared)
-            return got
-
-        monkeypatch.setattr(_kernels, "contract", both)
+    def test_the_workspace_leaves_every_term_unchanged(self, n, halfline, level):
+        # the level's one program, its shared steps read from the registers
+        # of the terms that built them and its K4 tensors in two buffers,
+        # against each term contracted alone, every step built and every
+        # array freshly allocated, summed in the schedule's order
         tables = level()
-        term_sum(tables)
-        assert len(values) == len(term_structure(n, halfline))
-        assert all(got == alone for got, alone in values)
-        # some term loaded a step, and every kept step was dropped again
-        assert any(step[0] == _kernels.LOAD for *_, plan in tables.schedule.terms
-                   for step in plan.shared)
-        assert dicts[-1] == {}
+        schedule = tables.schedule
+        assert len(schedule.terms) == len(term_structure(n, halfline))
+        vecs = [tables.vectors[key] for key in schedule.vectors]
+        vecs += [tables.vectors[d, 1, pos] + tables.vectors[d, -1, pos]
+                 for d, pos in schedule.folds]
+        mats = [_kernels._factors(tables.smats, slot) for slot in schedule.slots]
+        alone = 0.0 + 0.0j
+        for vector_ids, slot_ids, graph in schedule.terms:
+            program = _kernels._alone(graph, range(len(vector_ids) + len(slot_ids)))
+            alone += contract([vecs[k] for k in vector_ids], [mats[k] for k in slot_ids],
+                              program)
+        assert repr(term_sum(tables)) == repr(alone)
+        # some term read a step that an earlier one built
+        assert any(built < read for built, read in schedule.steps.values())
 
     @pytest.mark.parametrize("x,p", [
         pytest.param(x, p, id=f"{''.join(map(str, x))}-p{p}")
@@ -761,22 +775,27 @@ class TestLevelProgram:
                 _reference_term_sum(tables, term_structure(4, True)), rel=1e-12)
 
     def test_an_n4_level_allocates_two_m3_arrays(self, monkeypatch):
-        # 15 K4 inner tensors, 15 outer products and 60 finishes, all in
-        # one workspace: 2 arrays of m^3 where every step used to make one.
-        # The outer products over the folded dimension 0, (m/2 + 1) m^2, and
-        # the finishes, m^3, share the head of one array
-        made = []
+        # 15 K4 inner tensors, 15 outer products and 36 finishes, all in the
+        # level's two buffers, not one array per step.  The outer products,
+        # over (a, x, y), and the finishes, over (x, y, z), share the head of
+        # one buffer, on m/2 + 1 nodes along the folded dimension where they
+        # hold it
+        shapes = []
 
-        class Counted(_kernels.Workspace):
-            def __init__(self):
-                super().__init__()
-                made.append(self)
+        class Counted:
+            def __getattr__(self, name):
+                return getattr(np, name)
 
-        monkeypatch.setattr(_kernels, "Workspace", Counted)
-        term_sum(_n4_level(32))
-        work, = made
-        assert work.allocations <= 2
-        assert {a.shape for a in work.arrays.values()} == {(32, 32, 32)}
+            def empty(self, shape, *args, **kwargs):
+                shapes.append(shape)
+                return np.empty(shape, *args, **kwargs)
+
+        tables = _n4_level(32)
+        monkeypatch.setattr(_kernels, "np", Counted())
+        term_sum(tables)
+        big = [shape for shape in shapes if math.prod(shape) >= 32 ** 3]
+        assert len(big) <= 2
+        assert set(big) == {(32, 32, 32)}
 
     def test_an_n4_level_holds_one_shared_step_at_a_time(self):
         # each K4 inner tensor (m^3, 0.5 MiB at m = 32) is rebuilt in place
