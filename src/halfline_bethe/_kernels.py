@@ -18,9 +18,10 @@ Two kernel families live here:
   nested runs: the run's first term builds it (a pair product, a coupling,
   a K4 inner tensor or finish) and the others read it.  The schedule
   compiles the whole level into one register `Program`, which one
-  `contract` call runs: a shared value stays in the register its builder
-  wrote until its last reader's term ends, and the K4 steps write their
-  m^3 tensors into two buffers per call.  The models differ only in their
+  `contract` call runs: every operand is named by its value's id alone,
+  one register pass gives each value a register, released after its last
+  read and taken by the next new value, and the K4 steps write their m^3
+  tensors into two buffers per call.  The models differ only in their
   `ContourTables`, which ``evaluate`` refines.  A level whose every factor
   is conjugate-symmetric is folded: its last variable runs over the
   self-mirror half of its nodes, with doubled weights, and the level keeps
@@ -114,26 +115,22 @@ def _plan(n: int, present: tuple[bool, ...], first: int | None = None):
 #: instruction codes of a compiled contraction (`_compile`, `_program`,
 #: `contract`); DOT is a matrix-vector product that closes, and END ends a
 #: term
-PAIR, SUM, MATVEC, DOT, COUPLE, MUL, K4_INNER, K4_FINISH, K4_CLOSE, END = range(10)
+SUM, MATVEC, DOT, COUPLE, MUL, K4_INNER, K4_FINISH, K4_CLOSE, END = range(9)
 
 
 class Node(NamedTuple):
-    """One step of a contraction's value graph (`_compile`), on the term's
-    own registers: its N vectors, then its pair slots, then the coupling,
-    K4 inner tensor and finish."""
+    """One step of a contraction's value graph (`_compile`).  Every operand
+    is named by the id of its value alone; `_program` gives the registers."""
 
     #: what `contract` runs
     code: int
-    #: register the step writes; None for a step that only multiplies the
-    #: term's scalar
-    out: int | None
-    #: registers it reads, then its flags, in the layout of `contract`
-    regs: tuple
-    flags: tuple
-    #: id of the value the step makes; None where `out` is None
+    #: id of the value the step makes; None for a step that only multiplies
+    #: the term's scalar
     value: int | None
-    #: ids of the values it reads
+    #: ids of the values it reads, in `contract`'s operand order
     reads: tuple
+    #: the transposition flags `contract` takes after the operands
+    flags: tuple
     #: one of `STEP_KINDS`
     kind: str
 
@@ -144,10 +141,10 @@ STEP_KINDS = ("k4 inner", "k4 finish", "coupling", "product", "pair", "matvec",
               "k4 close", "sum")
 
 
-def _interner():
+def _interner(keys=()):
     """A function that numbers hashable keys in the order it first sees
-    them."""
-    ids = {}
+    them, `keys` first."""
+    ids = {key: i for i, key in enumerate(keys)}
     return lambda key: ids.setdefault(key, len(ids))
 
 
@@ -155,51 +152,51 @@ def _compile(plan, vectors, slots, intern, z=None) -> tuple[Node, ...]:
     """The value graph of the contraction that `plan` (`_plan`) sums, in the
     order `contract` runs it.
 
-    `vectors` names each dimension's vector and `slots` each pair's factors
-    in itertools.combinations order: () for a pair without one, and two or
-    more factors make a "pair" step that multiplies them in order on first
-    read.  A value's id is intern(key), its key made of what the step does
-    and the ids it reads, so equal steps of two terms get equal ids.  A K4
-    core (a, b, c, d) sums a into T over its other three dimensions, x < y
-    then z, z being `z` or else d; its finish sums z and its close x and y.
+    `vectors` names each dimension's vector and `slots` each pair's matrices
+    in itertools.combinations order: () for a pair without one, and a pair
+    with two (a pair of dimensions has at most two inversions) makes a
+    "pair" step that multiplies them on first read.  A value's id is
+    intern(key): ("vector", name) and ("matrix", name) for the inputs, and
+    for a step what it does and the ids it reads, so equal steps of two
+    terms get equal ids.  A K4 core (a, b, c, d) sums a into T over its
+    other three dimensions, x < y then z, z being `z` or else d; its finish
+    sums z and its close x and y.
     """
     steps, core = plan
-    n = len(vectors)
-    coupling, inner, finish = (n + len(slots) + i for i in range(3))
     vec = [intern(("vector", key)) for key in vectors]
-    mat = [intern(("slot", slot)) if slot else None for slot in slots]
-    unformed = {k for k, slot in enumerate(slots) if len(slot) > 1}
+    factors = [tuple(intern(("matrix", key)) for key in slot) for slot in slots]
+    # pair products take their ids before the steps do: `_run_order` sorts
+    # the terms by ids, and that order is part of every value
+    mat = [None if not f else f[0] if len(f) == 1 else intern(("pair",) + f) for f in factors]
+    unformed = {k for k, f in enumerate(factors) if len(f) > 1}
     nodes = []
 
     def read(k):
         if k in unformed:
             unformed.discard(k)
-            nodes.append(Node(PAIR, n + k, (n + k,), (), mat[k], (), "pair"))
+            nodes.append(Node(MUL, mat[k], factors[k], (), "pair"))
         return mat[k]
 
     for d, links, closes in steps:
         if not links:
-            nodes.append(Node(SUM, None, (d,), (), None, (vec[d],), "sum"))
+            nodes.append(Node(SUM, None, (vec[d],), (), "sum"))
         elif len(links) == 1:
             (u, k), = links
             reads = (read(k), vec[d], vec[u])
             if closes:
-                nodes.append(Node(DOT, None, (n + k, d, u), (d < u,), None, reads, "matvec"))
+                nodes.append(Node(DOT, None, reads, (d < u,), "matvec"))
             else:
                 vec[u] = intern(("matvec", d < u) + reads)
-                nodes.append(Node(MATVEC, u, (n + k, d, u), (d < u,), vec[u], reads, "matvec"))
+                nodes.append(Node(MATVEC, vec[u], reads, (d < u,), "matvec"))
         else:
             (u, ku), (w, kw), kuw = links
             reads = (read(ku), vec[d], read(kw))
             value = intern(("coupling", d < u, d > w) + reads)
-            out = n + kuw if mat[kuw] is None else coupling
-            nodes.append(Node(COUPLE, out, (n + ku, d, n + kw), (d < u, d > w), value, reads,
-                              "coupling"))
-            if out == coupling:
+            nodes.append(Node(COUPLE, value, reads, (d < u, d > w), "coupling"))
+            if mat[kuw] is not None:
                 reads = (value, read(kuw))
                 value = intern(("product",) + reads)
-                nodes.append(Node(MUL, n + kuw, (coupling, n + kuw), (), value, reads,
-                                  "product"))
+                nodes.append(Node(MUL, value, reads, (), "product"))
             mat[kuw] = value
     if core is not None:
         dims, pairs = core
@@ -208,88 +205,99 @@ def _compile(plan, vectors, slots, intern, z=None) -> tuple[Node, ...]:
         x, y = (v for v in dims[1:] if v != z)
         slot = dict(zip(itertools.combinations(dims, 2), pairs))
 
-        def rows_over(u, v):  # (register, transposed, value) of the (u, v) matrix, rows over u
+        def rows_over(u, v):  # (value, transposed) of the (u, v) matrix, rows over u
             k = slot.get((u, v), slot.get((v, u)))
-            return n + k, u > v, read(k)
+            return read(k), u > v
 
-        ax, ay, az, xy, xz, yz = (rows_over(u, v) for u, v in
-                                  ((a, x), (a, y), (a, z), (x, y), (x, z), (y, z)))
-        reads = (vec[a], ax[2], ay[2], az[2])
+        (ax, tax), (ay, tay), (az, taz), (xy, txy), (xz, txz), (yz, tyz) = (
+            rows_over(u, v) for u, v in ((a, x), (a, y), (a, z), (x, y), (x, z), (y, z)))
+        reads = (vec[a], ax, ay, az)
         t = intern(("k4 inner", x, y, z) + reads)
-        nodes.append(Node(K4_INNER, inner, (a, ax[0], ay[0], az[0]), (ax[1], ay[1], az[1]),
-                          t, reads, "k4 inner"))
-        reads = (t, vec[z], yz[2], xz[2])
+        nodes.append(Node(K4_INNER, t, reads, (tax, tay, taz), "k4 inner"))
+        reads = (t, vec[z], yz, xz)
         g = intern(("k4 finish",) + reads)
-        nodes.append(Node(K4_FINISH, finish, (inner, z, yz[0], xz[0]), (yz[1], xz[1]),
-                          g, reads, "k4 finish"))
-        nodes.append(Node(K4_CLOSE, None, (x, y, xy[0], finish), (xy[1],), None,
-                          (g, vec[x], vec[y], xy[2]), "k4 close"))
+        nodes.append(Node(K4_FINISH, g, reads, (tyz, txz), "k4 finish"))
+        nodes.append(Node(K4_CLOSE, None, (vec[x], vec[y], xy, g), (txy,), "k4 close"))
     return tuple(nodes)
 
 
 class Program(NamedTuple):
     """A compiled sum of contractions (`_program`), which `contract` runs on
-    a register file of its input vectors, then its pair slots, then
-    `temporaries` registers."""
+    a register file of its inputs, then `temporaries` registers."""
 
     temporaries: int
-    #: the instructions, each term's ending in END, which adds the term's
-    #: scalar to the sum and clears the registers that no later term reads
+    #: the instructions (code, register written if the step makes a value,
+    #: registers read, flags), each term's ending in END, which adds the
+    #: term's scalar to the sum and clears the temporaries released during
+    #: the term
     instructions: tuple
+    #: per kind of `STEP_KINDS`, the steps it computes
+    built: collections.Counter
 
 
-def _program(terms, inputs: int) -> Program:
-    """The program that runs `terms` one after another on a register file
-    whose first `inputs` registers hold the inputs.
+def _program(graphs, inputs: int) -> Program:
+    """The program that runs the terms of `graphs` (`_compile`) one after
+    another on a register file whose first `inputs` registers hold the
+    values with ids 0 .. inputs - 1.
 
-    Each term is (its graph (`_compile`), per step whether it builds, loads
-    or skips it, the values it keeps and those it drops (`_share`), the
-    register of each of its vectors and pair slots).  A built step writes a
-    new register, or overwrites in place one that the term wrote and does
-    not keep, as the term alone would; a loaded step reads the register its
-    builder wrote.  A term's END clears the registers it wrote and does not
-    keep, and those of the values it drops.
+    A value's run is the consecutive terms whose graphs contain it.  A term
+    needs the steps that multiply its scalar and, from the last step back,
+    what the steps it builds read.  It loads a needed value that an earlier
+    term of the run built, from that term's register, builds the others and
+    skips the rest.  A value's register is released after the value's last
+    read, and a new value takes a released register first; a term's END
+    clears the registers released during it.
     """
-    instructions, home = [], {}
+    flat, built = [], set()
+    for nodes in graphs:
+        built &= {node.value for node in nodes}
+        wanted, steps = set(), []
+        for node in reversed(nodes):
+            if node.value is None or node.value in wanted and node.value not in built:
+                wanted.update(node.reads)
+                steps.append(node)
+        built.update(node.value for node in steps)
+        flat += steps[::-1] + [None]
+    # the values each step reads for the last time, from the last step back
+    live, last = set(), []
+    for node in reversed(flat):
+        dead = set()
+        if node is not None:
+            live.discard(node.value)
+            dead = {v for v in node.reads if v >= inputs and v not in live}
+            live |= dead
+        last.append(sorted(dead))
+    home, free, released, instructions = {v: v for v in range(inputs)}, [], set(), []
     top = inputs
-    for nodes, acts, keep, drop, registers in terms:
-        where, own = dict(enumerate(registers)), set()
-        for node, builds in zip(nodes, acts):
-            if builds is None:
-                continue
-            if not builds:
-                where[node.out] = home[node.value]
-                continue
-            regs = tuple(where[k] for k in node.regs)
-            out = ()
-            if node.out is not None:
-                target = where.get(node.out)
-                if target not in own:
-                    target, top = top, top + 1
-                    own.add(target)
-                if node.value in keep:
-                    own.discard(target)
-                    home[node.value] = target
-                where[node.out] = target
-                out = (target,)
-            instructions.append((node.code,) + out + regs + node.flags)
-        instructions.append((END, tuple(sorted(own | {home.pop(v) for v in drop}))))
-    return Program(top - inputs, tuple(instructions))
-
-
-def _alone(nodes, inputs) -> Program:
-    """The program of one term (`_compile`) that builds every step, its
-    vectors and pair slots in the registers `inputs`."""
-    return _program([(nodes, [True] * len(nodes), (), (), inputs)], len(inputs))
+    for node, dead in zip(flat, reversed(last)):
+        if node is None:
+            instructions.append((END, tuple(sorted(released))))
+            released = set()
+            continue
+        regs = tuple(home[v] for v in node.reads)
+        for v in dead:
+            free.append(home.pop(v))
+            released.add(free[-1])
+        out = ()
+        if node.value is not None:
+            home[node.value] = reg = free.pop() if free else top
+            top = max(top, reg + 1)
+            released.discard(reg)
+            out = (reg,)
+        instructions.append((node.code,) + out + regs + node.flags)
+    return Program(top - inputs, tuple(instructions),
+                   collections.Counter(node.kind for node in flat if node is not None))
 
 
 @lru_cache(maxsize=1024)
 def _standalone(n: int, present: tuple[bool, ...]) -> Program:
     """The program of n dimensions whose present pairs carry one matrix
-    each."""
-    nodes = _compile(_plan(n, present), range(n),
-                     tuple((k,) if on else () for k, on in enumerate(present)), _interner())
-    return _alone(nodes, range(n + len(present)))
+    each, on the register file of the n vectors and every pair."""
+    pairs = range(len(present))
+    intern = _interner([("vector", d) for d in range(n)] + [("matrix", k) for k in pairs])
+    graph = _compile(_plan(n, present), range(n),
+                     tuple((k,) if on else () for k, on in zip(pairs, present)), intern)
+    return _program([graph], n + len(present))
 
 
 def _head(array: np.ndarray, shape) -> np.ndarray:
@@ -300,8 +308,8 @@ def _head(array: np.ndarray, shape) -> np.ndarray:
 def contract(vectors, mats, program: Program | None = None) -> complex:
     """The sum of the terms that `program` contracts, run on the register
     file [*vectors, *mats, temporaries]; vectors are 1-d complex arrays and
-    mats pair matrices, None for a pair without a factor, or a tuple of
-    factors that a PAIR step multiplies.
+    each of mats one matrix or None, for a pair without a factor.  A pair
+    whose factor is the product of two matrices gets it from a MUL step.
 
     Without a program, `vectors` are the N <= MAX_N vectors of one
     contraction and `mats` its N(N-1)/2 pair matrices in
@@ -350,11 +358,6 @@ def contract(vectors, mats, program: Program | None = None) -> complex:
             scale = 1.0 + 0.0j
             for k in step[1]:
                 r[k] = None
-        elif code == PAIR:
-            mat, *factors = r[step[2]]
-            for factor in factors:
-                mat = mat * factor
-            r[step[1]] = mat
         elif code == MUL:
             r[step[1]] = r[step[2]] * r[step[3]]
         elif code == COUPLE:
@@ -450,23 +453,21 @@ def pair_matrices(n: int, halfline: bool, kind, build, fold=None) -> dict:
 class Schedule(NamedTuple):
     """The terms of one sum compiled for one pattern of S-matrices
     (`compile_schedule`): `term_sum` runs `program` on the level's
-    `vectors`, then its `folds`, then its `slots`."""
+    `vectors`, then its `folds`, then its `mats`."""
 
     #: the distinct vector keys (d, sign, pos) the terms read, sign +-1
     vectors: tuple
     #: the (d, pos) of the folded vectors v+ + v- they read, sign 0
     folds: tuple
-    #: per distinct pair of the terms, its inversions' S-matrix keys, each
-    #: with whether it is transposed to rows over the lower dimension
-    slots: tuple
-    #: (indices into `vectors` + `folds` per dimension, indices into `slots`
-    #: per pair, the term's value graph (`_compile`), whose `_alone` program
-    #: contracts the term on its own) per term, in run order
+    #: the S-matrix keys the terms read, each with whether it is transposed
+    #: to rows over the lower dimension
+    mats: tuple
+    #: the terms' value graphs (`_compile`) in run order; input register i
+    #: holds the value with id i
     terms: tuple
     #: per kind of `STEP_KINDS`, (steps a level computes, steps its terms read)
     steps: dict
-    #: the level's one `Program`, the terms' steps in run order, each term's
-    #: ending in END
+    #: the level's one `Program` (`_program`) of `terms`
     program: Program
 
 
@@ -482,14 +483,12 @@ def compile_schedule(n: int, halfline: bool, pairs: frozenset) -> Schedule:
     share with other terms, costliest first, so that the terms that build
     one value follow one another; these runs nest, a K4 inner tensor's run
     holding the runs of its finishes, and those of the couplings and pair
-    products within.  A value is built by the first term of its run that
-    needs it, kept while a later term of the run reads it and dropped after
-    the last (`_share`); a step that only fed loaded values is skipped.
-    Terms that share nothing keep their order and run their steps as built.
-    The level's `Program` (`_program`) runs every term on one register
-    file: the level's vectors, folded vectors and pair slots, then
-    temporaries; a kept value stays in the register its builder wrote until
-    the END of the term that drops it.
+    products within.  The level's `Program` (`_program`) runs every term on
+    one register file, the level's vectors, folded vectors and S-matrices,
+    then temporaries: the first term of a run that needs a value builds it,
+    the later ones read its register, and the register is released after
+    the last read; a step that only fed loaded values is skipped.  Terms
+    that share nothing keep their order and run their steps as built.
 
     Every complete term (all pairs present, N >= 3) sums out the same
     dimension first, the one that gives the fewest distinct first steps,
@@ -511,32 +510,20 @@ def compile_schedule(n: int, halfline: bool, pairs: frozenset) -> Schedule:
     plans = [_plan(n, tuple(map(bool, slots)), first if i in complete else None)
              for i, (_, slots) in enumerate(terms)]
     finish = _finish_dims(terms, plans)
-    intern = _interner()
+    # the inputs: the plain vectors, then the folded ones, then the S-matrices
+    vectors = sorted({key for keys, _ in terms for key in keys},
+                     key=lambda key: (not key[1], key))
+    mats = sorted({ab for _, slots in terms for slot in slots for ab in slot})
+    intern = _interner([("vector", key) for key in vectors] + [("matrix", ab) for ab in mats])
     graphs = [_compile(plan, keys, slots, intern, finish.get(i))
               for i, (plan, (keys, slots)) in enumerate(zip(plans, terms))]
-    order = _run_order(graphs)
-    # the plain vectors first, then the folded ones
-    vectors = sorted({key for term_keys, _ in terms for key in term_keys},
-                     key=lambda key: (not key[1], key))
-    slots = sorted({slot for _, term_slots in terms for slot in term_slots})
-    steps = {kind: [0, 0] for kind in STEP_KINDS}
-    scheduled, level = [], []
-    for i, (acts, keep, drop) in zip(order, _share(graphs, order)):
-        for node, builds in zip(graphs[i], acts):
-            steps[node.kind][1] += 1
-            steps[node.kind][0] += bool(builds)
-        term_keys, term_slots = terms[i]
-        vector_ids = tuple(map(vectors.index, term_keys))
-        slot_ids = tuple(map(slots.index, term_slots))
-        scheduled.append((vector_ids, slot_ids, graphs[i]))
-        level.append((graphs[i], acts, keep, drop,
-                      vector_ids + tuple(len(vectors) + k for k in slot_ids)))
+    graphs = [graphs[i] for i in _run_order(graphs)]
+    program = _program(graphs, len(vectors) + len(mats))
+    read = collections.Counter(node.kind for nodes in graphs for node in nodes)
     return Schedule(tuple(key for key in vectors if key[1]),
                     tuple((d, pos) for d, sign, pos in vectors if not sign),
-                    tuple(tuple((ab, abs(ab[0]) > abs(ab[1])) for ab in slot)
-                          for slot in slots),
-                    tuple(scheduled), {kind: tuple(counts) for kind, counts in steps.items()},
-                    _program(level, len(vectors) + len(slots)))
+                    tuple((ab, abs(ab[0]) > abs(ab[1])) for ab in mats), tuple(graphs),
+                    {kind: (program.built[kind], read[kind]) for kind in STEP_KINDS}, program)
 
 
 def _finish_dims(terms, plans) -> dict:
@@ -574,68 +561,24 @@ def _run_order(graphs) -> list:
     return sorted(range(len(graphs)), key=shared_values)
 
 
-def _share(graphs, order) -> list:
-    """Per term in `order`: per step whether the term builds it (True),
-    loads it (False) or skips it (None), the values it keeps for a later
-    term and those it drops after its last reader.
-
-    A value's run is the consecutive terms whose graphs contain it.  A term
-    needs the steps that multiply its scalar and, from the last step back,
-    what the steps it builds read.  It loads a needed value that an earlier
-    term of the run built, and builds the others."""
-    built = set()
-    acts, history = [], collections.defaultdict(list)
-    for at, i in enumerate(order):
-        nodes = graphs[i]
-        built &= {node.value for node in nodes}
-        wanted, act = set(), [None] * len(nodes)
-        for j in reversed(range(len(nodes))):
-            value = nodes[j].value
-            if value is None or value in wanted:
-                act[j] = value not in built
-                if act[j]:
-                    wanted.update(nodes[j].reads)
-                if value is not None:
-                    history[value].append((at, act[j]))
-        built.update(node.value for node, builds in zip(nodes, act)
-                     if builds and node.value is not None)
-        acts.append(act)
-    keep, drop = ([set() for _ in order] for _ in range(2))
-    for value, events in history.items():
-        for (at, builds), (_, builds_next) in zip(events, events[1:] + [(None, True)]):
-            if builds and not builds_next:
-                keep[at].add(value)
-            elif not builds and builds_next:
-                drop[at].add(value)
-    return list(zip(acts, keep, drop))
-
-
-def _factors(smats, slot):
-    """The S-matrices of one pair's inversions (`Schedule.slots`), rows over
-    the lower dimension: None for none, the matrix for one, else their
-    tuple."""
-    factors = [smats[key].T if transposed else smats[key] for key, transposed in slot]
-    return factors[0] if len(factors) == 1 else tuple(factors) or None
-
-
 def term_sum(tables: LevelTables) -> complex:
     """Sum of the contracted integrands of the signed-permutation sum that
     the tables' schedule compiles, at one quadrature level.
 
     A folded vector (sign 0) is v+ + v-, the partner's amplitude riding in
-    v-, formed once per level, as is each pair's tuple of S-matrices,
-    oriented with rows over the lower dimension.  One `contract` call runs
-    the schedule's `Program` on them: every term in run order, each shared
-    step passed on in its register from the term that builds it to the
-    later terms of its run, and the K4 steps writing into the call's two
-    m^3 buffers.  `contract` is looked up here at each call, where a tracer
-    may have wrapped it.
+    v-, formed once per level, and each S-matrix is oriented with rows over
+    the lower dimension.  One `contract` call runs the schedule's `Program`
+    on them: every term in run order, each shared step passed on in its
+    register from the term that builds it to the later terms of its run,
+    and the K4 steps writing into the call's two m^3 buffers.  `contract`
+    is looked up here at each call, where a tracer may have wrapped it.
     """
     schedule = tables.schedule
     given = tables.vectors
     vecs = [given[key] for key in schedule.vectors]
     vecs += [given[d, 1, pos] + given[d, -1, pos] for d, pos in schedule.folds]
-    mats = [_factors(tables.smats, slot) for slot in schedule.slots]
+    mats = [tables.smats[ab].T if transposed else tables.smats[ab]
+            for ab, transposed in schedule.mats]
     return contract(vecs, mats, schedule.program)
 
 

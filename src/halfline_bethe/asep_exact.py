@@ -228,6 +228,17 @@ def _halfline_radii(radii: RadiiScheme | None, params: AsepParams,
     return radii
 
 
+def _halfline_entry(y, x, t: float, params: AsepParams, opts: QuadOptions | None,
+                    radii: RadiiScheme | None = None):
+    """(options, radii, tables of each resolution) of a half-line sum from Y
+    to X: the checked options (`_checked_opts`) started above the plane
+    waves' degree (`_alias_safe`), the caller's radii or `tuned_radii`
+    (`_halfline_radii`), and the cached contour tables on those circles."""
+    opts = _alias_safe(_checked_opts(t, params, len(y), opts), y, x)
+    radii = _halfline_radii(radii, params, len(y))
+    return opts, radii, lambda m: _contour_tables(params.p, radii.center, radii.radii, m, True)
+
+
 def _report(raw: complex, err: float, m: int, terms: int, opts: QuadOptions) -> AsepEvalReport:
     imag = abs(raw.imag)
     if imag > 100.0 * max(opts.tol, err):
@@ -281,15 +292,13 @@ def prob_halfline(Y, X, t: float, params: AsepParams,
     them with ConvergenceError until every request is bounded (ROADMAP item 8).
     """
     y, x = lattice_sites(Y, halfline=True), lattice_sites(X, halfline=True)
-    opts = _alias_safe(_checked_opts(t, params, len(y), opts), y, x)
-    radii = _halfline_radii(radii, params, len(y))
+    opts, radii, contour_at = _halfline_entry(y, x, t, params, opts, radii)
     src, dst, prefactor = _orientation(y, x, radii, params.tau)
 
     # the reversed sum is scaled by the prefactor, so its own tolerance is
     # tightened for `tol` to bound the returned value
     value, err, m = evaluate(
-        lambda mm: _contour_tables(params.p, radii.center, radii.radii, mm, True),
-        src, dst, t,
+        contour_at, src, dst, t,
         dataclasses.replace(opts, tol=opts.tol / prefactor) if prefactor > 1.0 else opts)
     return _report(prefactor * value, prefactor * err, m, group_order(len(y), True), opts)
 
@@ -382,11 +391,8 @@ def evaluate_extended(Y, Z, t: float, params: AsepParams,
     with prob_halfline.
     """
     y, z = lattice_sites(Y, halfline=True), integer_sites(Z)
-    opts = _alias_safe(_checked_opts(t, params, len(y), opts), y, z)
-    radii = _halfline_radii(radii, params, len(y))
-    value, _, _ = evaluate(
-        lambda mm: _contour_tables(params.p, radii.center, radii.radii, mm, True),
-        y, z, t, opts)
+    opts, _, contour_at = _halfline_entry(y, z, t, params, opts, radii)
+    value, _, _ = evaluate(contour_at, y, z, t, opts)
     return complex(value)
 
 
@@ -402,13 +408,12 @@ def master_equation_residual(Y, X, t: float, params: AsepParams,
     (rate p) only when site x_i - 1 is free and not beyond the wall at 0.
     """
     y, x = lattice_sites(Y, halfline=True), lattice_sites(X, halfline=True)
-    opts = _alias_safe(_checked_opts(t, params, len(y), opts), y, x)
+    opts, _, contour_at = _halfline_entry(y, x, t, params, opts)
     n, p, q = len(y), params.p, params.q
     if n > 3:
         raise ValueError("master-equation residual supports N <= 3")
     if t <= 0:
         raise ValueError("residual check needs t > 0")
-    radii = tuned_radii(params, n)
 
     def residual(contour, tables):
         def shifted(j, step):
@@ -427,9 +432,7 @@ def master_equation_residual(Y, X, t: float, params: AsepParams,
                 stay += p
         return pairs + [(stay, {})]
 
-    value, _, _ = evaluate(
-        lambda mm: _contour_tables(params.p, radii.center, radii.radii, mm, True),
-        y, x, t, opts, functional=residual)
+    value, _, _ = evaluate(contour_at, y, x, t, opts, functional=residual)
     return abs(value)
 
 

@@ -28,6 +28,8 @@ import sys
 import tempfile
 import time
 
+import numpy as np
+
 from . import __version__
 from .bose_exact import DampedTime, propagator_fullline, propagator_halfline
 from .contour_quad import QuadOptions, RadiiScheme
@@ -380,7 +382,10 @@ def main(argv=None) -> int:
             rec["cached"] = True
         else:
             start = time.perf_counter()
-            rec = _run_command(args)
+            # a far target overflows its plane waves; the level that is not
+            # finite is then reported as one error line, without numpy's warnings
+            with np.errstate(over="ignore", invalid="ignore"):
+                rec = _run_command(args)
             rec.update(wall_clock_s=time.perf_counter() - start, version=__version__,
                        cached=False, spec_key=key)
             if cache_path:

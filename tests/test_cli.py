@@ -253,17 +253,18 @@ class TestExitCodes:
         assert "max_points=64" in capsys.readouterr().err
 
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("command,y,x", [
         ("asep-prob", "0", "1500"), ("asep-prob", "0,2", "1,1500"),
         ("asep-fullline", "0", "800"), ("asep-fullline", "0,2", "1,900"),
     ])
     def test_an_overflowing_level_is_3(self, capsys, command, y, x):
-        # these once escaped as OverflowError, a traceback and exit 1
+        # these once escaped as OverflowError, a traceback and exit 1, and
+        # then printed numpy's RuntimeWarnings ahead of their error line
         code = main([command, "--p", "0.4", "--Y", y, "--X", x, "--t", "0.5",
                      "--max-points", "64"])
         out = capsys.readouterr()
         assert code == 3 and out.out == "" and "not finite" in out.err
+        assert out.err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["asep-prob", "asep-fullline"])
     @pytest.mark.parametrize("x", ["9007199254740993", "1" * 400], ids=["2^53+1", "400-digits"])

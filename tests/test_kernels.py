@@ -637,6 +637,20 @@ def _n4_level(m):
     return contour.level((0, 1, 2, 3), (0, 1, 3, 5), 0.5)
 
 
+#: per instruction code, (registers it writes, registers it reads)
+OPERANDS = {_kernels.SUM: (0, 1), _kernels.MATVEC: (1, 3), _kernels.DOT: (0, 3),
+            _kernels.COUPLE: (1, 3), _kernels.MUL: (1, 2), _kernels.K4_INNER: (1, 4),
+            _kernels.K4_FINISH: (1, 4), _kernels.K4_CLOSE: (0, 4)}
+
+
+def _schedule_program(n, halfline, used):
+    """(program, input registers) of the (N, half/full line) sum with all
+    its signed pairs' S-matrices or none."""
+    schedule = compile_schedule(n, halfline,
+                                frozenset(_used_pairs(n, halfline) if used else ()))
+    return schedule.program, len(schedule.vectors) + len(schedule.folds) + len(schedule.mats)
+
+
 def _term_steps(schedule):
     """The level program's instructions, split at each term's END."""
     terms, steps = [], []
@@ -691,10 +705,13 @@ class TestLevelProgram:
         # or the K4 inner tensor (N = 4); each is built once per run
         schedule = compile_schedule(n, halfline, frozenset(_used_pairs(n, halfline)))
         assert len(schedule.terms) == len(term_structure(n, halfline))
-        full = [i for i, (_, slots, _) in enumerate(schedule.terms)
-                if all(schedule.slots[k] for k in slots)]
+        assert sum(all(term.mats) for term in term_structure(n, halfline)) == complete
+        # only a complete term leaves a triangle (N = 3) or a K4 core (N = 4)
+        kind = "k4 inner" if n == 4 else "coupling"
+        full = [i for i, graph in enumerate(schedule.terms)
+                if any(node.kind == kind for node in graph)]
         assert len(full) == complete
-        assert schedule.steps["k4 inner" if n == 4 else "coupling"] == (runs, complete)
+        assert schedule.steps[kind] == (runs, complete)
         # the level program's first steps read dimension `first`'s vector
         dims = [key[0] for key in schedule.vectors] + [d for d, _ in schedule.folds]
         first_steps = {_kernels.K4_INNER: 2, _kernels.COUPLE: 3}  # field of the vector
@@ -742,20 +759,19 @@ class TestLevelProgram:
     def test_the_workspace_leaves_every_term_unchanged(self, n, halfline, level):
         # the level's one program, its shared steps read from the registers
         # of the terms that built them and its K4 tensors in two buffers,
-        # against each term contracted alone, every step built and every
-        # array freshly allocated, summed in the schedule's order
+        # against each term's graph contracted alone, every step built,
+        # summed in the schedule's order
         tables = level()
         schedule = tables.schedule
         assert len(schedule.terms) == len(term_structure(n, halfline))
         vecs = [tables.vectors[key] for key in schedule.vectors]
         vecs += [tables.vectors[d, 1, pos] + tables.vectors[d, -1, pos]
                  for d, pos in schedule.folds]
-        mats = [_kernels._factors(tables.smats, slot) for slot in schedule.slots]
+        mats = [tables.smats[ab].T if transposed else tables.smats[ab]
+                for ab, transposed in schedule.mats]
         alone = 0.0 + 0.0j
-        for vector_ids, slot_ids, graph in schedule.terms:
-            program = _kernels._alone(graph, range(len(vector_ids) + len(slot_ids)))
-            alone += contract([vecs[k] for k in vector_ids], [mats[k] for k in slot_ids],
-                              program)
+        for graph in schedule.terms:
+            alone += contract(vecs, mats, _kernels._program([graph], len(vecs) + len(mats)))
         assert repr(term_sum(tables)) == repr(alone)
         # some term read a step that an earlier one built
         assert any(built < read for built, read in schedule.steps.values())
@@ -773,6 +789,38 @@ class TestLevelProgram:
             tables = contour.level(y, target, 0.1)
             assert term_sum(tables) == pytest.approx(
                 _reference_term_sum(tables, term_structure(4, True)), rel=1e-12)
+
+    @pytest.mark.parametrize("compiled", [
+        *(pytest.param(lambda n=n, halfline=halfline, used=used:
+                       _schedule_program(n, halfline, used),
+                       id=f"N{n}-{'half' if halfline else 'full'}-{'all' if used else 'none'}")
+          for n in (1, 2, 3, 4) for halfline in (True, False) for used in (True, False)),
+        *(pytest.param(lambda n=n, present=present:
+                       (_kernels._standalone(n, present), n + len(present)),
+                       id=f"alone-N{n}-{''.join('01'[on] for on in present)}")
+          for n in (1, 2, 3, 4)
+          for present in itertools.product((False, True), repeat=n * (n - 1) // 2)),
+    ])
+    def test_the_register_file_holds_every_step(self, compiled):
+        # no step writes an input, every register is in the file, and END
+        # clears temporaries only
+        program, inputs = compiled()
+        size = inputs + program.temporaries
+        for code, *fields in program.instructions:
+            if code == _kernels.END:
+                clears, = fields
+                assert all(inputs <= k < size for k in clears)
+                continue
+            writes, reads = OPERANDS[code]
+            out, regs = fields[:writes], fields[writes:writes + reads]
+            assert all(inputs <= k < size for k in out)
+            assert all(0 <= k < size for k in regs)
+
+    def test_an_n4_half_line_level_reuses_its_temporaries(self):
+        # a released register serves the next value: six serve the whole
+        # level, where a register per term's step would take hundreds
+        program, _ = _schedule_program(4, True, True)
+        assert program.temporaries <= 8
 
     def test_an_n4_level_allocates_two_m3_arrays(self, monkeypatch):
         # 15 K4 inner tensors, 15 outer products and 36 finishes, all in the
