@@ -13,14 +13,16 @@ Two kernel families live here:
   reduces its per-term quadrature to this shape, and ``term_sum`` sums it
   over the signed-permutation terms of both models, one contraction per
   sign-flip pair of a half-line sum, in the order of the `Schedule` its
-  tables carry (`compile_schedule`).  Each step of a term is keyed by its
+  tables carry (`compile_schedule`).  Two half-line terms that differ
+  only in the sign of dimension 0 run as one whose dimension 0 runs over
+  both signs' nodes, stacked.  Each step of a term is keyed by its
   operands, and the terms that build one value run one after another in
   nested runs: the run's first term builds it (a pair product, a coupling,
   a K4 inner tensor or finish) and the others read it.  The schedule
   compiles the whole level into one register `Program`, which one
   `contract` call runs: every operand is named by its value's id alone,
   one register pass gives each value a register, released after its last
-  read and taken by the next new value, and the K4 steps write their m^3
+  read and taken by the next new value, and the K4 steps write their
   tensors into two buffers per call.  The models differ only in their
   `ContourTables`, which ``evaluate`` refines.  A level whose every factor
   is conjugate-symmetric is folded: its last variable runs over the
@@ -46,11 +48,13 @@ import numpy as np
 from .contour_quad import adaptive_eval
 from .signed_perm import term_structure
 
-#: largest particle number the evaluators accept.  A half-line level runs
-#: 2^(N-1) N! contractions; at N = 4 the 60 whose pair graph is complete run
-#: the K4 steps, and 15 m^4 inner tensors serve them all (`compile_schedule`);
-#: every other step costs m^3 or less.  From N = 5 on,
-#: some pair graphs leave larger cores, which `contract` refuses.
+#: largest particle number the evaluators accept.  A half-line level sums
+#: 2^(N-1) N! terms, and contracts fewer once the terms that differ only in
+#: the sign of dimension 0 are merged: 126 of 192 at N = 4, where the 33
+#: whose pair graph is complete run the K4 steps, and 8 inner tensors of
+#: m^4 (2m m^3 for a merged term) serve them all (`compile_schedule`);
+#: every other step costs m^3 or less.  From N = 5 on, some pair graphs
+#: leave larger cores, which `contract` refuses.
 MAX_N = 4
 
 
@@ -113,9 +117,9 @@ def _plan(n: int, present: tuple[bool, ...], first: int | None = None):
 
 
 #: instruction codes of a compiled contraction (`_compile`, `_program`,
-#: `contract`); DOT is a matrix-vector product that closes, and END ends a
-#: term
-SUM, MATVEC, DOT, COUPLE, MUL, K4_INNER, K4_FINISH, K4_CLOSE, END = range(9)
+#: `contract`); DOT is a matrix-vector product that closes, END ends a term,
+#: and STACK stacks two pair products by rows (a merged term's, `_merge`)
+SUM, MATVEC, DOT, COUPLE, MUL, K4_INNER, K4_FINISH, K4_CLOSE, END, STACK = range(10)
 
 
 class Node(NamedTuple):
@@ -133,6 +137,9 @@ class Node(NamedTuple):
     flags: tuple
     #: one of `STEP_KINDS`
     kind: str
+    #: a K4 inner tensor's (a, x, y, z): the ids of the input vectors whose
+    #: lengths size its steps (`Program.k4`); () for any other step
+    dims: tuple = ()
 
 
 #: the steps a contraction runs, costliest first: at resolution m a K4 inner
@@ -155,7 +162,9 @@ def _compile(plan, vectors, slots, intern, z=None) -> tuple[Node, ...]:
     `vectors` names each dimension's vector and `slots` each pair's matrices
     in itertools.combinations order: () for a pair without one, and a pair
     with two (a pair of dimensions has at most two inversions) makes a
-    "pair" step that multiplies them on first read.  A value's id is
+    "pair" step that multiplies them on first read; a merged term's pair
+    with four (`_merge`) makes one that stacks the products of the first
+    two and of the last two by rows.  A value's id is
     intern(key): ("vector", name) and ("matrix", name) for the inputs, and
     for a step what it does and the ids it reads, so equal steps of two
     terms get equal ids.  A K4 core (a, b, c, d) sums a into T over its
@@ -174,8 +183,11 @@ def _compile(plan, vectors, slots, intern, z=None) -> tuple[Node, ...]:
     def read(k):
         if k in unformed:
             unformed.discard(k)
-            nodes.append(Node(MUL, mat[k], factors[k], (), "pair"))
+            nodes.append(Node(MUL if len(factors[k]) == 2 else STACK, mat[k], factors[k],
+                              (), "pair"))
         return mat[k]
+
+    sizes = tuple(vec)  # the input vectors, whose lengths are the dimensions' sizes
 
     for d, links, closes in steps:
         if not links:
@@ -213,7 +225,8 @@ def _compile(plan, vectors, slots, intern, z=None) -> tuple[Node, ...]:
             rows_over(u, v) for u, v in ((a, x), (a, y), (a, z), (x, y), (x, z), (y, z)))
         reads = (vec[a], ax, ay, az)
         t = intern(("k4 inner", x, y, z) + reads)
-        nodes.append(Node(K4_INNER, t, reads, (tax, tay, taz), "k4 inner"))
+        nodes.append(Node(K4_INNER, t, reads, (tax, tay, taz), "k4 inner",
+                          tuple(sizes[v] for v in (a, x, y, z))))
         reads = (t, vec[z], yz, xz)
         g = intern(("k4 finish",) + reads)
         nodes.append(Node(K4_FINISH, g, reads, (tyz, txz), "k4 finish"))
@@ -233,6 +246,9 @@ class Program(NamedTuple):
     instructions: tuple
     #: per kind of `STEP_KINDS`, the steps it computes
     built: collections.Counter
+    #: the distinct (a, x, y, z) of the K4 inner tensors it computes, as the
+    #: registers of input vectors whose lengths are those dimensions' sizes
+    k4: tuple = ()
 
 
 def _program(graphs, inputs: int) -> Program:
@@ -285,8 +301,10 @@ def _program(graphs, inputs: int) -> Program:
             released.discard(reg)
             out = (reg,)
         instructions.append((node.code,) + out + regs + node.flags)
+    steps = [node for node in flat if node is not None]
     return Program(top - inputs, tuple(instructions),
-                   collections.Counter(node.kind for node in flat if node is not None))
+                   collections.Counter(node.kind for node in steps),
+                   tuple(sorted({node.dims for node in steps if node.dims})))
 
 
 @lru_cache(maxsize=1024)
@@ -322,22 +340,23 @@ def contract(vectors, mats, program: Program | None = None) -> complex:
     runs three steps.  A larger core raises ValueError.  `term_sum` runs a
     whole level in one call, its program compiled by `compile_schedule`.
 
-    The K4 steps: one (m^2, m) x (m, m) product sums out a into the inner
-    tensor T[x, y, z] = sum_a v_a M_ax M_ay M_az, one m^3 product
+    The K4 steps: one (m_x m_y, m_a) x (m_a, m_z) product sums out a into
+    the inner tensor T[x, y, z] = sum_a v_a M_ax M_ay M_az, one m^3 product
     F = T * (M_yz v_z) and one batched matrix-vector product
     G[x, y] = sum_z F[x, y, z] M_xz finish it, and v_x @ (M_xy * G) @ v_y
     closes.  Each dimension has its own size, since a folded level halves
-    one (`ContourTables`).  T goes into the head of an "inner" buffer, and
+    one (`ContourTables`) and a merged term doubles its dimension 0
+    (`compile_schedule`).  T goes into the head of an "inner" buffer, and
     both the outer product over (a, x, y) that builds T and F into the head
-    of an "outer" buffer; both are m^3 at the largest size m, allocated by
-    the first inner tensor of the call, so a level allocates two m^3 arrays
-    whichever dimension is halved, and a T that later terms read lives in
-    its buffer until the next inner tensor overwrites it.  The outer product
-    is a broadcast copy of v_a M_ax, multiplied in place by M_ay: a
-    broadcasting multiply into `out` made numpy allocate iterator buffers
-    for every inner tensor, 0.12 MiB of an N = 4 level's peak at m = 32.
-    numpy's complex product is not bitwise commutative, so every operand
-    order is part of the result.
+    of an "outer" buffer.  The first inner tensor of the call allocates
+    both, each as large as the largest of those shapes over the program's
+    inner tensors (`Program.k4`), so a level allocates two arrays, and a T
+    that later terms read lives in its buffer until the next inner tensor
+    overwrites it.  The outer product is a broadcast copy of v_a M_ax,
+    multiplied in place by M_ay: a broadcasting multiply into `out` made
+    numpy allocate iterator buffers for every inner tensor, 0.12 MiB of an
+    N = 4 level's peak at m = 32.  numpy's complex product is not bitwise
+    commutative, so every operand order is part of the result.
     """
     if program is None:
         program = _standalone(len(vectors), tuple([m is not None for m in mats]))
@@ -360,6 +379,12 @@ def contract(vectors, mats, program: Program | None = None) -> complex:
                 r[k] = None
         elif code == MUL:
             r[step[1]] = r[step[2]] * r[step[3]]
+        elif code == STACK:
+            _, out, a, b, c, d = step
+            top = len(r[a])
+            s = r[out] = np.empty((top + len(r[c]), r[a].shape[1]), complex)
+            np.multiply(r[a], r[b], out=s[:top])
+            np.multiply(r[c], r[d], out=s[top:])
         elif code == COUPLE:
             _, out, ku, d, kw, tu, tw = step
             r[out] = ((r[ku].T if tu else r[ku]) * r[d]).dot(r[kw].T if tw else r[kw])
@@ -377,9 +402,10 @@ def contract(vectors, mats, program: Program | None = None) -> complex:
             _, out, a, ax, ay, az, tax, tay, taz = step
             ax, ay, az = (r[k].T if tk else r[k] for k, tk in ((ax, tax), (ay, tay), (az, taz)))
             (ma, mx), my, mz = ax.shape, ay.shape[1], az.shape[1]
-            size = max(ma, mx, my, mz)
-            if inner is None or len(inner) < size:
-                inner, outer = (np.empty((size,) * 3, complex) for _ in range(2))
+            if inner is None:
+                sizes = [[len(r[v]) for v in dims] for dims in program.k4]
+                inner = np.empty((max(i * j * k for _, i, j, k in sizes),), complex)
+                outer = np.empty((max(max(h, k) * i * j for h, i, j, k in sizes),), complex)
             w = _head(outer, (ma, mx, my))
             w[...] = (r[a][:, None] * ax)[:, :, None]
             w *= ay[:, None, :]
@@ -394,8 +420,10 @@ class LevelTables(NamedTuple):
     `vectors[d, s, pos]` is the factor of variable d placed at position pos
     with sign s, a negative entry's amplitude included (`ContourTables`).
     `smats[a, b]` is the scattering matrix of the signed variables a and b,
-    rows over |a|; a pair it lacks is identically 1.  `schedule` is the
-    compiled sum that `term_sum` runs on them (`compile_schedule`).
+    rows over |a|; a pair it lacks is identically 1.  `smats[a, 0]`, where
+    present, is S(a, 1) and S(a, -1) side by side, the stacked matrix of a
+    merged term (`stacked_pairs`).  `schedule` is the compiled sum that
+    `term_sum` runs on them (`compile_schedule`).
     """
 
     vectors: dict
@@ -418,29 +446,64 @@ def signed_pairs(n: int, halfline: bool) -> tuple:
                          for invs in term.mats for ab in invs}))
 
 
+@lru_cache(maxsize=16)
+def stacked_pairs(n: int, halfline: bool) -> tuple:
+    """The keys (a, 0) of the stacked S-matrices that the merged terms of
+    the (N, half/full line) sum read (`compile_schedule`), sorted: S(a, 1)
+    and S(a, -1) side by side, rows over |a| and columns over the nodes of
+    variable 1 with sign +1, then -1.  On the half line at N = 3 and 4,
+    every a = 2 .. N; elsewhere none, as no term is merged."""
+    if not halfline:
+        return ()
+    stacks = frozenset(signed_pairs(n, True)) | {(a, 0) for a in range(2, n + 1)}
+    return tuple(ab for ab, _ in compile_schedule(n, True, stacks).mats if ab[1] == 0)
+
+
 def pair_matrices(n: int, halfline: bool, kind, build, fold=None) -> dict:
     """The read-only S-matrix of every signed pair (a, b) the (N, half/full
-    line) terms use (`signed_pairs`), rows over |a|, for either model: the
-    model says which pairs have one matrix, `kind(a, b)`, and builds it,
-    `build(kind, rows)`, with rows None for all of a's nodes.
+    line) terms use (`signed_pairs`), rows over |a|, and every stacked
+    matrix (a, 0) their merged terms read (`stacked_pairs`), for either
+    model: the model says which pairs have one matrix, `kind(a, b)`, and
+    builds it, `build(kind, rows)`, with rows None for all of a's nodes; a
+    build may return a view, which is copied once.
 
     In both models S(-b, -a) = S(a, b)^T, so only the pairs with a + b >= 0
     are built, all with a > 0, and the others are transposed views of their
-    partners.  Pairs of one kind share one matrix.
+    partners.  Pairs of one kind share one matrix.  A stacked matrix is one
+    (2m, m_a) array W, rows over variable 1's nodes, whose row halves are
+    S(a, 1)^T and S(a, -1)^T: (a, 0) is W^T and (a, +-1) are the transposed
+    halves, which a term reads with rows over variable 1 as contiguous
+    halves, so no copy of either is kept.  Stacks of one pair of kinds share
+    one array; a kind that an earlier stack holds in another pairing is
+    copied into the later one.
 
     `fold` is None or the kept nodes of the last variable N on a folded
-    level (`ContourTables`).  A pair with a + b >= 0 holds N, if at all, as
-    a, so its matrices take the kept rows: views of the full matrix where a
-    pair without N has their kind, else `build(kind, fold)` on those rows
-    alone.  Either way each kind's rows are built once.
+    level (`ContourTables`).  A pair with a + b >= 0, and a stack, holds N,
+    if at all, as a, so its matrices take the kept rows: views of the full
+    matrix where a pair without N has their kind, else `build(kind, fold)`
+    on those rows alone.  Either way each kind's rows are built once.
     """
     pairs = signed_pairs(n, halfline)
     kinds = {(a, b): kind(a, b) for a, b in pairs if a + b >= 0}
+    kinds.update({(a, 0): (kinds[a, 1], kinds[a, -1]) for a, _ in stacked_pairs(n, halfline)})
     full = {k for (a, _), k in kinds.items() if fold is None or a != n}
     built, smats = {}, {}
-    for (a, b), k in kinds.items():
-        if k not in built:
-            built[k] = build(k, None if k in full else fold)
+
+    # the stacks first, so that their halves serve the pairs of their kinds
+    for (a, b), k in sorted(kinds.items(), key=lambda item: item[0][1] != 0):
+        if k not in built and b == 0:
+            rows = None if full & {k, *k} else fold
+            full.update((k, *k) if rows is None else ())
+            halves = [(built[h] if h in built else build(h, rows)).T for h in k]
+            stack = np.empty((len(halves[0]) + len(halves[1]), halves[0].shape[1]),
+                             np.result_type(*halves))
+            stack[:len(halves[0])], stack[len(halves[0]):] = halves
+            stack.flags.writeable = False
+            built[k], size = stack.T, len(halves[0])
+            for h, half in zip(k, (stack[:size], stack[size:])):
+                built.setdefault(h, half.T)
+        elif k not in built:
+            built[k] = np.ascontiguousarray(build(k, None if k in full else fold))
             built[k].flags.writeable = False
         cut = fold is not None and a == n and k in full
         smats[a, b] = built[k][fold] if cut else built[k]
@@ -450,15 +513,22 @@ def pair_matrices(n: int, halfline: bool, kind, build, fold=None) -> dict:
     return smats
 
 
+#: the sign of a merged term's stacked vector [v+; v-] (`compile_schedule`)
+STACKED = 2
+
+
 class Schedule(NamedTuple):
     """The terms of one sum compiled for one pattern of S-matrices
     (`compile_schedule`): `term_sum` runs `program` on the level's
-    `vectors`, then its `folds`, then its `mats`."""
+    `vectors`, then its `folds`, then its `stacks`, then its `mats`."""
 
     #: the distinct vector keys (d, sign, pos) the terms read, sign +-1
     vectors: tuple
     #: the (d, pos) of the folded vectors v+ + v- they read, sign 0
     folds: tuple
+    #: the (d, pos) of the stacked vectors [v+; v-] the merged terms read,
+    #: sign STACKED
+    stacks: tuple
     #: the S-matrix keys the terms read, each with whether it is transposed
     #: to rows over the lower dimension
     mats: tuple
@@ -475,8 +545,19 @@ class Schedule(NamedTuple):
 def compile_schedule(n: int, halfline: bool, pairs: frozenset) -> Schedule:
     """The terms of the (N, half/full line) sum
     (`signed_perm.term_structure`) compiled for `term_sum` on tables that
-    carry the S-matrices of the signed pairs in `pairs`, once per pattern:
-    `ContourTables` looks its schedule up when it is built.
+    carry the S-matrices of the signed pairs in `pairs`, and the stacked
+    matrices (a, 0) among them, once per pattern: `ContourTables` looks its
+    schedule up when it is built.
+
+    First each two half-line terms that differ only in the sign of
+    dimension 0 become one (`_merge`) where dimension 0 has two or more
+    pair neighbours and `pairs` holds the stacked matrices: dimension 0
+    runs over 2m nodes, those of sign +1, then those of sign -1, so by
+    linearity the partners share every step that does not read it, the
+    steps after dimension 0 is summed out included.  An N = 4 level
+    contracts 126 terms, not 192, in 602 instructions, not 884, and N = 3
+    18, not 24, in 67, not 90; at N <= 2, and on the full line, no term is
+    merged.
 
     Each step of a term (`_compile`) is keyed by its operands, so equal steps
     of two terms are one value.  The terms are ordered by the values they
@@ -484,22 +565,25 @@ def compile_schedule(n: int, halfline: bool, pairs: frozenset) -> Schedule:
     one value follow one another; these runs nest, a K4 inner tensor's run
     holding the runs of its finishes, and those of the couplings and pair
     products within.  The level's `Program` (`_program`) runs every term on
-    one register file, the level's vectors, folded vectors and S-matrices,
-    then temporaries: the first term of a run that needs a value builds it,
-    the later ones read its register, and the register is released after
-    the last read; a step that only fed loaded values is skipped.  Terms
-    that share nothing keep their order and run their steps as built.
+    one register file, the level's vectors, folded and stacked vectors and
+    S-matrices, then temporaries: the first term of a run that needs a
+    value builds it, the later ones read its register, and the register is
+    released after the last read; a step that only fed loaded values is
+    skipped.  Terms that share nothing keep their order and run their steps
+    as built.
 
     Every complete term (all pairs present, N >= 3) sums out the same
     dimension first, the one that gives the fewest distinct first steps,
-    ties to the highest index: on the half line dimension 0, with 15 K4
-    inner tensors for the 60 complete terms at N = 4 and 7 couplings for 12
+    ties to the highest index: on the half line dimension 0, with 8 K4
+    inner tensors for the 33 complete terms at N = 4 and 4 couplings for 7
     at N = 3.  The terms of one K4 inner tensor sum in their finish the
-    dimension that leaves the fewest distinct finishes (`_finish_dims`).
+    dimension that leaves the fewest distinct finishes, never the last
+    (`_finish_dims`).
     """
     dim_pairs = list(itertools.combinations(range(n), 2))
-    terms = [(term.vectors, tuple(tuple(ab for ab in invs if ab in pairs)
-                                  for invs in term.mats)) for term in term_structure(n, halfline)]
+    terms = _merge([(term.vectors, tuple(tuple(ab for ab in invs if ab in pairs)
+                                         for invs in term.mats))
+                    for term in term_structure(n, halfline)], pairs)
     complete = [i for i, (_, slots) in enumerate(terms) if n >= 3 and all(slots)]
 
     def first_step(i, first):
@@ -510,9 +594,10 @@ def compile_schedule(n: int, halfline: bool, pairs: frozenset) -> Schedule:
     plans = [_plan(n, tuple(map(bool, slots)), first if i in complete else None)
              for i, (_, slots) in enumerate(terms)]
     finish = _finish_dims(terms, plans)
-    # the inputs: the plain vectors, then the folded ones, then the S-matrices
+    # the inputs: the plain vectors, then the folded, then the stacked ones,
+    # then the S-matrices
     vectors = sorted({key for keys, _ in terms for key in keys},
-                     key=lambda key: (not key[1], key))
+                     key=lambda key: ({0: 1, STACKED: 2}.get(key[1], 0), key))
     mats = sorted({ab for _, slots in terms for slot in slots for ab in slot})
     intern = _interner([("vector", key) for key in vectors] + [("matrix", ab) for ab in mats])
     graphs = [_compile(plan, keys, slots, intern, finish.get(i))
@@ -520,16 +605,66 @@ def compile_schedule(n: int, halfline: bool, pairs: frozenset) -> Schedule:
     graphs = [graphs[i] for i in _run_order(graphs)]
     program = _program(graphs, len(vectors) + len(mats))
     read = collections.Counter(node.kind for nodes in graphs for node in nodes)
-    return Schedule(tuple(key for key in vectors if key[1]),
-                    tuple((d, pos) for d, sign, pos in vectors if not sign),
+    return Schedule(tuple(key for key in vectors if abs(key[1]) == 1),
+                    tuple((d, pos) for d, sign, pos in vectors if sign == 0),
+                    tuple((d, pos) for d, sign, pos in vectors if sign == STACKED),
                     tuple((ab, abs(ab[0]) > abs(ab[1])) for ab in mats), tuple(graphs),
                     {kind: (program.built[kind], read[kind]) for kind in STEP_KINDS}, program)
 
 
+def _merge(terms, pairs) -> list:
+    """The terms (vector keys, slots), each two that differ only in the sign
+    of dimension 0, (0, +-1, pos), merged into one where dimension 0 has
+    two or more pair neighbours, in the place of the first of them.
+
+    The merged term's dimension-0 vector is (0, STACKED, pos), and each of
+    its dimension-0 pairs stacks the partners' factors by rows, sign +1
+    first: a pair with one inversion, (a, 1) and (a, -1), reads the stacked
+    matrix (a, 0), which `pairs` must hold; a pair with two lists the
+    partners' four, whose two products `_compile` stacks.  Both partners
+    have the same pattern of present pairs at N = 3 and 4; the pairs that
+    do not, or lack a stacked matrix, stay apart.
+    """
+    zero = [k for k, pair in enumerate(itertools.combinations(range(len(terms[0][0])), 2))
+            if 0 in pair]
+
+    def stacked(plus, minus):
+        slots = list(plus)
+        for k in zero:
+            if len(plus[k]) != len(minus[k]):
+                return None
+            if len(plus[k]) == 1:
+                (a, b), = plus[k]
+                if b != 1 or minus[k] != ((a, -1),) or (a, 0) not in pairs:
+                    return None
+                slots[k] = ((a, 0),)
+            else:
+                slots[k] = plus[k] + minus[k]
+        return tuple(slots) if sum(bool(slots[k]) for k in zero) >= 2 else None
+
+    def partner(keys):
+        return (keys[0][2],) + keys[1:]
+
+    minus = {partner(keys): i for i, (keys, _) in enumerate(terms) if keys[0][1] == -1}
+    merged = dict(enumerate(terms))
+    for i, (keys, slots) in enumerate(terms):
+        j = minus.get(partner(keys)) if keys[0][1] == 1 else None
+        both = None if j is None else stacked(slots, terms[j][1])
+        if both is not None:
+            d, _, pos = keys[0]
+            merged[min(i, j)] = ((d, STACKED, pos),) + keys[1:], both
+            del merged[max(i, j)]
+    return list(merged.values())
+
+
 def _finish_dims(terms, plans) -> dict:
     """Per term with a K4 core, the dimension z its finish sums: for all the
-    terms of one inner tensor, the one of its three dimensions whose vector
-    and pair matrices take the fewest distinct values, ties to the highest."""
+    terms of one inner tensor, the one of its three dimensions other than
+    the last, N - 1, whose vector and pair matrices take the fewest distinct
+    values, ties to the highest.  On a folded level N - 1 runs over m/2 + 1
+    nodes, and it stays in the outer product over (a, x, y) that builds the
+    inner tensor: 2m m (m/2 + 1) entries when a merged term doubles a, not
+    2m m^2, which read 30 % slower."""
     runs = collections.defaultdict(list)
     for i, ((keys, slots), (_, core)) in enumerate(zip(terms, plans)):
         if core is not None:
@@ -537,7 +672,7 @@ def _finish_dims(terms, plans) -> dict:
             slot = dict(zip(itertools.combinations(core[0], 2), (slots[k] for k in pairs)))
             runs[(keys[a],) + tuple(slot[a, v] for v in rest)].append(
                 (i, {z: (keys[z],) + tuple(slot[p] for p in itertools.combinations(rest, 2)
-                                           if z in p) for z in rest}))
+                                           if z in p) for z in rest if z != len(keys) - 1}))
     finish = {}
     for members in runs.values():
         z = min(members[0][1], key=lambda v: (len({ops[v] for _, ops in members}), -v))
@@ -566,17 +701,21 @@ def term_sum(tables: LevelTables) -> complex:
     the tables' schedule compiles, at one quadrature level.
 
     A folded vector (sign 0) is v+ + v-, the partner's amplitude riding in
-    v-, formed once per level, and each S-matrix is oriented with rows over
-    the lower dimension.  One `contract` call runs the schedule's `Program`
-    on them: every term in run order, each shared step passed on in its
-    register from the term that builds it to the later terms of its run,
-    and the K4 steps writing into the call's two m^3 buffers.  `contract`
+    v-, and a merged term's stacked vector (sign STACKED) is
+    concat(v+, v-), each formed once per level from the tables' vectors,
+    so `LevelTables.scaled` applies to both; each S-matrix is oriented with
+    rows over the lower dimension.  One `contract` call runs the schedule's
+    `Program` on them: every term in run order, each shared step passed on
+    in its register from the term that builds it to the later terms of its
+    run, and the K4 steps writing into the call's two buffers.  `contract`
     is looked up here at each call, where a tracer may have wrapped it.
     """
     schedule = tables.schedule
     given = tables.vectors
     vecs = [given[key] for key in schedule.vectors]
     vecs += [given[d, 1, pos] + given[d, -1, pos] for d, pos in schedule.folds]
+    vecs += [np.concatenate((given[d, 1, pos], given[d, -1, pos]))
+             for d, pos in schedule.stacks]
     mats = [tables.smats[ab].T if transposed else tables.smats[ab]
             for ab, transposed in schedule.mats]
     return contract(vecs, mats, schedule.program)
@@ -601,10 +740,12 @@ class ContourTables:
     model supplies its S-matrices and position waves:
 
     * `smats` is None, for no S-matrices, or the S-matrix of every signed
-      pair the sum uses, the folded variable's on its kept nodes: both
-      models build them with `pair_matrices`, the exclusion process from
-      two-dimensional node values, the Bose gas by spreading each from its
-      Toeplitz or Hankel diagonal (`bose_exact._line_matrices`);
+      pair the sum uses, the folded variable's on its kept nodes, and the
+      stacked matrices of its merged terms, of which S(a, 1) and S(a, -1)
+      are views: both models build them with `pair_matrices`, the
+      exclusion process from two-dimensional node values, the Bose gas by
+      spreading each from its Toeplitz or Hankel diagonal
+      (`bose_exact._line_matrices`);
     * `waves(x)`, if given, gives the plane wave at position x of every
       (d, s) of `nodes`, on its kept nodes; by default it is `wave` at each
       node array (ASEP's powers), while the Bose lines take one exponential
@@ -620,14 +761,15 @@ class ContourTables:
     `fold`, is the last one, N - 1, and all its tables hold its kept nodes
     only; `fold` is None on an unfolded level.  `evaluate` keeps the real
     part.  Every contraction step that reads the last variable is halved.
-    The half-line terms sum out dimension 0 first (`compile_schedule`), so
-    N - 1 halves that first step too, the N = 3 couplings and the N = 4 K4
-    inner tensor, and then stays in what they leave: the K4 finishes and
-    the matrix-vector products that follow; on the full line N - 1 is the
-    dimension summed out first.
+    The complete half-line terms sum out dimension 0 first
+    (`compile_schedule`), over 2m nodes in a merged term, so N - 1 halves
+    that first step too, the N = 3 couplings and the N = 4 K4 inner tensor,
+    and then stays in what they leave, which halves the K4 finishes (none
+    sums it, `_finish_dims`) and the matrix-vector products that follow;
+    on the full line N - 1 is the dimension summed out first.
 
     `schedule` is the sum the tables feed (`compile_schedule`): N, the half
-    line if there are reflected nodes, and the signed pairs in `smats`.  It
+    line if there are reflected nodes, and the keys of `smats`.  It
     is looked up once, here, and every `level` carries it.
     """
 

@@ -239,6 +239,39 @@ def _halfline_entry(y, x, t: float, params: AsepParams, opts: QuadOptions | None
     return opts, radii, lambda m: _contour_tables(params.p, radii.center, radii.radii, m, True)
 
 
+@lru_cache(maxsize=1024)
+def _log_reach(tau: float, center: complex, radii: tuple) -> float:
+    """The largest |log| of |xi| and |tau/xi| over the circles of these
+    radii about center, bounded by the innermost and the outermost."""
+    reach = (radii[0] - abs(center), radii[-1] + abs(center))
+    return max(abs(math.log(r)) for r in reach + tuple(tau / r for r in reach))
+
+
+def _require_finite_waves(params: AsepParams, radii: RadiiScheme, x, m: int):
+    """Raise ConvergenceError, as `adaptive_trace` does for a level that is
+    not finite, where a plane wave xi^x or (tau/xi)^x at a site x of the
+    target overflows on the nodes that the level of resolution m reads: the
+    level reads every wave, so it would not be finite, and every finer one
+    reaches the same magnitudes.  The nodes are `_circle_contour`'s, the
+    last variable's kept half where a real centre folds the level, so no
+    table is built to find this out.  Where every |node| and |tau/node|
+    keeps the waves below e^700 (`_log_reach`), nothing is computed."""
+    if max(map(abs, x)) * _log_reach(params.tau, radii.center, radii.radii) <= 700.0:
+        return
+    fold = radii.center.imag == 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for d, contour in enumerate(radii.contours()):
+            xi = circle_nodes(contour, m)[0]
+            if fold and d == radii.n - 1:
+                xi = xi[circle_half(m)[0]]
+            for nodes, site in itertools.product((xi, params.tau / xi), set(x)):
+                if not np.isfinite(np.power(nodes, site)).all():
+                    raise ConvergenceError(
+                        f"the level at m={m} is not finite: the plane wave at site {site} "
+                        f"overflows on the contour, and no finer level can change that",
+                        estimates=(None, complex("nan")))
+
+
 def _report(raw: complex, err: float, m: int, terms: int, opts: QuadOptions) -> AsepEvalReport:
     imag = abs(raw.imag)
     if imag > 100.0 * max(opts.tol, err):
@@ -288,12 +321,17 @@ def prob_halfline(Y, X, t: float, params: AsepParams,
 
     Without `opts`, N <= 3 asks for `QuadOptions()` and N = 4 for tol 1e-6
     within 96 points.  At tol 1e-10 some N = 4 inputs (p = 0.5, t = 10)
-    refine to m = 512, where one K4 tensor takes 2 GiB; this budget refuses
-    them with ConvergenceError until every request is bounded (ROADMAP item 8).
+    refine to m = 512, where the K4 outer product, 2m m (m/2 + 1) entries,
+    takes 2.0 GiB and the inner tensor 1.0 GiB (`_kernels.contract`); this
+    budget refuses them with ConvergenceError until every request is
+    bounded (ROADMAP item 8).  A target whose plane waves overflow on the
+    first level's nodes is refused before any table is built
+    (`_require_finite_waves`).
     """
     y, x = lattice_sites(Y, halfline=True), lattice_sites(X, halfline=True)
     opts, radii, contour_at = _halfline_entry(y, x, t, params, opts, radii)
     src, dst, prefactor = _orientation(y, x, radii, params.tau)
+    _require_finite_waves(params, radii, dst, opts.initial_points)
 
     # the reversed sum is scaled by the prefactor, so its own tolerance is
     # tightened for `tol` to bound the returned value
@@ -391,7 +429,8 @@ def evaluate_extended(Y, Z, t: float, params: AsepParams,
     with prob_halfline.
     """
     y, z = lattice_sites(Y, halfline=True), integer_sites(Z)
-    opts, _, contour_at = _halfline_entry(y, z, t, params, opts, radii)
+    opts, radii, contour_at = _halfline_entry(y, z, t, params, opts, radii)
+    _require_finite_waves(params, radii, z, opts.initial_points)
     value, _, _ = evaluate(contour_at, y, z, t, opts)
     return complex(value)
 
@@ -408,12 +447,13 @@ def master_equation_residual(Y, X, t: float, params: AsepParams,
     (rate p) only when site x_i - 1 is free and not beyond the wall at 0.
     """
     y, x = lattice_sites(Y, halfline=True), lattice_sites(X, halfline=True)
-    opts, _, contour_at = _halfline_entry(y, x, t, params, opts)
+    opts, radii, contour_at = _halfline_entry(y, x, t, params, opts)
     n, p, q = len(y), params.p, params.q
     if n > 3:
         raise ValueError("master-equation residual supports N <= 3")
     if t <= 0:
         raise ValueError("residual check needs t > 0")
+    _require_finite_waves(params, radii, x, opts.initial_points)
 
     def residual(contour, tables):
         def shifted(j, step):

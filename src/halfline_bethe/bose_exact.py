@@ -233,13 +233,13 @@ def _grid_parameters(y, x, time: DampedTime, c: float, h: float, tol: float,
 def _spread(values: np.ndarray, toeplitz: bool, first: int = 0) -> np.ndarray:
     """Rows first .. m - 1 of the m x m matrix values[i - j + m - 1]
     (Toeplitz) or values[i + j] (Hankel) of the 2m - 1 contiguous values,
-    copied from a strided view of them."""
+    as a strided view of them, which `_kernels.pair_matrices` copies once."""
     m, step = (values.size + 1) // 2, values.strides[0]
     if toeplitz:
         offset, strides = (first + m - 1) * step, (step, -step)
     else:
         offset, strides = first * step, (step, step)
-    return np.ndarray((m - first, m), values.dtype, values, offset, strides).copy()
+    return np.ndarray((m - first, m), values.dtype, values, offset, strides)
 
 
 def _line_matrices(k, lines, c: float, halfline: bool, fold) -> dict:

@@ -161,7 +161,10 @@ def term_structure(n: int, halfline: bool) -> tuple[Term, ...]:
     For B_n only the sigma with sigma(1) > 0 are listed, by sigma(1), each
     with its entry at position 0 folded (sign 0): a sigma and its
     `negate_first` partner share every scattering factor, so one contraction
-    covers both.  `group_order` counts the unfolded terms.
+    covers both.  `group_order` counts the unfolded terms.  Two listed terms
+    that differ only in the sign of variable 1 share every factor but those
+    of dimension 0, which `_kernels.compile_schedule` stacks to contract
+    them as one: 2^(n-1) n! terms here, 126 contractions at n = 4.
     """
     if not halfline:
         return tuple(compile_term(s) for s in enumerate_sn(n))

@@ -560,6 +560,33 @@ class TestFarTargets:
         assert first is None and not np.isfinite(level)
 
     @pytest.mark.parametrize("fn,y,x", [
+        pytest.param(prob_halfline, (0, 2), (1, 1500), id="prob"),
+        pytest.param(evaluate_extended, (0, 2), (-1500, 3), id="extended"),
+        pytest.param(master_equation_residual, (0, 2), (1, 1500), id="residual"),
+    ])
+    def test_a_far_target_is_refused_before_any_table(self, monkeypatch, fn, y, x):
+        # (0, 2) -> (1, 1500) once built and summed a 2048-point N = 2 level
+        # (0.13-0.32 s) only to find it NaN: xi^1500 overflows on the outer
+        # circle, and (tau/xi)^-1500 on the inner one, which the radii and
+        # the sites tell before any table is built
+        def no_tables(*args):
+            raise AssertionError("contour tables built")
+
+        monkeypatch.setattr(asep_exact, "_contour_tables", no_tables)
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            with pytest.raises(ConvergenceError, match="m=2048 is not finite") as err:
+                fn(y, x, 0.5, P04)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.05 and peak < 2 ** 20
+        first, level = err.value.estimates
+        assert first is None and not np.isfinite(level)
+
+    @pytest.mark.parametrize("fn,y,x", [
         pytest.param(prob_halfline, (0,), (2 ** 53 + 1,), id="half-N1"),
         pytest.param(prob_halfline, (0, 2), (1, 10 ** 400), id="half-N2"),
         pytest.param(prob_fullline, (0,), (10 ** 300,), id="full-N1"),
@@ -705,8 +732,9 @@ class TestContourCache:
         arrays = [a for tables in empty_cache.values()
                   for a in (*tables.nodes.values(), *tables.weights, *tables.energies,
                             *tables.amplitudes, *tables.smats.values())]
-        # the full line holds no reflected nodes and no wall factors
-        assert len(arrays) == 2 * (5 * 3 + 12) + 2 * (3 * 2 + 1)
+        # the full line holds no reflected nodes and no wall factors; the
+        # half line at N = 3 holds 12 S-matrices and 2 stacks (a, 0)
+        assert len(arrays) == 2 * (5 * 3 + 12 + 2) + 2 * (3 * 2 + 1)
         for a in arrays:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
@@ -728,14 +756,27 @@ class TestContourCache:
             def signed(a):
                 return nodes[a - 1] if a > 0 else params.tau / nodes[-a - 1]
 
+            # from N = 3 on, S(a, 1) and S(a, -1) are the halves of one
+            # stack (a, 0), a = 2 .. N, which merged terms read
+            stacks = {(a, 0) for a in range(2, n + 1)} if n >= 3 else set()
             assert set(tables.smats) == {ab for term in term_structure(n, True)
-                                         for invs in term.mats for ab in invs}
-            assert len(tables.smats) == 2 * n * (n - 1)
+                                         for invs in term.mats for ab in invs} | stacks
+            assert len(tables.smats) == 2 * n * (n - 1) + len(stacks)
             for (a, b), mat in tables.smats.items():
+                if not b:
+                    np.testing.assert_array_equal(
+                        mat, np.hstack((tables.smats[a, 1], tables.smats[a, -1])))
+                    continue
                 direct = s_asep(signed(a)[:, None], signed(b)[None, :], params)
                 assert np.max(np.abs(mat - direct) / np.abs(direct)) <= 1e-14, (a, b, fold)
             owners = {id(m if m.base is None else m.base) for m in tables.smats.values()}
-            assert len(owners) == n * (n - 1)
+            assert len(owners) == n * (n - 1) - len(stacks)
+            # each stack, read with rows over variable 1, is contiguous, and
+            # so are its halves
+            for a, _ in stacks:
+                if not (fold and a == n):
+                    assert tables.smats[a, 0].T.flags.c_contiguous
+                    assert tables.smats[a, 1].T.flags.c_contiguous
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_full_line_dimensions_share_one_matrix(self, n):

@@ -75,7 +75,8 @@ def test_one_level_of_each_model_is_traced(monkeypatch):
 
 
 def test_an_n4_level_is_traced_through_the_k4_step(monkeypatch):
-    # only an N = 4 level reaches the K4 step, in 60 of its 192 terms
+    # only an N = 4 level reaches the K4 step, in 33 of the 126 terms its
+    # 192 merge into
     monkeypatch.setattr(asep_exact, "_CONTOUR_CACHE", OrderedDict())
     params = AsepParams.from_p(0.4)
     radii = asep_exact.tuned_radii(params, 4)
@@ -88,9 +89,9 @@ def test_an_n4_level_is_traced_through_the_k4_step(monkeypatch):
     assert tracer.counts["scattering.calls"] == 4 + 4 + 12
     assert tracer.counts["kernels.contract.calls"] == 1
     program = tables.level((0, 1, 2, 3), (0, 1, 3, 5), 0.5).schedule.program
-    assert sum(step[0] == _kernels.END for step in program.instructions) \
-        == len(term_structure(4, True)) == 192
-    assert sum(step[0] == _kernels.K4_CLOSE for step in program.instructions) == 60
+    assert len(term_structure(4, True)) == 192
+    assert sum(step[0] == _kernels.END for step in program.instructions) == 126
+    assert sum(step[0] == _kernels.K4_CLOSE for step in program.instructions) == 33
 
 
 def test_a_bose_op_is_traced_through_its_two_levels():
